@@ -53,6 +53,7 @@ from .errors import (
 from .events import detect_steps
 from .optimizer import optimize
 from .plots import bland_altman_svg
+from .pose_io import _round10
 from .report import GaitReport, compute_report
 from .skeleton import derive_anatomy
 from .walker import WalkerSpec, generate
@@ -74,10 +75,6 @@ _PARAM_LABELS = {
     "step_length_cm": "step length",
     "step_time_s": "step time",
 }
-
-
-def _round10(v: float) -> float:
-    return float("%.10g" % float(v))
 
 
 def _slug(text: str) -> str:

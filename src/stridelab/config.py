@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 from .errors import ConfigError, StrideLabError
 from .events import DetectorConfig
 from .optimizer import EnergyConfig
-from .skeleton import CameraModel, JointId, canonical_joint
+from .skeleton import HEIGHT_CHAIN, CameraModel, JointId, canonical_joint
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -126,13 +126,21 @@ def _build_ratios(section: Mapping[str, str]) -> dict[JointId, float]:
         if joint is None or joint is JointId.PELVIS:
             raise _fail(path, "not the child joint of a skeleton edge")
         value = _as_float(path, raw)
-        if value <= 0:
-            raise _fail(path, f"ratio must be positive, got {value}")
+        if not 0.0 < value < 1.0:
+            raise _fail(path, f"ratio must be strictly between 0 and 1, got {value}")
         ratios[joint] = value
     missing = [j.name.lower() for j in JointId
                if j is not JointId.PELVIS and j not in ratios]
     if missing:
         raise ConfigError(f"[anatomy.ratios] missing edges: {', '.join(missing)}")
+    # The same bound AnatomyProfile puts on lengths, as a fraction of height.
+    chain = sum(ratios[j] for j in HEIGHT_CHAIN)
+    if not 0.9 <= chain <= 1.1:
+        keys = ", ".join(f"anatomy.ratios.{j.name.lower()}" for j in HEIGHT_CHAIN)
+        raise ConfigError(
+            f"config keys {keys}: head-to-ankle ratios sum to {chain:.3f}, "
+            "outside [0.9, 1.1]"
+        )
     return ratios
 
 

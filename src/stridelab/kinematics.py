@@ -280,39 +280,14 @@ class PoseParams:
         return PoseParams(self.translations.copy(), self.rotations.copy())
 
 
-def forward_kinematics(
-    tree: KinematicTree,
-    lengths: np.ndarray,
-    params: PoseParams,
-    with_globals: bool = False,
-):
-    """Joint positions (F, J, 3) for every frame; optionally the accumulated
-    global rotations (F, J, 3, 3) as well."""
-    rot_local = so3_exp(params.rotations)  # (F, NR, 3, 3)
-    F = params.n_frames
-    J = tree.n_joints
-    X = np.empty((F, J, 3), dtype=np.float64)
-    G = np.empty((F, J, 3, 3), dtype=np.float64)
-    X[:, 0] = params.translations
-    G[:, 0] = rot_local[:, tree.rot_slot[0]]
-    for j in range(1, J):
-        p = tree.parents[j]
-        offset = tree.rest_dirs[j] * lengths[j]
-        X[:, j] = X[:, p] + G[:, p] @ offset
-        slot = tree.rot_slot[j]
-        G[:, j] = G[:, p] @ rot_local[:, slot] if slot >= 0 else G[:, p]
-    if with_globals:
-        return X, G
-    return X
-
-
-def fk_from_matrices(
+def _fk_from_matrices(
     tree: KinematicTree,
     lengths: np.ndarray,
     translations: np.ndarray,
     rot_local: np.ndarray,
 ):
-    """forward_kinematics for local rotations already given as matrices."""
+    """Joint positions (F, J, 3) and global rotations (F, J, 3, 3) from root
+    translations and local rotations already given as matrices."""
     F = translations.shape[0]
     J = tree.n_joints
     X = np.empty((F, J, 3), dtype=np.float64)
@@ -326,6 +301,22 @@ def fk_from_matrices(
         slot = tree.rot_slot[j]
         G[:, j] = G[:, p] @ rot_local[:, slot] if slot >= 0 else G[:, p]
     return X, G
+
+
+def forward_kinematics(
+    tree: KinematicTree,
+    lengths: np.ndarray,
+    params: PoseParams,
+    with_globals: bool = False,
+):
+    """Joint positions (F, J, 3) for every frame; optionally the accumulated
+    global rotations (F, J, 3, 3) as well."""
+    X, G = _fk_from_matrices(
+        tree, lengths, params.translations, so3_exp(params.rotations)
+    )
+    if with_globals:
+        return X, G
+    return X
 
 
 def position_jacobian(
@@ -361,29 +352,37 @@ def position_jacobian(
     return out
 
 
+def _antiparallel(u: np.ndarray) -> np.ndarray:
+    """A rotation by pi taking unit vector u to -u, about an axis orthogonal to u."""
+    pick = np.eye(3)[np.argmin(np.abs(u))]
+    ortho = pick - u * np.dot(pick, u)
+    ortho /= np.linalg.norm(ortho)
+    return so3_exp(np.pi * ortho)
+
+
 def _align_single(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking unit vector u to unit vector v."""
-    c = float(np.dot(u, v))
+    """Minimal rotations taking unit vectors u to unit vectors v, batched:
+    (n, 3), (n, 3) -> (n, 3, 3)."""
+    c = np.einsum("na,na->n", u, v)
     axis = np.cross(u, v)
-    s2 = float(np.dot(axis, axis))
-    if s2 < 1e-24:
-        if c > 0:
-            return np.eye(3)
-        # Antiparallel: rotate pi about any axis orthogonal to u.
-        pick = np.eye(3)[np.argmin(np.abs(u))]
-        ortho = pick - u * np.dot(pick, u)
-        ortho /= np.linalg.norm(ortho)
-        return so3_exp(np.pi * ortho)
+    s2 = np.einsum("na,na->n", axis, axis)
+    parallel = s2 < 1e-24
     K = hat(axis)
-    return np.eye(3) + K + K @ K * ((1.0 - c) / s2)
+    scale = (1.0 - c) / np.where(parallel, 1.0, s2)
+    R = np.eye(3) + K + (K @ K) * scale[:, None, None]
+    R[parallel] = np.eye(3)
+    for i in np.flatnonzero(parallel & (c <= 0)):
+        R[i] = _antiparallel(u[i])
+    return R
 
 
 def _align_many(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Least-squares rotation with R us[i] ~ vs[i] (unit rows), via SVD."""
-    B = vs.T @ us
+    """Least-squares rotations with R us[k] ~ vs[n, k] (unit rows; a zero row
+    drops its pair), via SVD, batched: (K, 3), (n, K, 3) -> (n, 3, 3)."""
+    B = vs.transpose(0, 2, 1) @ us
     U, _, Vt = np.linalg.svd(B)
-    d = np.sign(np.linalg.det(U @ Vt))
-    return (U * np.array([1.0, 1.0, d])) @ Vt
+    U[..., 2] *= np.sign(np.linalg.det(U @ Vt))[:, None]
+    return U @ Vt
 
 
 def fit_params_to_positions(
@@ -391,14 +390,16 @@ def fit_params_to_positions(
     positions: np.ndarray,
     present: np.ndarray | None = None,
 ) -> PoseParams:
-    """Closed-form pose from joint positions, one frame at a time.
+    """Closed-form pose from joint positions, all frames at once.
 
     Each rotated joint aligns its rest-pose child directions to the observed
     child directions (minimal rotation for one child, least-squares rotation
     for several).  When the observed positions are exactly realizable on the
     tree the result reproduces them exactly; otherwise it is a good starting
-    point for refinement.  Joints marked absent contribute no alignment pairs;
-    a joint with no usable pair keeps the identity local rotation.
+    point for refinement.  Joints marked absent contribute no alignment pairs,
+    nor does a child closer than 1e-12 to its joint; a frame left with one
+    usable pair takes the minimal rotation, and a frame with none keeps the
+    identity local rotation.
 
     The root translation is taken from the observed root position, which must
     be present in every frame.
@@ -410,29 +411,29 @@ def fit_params_to_positions(
     if not present[:, 0].all():
         raise ValueError("root position must be present in every frame")
 
-    rotations = np.zeros((F, tree.n_rotations, 3), dtype=np.float64)
-    for f in range(F):
-        G: dict[int, np.ndarray] = {}
-        for j in tree.rotated_joints:
-            p = tree.parents[j]
-            Gp = np.eye(3) if p < 0 else G[p]
-            us, vs = [], []
-            if present[f, j]:
-                for c in tree.children[j]:
-                    if not present[f, c]:
-                        continue
-                    v = positions[f, c] - positions[f, j]
-                    nv = np.linalg.norm(v)
-                    if nv < 1e-12:
-                        continue
-                    us.append(tree.rest_dirs[c])
-                    vs.append(Gp.T @ (v / nv))
-            if not us:
-                R = np.eye(3)
-            elif len(us) == 1:
-                R = _align_single(us[0], vs[0])
-            else:
-                R = _align_many(np.array(us), np.array(vs))
-            G[j] = Gp @ R
-            rotations[f, tree.rot_slot[j]] = so3_log(R)
-    return PoseParams(translations=positions[:, 0].copy(), rotations=rotations)
+    eye = np.broadcast_to(np.eye(3), (F, 3, 3))
+    local = np.empty((F, tree.n_rotations, 3, 3), dtype=np.float64)
+    G: dict[int, np.ndarray] = {}
+    for j in tree.rotated_joints:
+        p = tree.parents[j]
+        Gp = eye if p < 0 else G[p]
+        kids = list(tree.children[j])
+        v = positions[:, kids] - positions[:, j, None]        # (F, K, 3)
+        nv = np.linalg.norm(v, axis=2)
+        usable = present[:, kids] & present[:, j, None] & (nv >= 1e-12)
+        # Observed unit directions in the parent's frame; unusable rows are 0.
+        vs = np.where(usable[..., None], v, 0.0) / np.where(usable, nv, 1.0)[..., None]
+        vs = vs @ Gp
+        us = tree.rest_dirs[kids]
+        n_usable = usable.sum(axis=1)
+        R = eye.copy()
+        one = np.flatnonzero(n_usable == 1)
+        if one.size:
+            pick = usable[one].argmax(axis=1)
+            R[one] = _align_single(us[pick], vs[one, pick])
+        many = np.flatnonzero(n_usable >= 2)
+        if many.size:
+            R[many] = _align_many(us, vs[many])
+        G[j] = Gp @ R
+        local[:, tree.rot_slot[j]] = R
+    return PoseParams(translations=positions[:, 0].copy(), rotations=so3_log(local))

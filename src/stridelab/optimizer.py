@@ -11,11 +11,13 @@ projected model joints and detected 2D joints, E_smooth sums squared second
 temporal differences of all model joint positions, and E_depth sums squared
 first temporal differences of the root depth.
 
-The solver is damped Gauss-Newton over the whole sequence at once: a step is
-accepted only when it strictly decreases the energy, otherwise the damping is
-increased and the step recomputed.  Rotations advance by left-multiplied
-increments and are re-centred every iteration, so the parameterization never
-sits near its angle-pi singularity.
+The solver is damped Gauss-Newton over the whole sequence at once.  Only
+frames at most two apart couple (through the second-difference smoothness
+term), so the normal matrix is block-pentadiagonal and each damped step is a
+banded Cholesky solve.  A step is accepted only when it strictly decreases
+the energy, otherwise the damping is increased and the step recomputed.
+Rotations advance by left-multiplied increments and are re-centred every
+iteration, so the parameterization never sits near its angle-pi singularity.
 """
 
 import math
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import kinematics as kin
 from .errors import DegenerateInput, FrameCountMismatch, MissingModality
@@ -154,6 +155,9 @@ class EnergyProblem:
         self._m_diag0 = np.diag(M).copy()
         self._m_diag1 = np.diag(M, 1).copy()
         self._m_diag2 = np.diag(M, 2).copy()
+        # Scatter pattern of the normal matrix into banded storage.
+        self._block_triu = np.triu_indices(tree.params_per_frame)
+        self._band_index = self._band_scatter_index()
 
     # -- energy ---------------------------------------------------------
 
@@ -302,33 +306,41 @@ class EnergyProblem:
 
         return diag, off1, off2, jtr
 
-    @staticmethod
-    def _assemble(diag, off1, off2) -> scipy.sparse.csc_matrix:
-        F, P, _ = diag.shape
-        rows, cols, vals = [], [], []
-        base = np.arange(P)
-        rg = np.repeat(base, P)
-        cg = np.tile(base, P)
-        for blocks, shift in ((diag, 0), (off1, 1), (off2, 2)):
-            n = blocks.shape[0]
-            if n == 0:
-                continue
-            frame = np.arange(n) * P
-            r = (frame[:, None] + rg[None, :]).reshape(-1)
-            c = (frame[:, None] + cg[None, :] + shift * P).reshape(-1)
-            v = blocks.reshape(n, -1).reshape(-1)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            if shift:
-                rows.append(c)
-                cols.append(r)
-                vals.append(v)
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(F * P, F * P),
+    def _band_scatter_index(self) -> np.ndarray:
+        """Flat indices into the upper band storage ab[u + i - j, j] of the
+        normal matrix (u = 3P - 1), in the order _band lays out its values:
+        the upper triangle of every diagonal block, then every first and
+        every second off-diagonal block."""
+        F, P = self.F, self.tree.params_per_frame
+        n, u = F * P, 3 * P - 1
+        r, c = self._block_triu
+        rr, cc = np.divmod(np.arange(P * P), P)
+        parts = []
+        for shift, br, bc in ((0, r, c), (1, rr, cc), (2, rr, cc)):
+            frame = np.arange(max(F - shift, 0))[:, None] * P
+            i = frame + br
+            j = frame + shift * P + bc
+            parts.append(((u + i - j) * n + j).reshape(-1))
+        return np.concatenate(parts)
+
+    def _band(self, diag, off1, off2) -> np.ndarray:
+        """The normal matrix in LAPACK upper band storage, (3P, F * P)."""
+        P = self.tree.params_per_frame
+        r, c = self._block_triu
+        ab = np.zeros((3 * P, self.F * P))
+        ab.reshape(-1)[self._band_index] = np.concatenate(
+            (diag[:, r, c].reshape(-1), off1.reshape(-1), off2.reshape(-1))
         )
-        return mat.tocsc()
+        return ab
+
+    @staticmethod
+    def _damped_solve(ab, d0, damping, rhs) -> np.ndarray:
+        """Solve (H + diag(damping)) x = rhs, H in upper band storage ab with
+        diagonal d0.  Rewrites the diagonal row of ab; raises LinAlgError when
+        the damped matrix is not numerically positive definite."""
+        ab[-1] = d0 + damping
+        chol = cholesky_banded(ab, lower=False, check_finite=False)
+        return cho_solve_banded((chol, False), rhs, check_finite=False)
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
         """Damped Gauss-Newton from init.  Returns (params, info dict)."""
@@ -337,7 +349,7 @@ class EnergyProblem:
         t = init.translations.copy()
         rot = kin.so3_exp(init.rotations)  # local rotation matrices, (F, NR, 3, 3)
 
-        X, G = kin.fk_from_matrices(tree, self.lengths, t, rot)
+        X, G = kin._fk_from_matrices(tree, self.lengths, t, rot)
         terms = self.energy_terms(X)
         if terms is None:
             raise DegenerateInput("initial pose projects a joint at non-positive depth")
@@ -358,14 +370,13 @@ class EnergyProblem:
             # uniform rescaling of all four weights; the relative floor guards
             # parameters with no residual influence.
             damp_base = np.maximum(d0, 1e-12 * d0.max())
-            H0 = self._assemble(diag, off1, off2)
+            ab = self._band(diag, off1, off2)
 
             accepted = False
             while lam <= cfg.max_damping:
-                H = H0 + scipy.sparse.diags(lam * damp_base)
                 try:
-                    delta = scipy.sparse.linalg.spsolve(H, -g)
-                except RuntimeError:
+                    delta = self._damped_solve(ab, d0, lam * damp_base, -g)
+                except np.linalg.LinAlgError:
                     lam *= cfg.damping_increase
                     continue
                 if not np.all(np.isfinite(delta)):
@@ -375,7 +386,7 @@ class EnergyProblem:
                 t_new = t + step[:, :3]
                 inc = kin.so3_exp(step[:, 3:].reshape(F, tree.n_rotations, 3))
                 rot_new = inc @ rot
-                X_new, G_new = kin.fk_from_matrices(tree, self.lengths, t_new, rot_new)
+                X_new, G_new = kin._fk_from_matrices(tree, self.lengths, t_new, rot_new)
                 terms_new = self.energy_terms(X_new)
                 if terms_new is not None:
                     energy_new = sum(terms_new.values())

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-The optimizer is the slow piece (roughly a second per walk), so anything
-that needs a fitted sequence shares these session-scoped results instead
-of re-running the solver per test.
+The optimizer is the slow piece (about 0.7 s for the noisy walk below), so
+anything that needs a fitted sequence shares these session-scoped results
+instead of re-running the solver per test.
 """
 
 import pytest

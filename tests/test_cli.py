@@ -196,3 +196,20 @@ def test_bad_jobs_value(capsys):
 def test_missing_input_file(tmp_path, capsys):
     assert main(["agree", str(tmp_path / "nope.csv"),
                  "--reference", "truth"]) == 2
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "0.6"])
+def test_bad_anatomy_ratio_exits_2(pipeline, tmp_path, capsys, ratio):
+    """1.5 is outside (0, 1); 0.6 is inside it but stretches the head-to-ankle
+    chain past 110 % of standing height.  Both fail before any walk is fit."""
+    _, sim, _ = pipeline
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[anatomy.ratios]\nleft_knee = {ratio}\n")
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))
+    code = main(["--config", str(cfg), "analyze", *poses,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "anatomy.ratios.left_knee" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -125,3 +125,85 @@ def test_params_shape_validation():
         PoseParams(translations=np.zeros((2, 2)), rotations=np.zeros((2, 14, 3)))
     with pytest.raises(ValueError):
         PoseParams(translations=np.zeros((2, 3)), rotations=np.zeros((3, 14, 3)))
+
+
+def _reference_fit(tree, positions, present):
+    """Per-frame pose fit: one joint and one frame at a time, the plain
+    statement of what fit_params_to_positions computes for all frames."""
+    F = positions.shape[0]
+    rotations = np.zeros((F, tree.n_rotations, 3, 3))
+    for f in range(F):
+        G = {}
+        for j in tree.rotated_joints:
+            p = tree.parents[j]
+            Gp = np.eye(3) if p < 0 else G[p]
+            us, vs = [], []
+            if present[f, j]:
+                for c in tree.children[j]:
+                    v = positions[f, c] - positions[f, j]
+                    nv = np.linalg.norm(v)
+                    if present[f, c] and nv >= 1e-12:
+                        us.append(tree.rest_dirs[c])
+                        vs.append(Gp.T @ (v / nv))
+            if not us:
+                R = np.eye(3)
+            elif len(us) == 1:
+                u, v = us[0], vs[0]
+                axis = np.cross(u, v)
+                s2 = axis @ axis
+                if s2 >= 1e-24:
+                    K = hat(axis)
+                    R = np.eye(3) + K + K @ K * ((1.0 - u @ v) / s2)
+                elif u @ v > 0:
+                    R = np.eye(3)
+                else:
+                    pick = np.eye(3)[np.argmin(np.abs(u))]
+                    ortho = pick - u * (pick @ u)
+                    R = so3_exp(np.pi * ortho / np.linalg.norm(ortho))
+            else:
+                U, _, Vt = np.linalg.svd(np.array(vs).T @ np.array(us))
+                d = np.sign(np.linalg.det(U @ Vt))
+                R = (U * [1.0, 1.0, d]) @ Vt
+            G[j] = Gp @ R
+            rotations[f, tree.rot_slot[j]] = R
+    return rotations
+
+
+def test_masked_fit_matches_per_frame_reference():
+    tree = CANONICAL_TREE
+    lengths = lengths_vector(derive_anatomy(1.72))
+    rng = np.random.default_rng(5)
+    F = 40
+    X = forward_kinematics(tree, lengths, _random_params(rng, F))
+    X += rng.normal(0.0, 0.02, X.shape)
+    present = rng.random(X.shape[:2]) > 0.3
+    present[:, JointId.PELVIS.value] = True
+    pelvis, spine, mid = (JointId.PELVIS.value, JointId.SPINE.value,
+                          JointId.MID_SPINE.value)
+    # Frame 0: the pelvis sees only the spine, straight up (identity), and the
+    # spine's single child points straight down (antiparallel).
+    present[0] = True
+    present[0, [JointId.LEFT_HIP.value, JointId.RIGHT_HIP.value]] = False
+    X[0, spine] = X[0, pelvis] + [0.0, lengths[spine], 0.0]
+    X[0, mid] = X[0, spine] - [0.0, lengths[mid], 0.0]
+    # Frame 1: a zero-length bone; frame 2: an absent parent joint.
+    present[1] = True
+    X[1, JointId.LEFT_ELBOW.value] = X[1, JointId.LEFT_SHOULDER.value]
+    present[2] = True
+    present[2, JointId.NECK.value] = False
+
+    # The random mask must leave some multi-child frames with one usable child.
+    for j in (pelvis, JointId.NECK.value, JointId.LEFT_ANKLE.value):
+        kids = list(tree.children[j])
+        n_usable = (present[:, kids] & present[:, j, None]).sum(axis=1)
+        assert np.any((n_usable == 1)[3:])
+
+    want = _reference_fit(tree, X, present)
+    fitted = fit_params_to_positions(tree, X, present)
+    got = so3_exp(fitted.rotations)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(fitted.translations, X[:, pelvis])
+    # The antiparallel spine is a half turn; the absent neck keeps identity.
+    assert np.isclose(np.linalg.norm(fitted.rotations[0, tree.rot_slot[spine]]), np.pi)
+    assert np.array_equal(fitted.rotations[2, tree.rot_slot[JointId.NECK.value]],
+                          np.zeros(3))

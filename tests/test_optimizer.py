@@ -8,6 +8,7 @@ differences for the gradient.
 import numpy as np
 import pytest
 
+from stridelab import optimizer as optimizer_module
 from stridelab import (
     CameraModel,
     StrideLabError,
@@ -32,6 +33,7 @@ from stridelab.kinematics import (
     forward_kinematics,
     lengths_vector,
 )
+from stridelab.optimizer import _problem_for
 
 ANATOMY = derive_anatomy(1.72)
 LENGTHS = lengths_vector(ANATOMY)
@@ -244,3 +246,87 @@ def test_wrong_param_shape_rejected(clean_walk):
     )
     with pytest.raises(StrideLabError):
         energy(bad, seq, truth.anatomy)
+
+
+def _head(seq, n_frames):
+    """The first n_frames frames of a two-stream sequence."""
+    return SkeletonSequence(
+        fps=seq.fps,
+        frames_2d=seq.frames_2d[:n_frames],
+        frames_3d=seq.frames_3d[:n_frames],
+        subject_height_m=seq.subject_height_m,
+    )
+
+
+def _dense_normal_matrix(diag, off1, off2):
+    F, P, _ = diag.shape
+    H = np.zeros((F * P, F * P))
+    for f in range(F):
+        H[f * P:(f + 1) * P, f * P:(f + 1) * P] = diag[f]
+    for shift, blocks in ((1, off1), (2, off2)):
+        for f, block in enumerate(blocks):
+            rows = slice(f * P, (f + 1) * P)
+            cols = slice((f + shift) * P, (f + shift + 1) * P)
+            H[rows, cols] = block
+            H[cols, rows] = block.T
+    return H
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 5])
+def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
+    """F = 1 and 2 leave no second (and for F = 1 no first) off-diagonal
+    blocks; the band storage must still hold exactly the dense matrix."""
+    seq, truth = noisy_walk
+    seq = _head(seq, n_frames)
+    cfg = EnergyConfig()
+    prob = _problem_for(seq, truth.anatomy, CAMERA, cfg)
+    init = initial_params(seq, truth.anatomy)
+    X, G = forward_kinematics(
+        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
+    )
+    diag, off1, off2, jtr = prob._normal_blocks(X, G)
+    H = _dense_normal_matrix(diag, off1, off2)
+
+    ab = prob._band(diag, off1, off2)
+    u = ab.shape[0] - 1
+    n = H.shape[0]
+    assert u == 3 * CANONICAL_TREE.params_per_frame - 1
+    from_band = np.zeros_like(H)
+    for k in range(min(u + 1, n)):
+        i = np.arange(n - k)
+        from_band[i, i + k] = ab[u - k, i + k]
+    assert np.array_equal(np.triu(from_band), np.triu(H))
+    # Storage cells outside the matrix (top-left corner) stay zero.
+    for k in range(1, u + 1):
+        assert not ab[u - k, :min(k, n)].any()
+
+    g = jtr.reshape(-1)
+    d0 = np.diag(H).copy()
+    damp_base = np.maximum(d0, 1e-12 * d0.max())
+    for lam in (1e-3, 1.0):
+        got = prob._damped_solve(ab, d0, lam * damp_base, -g)
+        want = np.linalg.solve(H + np.diag(lam * damp_base), -g)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
+    seq, truth = noisy_walk
+    seq = _head(seq, 12)
+    real = optimizer_module.cholesky_banded
+    diagonals = []
+
+    def fail_once(ab, **kwargs):
+        diagonals.append(ab[-1].copy())
+        if len(diagonals) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(ab, **kwargs)
+
+    monkeypatch.setattr(optimizer_module, "cholesky_banded", fail_once)
+    fit = optimize(seq, truth.anatomy, CAMERA)
+    assert len(diagonals) >= 2
+    # The retry solves the same matrix with a larger damping.
+    assert np.all(diagonals[1] >= diagonals[0])
+    assert np.any(diagonals[1] > diagonals[0])
+    hist = fit.energy_history
+    assert len(hist) >= 2
+    assert all(b < a for a, b in zip(hist, hist[1:]))
