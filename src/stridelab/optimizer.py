@@ -13,15 +13,19 @@ first temporal differences of the root depth.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
-term), so the normal matrix is block-pentadiagonal and each damped step is a
-banded Cholesky solve.  A step is accepted only when it strictly decreases
-the energy, otherwise the damping is increased and the step recomputed.
-Rotations advance by left-multiplied increments and are re-centred every
-iteration, so the parameterization never sits near its angle-pi singularity.
+term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1 (P
+parameters per frame).  Each iteration writes it once, straight into LAPACK
+lower band storage held column-major, and each damped step is a banded
+Cholesky solve on that storage.  A step is accepted only when it strictly
+decreases the energy, otherwise the damping is increased and the step
+recomputed.  Rotations advance by left-multiplied increments and are
+re-centred every iteration, so the parameterization never sits near its
+angle-pi singularity.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -81,30 +85,51 @@ class OptimizedSequence:
     source: str = ""
 
 
+def _pack_stream(frames, n_joints: int):
+    """Per-frame joint mappings -> dense (F, J, 3) point fields and an (F, J)
+    presence mask.  Both point types carry three fields: x, y, z for 3D and
+    x, y, confidence for 2D."""
+    F = len(frames)
+    index = [f * n_joints + j.value for f, fr in enumerate(frames) for j in fr.joints]
+    values = np.zeros((F * n_joints, 3))
+    present = np.zeros(F * n_joints, dtype=bool)
+    values[index] = np.fromiter(
+        chain.from_iterable(chain.from_iterable(fr.joints.values() for fr in frames)),
+        dtype=np.float64,
+        count=3 * len(index),
+    ).reshape(-1, 3)
+    present[index] = True
+    return values.reshape(F, n_joints, 3), present.reshape(F, n_joints)
+
+
 def pack_sequence(seq: SkeletonSequence, tree: KinematicTree = CANONICAL_TREE):
     """Sequence -> dense target arrays (3D targets/mask, 2D targets/confidence)."""
     if seq.frames_3d is None or seq.frames_2d is None:
         raise MissingModality("optimization requires both a 2D and a 3D stream")
-    F = len(seq.frames_3d)
-    J = tree.n_joints
-    y3 = np.zeros((F, J, 3))
-    m3 = np.zeros((F, J), dtype=bool)
-    y2 = np.zeros((F, J, 2))
-    conf = np.zeros((F, J))
-    for f, fr in enumerate(seq.frames_3d):
-        for j, p in fr.joints.items():
-            y3[f, j.value] = (p.x, p.y, p.z)
-            m3[f, j.value] = True
-    for f, fr in enumerate(seq.frames_2d):
-        for j, p in fr.joints.items():
-            y2[f, j.value] = (p.x, p.y)
-            conf[f, j.value] = p.confidence
+    y3, m3 = _pack_stream(seq.frames_3d, tree.n_joints)
+    points_2d, _ = _pack_stream(seq.frames_2d, tree.n_joints)
+    y2 = points_2d[..., :2]
+    conf = points_2d[..., 2]
     empty = ~(m3.any(axis=1) | (conf > 0).any(axis=1))
     if empty.any():
         raise DegenerateInput(
             f"frame(s) {np.flatnonzero(empty).tolist()} carry no joints in either stream"
         )
     return y3, m3, y2, conf
+
+
+def _second_difference_gram(n_frames: int):
+    """Diagonals 0, 1 and 2 of D^T D, D the (F-2) x F second-difference
+    operator over frames (rows 1, -2, 1); all zero when F < 3."""
+    coef = (1.0, -2.0, 1.0)
+    rows = max(n_frames - 2, 0)
+    diagonals = []
+    for k in range(3):
+        d = np.zeros(max(n_frames - k, 0))
+        for a in range(3 - k):
+            d[a:a + rows] += coef[a] * coef[a + k]
+        diagonals.append(d)
+    return tuple(diagonals)
 
 
 class EnergyProblem:
@@ -140,24 +165,17 @@ class EnergyProblem:
         self.w_smooth = w_smooth
         self.w_depth = w_depth
         self.F = y3.shape[0]
-        # Second-difference operator over frames and its normal matrix, used
-        # by both the smoothness energy and its Gauss-Newton blocks.
-        F = self.F
-        if F >= 3:
-            D = np.zeros((F - 2, F))
-            idx = np.arange(F - 2)
-            D[idx, idx] = 1.0
-            D[idx, idx + 1] = -2.0
-            D[idx, idx + 2] = 1.0
-        else:
-            D = np.zeros((0, F))
-        M = D.T @ D
-        self._m_diag0 = np.diag(M).copy()
-        self._m_diag1 = np.diag(M, 1).copy()
-        self._m_diag2 = np.diag(M, 2).copy()
-        # Scatter pattern of the normal matrix into banded storage.
-        self._block_triu = np.triu_indices(tree.params_per_frame)
-        self._band_index = self._band_scatter_index()
+        # Diagonals of D^T D, the frame coupling of the smoothness term's
+        # Gauss-Newton blocks.
+        self._m_diag = _second_difference_gram(self.F)
+        # Flat positions of the diagonal blocks' lower triangles in the band
+        # storage that _normal_blocks fills (see there).
+        P = tree.params_per_frame
+        self._block_tril = np.tril_indices(P)
+        rows, cols = self._block_tril
+        self._diag_index = (
+            (np.arange(self.F)[:, None] * P + cols) * (3 * P) + (rows - cols)
+        ).reshape(-1)
 
     # -- energy ---------------------------------------------------------
 
@@ -239,18 +257,36 @@ class EnergyProblem:
     # -- Gauss-Newton solver ----------------------------------------------
 
     def _normal_blocks(self, X, G):
-        """J^T J as banded (F, P, P) blocks and J^T r, at the current point,
-        with respect to left-multiplied rotation increments."""
+        """J^T J and J^T r at the current point, with respect to
+        left-multiplied rotation increments.
+
+        J^T J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
+        with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
+        C-order (F * P, 3P) array, so it is column-major: block (f + k, f),
+        element (a, b) sits in that array at [fP + b, kP + a - b], and each
+        block is written as P contiguous runs.  Cells past the matrix end and
+        cells of the (zero) blocks three frames apart stay zero."""
         tree = self.tree
         F, P = self.F, tree.params_per_frame
         cam = self.camera
         jpos = kin.position_jacobian(tree, X, G)  # (F, J, 3, P)
         flat = jpos.reshape(F, -1, P)             # (F, 3J, P)
+        flat_t = flat.transpose(0, 2, 1)
+        m0, m1, m2 = self._m_diag
 
-        d_ik = self.m3[..., None] * (X - self.y3)
-        wflat = (jpos * self.m3[..., None, None]).reshape(F, -1, P)
-        diag = self.w_ik * (wflat.transpose(0, 2, 1) @ flat)
-        jtr = self.w_ik * (flat.transpose(0, 2, 1) @ d_ik.reshape(F, -1, 1))[..., 0]
+        # The ik and smoothness diagonal blocks share flat^T W flat, with the
+        # per-joint weight w_ik * m3 + w_smooth * (D^T D)_ff.
+        w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
+        diag = flat_t @ (jpos * w_row[..., None, None]).reshape(F, -1, P)
+        resid = self.w_ik * self.m3[..., None] * (X - self.y3)
+        if F >= 3:
+            dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
+            w = np.zeros_like(X)
+            w[2:] += dd
+            w[1:-1] -= 2.0 * dd
+            w[:-2] += dd
+            resid += self.w_smooth * w
+        jtr = (flat_t @ resid.reshape(F, -1, 1))[..., 0]
 
         active = self.conf > 0
         z = np.where(active, X[..., 2], 1.0)
@@ -271,26 +307,6 @@ class EnergyProblem:
             pjw.transpose(0, 2, 1) @ resid2.reshape(F, -1, 1)
         )[..., 0]
 
-        # Smoothness: J^T J couples frames g and h through the scalar matrix
-        # M = D^T D (pentadiagonal) times S_gh = sum_j jpos[g]^T jpos[h].
-        off1 = np.zeros((max(F - 1, 0), P, P))
-        off2 = np.zeros((max(F - 2, 0), P, P))
-        if F >= 3:
-            s0 = flat.transpose(0, 2, 1) @ flat
-            s1 = flat[:-1].transpose(0, 2, 1) @ flat[1:]
-            s2 = flat[:-2].transpose(0, 2, 1) @ flat[2:]
-            diag += self.w_smooth * self._m_diag0[:, None, None] * s0
-            off1 += self.w_smooth * self._m_diag1[:, None, None] * s1
-            off2 += self.w_smooth * self._m_diag2[:, None, None] * s2
-            dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
-            w = np.zeros_like(X)
-            w[2:] += dd
-            w[1:-1] -= 2.0 * dd
-            w[:-2] += dd
-            jtr += self.w_smooth * (
-                flat.transpose(0, 2, 1) @ w.reshape(F, -1, 1)
-            )[..., 0]
-
         if F >= 2:
             tz = X[:, 0, 2]
             dz = np.diff(tz)
@@ -302,45 +318,36 @@ class EnergyProblem:
             dcount[1:] += 1.0
             dcount[:-1] += 1.0
             diag[:, 2, 2] += self.w_depth * dcount
-            off1[:, 2, 2] += -self.w_depth
+        band = np.zeros((F, P, 3 * P))
+        rows, cols = self._block_tril
+        band.reshape(-1)[self._diag_index] = diag[:, rows, cols].reshape(-1)
 
-        return diag, off1, off2, jtr
-
-    def _band_scatter_index(self) -> np.ndarray:
-        """Flat indices into the upper band storage ab[u + i - j, j] of the
-        normal matrix (u = 3P - 1), in the order _band lays out its values:
-        the upper triangle of every diagonal block, then every first and
-        every second off-diagonal block."""
-        F, P = self.F, self.tree.params_per_frame
-        n, u = F * P, 3 * P - 1
-        r, c = self._block_triu
-        rr, cc = np.divmod(np.arange(P * P), P)
-        parts = []
-        for shift, br, bc in ((0, r, c), (1, rr, cc), (2, rr, cc)):
-            frame = np.arange(max(F - shift, 0))[:, None] * P
-            i = frame + br
-            j = frame + shift * P + bc
-            parts.append(((u + i - j) * n + j).reshape(-1))
-        return np.concatenate(parts)
-
-    def _band(self, diag, off1, off2) -> np.ndarray:
-        """The normal matrix in LAPACK upper band storage, (3P, F * P)."""
-        P = self.tree.params_per_frame
-        r, c = self._block_triu
-        ab = np.zeros((3 * P, self.F * P))
-        ab.reshape(-1)[self._band_index] = np.concatenate(
-            (diag[:, r, c].reshape(-1), off1.reshape(-1), off2.reshape(-1))
-        )
-        return ab
+        # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
+        # flat[f]^T flat[f+k]; each product lands in the band through a view
+        # whose (f, b, a) element is band[f, b, kP + a - b].
+        if F >= 3:
+            item = band.itemsize
+            for k, mk in ((1, m1), (2, m2)):
+                out = np.lib.stride_tricks.as_strided(
+                    band[:, :, k * P:],
+                    shape=(F - k, P, P),
+                    strides=(band.strides[0], band.strides[1] - item, item),
+                )
+                np.matmul(flat_t[:-k], flat[k:], out=out)
+                out *= (self.w_smooth * mk)[:, None, None]
+        if F >= 2:
+            band[:-1, 2, P] -= self.w_depth
+        return band.reshape(F * P, 3 * P).T, jtr
 
     @staticmethod
     def _damped_solve(ab, d0, damping, rhs) -> np.ndarray:
-        """Solve (H + diag(damping)) x = rhs, H in upper band storage ab with
-        diagonal d0.  Rewrites the diagonal row of ab; raises LinAlgError when
-        the damped matrix is not numerically positive definite."""
-        ab[-1] = d0 + damping
-        chol = cholesky_banded(ab, lower=False, check_finite=False)
-        return cho_solve_banded((chol, False), rhs, check_finite=False)
+        """Solve (H + diag(damping)) x = rhs, H in lower band storage ab
+        (ab[0] is the diagonal, d0 its undamped values).  Rewrites row 0 of
+        ab; raises LinAlgError when the damped matrix is not numerically
+        positive definite."""
+        ab[0] = d0 + damping
+        chol = cholesky_banded(ab, lower=True, check_finite=False)
+        return cho_solve_banded((chol, True), rhs, check_finite=False)
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
         """Damped Gauss-Newton from init.  Returns (params, info dict)."""
@@ -360,9 +367,9 @@ class EnergyProblem:
         iterations = 0
 
         for _ in range(cfg.max_iterations):
-            diag, off1, off2, jtr = self._normal_blocks(X, G)
+            ab, jtr = self._normal_blocks(X, G)
             g = jtr.reshape(-1)
-            d0 = np.diagonal(diag, axis1=1, axis2=2).reshape(-1)
+            d0 = ab[0].copy()
             if d0.max() == 0.0:
                 converged = True
                 break
@@ -370,7 +377,6 @@ class EnergyProblem:
             # uniform rescaling of all four weights; the relative floor guards
             # parameters with no residual influence.
             damp_base = np.maximum(d0, 1e-12 * d0.max())
-            ab = self._band(diag, off1, off2)
 
             accepted = False
             while lam <= cfg.max_damping:
@@ -503,10 +509,22 @@ def initial_params(
 ) -> PoseParams:
     """Initialization: root from detected pelvis, rotations from closed-form
     alignment of detected bone directions; gaps filled by interpolation."""
-    y3, m3, _, _ = pack_sequence(seq, tree)
+    if seq.frames_3d is None:
+        raise MissingModality("initialization requires a 3D stream")
+    y3, m3 = _pack_stream(seq.frames_3d, tree.n_joints)
+    return _initial_params_from(y3, m3, anatomy, tree)
+
+
+def _initial_params_from(
+    y3: np.ndarray,
+    m3: np.ndarray,
+    anatomy: AnatomyProfile,
+    tree: KinematicTree,
+) -> PoseParams:
+    """initial_params on packed 3D targets y3 (F, J, 3) with mask m3 (F, J)."""
     F, J, _ = y3.shape
     pos = y3.copy()
-    obs = m3.copy()
+    obs = m3.astype(bool)
 
     frame_idx = np.arange(F, dtype=np.float64)
     root_obs = obs[:, 0]
@@ -557,19 +575,20 @@ def optimize(
     camera = camera or CameraModel.default()
     prob = _problem_for(seq, anatomy, camera, cfg)
     if init is None:
-        init = initial_params(seq, anatomy)
+        init = _initial_params_from(prob.y3, prob.m3, anatomy, CANONICAL_TREE)
     _check_params(init, prob.F)
     params, info = prob.solve(init, cfg)
 
     X = kin.forward_kinematics(CANONICAL_TREE, kin.lengths_vector(anatomy), params)
     assert seq.frames_3d is not None
+    joint_ids = tuple(JointId)  # in column order
     frames = tuple(
         SkeletonFrame3D(
             index=fr.index,
             time_s=fr.time_s,
-            joints={j: Point3D(*X[f, j.value]) for j in JointId},
+            joints={j: Point3D(*p) for j, p in zip(joint_ids, row)},
         )
-        for f, fr in enumerate(seq.frames_3d)
+        for fr, row in zip(seq.frames_3d, X.tolist())
     )
     distances = tuple(float(d) for d in np.linalg.norm(params.translations, axis=1))
     return OptimizedSequence(

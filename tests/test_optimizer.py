@@ -32,8 +32,9 @@ from stridelab.kinematics import (
     PoseParams,
     forward_kinematics,
     lengths_vector,
+    position_jacobian,
 )
-from stridelab.optimizer import _problem_for
+from stridelab.optimizer import _problem_for, _second_difference_gram
 
 ANATOMY = derive_anatomy(1.72)
 LENGTHS = lengths_vector(ANATOMY)
@@ -258,24 +259,58 @@ def _head(seq, n_frames):
     )
 
 
-def _dense_normal_matrix(diag, off1, off2):
-    F, P, _ = diag.shape
-    H = np.zeros((F * P, F * P))
+def _dense_normal_equations(prob, X, G):
+    """J^T W J and J^T W r of the whole sequence, built row by row from the
+    residual Jacobians of the four energy terms: an oracle written
+    independently of the band builder."""
+    F, P = prob.F, CANONICAL_TREE.params_per_frame
+    cam = prob.camera
+    jpos = position_jacobian(CANONICAL_TREE, X, G)  # (F, J, 3, P)
+    rows, weights, resid = [], [], []
+
+    def add(w, r, *parts):
+        row = np.zeros(F * P)
+        for f, coef, jac in parts:
+            row[f * P:(f + 1) * P] += coef * jac
+        rows.append(row)
+        weights.append(w)
+        resid.append(r)
+
     for f in range(F):
-        H[f * P:(f + 1) * P, f * P:(f + 1) * P] = diag[f]
-    for shift, blocks in ((1, off1), (2, off2)):
-        for f, block in enumerate(blocks):
-            rows = slice(f * P, (f + 1) * P)
-            cols = slice((f + shift) * P, (f + shift + 1) * P)
-            H[rows, cols] = block
-            H[cols, rows] = block.T
-    return H
+        for j in range(CANONICAL_TREE.n_joints):
+            if prob.m3[f, j]:
+                for c in range(3):
+                    add(prob.w_ik, X[f, j, c] - prob.y3[f, j, c], (f, 1.0, jpos[f, j, c]))
+            if prob.conf[f, j] > 0:
+                x, y, z = X[f, j]
+                du = np.array([cam.fx / z, 0.0, -cam.fx * x / z**2]) @ jpos[f, j]
+                dv = np.array([0.0, cam.fy / z, -cam.fy * y / z**2]) @ jpos[f, j]
+                w = prob.w_proj * prob.conf[f, j]
+                add(w, cam.fx * x / z + cam.cx - prob.y2[f, j, 0], (f, 1.0, du))
+                add(w, cam.fy * y / z + cam.cy - prob.y2[f, j, 1], (f, 1.0, dv))
+    for f in range(F - 2):
+        for j in range(CANONICAL_TREE.n_joints):
+            for c in range(3):
+                add(
+                    prob.w_smooth,
+                    X[f + 2, j, c] - 2.0 * X[f + 1, j, c] + X[f, j, c],
+                    (f, 1.0, jpos[f, j, c]),
+                    (f + 1, -2.0, jpos[f + 1, j, c]),
+                    (f + 2, 1.0, jpos[f + 2, j, c]),
+                )
+    depth = np.eye(P)[2]  # the root translation's z parameter
+    for f in range(F - 1):
+        add(prob.w_depth, X[f + 1, 0, 2] - X[f, 0, 2], (f, -1.0, depth), (f + 1, 1.0, depth))
+    Jr = np.array(rows)
+    w = np.array(weights)
+    return Jr.T @ (w[:, None] * Jr), Jr.T @ (w * np.array(resid))
 
 
-@pytest.mark.parametrize("n_frames", [1, 2, 5])
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 5])
 def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
-    """F = 1 and 2 leave no second (and for F = 1 no first) off-diagonal
-    blocks; the band storage must still hold exactly the dense matrix."""
+    """F = 1 and 2 have no smoothness term and F = 3 a single second
+    difference; the band storage must still hold the lower triangle of the
+    dense matrix (to round-off) and exact zeros everywhere else."""
     seq, truth = noisy_walk
     seq = _head(seq, n_frames)
     cfg = EnergyConfig()
@@ -284,24 +319,26 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
-    diag, off1, off2, jtr = prob._normal_blocks(X, G)
-    H = _dense_normal_matrix(diag, off1, off2)
+    H, g = _dense_normal_equations(prob, X, G)
+    ab, jtr = prob._normal_blocks(X, G)
 
-    ab = prob._band(diag, off1, off2)
-    u = ab.shape[0] - 1
+    P = CANONICAL_TREE.params_per_frame
     n = H.shape[0]
-    assert u == 3 * CANONICAL_TREE.params_per_frame - 1
+    assert ab.shape == (3 * P, n)
     from_band = np.zeros_like(H)
-    for k in range(min(u + 1, n)):
-        i = np.arange(n - k)
-        from_band[i, i + k] = ab[u - k, i + k]
-    assert np.array_equal(np.triu(from_band), np.triu(H))
-    # Storage cells outside the matrix (top-left corner) stay zero.
-    for k in range(1, u + 1):
-        assert not ab[u - k, :min(k, n)].any()
+    for k in range(min(3 * P, n)):
+        j = np.arange(n - k)
+        from_band[j + k, j] = ab[k, j]
+    assert np.abs(from_band - np.tril(H)).max() <= 1e-12 * np.abs(H).max()
+    # Blocks three or more frames apart are structurally zero.
+    frame = np.arange(n) // P
+    assert not from_band[frame[:, None] - frame[None, :] >= 3].any()
+    # Storage cells past the matrix end (bottom-right corner) stay zero.
+    for k in range(1, 3 * P):
+        assert not ab[k, max(n - k, 0):].any()
+    assert np.abs(jtr.reshape(-1) - g).max() <= 1e-12 * np.abs(g).max()
 
-    g = jtr.reshape(-1)
-    d0 = np.diag(H).copy()
+    d0 = ab[0].copy()
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     for lam in (1e-3, 1.0):
         got = prob._damped_solve(ab, d0, lam * damp_base, -g)
@@ -316,7 +353,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     diagonals = []
 
     def fail_once(ab, **kwargs):
-        diagonals.append(ab[-1].copy())
+        diagonals.append(ab[0].copy())
         if len(diagonals) == 1:
             raise np.linalg.LinAlgError("not positive definite")
         return real(ab, **kwargs)
@@ -330,3 +367,15 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     hist = fit.energy_history
     assert len(hist) >= 2
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("n_frames", range(1, 8))
+def test_smoothness_diagonals_match_dense_operator(n_frames):
+    """The O(F) diagonals equal those of D^T D for the dense (F-2) x F
+    second-difference operator; for F < 3 there is no row and all vanish."""
+    D = np.zeros((max(n_frames - 2, 0), n_frames))
+    for r in range(n_frames - 2):
+        D[r, r:r + 3] = (1.0, -2.0, 1.0)
+    M = D.T @ D
+    for k, got in enumerate(_second_difference_gram(n_frames)):
+        assert np.array_equal(got, np.diag(M, k))
