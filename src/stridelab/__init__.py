@@ -79,7 +79,6 @@ from .events import (
 from .report import GaitReport, compute_report
 from .walker import GroundTruth, WalkerSpec, generate, inject_noise
 from .stats import (
-    AgreementReport,
     BlandAltman,
     MeasurementTable,
     ParameterAgreement,
@@ -95,7 +94,6 @@ from .config import RunConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementReport",
     "AmbiguousWalkingDirection",
     "AnatomyProfile",
     "BlandAltman",

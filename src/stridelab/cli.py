@@ -54,7 +54,7 @@ from .events import detect_steps
 from .optimizer import optimize
 from .plots import bland_altman_svg
 from .pose_io import _round10
-from .report import GaitReport, compute_report
+from .report import compute_report
 from .skeleton import derive_anatomy
 from .walker import WalkerSpec, generate
 
@@ -206,7 +206,6 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         rows = [_analyze_one(str(p), cfg) for p in paths]
 
-    gait_entries: list[tuple[str, str, GaitReport]] = []
     matched: list[tuple[str, str, str, str, float]] = []
     for path, row in zip(paths, rows):
         if row["status"] != "ok":
@@ -238,28 +237,10 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
-    for row in ok_rows:
-        rep = row["report"]
-        gait_entries.append(
-            (
-                row["walk_id"],
-                row["source"],
-                GaitReport(
-                    n_events=rep["n_events"],
-                    steps_used=rep["steps_used"],
-                    duration_used_s=rep["duration_used_s"],
-                    gait_speed_m_s=rep["gait_speed_m_s"],
-                    cadence_steps_min=rep["cadence_steps_min"],
-                    step_length_cm=rep["step_length_cm"],
-                    step_time_s=rep["step_time_s"],
-                    step_lengths_cm=(),
-                    step_times_s=(),
-                    travel_m=rep["travel_m"],
-                ),
-            )
-        )
     with open(out_dir / f"{args.name}.gait.csv", "w", encoding="utf-8", newline="") as fh:
-        pose_io.write_gait_csv(fh, gait_entries)
+        pose_io.write_gait_csv(
+            fh, [(r["walk_id"], r["source"], r["report"]) for r in ok_rows]
+        )
     has_truth = any(rec[2] == _TRUTH_METHOD for rec in matched)
     if has_truth:
         with open(

@@ -21,6 +21,11 @@ decreases the energy, otherwise the damping is increased and the step
 recomputed.  Rotations advance by left-multiplied increments and are
 re-centred every iteration, so the parameterization never sits near its
 angle-pi singularity.
+
+The residuals are evaluated in one place, EnergyProblem._residuals: the
+energy sums their weighted squares, and the Gauss-Newton step and the
+gradient (2 J^T W r) both read them through _normal_blocks, so the three
+describe the same function.
 """
 
 import math
@@ -159,6 +164,7 @@ class EnergyProblem:
         self.m3 = m3.astype(np.float64)
         self.y2 = y2
         self.conf = conf
+        self._active = conf > 0  # joints with a 2D detection
         self.camera = camera
         self.w_ik = w_ik
         self.w_proj = w_proj
@@ -177,34 +183,35 @@ class EnergyProblem:
             (np.arange(self.F)[:, None] * P + cols) * (3 * P) + (rows - cols)
         ).reshape(-1)
 
-    # -- energy ---------------------------------------------------------
+    # -- residuals and energy ---------------------------------------------
+
+    def _residuals(self, X: np.ndarray):
+        """Unweighted residuals at joint positions X: (r3, z, du, dv, dd, dz).
+
+        r3 = X - y3 (F, J, 3); z the depths the projection divides by, 1
+        where a joint has no 2D detection (F, J); du, dv the pixel residuals
+        (F, J); dd the second differences of X over frames (F - 2, J, 3),
+        None when F < 3; dz the root-depth steps (F - 1,).  Masks,
+        confidences and weights are applied by the callers."""
+        cam = self.camera
+        z = np.where(self._active, X[..., 2], 1.0)
+        du = cam.fx * X[..., 0] / z + cam.cx - self.y2[..., 0]
+        dv = cam.fy * X[..., 1] / z + cam.cy - self.y2[..., 1]
+        dd = X[2:] - 2.0 * X[1:-1] + X[:-2] if self.F >= 3 else None
+        return X - self.y3, z, du, dv, dd, np.diff(X[:, 0, 2])
 
     def energy_terms(self, X: np.ndarray) -> Optional[dict[str, float]]:
         """Weighted term values for joint positions X, or None when a joint
         sits at non-positive depth (the step is then rejected outright)."""
-        cam = self.camera
-        e_ik = float(np.sum(self.m3[..., None] * (X - self.y3) ** 2))
-        active = self.conf > 0
-        if np.any(X[active][:, 2] < _MIN_DEPTH):
+        if np.any(X[self._active][:, 2] < _MIN_DEPTH):
             return None
-        z = np.where(active, X[..., 2], 1.0)
-        u = cam.fx * X[..., 0] / z + cam.cx
-        v = cam.fy * X[..., 1] / z + cam.cy
-        du = u - self.y2[..., 0]
-        dv = v - self.y2[..., 1]
-        e_proj = float(np.sum(self.conf * (du * du + dv * dv)))
-        if self.F >= 3:
-            dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
-            e_smooth = float(np.sum(dd * dd))
-        else:
-            e_smooth = 0.0
-        tz = X[:, 0, 2]
-        e_depth = float(np.sum(np.diff(tz) ** 2)) if self.F >= 2 else 0.0
+        r3, _, du, dv, dd, dz = self._residuals(X)
+        e_smooth = 0.0 if dd is None else float(np.sum(dd * dd))
         return {
-            "ik": self.w_ik * e_ik,
-            "proj": self.w_proj * e_proj,
+            "ik": self.w_ik * float(np.sum(self.m3[..., None] * r3 ** 2)),
+            "proj": self.w_proj * float(np.sum(self.conf * (du * du + dv * dv))),
             "smooth": self.w_smooth * e_smooth,
-            "depth": self.w_depth * e_depth,
+            "depth": self.w_depth * float(np.sum(dz ** 2)),
         }
 
     def energy_from_params(self, params: PoseParams) -> tuple[float, dict[str, float]]:
@@ -214,53 +221,25 @@ class EnergyProblem:
             return math.inf, {}
         return sum(terms.values()), terms
 
-    # -- gradient ---------------------------------------------------------
-
-    def _de_dx(self, X: np.ndarray) -> np.ndarray:
-        """dE/dX for the position-dependent terms (ik, proj, smooth): (F, J, 3)."""
-        cam = self.camera
-        g = 2.0 * self.w_ik * self.m3[..., None] * (X - self.y3)
-        active = self.conf > 0
-        z = np.where(active, X[..., 2], 1.0)
-        u = cam.fx * X[..., 0] / z + cam.cx
-        v = cam.fy * X[..., 1] / z + cam.cy
-        du = self.conf * (u - self.y2[..., 0])
-        dv = self.conf * (v - self.y2[..., 1])
-        gp = np.zeros_like(X)
-        gp[..., 0] = du * cam.fx / z
-        gp[..., 1] = dv * cam.fy / z
-        gp[..., 2] = -(du * cam.fx * X[..., 0] + dv * cam.fy * X[..., 1]) / (z * z)
-        g += 2.0 * self.w_proj * gp
-        if self.F >= 3:
-            dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
-            gs = np.zeros_like(X)
-            gs[2:] += dd
-            gs[1:-1] -= 2.0 * dd
-            gs[:-2] += dd
-            g += 2.0 * self.w_smooth * gs
-        return g
-
     def gradient(self, params: PoseParams) -> np.ndarray:
-        """Analytic dE/dparams in PoseParams.as_vector() layout: (F * P,)."""
+        """Analytic dE/dparams in PoseParams.as_vector() layout: (F * P,).
+
+        E is a weighted sum of squared residuals, so dE/dparams = 2 J^T W r
+        with J the residuals' Jacobian in the exponential-map parameters of
+        params: the right-hand side of the Gauss-Newton step, taken at params
+        itself instead of at a left-multiplied increment."""
         X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
-        jpos = kin.position_jacobian(self.tree, X, G, rotations=params.rotations)
-        g = np.einsum("fja,fjap->fp", self._de_dx(X), jpos)
-        if self.F >= 2:
-            tz = params.translations[:, 2]
-            dz = np.diff(tz)
-            gd = np.zeros(self.F)
-            gd[1:] += dz
-            gd[:-1] -= dz
-            g[:, 2] += 2.0 * self.w_depth * gd
-        return g.reshape(-1)
+        _, jtr = self._normal_blocks(X, G, rotations=params.rotations)
+        return 2 * jtr.reshape(-1)
 
     # -- Gauss-Newton solver ----------------------------------------------
 
-    def _normal_blocks(self, X, G):
-        """J^T J and J^T r at the current point, with respect to
-        left-multiplied rotation increments.
+    def _normal_blocks(self, X, G, rotations=None):
+        """J^T W J and J^T W r at joint positions X, with respect to
+        left-multiplied rotation increments, or with rotations given, to
+        the exponential-map parameters (as in kin.position_jacobian).
 
-        J^T J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
+        J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
         with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
         C-order (F * P, 3P) array, so it is column-major: block (f + k, f),
         element (a, b) sits in that array at [fP + b, kP + a - b], and each
@@ -269,7 +248,8 @@ class EnergyProblem:
         tree = self.tree
         F, P = self.F, tree.params_per_frame
         cam = self.camera
-        jpos = kin.position_jacobian(tree, X, G)  # (F, J, 3, P)
+        r3, z, du, dv, dd, dz = self._residuals(X)
+        jpos = kin.position_jacobian(tree, X, G, rotations=rotations)  # (F, J, 3, P)
         flat = jpos.reshape(F, -1, P)             # (F, 3J, P)
         flat_t = flat.transpose(0, 2, 1)
         m0, m1, m2 = self._m_diag
@@ -278,9 +258,8 @@ class EnergyProblem:
         # per-joint weight w_ik * m3 + w_smooth * (D^T D)_ff.
         w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
         diag = flat_t @ (jpos * w_row[..., None, None]).reshape(F, -1, P)
-        resid = self.w_ik * self.m3[..., None] * (X - self.y3)
-        if F >= 3:
-            dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
+        resid = self.w_ik * self.m3[..., None] * r3
+        if dd is not None:
             w = np.zeros_like(X)
             w[2:] += dd
             w[1:-1] -= 2.0 * dd
@@ -288,10 +267,6 @@ class EnergyProblem:
             resid += self.w_smooth * w
         jtr = (flat_t @ resid.reshape(F, -1, 1))[..., 0]
 
-        active = self.conf > 0
-        z = np.where(active, X[..., 2], 1.0)
-        u = cam.fx * X[..., 0] / z + cam.cx
-        v = cam.fy * X[..., 1] / z + cam.cy
         # dpi/dX rows for u and v.
         dpi = np.zeros(X.shape[:2] + (2, 3))
         dpi[..., 0, 0] = cam.fx / z
@@ -299,7 +274,7 @@ class EnergyProblem:
         dpi[..., 1, 1] = cam.fy / z
         dpi[..., 1, 2] = -cam.fy * X[..., 1] / (z * z)
         pj = dpi @ jpos                            # (F, J, 2, P)
-        resid2 = np.stack([u - self.y2[..., 0], v - self.y2[..., 1]], axis=-1)
+        resid2 = np.stack([du, dv], axis=-1)
         pjflat = pj.reshape(F, -1, P)
         pjw = (pj * self.conf[..., None, None]).reshape(F, -1, P)
         diag += self.w_proj * (pjw.transpose(0, 2, 1) @ pjflat)
@@ -308,8 +283,6 @@ class EnergyProblem:
         )[..., 0]
 
         if F >= 2:
-            tz = X[:, 0, 2]
-            dz = np.diff(tz)
             gd = np.zeros(F)
             gd[1:] += dz
             gd[:-1] -= dz
@@ -496,7 +469,9 @@ def energy_gradient(
     camera: Optional[CameraModel] = None,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> np.ndarray:
-    """Analytic gradient of the energy in PoseParams.as_vector() layout."""
+    """Analytic gradient of the energy in PoseParams.as_vector() layout:
+    2 J^T W r, J the weighted residuals' Jacobian in exponential-map
+    parameters."""
     prob = _problem_for(seq, anatomy, camera or CameraModel.default(), cfg)
     _check_params(params, prob.F)
     return prob.gradient(params)
@@ -525,6 +500,8 @@ def _initial_params_from(
     F, J, _ = y3.shape
     pos = y3.copy()
     obs = m3.astype(bool)
+    if not obs.any():
+        raise MissingModality("initialization requires a 3D joint in at least one frame")
 
     frame_idx = np.arange(F, dtype=np.float64)
     root_obs = obs[:, 0]

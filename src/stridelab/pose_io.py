@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Optional, TextIO, Union
 
 from .errors import (
     MalformedDocument,
@@ -28,7 +28,6 @@ from .errors import (
     NonMonotonicFrames,
     StrideLabError,
 )
-from .report import GaitReport
 from .skeleton import (
     JointId,
     Point2D,
@@ -231,21 +230,15 @@ def write_stream(seq: SkeletonSequence) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8") + b"\n"
 
 
-def write_gait_csv(fp: TextIO, entries: Sequence[tuple[str, str, GaitReport]]) -> None:
-    """Write the per-walk report table: (walk_id, source, report) per row."""
+def write_gait_csv(
+    fp: TextIO, entries: Iterable[tuple[str, str, Mapping[str, float]]]
+) -> None:
+    """Write the per-walk report table: (walk_id, source, values) per row,
+    values mapping each of the four gait parameter names to its value."""
     w = csv.writer(fp, lineterminator="\n")
     w.writerow(GAIT_CSV_COLUMNS)
-    for walk_id, source, rep in entries:
-        w.writerow(
-            [
-                walk_id,
-                source,
-                _fmt(rep.gait_speed_m_s),
-                _fmt(rep.cadence_steps_min),
-                _fmt(rep.step_length_cm),
-                _fmt(rep.step_time_s),
-            ]
-        )
+    for walk_id, source, values in entries:
+        w.writerow([walk_id, source, *(_fmt(values[k]) for k in GAIT_CSV_COLUMNS[2:])])
 
 
 def read_gait_csv(fp: TextIO) -> list[dict]:

@@ -85,21 +85,6 @@ PARENT: dict[JointId, Optional[JointId]] = {
     JointId.RIGHT_FOOT_TIP: JointId.RIGHT_ANKLE,
 }
 
-# (parent, child) pairs; exactly N_JOINTS - 1 of them, so the graph is a tree.
-EDGES: tuple[tuple[JointId, JointId], ...] = tuple(
-    (p, c) for c, p in PARENT.items() if p is not None
-)
-
-# Children listing and a parent-before-child evaluation order.
-CHILDREN: dict[JointId, tuple[JointId, ...]] = {
-    j: tuple(c for c, p in PARENT.items() if p is j) for j in JointId
-}
-TOPO_ORDER: tuple[JointId, ...] = tuple(JointId)  # enum order is already topological
-
-# Joints that carry no outgoing edge; everything else holds a rotation in the
-# kinematic parameterization.
-LEAF_JOINTS: tuple[JointId, ...] = tuple(j for j in JointId if not CHILDREN[j])
-
 # Head-to-ground chain used for the anatomy sanity bound (left side).
 HEIGHT_CHAIN: tuple[JointId, ...] = (
     JointId.HEAD,

@@ -295,24 +295,6 @@ class ParameterAgreement:
             raise ValueError("bootstrap CI must bracket the bias")
 
 
-@dataclass(frozen=True)
-class RepeatabilityResult:
-    method: str
-    parameter: str
-    icc_31: float
-    n_subjects: int
-    n_trials: int
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    reference_method: str
-    other_method: str
-    parameters: tuple[ParameterAgreement, ...]
-    repeatability: tuple[RepeatabilityResult, ...] = ()
-    n_excluded: int = 0
-
-
 def compare_methods(
     table: MeasurementTable,
     resamples: int = 10_000,

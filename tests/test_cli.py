@@ -5,7 +5,15 @@ import json
 
 import pytest
 
+from stridelab import pose_io
 from stridelab.cli import main
+from stridelab.skeleton import (
+    JointId,
+    Point2D,
+    SkeletonFrame2D,
+    SkeletonFrame3D,
+    SkeletonSequence,
+)
 
 WALKS_INI = """\
 [walk-a]
@@ -161,14 +169,34 @@ def test_simulate_rejects_bad_specs(tmp_path, capsys):
     assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
 
 
-def test_analyze_reports_failures_per_walk(tmp_path, capsys):
+def _no_3d_joints_document():
+    """Ten frames with 2D detections whose 3D joint maps are all empty."""
+    times = [(f, f / 30.0) for f in range(10)]
+    seq = SkeletonSequence(
+        fps=30.0,
+        frames_2d=tuple(
+            SkeletonFrame2D(index=f, time_s=t, joints={JointId.PELVIS: Point2D(320.0, 240.0)})
+            for f, t in times
+        ),
+        frames_3d=tuple(SkeletonFrame3D(index=f, time_s=t, joints={}) for f, t in times),
+        subject_height_m=1.72,
+    )
+    return pose_io.write_stream(seq)
+
+
+@pytest.mark.parametrize(
+    "document, error",
+    [(b"{not json", "MalformedDocument"), (_no_3d_joints_document(), "MissingModality")],
+    ids=["malformed", "no-3d-joints"],
+)
+def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     bad = tmp_path / "broken.poses.json"
-    bad.write_text("{not json")
+    bad.write_bytes(document)
     assert main(["analyze", str(bad), "--out-dir", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "results.report.json").read_text())
     row = report["walks"][0]
     assert row["status"] == "error"
-    assert row["error"]["type"] == "MalformedDocument"
+    assert row["error"]["type"] == error
 
 
 def test_agree_unknown_reference(pipeline, capsys):

@@ -154,12 +154,15 @@ def _fd_gradient(params, seq, cfg, h=1e-6):
     return g
 
 
+@pytest.mark.parametrize("n_frames", [2, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gradient_matches_finite_differences(seed):
+def test_gradient_matches_finite_differences(seed, n_frames):
+    """Two frames have no smoothness term; five exercise it and couple the
+    root depth across four steps."""
     rng = np.random.default_rng(seed)
-    params = _params(rng, 2)
+    params = _params(rng, n_frames)
     seq = _sequence_from_params(params)
-    probe = _params(rng, 2)
+    probe = _params(rng, n_frames)
     cfg = EnergyConfig()
     got = energy_gradient(probe, seq, ANATOMY, CAMERA, cfg=cfg)
     want = _fd_gradient(probe, seq, cfg)
