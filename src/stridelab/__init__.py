@@ -23,6 +23,7 @@ from .errors import (
     FrameCountMismatch,
     IncompleteRatioTable,
     InconsistentSpec,
+    InvalidRatio,
     LengthMismatch,
     MalformedDocument,
     MissingHeaderField,
@@ -109,6 +110,7 @@ __all__ = [
     "FrameCountMismatch",
     "IncompleteRatioTable",
     "InconsistentSpec",
+    "InvalidRatio",
     "JointId",
     "KinematicTree",
     "LengthMismatch",

@@ -106,7 +106,7 @@ def _parse_walk_section(walk_id: str, section) -> WalkerSpec:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(args.walks, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -128,7 +128,10 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for walk_id, spec in specs:
-        seq, truth = generate(spec, camera=cfg.camera)
+        try:
+            seq, truth = generate(spec, camera=cfg.camera, ratios=cfg.ratios)
+        except StrideLabError as exc:
+            raise ConfigError(f"walk spec [{walk_id}]: {exc}") from None
         (out_dir / f"{walk_id}.poses.json").write_bytes(pose_io.write_stream(seq))
         (out_dir / f"{walk_id}.truth.json").write_bytes(pose_io.write_truth(truth))
         n = len(seq.frames_3d or seq.frames_2d or ())

@@ -16,28 +16,25 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ConfigError, StrideLabError
+from .errors import ConfigError, InvalidRatio, StrideLabError, UnknownJoint
 from .events import DetectorConfig
 from .optimizer import EnergyConfig
-from .skeleton import HEIGHT_CHAIN, CameraModel, JointId, canonical_joint
+from .skeleton import (
+    CameraModel,
+    JointId,
+    canonical_joint,
+    check_ratio_table,
+    packaged_defaults,
+)
 
 __all__ = ["RunConfig", "load_config"]
 
-# Keys each section accepts.  [anatomy.ratios] is open-ended (any edge joint)
-# and is validated separately against the joint table.
-_SECTION_KEYS: dict[str, tuple[str, ...]] = {
-    "meta": ("schema_version",),
-    "camera": ("image_width", "image_height", "focal_px", "cx", "cy"),
-    "energy": ("w_ik", "w_proj", "w_smooth", "w_depth",
-               "max_iterations", "tolerance"),
-    "detector": ("min_prominence_m", "min_separation_s", "cluster_window_s",
-                 "value_tolerance_m", "min_travel_m"),
-    "stats": ("resamples", "seed", "bootstrap_level"),
-}
+# The shipped defaults set every key a section accepts, except these camera
+# keys, which they leave commented out.  [anatomy.ratios] takes any edge joint.
+_CAMERA_UNSET = ("focal_px", "cx", "cy")
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,13 @@ def _as_float(path: str, raw: str) -> float:
     return value
 
 
+def _as_non_negative(path: str, raw: str) -> float:
+    value = _as_float(path, raw)
+    if value < 0:
+        raise _fail(path, f"must be non-negative, got {value}")
+    return value
+
+
 def _as_int(path: str, raw: str) -> int:
     try:
         return int(raw, 10)
@@ -75,7 +79,8 @@ def _as_int(path: str, raw: str) -> int:
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # No interpolation: a '%' in a value is then a bad number, not a traceback.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -86,33 +91,28 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
     return parser
 
 
-def _packaged_defaults() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    with resources.files("stridelab.data").joinpath("defaults.ini").open() as fh:
-        parser.read_file(fh)
-    return parser
-
-
 def _merged(user_path: Optional[Path],
             overrides: Mapping[str, str]) -> dict[str, dict[str, str]]:
     """Defaults, then the user file, then overrides keyed ``section.key``."""
-    table: dict[str, dict[str, str]] = {}
-    layers = [_packaged_defaults()]
+    defaults = packaged_defaults()
+    table = {section: dict(defaults[section]) for section in defaults.sections()}
+    table["camera"].update(dict.fromkeys(_CAMERA_UNSET, ""))
+
+    def accepts(section: str, key: str) -> bool:
+        return section == "anatomy.ratios" or key in table[section]
+
     if user_path is not None:
-        layers.append(_read_ini(user_path))
-    for parser in layers:
+        parser = _read_ini(user_path)
         for section in parser.sections():
-            known = section in _SECTION_KEYS or section == "anatomy.ratios"
-            if not known:
+            if section not in table:
                 raise ConfigError(f"unknown config section [{section}]")
-            dest = table.setdefault(section, {})
             for key, raw in parser[section].items():
-                if section != "anatomy.ratios" and key not in _SECTION_KEYS[section]:
+                if not accepts(section, key):
                     raise ConfigError(f"unknown config key {section}.{key}")
-                dest[key] = raw
+                table[section][key] = raw
     for dotted, raw in overrides.items():
         section, _, key = dotted.rpartition(".")
-        if not section or section not in table or key not in _SECTION_KEYS.get(section, ()):
+        if section not in table or not accepts(section, key):
             raise ConfigError(f"unknown config key {dotted}")
         table[section][key] = raw
     return table
@@ -120,83 +120,61 @@ def _merged(user_path: Optional[Path],
 
 def _build_ratios(section: Mapping[str, str]) -> dict[JointId, float]:
     ratios: dict[JointId, float] = {}
+    keys: dict[JointId, str] = {}
     for key, raw in section.items():
         path = f"anatomy.ratios.{key}"
-        joint = canonical_joint(key)
-        if joint is None or joint is JointId.PELVIS:
+        try:
+            joint = canonical_joint(key)
+        except UnknownJoint:
+            joint = None
+        if joint is None:
             raise _fail(path, "not the child joint of a skeleton edge")
-        value = _as_float(path, raw)
-        if not 0.0 < value < 1.0:
-            raise _fail(path, f"ratio must be strictly between 0 and 1, got {value}")
-        ratios[joint] = value
-    missing = [j.name.lower() for j in JointId
-               if j is not JointId.PELVIS and j not in ratios]
-    if missing:
-        raise ConfigError(f"[anatomy.ratios] missing edges: {', '.join(missing)}")
-    # The same bound AnatomyProfile puts on lengths, as a fraction of height.
-    chain = sum(ratios[j] for j in HEIGHT_CHAIN)
-    if not 0.9 <= chain <= 1.1:
-        keys = ", ".join(f"anatomy.ratios.{j.name.lower()}" for j in HEIGHT_CHAIN)
-        raise ConfigError(
-            f"config keys {keys}: head-to-ankle ratios sum to {chain:.3f}, "
-            "outside [0.9, 1.1]"
-        )
+        ratios[joint] = _as_float(path, raw)
+        keys[joint] = key
+    try:
+        check_ratio_table(ratios)
+    except InvalidRatio as exc:   # every edge is set: the defaults name them all
+        raise _fail(", ".join(f"anatomy.ratios.{keys[j]}" for j in exc.joints),
+                    str(exc)) from None
     return ratios
 
 
 def _build_camera(section: Mapping[str, str]) -> CameraModel:
-    width = _as_int("camera.image_width", section.get("image_width", "1080"))
-    height = _as_int("camera.image_height", section.get("image_height", "1920"))
-    optional: dict[str, Optional[float]] = {}
-    for key in ("focal_px", "cx", "cy"):
-        raw = section.get(key, "")
-        optional[key] = _as_float(f"camera.{key}", raw) if raw.strip() else None
+    width = _as_int("camera.image_width", section["image_width"])
+    height = _as_int("camera.image_height", section["image_height"])
+    optional = {key: _as_float(f"camera.{key}", section[key])
+                for key in _CAMERA_UNSET if section[key].strip()}
     for path, value in (("camera.image_width", width),
-                        ("camera.image_height", height)):
+                        ("camera.image_height", height),
+                        ("camera.focal_px", optional.get("focal_px", 1.0))):
         if value <= 0:
             raise _fail(path, f"must be positive, got {value}")
-    if optional["focal_px"] is not None and optional["focal_px"] <= 0:
-        raise _fail("camera.focal_px", f"must be positive, got {optional['focal_px']}")
     try:
-        return CameraModel.default(image_width=width, image_height=height,
-                                   focal_px=optional["focal_px"],
-                                   cx=optional["cx"], cy=optional["cy"])
+        return CameraModel.default(image_width=width, image_height=height, **optional)
     except (ValueError, StrideLabError) as exc:
         raise ConfigError(f"config section [camera]: {exc}") from None
 
 
 def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
-    def num(key: str, default: str) -> float:
-        value = _as_float(f"energy.{key}", section.get(key, default))
-        if value < 0:
-            raise _fail(f"energy.{key}", f"must be non-negative, got {value}")
-        return value
+    def num(key: str) -> float:
+        return _as_non_negative(f"energy.{key}", section[key])
 
-    raw_proj = section.get("w_proj", "auto").strip().lower()
-    w_proj = None if raw_proj == "auto" else num("w_proj", raw_proj)
-    max_iterations = _as_int("energy.max_iterations",
-                             section.get("max_iterations", "80"))
+    auto = section["w_proj"].strip().lower() == "auto"
+    max_iterations = _as_int("energy.max_iterations", section["max_iterations"])
     if max_iterations < 1:
         raise _fail("energy.max_iterations",
                     f"must be at least 1, got {max_iterations}")
-    tolerance = num("tolerance", "1e-9")
+    tolerance = num("tolerance")
     if tolerance <= 0:
         raise _fail("energy.tolerance", f"must be positive, got {tolerance}")
-    return EnergyConfig(w_ik=num("w_ik", "1.0"), w_proj=w_proj,
-                        w_smooth=num("w_smooth", "0.1"),
-                        w_depth=num("w_depth", "0.1"),
+    return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
+                        w_smooth=num("w_smooth"), w_depth=num("w_depth"),
                         max_iterations=max_iterations, tolerance=tolerance)
 
 
 def _build_detector(section: Mapping[str, str]) -> DetectorConfig:
-    values: dict[str, float] = {}
-    for key in _SECTION_KEYS["detector"]:
-        default = getattr(DetectorConfig, key)
-        values[key] = _as_float(f"detector.{key}", section.get(key, repr(default)))
-        if values[key] < 0:
-            raise _fail(f"detector.{key}",
-                        f"must be non-negative, got {values[key]}")
-    return DetectorConfig(**values)
+    return DetectorConfig(**{key: _as_non_negative(f"detector.{key}", raw)
+                             for key, raw in section.items()})
 
 
 def load_config(path: Optional[Path] = None,
@@ -208,28 +186,27 @@ def load_config(path: Optional[Path] = None,
     """
     table = _merged(path, dict(overrides or {}))
 
-    meta = table.get("meta", {})
-    if meta.get("schema_version", "1").strip() != "1":
-        raise _fail("meta.schema_version",
-                    f"unsupported version {meta['schema_version']!r}")
+    version = table["meta"]["schema_version"]
+    if version.strip() != "1":
+        raise _fail("meta.schema_version", f"unsupported version {version!r}")
 
-    stats = table.get("stats", {})
-    resamples = _as_int("stats.resamples", stats.get("resamples", "10000"))
+    stats = table["stats"]
+    resamples = _as_int("stats.resamples", stats["resamples"])
     if resamples < 1000:
         raise _fail("stats.resamples", f"must be at least 1000, got {resamples}")
-    seed = _as_int("stats.seed", stats.get("seed", "0"))
+    seed = _as_int("stats.seed", stats["seed"])
     if seed < 0:
         raise _fail("stats.seed", f"must be non-negative, got {seed}")
-    level = _as_float("stats.bootstrap_level", stats.get("bootstrap_level", "0.95"))
+    level = _as_float("stats.bootstrap_level", stats["bootstrap_level"])
     if not 0.0 < level < 1.0:
         raise _fail("stats.bootstrap_level",
                     f"must be strictly between 0 and 1, got {level}")
 
     return RunConfig(
-        ratios=_build_ratios(table.get("anatomy.ratios", {})),
-        camera=_build_camera(table.get("camera", {})),
-        energy=_build_energy(table.get("energy", {})),
-        detector=_build_detector(table.get("detector", {})),
+        ratios=_build_ratios(table["anatomy.ratios"]),
+        camera=_build_camera(table["camera"]),
+        energy=_build_energy(table["energy"]),
+        detector=_build_detector(table["detector"]),
         resamples=resamples,
         seed=seed,
         bootstrap_level=level,

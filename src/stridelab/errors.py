@@ -23,6 +23,15 @@ class IncompleteRatioTable(StrideLabError):
     """Anatomy ratio table is missing one or more skeleton edges."""
 
 
+class InvalidRatio(StrideLabError, ValueError):
+    """A ratio outside (0, 1) or for the pelvis root, or head-to-ankle ratios
+    summing outside [0.9, 1.1]; ``joints`` names the edges at fault."""
+
+    def __init__(self, message: str, joints=()):
+        super().__init__(message)
+        self.joints = tuple(joints)
+
+
 class NonPositiveDepth(StrideLabError):
     """A 3D joint with z <= 0 cannot be projected."""
 
@@ -86,7 +95,8 @@ class TooFewSteps(StrideLabError):
 # -- synthetic walker --------------------------------------------------------
 
 class InconsistentSpec(StrideLabError):
-    """Walker spec violates speed = step length x cadence / 60."""
+    """Walker spec violates speed = step length x cadence / 60, or asks for a
+    step the legs cannot reach."""
 
 
 # -- agreement statistics ----------------------------------------------------

@@ -49,11 +49,16 @@ from .skeleton import (
 )
 
 _MIN_DEPTH = 1e-6
+# Marquardt damping: start, factor up on a rejected step, down on an accepted one, cap.
+_INIT_DAMPING = 1e-3
+_DAMPING_INCREASE = 5.0
+_DAMPING_DECREASE = 3.0
+_MAX_DAMPING = 1e14
 
 
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Energy weights and solver knobs.  Every knob is an explicit field.
+    """Energy weights and the iteration budget of the fit.
 
     w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
     pixel residuals like squared metric residuals at unit depth.
@@ -65,10 +70,6 @@ class EnergyConfig:
     w_depth: float = 0.1
     max_iterations: int = 80
     tolerance: float = 1e-9
-    init_damping: float = 1e-3
-    damping_increase: float = 5.0
-    damping_decrease: float = 3.0
-    max_damping: float = 1e14
 
     def resolved_w_proj(self, camera: CameraModel) -> float:
         return 1.0 / (camera.fx * camera.fx) if self.w_proj is None else self.w_proj
@@ -335,7 +336,7 @@ class EnergyProblem:
             raise DegenerateInput("initial pose projects a joint at non-positive depth")
         energy = sum(terms.values())
         history = [energy]
-        lam = cfg.init_damping
+        lam = _INIT_DAMPING
         converged = False
         iterations = 0
 
@@ -352,14 +353,14 @@ class EnergyProblem:
             damp_base = np.maximum(d0, 1e-12 * d0.max())
 
             accepted = False
-            while lam <= cfg.max_damping:
+            while lam <= _MAX_DAMPING:
                 try:
                     delta = self._damped_solve(ab, d0, lam * damp_base, -g)
                 except np.linalg.LinAlgError:
-                    lam *= cfg.damping_increase
+                    lam *= _DAMPING_INCREASE
                     continue
                 if not np.all(np.isfinite(delta)):
-                    lam *= cfg.damping_increase
+                    lam *= _DAMPING_INCREASE
                     continue
                 step = delta.reshape(F, P)
                 t_new = t + step[:, :3]
@@ -375,7 +376,7 @@ class EnergyProblem:
                         X, G = X_new, G_new
                         energy, terms = energy_new, terms_new
                         history.append(energy)
-                        lam = max(lam / cfg.damping_decrease, 1e-12)
+                        lam = max(lam / _DAMPING_DECREASE, 1e-12)
                         accepted = True
                         iterations += 1
                         if decrease <= cfg.tolerance:
@@ -387,7 +388,7 @@ class EnergyProblem:
                         accepted = True
                         iterations += 1
                         break
-                lam *= cfg.damping_increase
+                lam *= _DAMPING_INCREASE
             else:
                 # Damping exhausted without an acceptable step.
                 break

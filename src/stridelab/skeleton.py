@@ -21,6 +21,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .errors import (
     FrameCountMismatch,
     IncompleteRatioTable,
+    InvalidRatio,
     NonPositiveDepth,
     OutOfRangeHeight,
     UnknownJoint,
@@ -289,44 +290,55 @@ class CameraModel:
         )
 
 
+def check_ratio_table(ratios: Mapping[JointId, float]) -> None:
+    """The anatomy rules: a ratio (finite, in (0, 1)) for each of the 20 edges
+    and none for the pelvis root; the HEIGHT_CHAIN ratios sum to [0.9, 1.1].
+
+    Raises IncompleteRatioTable or InvalidRatio, naming the joints at fault.
+    """
+    if JointId.PELVIS in ratios:
+        raise InvalidRatio("the pelvis is the root and has no edge ratio", (JointId.PELVIS,))
+    missing = [j.label for j in JointId if j is not JointId.PELVIS and j not in ratios]
+    if missing:
+        raise IncompleteRatioTable(f"missing ratios for: {', '.join(missing)}")
+    for j, r in ratios.items():
+        if not 0.0 < r < 1.0:
+            raise InvalidRatio(
+                f"ratio for {j.label} must be strictly between 0 and 1, got {r}", (j,))
+    chain = sum(ratios[j] for j in HEIGHT_CHAIN)
+    if not 0.9 <= chain <= 1.1:
+        raise InvalidRatio(
+            f"head-to-ankle ratios sum to {chain:.3f}, outside [0.9, 1.1]", HEIGHT_CHAIN)
+
+
 @dataclass(frozen=True)
 class AnatomyProfile:
-    """Fixed bone lengths for one subject, in metres, keyed by child joint."""
+    """Fixed bone lengths for one subject: standing height times a ratio
+    table keyed by child joint, which must pass check_ratio_table."""
 
     height_m: float
-    lengths_m: Mapping[JointId, float] = field(repr=False)
+    ratios: Mapping[JointId, float] = field(repr=False)
 
     def __post_init__(self) -> None:
-        missing = [j.label for j in JointId if j is not JointId.PELVIS
-                   and j not in self.lengths_m]
-        if missing:
-            raise IncompleteRatioTable(f"missing edges for: {', '.join(missing)}")
-        for j, length in self.lengths_m.items():
-            if not (length > 0 and math.isfinite(length)):
-                raise ValueError(f"edge to {j.label}: non-positive length {length}")
-        chain = sum(self.lengths_m[j] for j in HEIGHT_CHAIN)
-        if not 0.9 * self.height_m <= chain <= 1.1 * self.height_m:
-            raise ValueError(
-                f"head-to-ankle chain {chain:.3f} m deviates more than 10% "
-                f"from height {self.height_m:.3f} m"
-            )
+        check_ratio_table(self.ratios)
 
     def length(self, child: JointId) -> float:
-        return self.lengths_m[child]
+        return self.ratios[child] * self.height_m
+
+
+def packaged_defaults() -> configparser.ConfigParser:
+    """The shipped ``defaults.ini`` (package data of ``stridelab.data``)."""
+    parser = configparser.ConfigParser()
+    with resources.files("stridelab.data").joinpath("defaults.ini").open() as fh:
+        parser.read_file(fh)
+    return parser
 
 
 def default_ratio_table() -> dict[JointId, float]:
     """Bone-length-to-height ratios from the shipped defaults file."""
-    parser = configparser.ConfigParser()
-    with resources.files("stridelab.data").joinpath("defaults.ini").open() as fh:
-        parser.read_file(fh)
-    section = parser["anatomy.ratios"]
-    table: dict[JointId, float] = {}
-    for key, raw in section.items():
-        joint = canonical_joint(key)
-        if joint is None or joint is JointId.PELVIS:
-            raise IncompleteRatioTable(f"ratio table names a non-edge joint: {key!r}")
-        table[joint] = float(raw)
+    table = {canonical_joint(key): float(raw)
+             for key, raw in packaged_defaults()["anatomy.ratios"].items()}
+    check_ratio_table(table)
     return table
 
 
@@ -334,23 +346,13 @@ def derive_anatomy(
     height_m: float,
     ratios: Optional[Mapping[JointId, float]] = None,
 ) -> AnatomyProfile:
-    """Scale a ratio table by standing height into per-edge bone lengths.
+    """Scale a ratio table (default: the shipped one) by standing height.
 
-    Raises OutOfRangeHeight outside (0.5, 2.5) m and IncompleteRatioTable if
-    any of the 20 edges lacks a ratio.
+    Raises OutOfRangeHeight outside (0.5, 2.5) m.
     """
     if not (0.5 < height_m < 2.5):
         raise OutOfRangeHeight(f"height {height_m} m outside (0.5, 2.5)")
-    if ratios is None:
-        ratios = default_ratio_table()
-    missing = [j.label for j in JointId if j is not JointId.PELVIS and j not in ratios]
-    if missing:
-        raise IncompleteRatioTable(f"missing ratios for: {', '.join(missing)}")
-    for j, r in ratios.items():
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"ratio for {j.label} must be in (0, 1), got {r}")
-    lengths = {j: ratios[j] * height_m for j in JointId if j is not JointId.PELVIS}
-    return AnatomyProfile(height_m=height_m, lengths_m=lengths)
+    return AnatomyProfile(height_m, default_ratio_table() if ratios is None else ratios)
 
 
 def project(frame: SkeletonFrame3D, camera: CameraModel) -> SkeletonFrame2D:

@@ -20,7 +20,7 @@ reproduce the noiseless frames through forward kinematics exactly.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -42,6 +42,13 @@ from .skeleton import (
 
 _SPEED_TOL = 1e-9
 _REACH_MARGIN = 0.98
+# Parity (1 = right foot), then hip, knee, ankle, heel and foot tip.
+_LEGS = (
+    (0, JointId.LEFT_HIP, JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
+     JointId.LEFT_HEEL, JointId.LEFT_FOOT_TIP),
+    (1, JointId.RIGHT_HIP, JointId.RIGHT_KNEE, JointId.RIGHT_ANKLE,
+     JointId.RIGHT_HEEL, JointId.RIGHT_FOOT_TIP),
+)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def _knee_point(hip, ankle, l1, l2, forward):
     a = (l1 * l1 - l2 * l2 + n * n) / (2.0 * n)
     r2 = l1 * l1 - a * a
     if r2 <= 0:
-        raise ValueError("leg cannot reach the requested foot position")
+        raise InconsistentSpec("leg cannot reach the requested foot position")
     bend = forward - np.dot(forward, dhat) * dhat
     bn = float(np.linalg.norm(bend))
     if bn < 1e-9:
@@ -165,16 +172,17 @@ def _knee_point(hip, ankle, l1, l2, forward):
     return hip + a * dhat + math.sqrt(r2) * (bend / bn)
 
 
-def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None):
-    """Synthesize one walk.
+def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
+             ratios: Optional[Mapping[JointId, float]] = None):
+    """Synthesize one walk with bones scaled from `ratios` (default: shipped).
 
     Returns (sequence, truth): a two-stream SkeletonSequence (2D frames are
     exact pinhole projections of the 3D frames before any noise) and the
-    GroundTruth it was built from.  Identical specs produce identical output.
+    GroundTruth it was built from.  Identical inputs produce identical output.
     """
     if camera is None:
         camera = CameraModel.default()
-    anatomy = derive_anatomy(spec.subject_height_m)
+    anatomy = derive_anatomy(spec.subject_height_m, ratios)
     tree = CANONICAL_TREE
     lengths = kin.lengths_vector(anatomy)
 
@@ -184,10 +192,6 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None):
     ds = spec.double_support
     n_steps = max(2, round(spec.distance_m / sl))
 
-    l1 = anatomy.length(JointId.LEFT_KNEE)
-    l2 = anatomy.length(JointId.LEFT_ANKLE)
-    y_ankle = anatomy.length(JointId.LEFT_HEEL)
-    w_hip = anatomy.length(JointId.LEFT_HIP)
     # Worst hip-to-ankle horizontal split.  During stance it peaks at
     # sl*(0.5+ds) right before lift-off; early in swing the cycloid lags the
     # pelvis, and the split bottoms out where the cycloid velocity matches
@@ -198,12 +202,16 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None):
         - ds - 0.5 - u_star * (1.0 - ds)
     )
     max_split = sl * max(0.5 + ds, abs(g_star))
-    vert2 = (_REACH_MARGIN * (l1 + l2)) ** 2 - max_split**2 - w_hip**2
-    if vert2 <= 0:
-        raise ValueError(
-            f"step length {sl} m is not reachable at height {spec.subject_height_m} m"
-        )
-    h_pelvis = y_ankle + math.sqrt(vert2)
+    # The pelvis rides as high as the shorter-reaching leg allows.
+    h_pelvis = math.inf
+    for _, hip_j, knee_j, ankle_j, heel_j, _ in _LEGS:
+        w_hip, l1, l2, y_ankle = (anatomy.length(j) for j in (hip_j, knee_j, ankle_j, heel_j))
+        vert2 = (_REACH_MARGIN * (l1 + l2)) ** 2 - max_split**2 - w_hip**2
+        if vert2 <= 0:
+            raise InconsistentSpec(
+                f"step length {sl} m is not reachable at height {spec.subject_height_m} m"
+            )
+        h_pelvis = min(h_pelvis, y_ankle + math.sqrt(vert2))
     clearance = 0.04 * spec.subject_height_m
 
     theta = math.radians(spec.heading_deg)
@@ -221,7 +229,7 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None):
     n_frames = int(math.floor(t_end * spec.fps)) + 1
     times = np.arange(n_frames) / spec.fps
 
-    def ankle_track(parity: int, t: float):
+    def ankle_track(parity: int, t: float, y_ankle: float):
         """(along, height) of one foot's ankle; parity 1 = right foot."""
         k_last = int(math.floor((t - t_land(parity)) / (2.0 * T))) * 2 + parity
         lift = t_land(k_last + 1) + ds * T
@@ -283,19 +291,15 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None):
             put(el, elbow)
             put(wr, wrist)
 
-        for parity, hip_j, knee_j, ankle_j, heel_j, toe_j in (
-            (0, JointId.LEFT_HIP, JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
-             JointId.LEFT_HEEL, JointId.LEFT_FOOT_TIP),
-            (1, JointId.RIGHT_HIP, JointId.RIGHT_KNEE, JointId.RIGHT_ANKLE,
-             JointId.RIGHT_HEEL, JointId.RIGHT_FOOT_TIP),
-        ):
+        for parity, hip_j, knee_j, ankle_j, heel_j, toe_j in _LEGS:
             side_sign = -1.0 if parity == 0 else 1.0  # left hip on subject's left
-            hip = pelvis + side_sign * w_hip * lateral
+            hip = pelvis + side_sign * lengths[hip_j.value] * lateral
             put(hip_j, hip)
-            along, height = ankle_track(parity, float(t))
+            along, height = ankle_track(parity, float(t), lengths[heel_j.value])
             ankle = origin + heading * along + yhat * height
             put(ankle_j, ankle)
-            put(knee_j, _knee_point(hip, ankle, l1, l2, heading))
+            put(knee_j, _knee_point(hip, ankle, lengths[knee_j.value],
+                                    lengths[ankle_j.value], heading))
             put(heel_j, ankle - yhat * lengths[heel_j.value])
             put(toe_j, ankle + heading * lengths[toe_j.value])
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -167,6 +168,44 @@ def test_simulate_rejects_bad_specs(tmp_path, capsys):
 
     spec.write_text("[w]\nspeed_m_s = 1.1\n")
     assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
+
+    spec.write_text("[w]\nspeed_m_s = 1.1%\ncadence_steps_min = 100\n")
+    assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
+    assert "speed_m_s" in capsys.readouterr().err
+
+
+def test_simulate_uses_configured_ratios(tmp_path):
+    """[anatomy.ratios] shapes the synthesized skeleton, as it does the fit."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[anatomy.ratios]\nleft_ankle = 0.230\n")
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\n"
+                    "distance_m = 1.5\n")
+    assert main(["--config", str(cfg), "simulate", str(spec),
+                 "--out-dir", str(tmp_path)]) == 0
+    seq = pose_io.parse_stream((tmp_path / "w.poses.json").read_bytes())
+    for frame in seq.frames_3d:
+        knee = frame.joints[JointId.LEFT_KNEE]
+        ankle = frame.joints[JointId.LEFT_ANKLE]
+        shin = math.dist(knee, ankle) / seq.subject_height_m
+        assert shin == pytest.approx(0.230, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "keys, error",
+    [("speed_m_s = 3.0\ncadence_steps_min = 60\n", "not reachable"),
+     ("speed_m_s = 1.1\ncadence_steps_min = 100\nsubject_height_m = 3.0\n",
+      "outside (0.5, 2.5)")],
+    ids=["unreachable-step", "height-out-of-range"],
+)
+def test_simulate_rejects_unbuildable_walks(tmp_path, capsys, keys, error):
+    spec = tmp_path / "walks.ini"
+    spec.write_text(f"[w]\n{keys}")
+    assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "walk spec [w]" in err and error in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def _no_3d_joints_document():

@@ -1,8 +1,21 @@
 """Layered INI configuration loading."""
 
-import pytest
+import math
+import re
 
-from stridelab import ConfigError, JointId, load_config
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stridelab import (
+    CameraModel,
+    ConfigError,
+    DetectorConfig,
+    EnergyConfig,
+    InvalidRatio,
+    JointId,
+    derive_anatomy,
+    load_config,
+)
 from stridelab.skeleton import default_ratio_table
 
 
@@ -16,6 +29,13 @@ def test_defaults_load_without_a_file():
     assert cfg.detector.min_prominence_m == pytest.approx(0.05)
     assert cfg.camera.cx == pytest.approx(540.0)
     assert cfg.ratios == default_ratio_table()
+
+
+def test_shipped_defaults_equal_the_code_defaults():
+    cfg = load_config()
+    assert cfg.energy == EnergyConfig()
+    assert cfg.detector == DetectorConfig()
+    assert cfg.camera == CameraModel.default()
 
 
 def test_user_file_overrides_single_keys(tmp_path):
@@ -102,3 +122,52 @@ def test_bad_override_key_rejected():
         load_config(overrides={"stats.nope": "1"})
     with pytest.raises(ConfigError):
         load_config(overrides={"noseparator": "1"})
+
+
+@pytest.mark.parametrize("line", ["banana = 0.1", "left_knee = 25%"])
+def test_bad_ratio_lines_name_the_key(tmp_path, line):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[anatomy.ratios]\n{line}\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"anatomy\.ratios\.{key}"):
+        load_config(p)
+
+
+_EDGE_KEYS = [j.name.lower() for j in JointId if j is not JointId.PELVIS]
+_FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_RATIO_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1", "1.0"]),
+    st.floats(max_value=0.0, allow_nan=False).map(repr),
+    st.floats(min_value=1.0, allow_nan=False).map(repr),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True).map(repr),
+    _FLOAT_TEXT,
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(_EDGE_KEYS), raw=_RATIO_TEXT)
+def test_config_and_anatomy_judge_a_ratio_alike(tmp_path_factory, key, raw):
+    """One rule set: load_config rejects a ratio, naming its key, exactly when
+    derive_anatomy rejects the same value in the shipped table."""
+    p = tmp_path_factory.mktemp("ratio") / "run.ini"
+    p.write_text(f"[anatomy.ratios]\n{key} = {raw}\n", encoding="utf-8")
+    try:
+        load_config(p)
+        rejected = False
+    except ConfigError as exc:
+        assert re.search(rf"anatomy\.ratios\.{key}\b", str(exc)), str(exc)
+        rejected = True
+    try:
+        value = float(raw)
+    except ValueError:
+        assert rejected  # not a number at all
+        return
+    table = default_ratio_table()
+    table[JointId[key.upper()]] = value
+    try:
+        derive_anatomy(1.7, table)
+    except InvalidRatio:
+        assert rejected
+    else:
+        assert not rejected and 0.0 < value < 1.0 and math.isfinite(value)

@@ -20,8 +20,8 @@ from stridelab import (
     derive_anatomy,
     project,
 )
-from stridelab.errors import FrameCountMismatch, IncompleteRatioTable
-from stridelab.skeleton import PARENT
+from stridelab.errors import FrameCountMismatch, IncompleteRatioTable, InvalidRatio
+from stridelab.skeleton import HEIGHT_CHAIN, PARENT, check_ratio_table
 
 
 def test_joint_table_shape():
@@ -73,6 +73,50 @@ def test_anatomy_requires_all_edges():
     del table[JointId.LEFT_HEEL]
     with pytest.raises(IncompleteRatioTable):
         derive_anatomy(1.7, table)
+
+
+@pytest.mark.parametrize(
+    "joint, value, named",
+    [
+        (JointId.LEFT_WRIST, 0.0, (JointId.LEFT_WRIST,)),
+        (JointId.LEFT_WRIST, 1.0, (JointId.LEFT_WRIST,)),
+        (JointId.LEFT_WRIST, -0.1, (JointId.LEFT_WRIST,)),
+        (JointId.LEFT_WRIST, math.nan, (JointId.LEFT_WRIST,)),
+        (JointId.LEFT_WRIST, math.inf, (JointId.LEFT_WRIST,)),
+        (JointId.PELVIS, 0.1, (JointId.PELVIS,)),
+        (JointId.LEFT_KNEE, 0.6, HEIGHT_CHAIN),    # chain sum above 1.1
+        (JointId.LEFT_KNEE, 0.01, HEIGHT_CHAIN),   # chain sum below 0.9
+    ],
+    ids=["zero", "one", "negative", "nan", "inf", "pelvis", "chain-long", "chain-short"],
+)
+def test_ratio_rules_raise_typed_errors_naming_joints(joint, value, named):
+    table = default_ratio_table()
+    table[joint] = value
+    for check in (check_ratio_table, lambda t: derive_anatomy(1.7, t)):
+        with pytest.raises(InvalidRatio) as info:
+            check(table)
+        assert isinstance(info.value, ValueError)
+        assert info.value.joints == named
+
+
+@pytest.mark.parametrize("chain_sum, ok", [(0.9 - 1e-6, False), (0.9 + 1e-6, True),
+                                            (1.1 - 1e-6, True), (1.1 + 1e-6, False)])
+def test_height_chain_bound(chain_sum, ok):
+    table = default_ratio_table()
+    rest = sum(table[j] for j in HEIGHT_CHAIN if j is not JointId.LEFT_KNEE)
+    table[JointId.LEFT_KNEE] = chain_sum - rest
+    if ok:
+        check_ratio_table(table)
+    else:
+        with pytest.raises(InvalidRatio, match="head-to-ankle"):
+            check_ratio_table(table)
+
+
+def test_missing_ratios_are_named():
+    table = default_ratio_table()
+    del table[JointId.LEFT_HEEL], table[JointId.RIGHT_HIP]
+    with pytest.raises(IncompleteRatioTable, match="Left Heel, Right Hip"):
+        check_ratio_table(table)
 
 
 def test_default_camera_focal_is_diagonal():
