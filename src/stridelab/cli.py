@@ -30,7 +30,6 @@ inputs.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import io
 import json
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import pose_io, stats
-from .config import RunConfig, load_config
+from .config import RunConfig, _read_ini, load_config
 from .errors import (
     ConfigError,
     MissingHeaderField,
@@ -106,14 +105,7 @@ def _parse_walk_section(walk_id: str, section) -> WalkerSpec:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(args.walks, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read walk specs {args.walks}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed walk specs {args.walks}: {exc}") from None
+    parser = _read_ini(args.walks, "walk specs")
     if not parser.sections():
         raise ConfigError(f"walk specs {args.walks}: no walk sections")
 

@@ -78,16 +78,24 @@ def _as_int(path: str, raw: str) -> int:
         raise _fail(path, f"expected an integer, got {raw!r}") from None
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+def _read_ini(path: Path, what: str = "config file") -> configparser.ConfigParser:
+    """Parse the INI file at path; ``what`` names it in error messages."""
     # No interpolation: a '%' in a value is then a bad number, not a traceback.
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
+        raise ConfigError(f"malformed {what} {path}: {exc}") from None
+    # configparser folds [DEFAULT] keys into every other section, so they
+    # would land in sections the file never names.
+    if parser.defaults():
+        raise ConfigError(
+            f"{what} {path}: section [{parser.default_section}] is not supported; "
+            "set each key in its own section"
+        )
     return parser
 
 

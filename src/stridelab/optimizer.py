@@ -16,9 +16,12 @@ frames at most two apart couple (through the second-difference smoothness
 term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1 (P
 parameters per frame).  Each iteration writes it once, straight into LAPACK
 lower band storage held column-major, and each damped step is a banded
-Cholesky solve on that storage.  A step is accepted only when it strictly
-decreases the energy, otherwise the damping is increased and the step
-recomputed.  Rotations advance by left-multiplied increments and are
+Cholesky solve on that storage.  The matrix is assembled in fixed-size
+frame chunks, so no Jacobian or block array spans the walk: a solve holds
+one band and one Cholesky factor, both reused across iterations, plus
+per-frame residuals and one chunk's temporaries.  A step is accepted only
+when it strictly decreases the energy, otherwise the damping is increased
+and the step recomputed.  Rotations advance by left-multiplied increments and are
 re-centred every iteration, so the parameterization never sits near its
 angle-pi singularity.
 
@@ -54,6 +57,8 @@ _INIT_DAMPING = 1e-3
 _DAMPING_INCREASE = 5.0
 _DAMPING_DECREASE = 3.0
 _MAX_DAMPING = 1e14
+# Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks).
+_CHUNK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -175,14 +180,12 @@ class EnergyProblem:
         # Diagonals of D^T D, the frame coupling of the smoothness term's
         # Gauss-Newton blocks.
         self._m_diag = _second_difference_gram(self.F)
-        # Flat positions of the diagonal blocks' lower triangles in the band
-        # storage that _normal_blocks fills (see there).
+        # Where a diagonal block's lower triangle sits within its frame's
+        # P x 3P slice of the band storage that _normal_blocks fills.
         P = tree.params_per_frame
         self._block_tril = np.tril_indices(P)
         rows, cols = self._block_tril
-        self._diag_index = (
-            (np.arange(self.F)[:, None] * P + cols) * (3 * P) + (rows - cols)
-        ).reshape(-1)
+        self._tril_cells = cols * (3 * P) + (rows - cols)
 
     # -- residuals and energy ---------------------------------------------
 
@@ -235,7 +238,7 @@ class EnergyProblem:
 
     # -- Gauss-Newton solver ----------------------------------------------
 
-    def _normal_blocks(self, X, G, rotations=None):
+    def _normal_blocks(self, X, G, rotations=None, out=None):
         """J^T W J and J^T W r at joint positions X, with respect to
         left-multiplied rotation increments, or with rotations given, to
         the exponential-map parameters (as in kin.position_jacobian).
@@ -245,20 +248,25 @@ class EnergyProblem:
         C-order (F * P, 3P) array, so it is column-major: block (f + k, f),
         element (a, b) sits in that array at [fP + b, kP + a - b], and each
         block is written as P contiguous runs.  Cells past the matrix end and
-        cells of the (zero) blocks three frames apart stay zero."""
+        cells of the (zero) blocks three frames apart stay zero.  With out
+        given (a band this method returned before, for the same problem), the
+        band is written into it: every other cell is overwritten.
+
+        The band is filled in chunks of _CHUNK_FRAMES frames.  Each chunk
+        takes the position Jacobian of its frames and of the two that follow
+        (the smoothness blocks (f + k, f), k = 1, 2, need them), forms its
+        diagonal blocks, right-hand sides and off-diagonal blocks and writes
+        them into its rows of the band.  Beyond the band and per-frame
+        residuals, memory is bounded by one chunk, whatever F is."""
         tree = self.tree
         F, P = self.F, tree.params_per_frame
         cam = self.camera
         r3, z, du, dv, dd, dz = self._residuals(X)
-        jpos = kin.position_jacobian(tree, X, G, rotations=rotations)  # (F, J, 3, P)
-        flat = jpos.reshape(F, -1, P)             # (F, 3J, P)
-        flat_t = flat.transpose(0, 2, 1)
         m0, m1, m2 = self._m_diag
 
         # The ik and smoothness diagonal blocks share flat^T W flat, with the
         # per-joint weight w_ik * m3 + w_smooth * (D^T D)_ff.
         w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
-        diag = flat_t @ (jpos * w_row[..., None, None]).reshape(F, -1, P)
         resid = self.w_ik * self.m3[..., None] * r3
         if dd is not None:
             w = np.zeros_like(X)
@@ -266,61 +274,87 @@ class EnergyProblem:
             w[1:-1] -= 2.0 * dd
             w[:-2] += dd
             resid += self.w_smooth * w
-        jtr = (flat_t @ resid.reshape(F, -1, 1))[..., 0]
-
-        # dpi/dX rows for u and v.
-        dpi = np.zeros(X.shape[:2] + (2, 3))
-        dpi[..., 0, 0] = cam.fx / z
-        dpi[..., 0, 2] = -cam.fx * X[..., 0] / (z * z)
-        dpi[..., 1, 1] = cam.fy / z
-        dpi[..., 1, 2] = -cam.fy * X[..., 1] / (z * z)
-        pj = dpi @ jpos                            # (F, J, 2, P)
         resid2 = np.stack([du, dv], axis=-1)
-        pjflat = pj.reshape(F, -1, P)
-        pjw = (pj * self.conf[..., None, None]).reshape(F, -1, P)
-        diag += self.w_proj * (pjw.transpose(0, 2, 1) @ pjflat)
-        jtr += self.w_proj * (
-            pjw.transpose(0, 2, 1) @ resid2.reshape(F, -1, 1)
-        )[..., 0]
+        dcount = np.zeros(F)  # root-depth steps each frame takes part in
+        dcount[1:] += 1.0
+        dcount[:-1] += 1.0
 
+        ab = np.zeros((3 * P, F * P), order="F") if out is None else out
+        band = ab.T.reshape(F, P, 3 * P)  # a view: ab is column-major
+        jtr = np.empty((F, P))
+        rows, cols = self._block_tril
+        item = band.itemsize
+        for s in range(0, F, _CHUNK_FRAMES):
+            e = min(s + _CHUNK_FRAMES, F)
+            n, ahead = e - s, min(e + 2, F)
+            jpos = kin.position_jacobian(
+                tree, X[s:ahead], G[s:ahead],
+                rotations=None if rotations is None else rotations[s:ahead],
+            )                                          # (ahead - s, J, 3, P)
+            flat = jpos.reshape(ahead - s, -1, P)      # (ahead - s, 3J, P)
+            flat_t = flat.transpose(0, 2, 1)
+
+            diag = flat_t[:n] @ (jpos[:n] * w_row[s:e, :, None, None]).reshape(n, -1, P)
+            jtr[s:e] = (flat_t[:n] @ resid[s:e].reshape(n, -1, 1))[..., 0]
+
+            # dpi/dX rows for u and v.
+            zc, Xc = z[s:e], X[s:e]
+            dpi = np.zeros(Xc.shape[:2] + (2, 3))
+            dpi[..., 0, 0] = cam.fx / zc
+            dpi[..., 0, 2] = -cam.fx * Xc[..., 0] / (zc * zc)
+            dpi[..., 1, 1] = cam.fy / zc
+            dpi[..., 1, 2] = -cam.fy * Xc[..., 1] / (zc * zc)
+            pj = dpi @ jpos[:n]                        # (n, J, 2, P)
+            pjflat = pj.reshape(n, -1, P)
+            pjw = (pj * self.conf[s:e, :, None, None]).reshape(n, -1, P)
+            diag += self.w_proj * (pjw.transpose(0, 2, 1) @ pjflat)
+            jtr[s:e] += self.w_proj * (
+                pjw.transpose(0, 2, 1) @ resid2[s:e].reshape(n, -1, 1)
+            )[..., 0]
+            diag[:, 2, 2] += self.w_depth * dcount[s:e]
+            band[s:e].reshape(n, -1)[:, self._tril_cells] = diag[:, rows, cols]
+
+            # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
+            # flat[f]^T flat[f+k]; each product lands in the band through a view
+            # whose (f, b, a) element is band[f, b, kP + a - b].
+            if F >= 3:
+                for k, mk in ((1, m1), (2, m2)):
+                    m = min(e, F - k) - s
+                    if m <= 0:
+                        continue
+                    block = np.lib.stride_tricks.as_strided(
+                        band[s:, :, k * P:],
+                        shape=(m, P, P),
+                        strides=(band.strides[0], band.strides[1] - item, item),
+                    )
+                    weight = (self.w_smooth * mk[s:s + m])[:, None, None]
+                    np.matmul(flat_t[:m], flat[k:k + m] * weight, out=block)
         if F >= 2:
             gd = np.zeros(F)
             gd[1:] += dz
             gd[:-1] -= dz
             jtr[:, 2] += self.w_depth * gd
-            dcount = np.zeros(F)
-            dcount[1:] += 1.0
-            dcount[:-1] += 1.0
-            diag[:, 2, 2] += self.w_depth * dcount
-        band = np.zeros((F, P, 3 * P))
-        rows, cols = self._block_tril
-        band.reshape(-1)[self._diag_index] = diag[:, rows, cols].reshape(-1)
-
-        # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
-        # flat[f]^T flat[f+k]; each product lands in the band through a view
-        # whose (f, b, a) element is band[f, b, kP + a - b].
-        if F >= 3:
-            item = band.itemsize
-            for k, mk in ((1, m1), (2, m2)):
-                out = np.lib.stride_tricks.as_strided(
-                    band[:, :, k * P:],
-                    shape=(F - k, P, P),
-                    strides=(band.strides[0], band.strides[1] - item, item),
-                )
-                np.matmul(flat_t[:-k], flat[k:], out=out)
-                out *= (self.w_smooth * mk)[:, None, None]
-        if F >= 2:
-            band[:-1, 2, P] -= self.w_depth
-        return band.reshape(F * P, 3 * P).T, jtr
+            # The root-depth coupling of frames f and f + 1.  With F >= 3 the
+            # k = 1 products above have just rewritten this cell; with F = 2
+            # nothing else writes it, so a reused band must be set, not added to.
+            if F >= 3:
+                band[:-1, 2, P] -= self.w_depth
+            else:
+                band[:-1, 2, P] = -self.w_depth
+        return ab, jtr
 
     @staticmethod
-    def _damped_solve(ab, d0, damping, rhs) -> np.ndarray:
+    def _damped_solve(ab, damping, rhs, factor) -> np.ndarray:
         """Solve (H + diag(damping)) x = rhs, H in lower band storage ab
-        (ab[0] is the diagonal, d0 its undamped values).  Rewrites row 0 of
-        ab; raises LinAlgError when the damped matrix is not numerically
-        positive definite."""
-        ab[0] = d0 + damping
-        chol = cholesky_banded(ab, lower=True, check_finite=False)
+        (ab[0] is the diagonal).  The damped matrix and then its Cholesky
+        factor are written into factor, a column-major array shaped like ab;
+        ab is left as it is.  Raises LinAlgError when the damped matrix is
+        not numerically positive definite."""
+        factor[...] = ab
+        factor[0] += damping
+        chol = cholesky_banded(
+            factor, lower=True, overwrite_ab=True, check_finite=False
+        )
         return cho_solve_banded((chol, True), rhs, check_finite=False)
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
@@ -339,11 +373,16 @@ class EnergyProblem:
         lam = _INIT_DAMPING
         converged = False
         iterations = 0
+        # One band and one Cholesky factor, rewritten every iteration: freeing
+        # and reallocating them costs fresh zeroed pages each time.
+        ab = factor = None
 
         for _ in range(cfg.max_iterations):
-            ab, jtr = self._normal_blocks(X, G)
+            ab, jtr = self._normal_blocks(X, G, out=ab)
+            if factor is None:
+                factor = np.empty_like(ab)
             g = jtr.reshape(-1)
-            d0 = ab[0].copy()
+            d0 = ab[0]
             if d0.max() == 0.0:
                 converged = True
                 break
@@ -355,7 +394,7 @@ class EnergyProblem:
             accepted = False
             while lam <= _MAX_DAMPING:
                 try:
-                    delta = self._damped_solve(ab, d0, lam * damp_base, -g)
+                    delta = self._damped_solve(ab, lam * damp_base, -g, factor)
                 except np.linalg.LinAlgError:
                     lam *= _DAMPING_INCREASE
                     continue

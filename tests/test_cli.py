@@ -174,6 +174,16 @@ def test_simulate_rejects_bad_specs(tmp_path, capsys):
     assert "speed_m_s" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_default_section(tmp_path, capsys):
+    """Walk specs are read like config files: a [DEFAULT] section, whose keys
+    configparser would copy into every walk, exits 2 and is named."""
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[DEFAULT]\nfps = 60\n[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\n")
+    assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_simulate_uses_configured_ratios(tmp_path):
     """[anatomy.ratios] shapes the synthesized skeleton, as it does the fit."""
     cfg = tmp_path / "run.ini"

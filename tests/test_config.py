@@ -79,6 +79,21 @@ def test_unknown_section_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    ["", "[stats]\nresamples = 2000\n", "[detector]\nmin_prominence_m = 0.08\n"],
+    ids=["alone", "with-stats", "with-detector"],
+)
+def test_default_section_rejected(tmp_path, extra):
+    """configparser copies [DEFAULT] keys into every section: alone they were
+    ignored, next to [stats] they set stats.seed, next to [detector] they
+    failed as detector.seed.  Each case now names the section."""
+    p = tmp_path / "run.ini"
+    p.write_text("[DEFAULT]\nseed = 7\n" + extra)
+    with pytest.raises(ConfigError, match=r"section \[DEFAULT\] is not supported"):
+        load_config(p)
+
+
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[detector]\nprominence = 0.08\n")

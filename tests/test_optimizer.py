@@ -5,6 +5,10 @@ Two oracles anchor this file: a direct summation of the four residual terms
 differences for the gradient.
 """
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -344,9 +348,119 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     d0 = ab[0].copy()
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     for lam in (1e-3, 1.0):
-        got = prob._damped_solve(ab, d0, lam * damp_base, -g)
+        got = prob._damped_solve(ab, lam * damp_base, -g, np.empty_like(ab))
         want = np.linalg.solve(H + np.diag(lam * damp_base), -g)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _thinned(walk, rate=0.2, seed=4):
+    """The walk with a fraction of its 2D joints removed, as the walker's
+    dropout does, and random 2D confidences, so the projection weights
+    differ from frame to frame."""
+    seq, truth = walk
+    rng = np.random.default_rng(seed)
+    frames_2d = tuple(
+        replace(fr, joints={j: p._replace(confidence=rng.uniform(0.2, 1.0))
+                            for j, p in fr.joints.items() if rng.random() >= rate})
+        for fr in seq.frames_2d
+    )
+    return replace(seq, frames_2d=frames_2d), truth
+
+
+@pytest.mark.parametrize("n_frames", [5, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
+    """Chunks of one to three frames split F = 5 and 7 so that blocks (f + k, f)
+    cross chunk edges and the last chunk is partial (5 = 2 + 2 + 1, 7 = 3 + 3
+    + 1); the band, J^T r and the solve still match the dense reference, on
+    a walk whose 2D masks and confidences vary between frames."""
+    monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
+    real = optimizer_module.kin.position_jacobian
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module.kin, "position_jacobian", counted)
+    test_banded_normal_matrix_and_solve_match_dense(_thinned(noisy_walk), n_frames)
+    assert len(calls) == math.ceil(n_frames / chunk)
+    assert max(calls) <= chunk + 2
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
+    """gradient() reaches the chunked assembly through rotations=."""
+    monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
+    test_gradient_matches_finite_differences(seed, 5)
+
+
+@pytest.mark.parametrize("n_frames", [2, 3, 7])
+def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
+    """solve() reuses one band: writing a pose's band over another pose's
+    must leave exactly what a freshly zeroed band holds, also with F = 2,
+    where no smoothness block rewrites the root-depth coupling."""
+    seq, truth = noisy_walk
+    seq = _head(seq, n_frames)
+    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    lengths = lengths_vector(truth.anatomy)
+    init = initial_params(seq, truth.anatomy)
+    other = PoseParams(init.translations + 0.05, init.rotations * 0.5)
+    X, G = forward_kinematics(CANONICAL_TREE, lengths, init, with_globals=True)
+    X2, G2 = forward_kinematics(CANONICAL_TREE, lengths, other, with_globals=True)
+    stale, _ = prob._normal_blocks(X2, G2)
+    reused, _ = prob._normal_blocks(X, G, out=stale)
+    fresh, _ = prob._normal_blocks(X, G)
+    assert reused is stale
+    assert np.array_equal(reused, fresh)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was traced before it, and
+    fn's result."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start, result
+
+
+def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
+    """Beyond its band, _normal_blocks holds one chunk's temporaries and a
+    few per-frame residual arrays; a solve iteration adds one Cholesky
+    factor to that.  Walk-sized Jacobians or block arrays, or a third
+    band-sized array, would grow these excesses by megabytes between 64
+    and 148 frames."""
+    seq, truth = noisy_walk
+    assert len(seq.frames_3d) >= 148
+    P = CANONICAL_TREE.params_per_frame
+    bands, assembly, solve = [], [], []
+    for n_frames in (64, 148):
+        part = _head(seq, n_frames)
+        prob = _problem_for(part, truth.anatomy, CAMERA, EnergyConfig())
+        init = initial_params(part, truth.anatomy)
+        X, G = forward_kinematics(
+            CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
+        )
+        band = 3 * P * n_frames * P * np.dtype(np.float64).itemsize
+        peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G))
+        bands.append(band)
+        assembly.append(peak - band)
+        # Two iterations: the second assembles while the first's band and
+        # factor exist.
+        peak, (_, info) = _traced_peak(
+            lambda: prob.solve(init, EnergyConfig(max_iterations=2))
+        )
+        assert info["iterations"] == 2
+        solve.append(peak - 2 * band)
+    assert abs(assembly[1] - assembly[0]) < 1e6
+    # The solve also keeps a few per-frame pose arrays (X, G, rotations and
+    # their trial copies), well under half a band per frame.
+    assert solve[1] - solve[0] < 0.5 * (bands[1] - bands[0])
 
 
 def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
