@@ -119,15 +119,30 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for walk_id, spec in specs:
-        try:
-            seq, truth = generate(spec, camera=cfg.camera, ratios=cfg.ratios)
-        except StrideLabError as exc:
-            raise ConfigError(f"walk spec [{walk_id}]: {exc}") from None
-        (out_dir / f"{walk_id}.poses.json").write_bytes(pose_io.write_stream(seq))
-        (out_dir / f"{walk_id}.truth.json").write_bytes(pose_io.write_truth(truth))
-        n = len(seq.frames_3d or seq.frames_2d or ())
-        print(f"{walk_id}: wrote {n} frames ({truth.n_steps} steps)")
+    # Walks are generated and written one at a time, so only one is held in
+    # memory; a failure removes what this run wrote before it, and the
+    # report lines are printed only once every walk is written.
+    written: list[Path] = []
+    report: list[str] = []
+    try:
+        for walk_id, spec in specs:
+            try:
+                seq, truth = generate(spec, camera=cfg.camera, ratios=cfg.ratios)
+            except StrideLabError as exc:
+                raise ConfigError(f"walk spec [{walk_id}]: {exc}") from None
+            for path, blob in (
+                (out_dir / f"{walk_id}.poses.json", pose_io.write_stream(seq)),
+                (out_dir / f"{walk_id}.truth.json", pose_io.write_truth(truth)),
+            ):
+                written.append(path)
+                path.write_bytes(blob)
+            n = len(seq.frames_3d or seq.frames_2d or ())
+            report.append(f"{walk_id}: wrote {n} frames ({truth.n_steps} steps)")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    print("\n".join(report))
     return 0
 
 

@@ -169,6 +169,16 @@ class KinematicTree:
                 desc[i].extend([c] + desc[c])
         return tuple(tuple(sorted(d)) for d in desc)
 
+    @cached_property
+    def rotation_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (rotated joint, strict descendant) pair as three int arrays:
+        the joints, the descendants and the joints' rotation slots."""
+        pairs = [(j, d) for j in self.rotated_joints for d in self.descendants[j]]
+        joints = np.array([j for j, _ in pairs], dtype=np.intp)
+        descendants = np.array([d for _, d in pairs], dtype=np.intp)
+        slots = np.array([self.rot_slot[j] for j in joints], dtype=np.intp)
+        return joints, descendants, slots
+
     @property
     def n_rotations(self) -> int:
         return len(self.rotated_joints)
@@ -324,6 +334,7 @@ def position_jacobian(
     X: np.ndarray,
     G: np.ndarray,
     rotations: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """d(position)/d(params) per frame: (F, J, 3, P) with P = 3 + 3 NR.
 
@@ -332,23 +343,35 @@ def position_jacobian(
     left Jacobian of its current vector).  With rotations=None the derivative
     is with respect to a left-multiplied increment at the current rotation,
     the linearization the solver steps in.
+
+    Descendant d of rotated joint b moves with b's rotation as
+    hat(X_b - X_d) M_b, M_b the global rotation of b's parent (the identity
+    at the root).  All of these blocks, one per tree.rotation_pairs entry,
+    are formed in one batch and scattered into their cells at once; every
+    other cell is a translation identity or a structural zero.
+
+    out, when given, must be a C-contiguous result of an earlier call for
+    the same tree, or a leading frame slice of one.  Its identities and
+    zeros are kept, its rotation blocks are rewritten in place, and it is
+    returned.
     """
     F, J, _ = X.shape
     P = tree.params_per_frame
-    out = np.zeros((F, J, 3, P), dtype=np.float64)
-    out[:, :, :, :3] = np.eye(3)
+    if out is None:
+        out = np.zeros((F, J, 3, P), dtype=np.float64)
+        out[:, :, :, :3] = np.eye(3)
+    joints, desc, slots = tree.rotation_pairs
+    rotated = np.asarray(tree.rotated_joints)
+    parents = np.asarray(tree.parents)[rotated]
+    M = G[:, np.maximum(parents, 0)]               # (F, NR, 3, 3)
+    M[:, parents < 0] = np.eye(3)
     if rotations is not None:
-        jl = so3_left_jacobian(rotations)  # (F, NR, 3, 3)
-    for j in tree.rotated_joints:
-        slot = tree.rot_slot[j]
-        p = tree.parents[j]
-        M = np.broadcast_to(np.eye(3), (F, 3, 3)) if p < 0 else G[:, p]
-        if rotations is not None:
-            M = M @ jl[:, slot]
-        desc = tree.descendants[j]
-        D = X[:, desc] - X[:, j : j + 1]          # (F, A, 3)
-        block = -hat(D) @ M[:, None]              # (F, A, 3, 3)
-        out[:, desc, :, 3 + 3 * slot : 6 + 3 * slot] = block
+        M = M @ so3_left_jacobian(rotations)
+    blocks = hat(X[:, joints] - X[:, desc]) @ M[:, slots]  # (F, pairs, 3, 3)
+    # Flat cell of (descendant, row, 3 + 3 slot + column) within a frame.
+    rc = np.arange(3)
+    cells = (desc[:, None, None] * 3 + rc[:, None]) * P + 3 + 3 * slots[:, None, None] + rc
+    out.reshape(F, -1)[:, cells.reshape(-1)] = blocks.reshape(F, -1)
     return out
 
 

@@ -16,14 +16,15 @@ frames at most two apart couple (through the second-difference smoothness
 term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1 (P
 parameters per frame).  Each iteration writes it once, straight into LAPACK
 lower band storage held column-major, and each damped step is a banded
-Cholesky solve on that storage.  The matrix is assembled in fixed-size
-frame chunks, so no Jacobian or block array spans the walk: a solve holds
-one band and one Cholesky factor, both reused across iterations, plus
-per-frame residuals and one chunk's temporaries.  A step is accepted only
-when it strictly decreases the energy, otherwise the damping is increased
-and the step recomputed.  Rotations advance by left-multiplied increments and are
-re-centred every iteration, so the parameterization never sits near its
-angle-pi singularity.
+Cholesky solve that factors that storage in place.  The matrix is
+assembled in fixed-size frame chunks, so no Jacobian or block array spans
+the walk: a solve holds one band, reused across iterations, plus per-frame
+residuals and weights and one chunk's buffers.  A step is accepted only
+when it strictly decreases the energy, otherwise the damping is increased,
+the band assembled again at the same pose (the failed attempt overwrote it
+with its factor) and the step recomputed.  Rotations advance by
+left-multiplied increments and are re-centred every iteration, so the
+parameterization never sits near its angle-pi singularity.
 
 The residuals are evaluated in one place, EnergyProblem._residuals: the
 energy sums their weighted squares, and the Gauss-Newton step and the
@@ -180,12 +181,10 @@ class EnergyProblem:
         # Diagonals of D^T D, the frame coupling of the smoothness term's
         # Gauss-Newton blocks.
         self._m_diag = _second_difference_gram(self.F)
-        # Where a diagonal block's lower triangle sits within its frame's
-        # P x 3P slice of the band storage that _normal_blocks fills.
+        # The cells (b, a), a >= b, of _normal_blocks' k = 0 band view that
+        # hold a diagonal block's lower triangle.
         P = tree.params_per_frame
-        self._block_tril = np.tril_indices(P)
-        rows, cols = self._block_tril
-        self._tril_cells = cols * (3 * P) + (rows - cols)
+        self._lower = np.triu(np.ones((P, P), dtype=bool))
 
     # -- residuals and energy ---------------------------------------------
 
@@ -248,24 +247,30 @@ class EnergyProblem:
         C-order (F * P, 3P) array, so it is column-major: block (f + k, f),
         element (a, b) sits in that array at [fP + b, kP + a - b], and each
         block is written as P contiguous runs.  Cells past the matrix end and
-        cells of the (zero) blocks three frames apart stay zero.  With out
-        given (a band this method returned before, for the same problem), the
-        band is written into it: every other cell is overwritten.
+        cells of the (zero) blocks three frames apart are zero.  With out
+        given (a band this method returned before, for the same problem,
+        possibly overwritten since by its Cholesky factor), the band is
+        written into it: every cell is rewritten.
 
         The band is filled in chunks of _CHUNK_FRAMES frames.  Each chunk
         takes the position Jacobian of its frames and of the two that follow
         (the smoothness blocks (f + k, f), k = 1, 2, need them), forms its
         diagonal blocks, right-hand sides and off-diagonal blocks and writes
-        them into its rows of the band.  Beyond the band and per-frame
-        residuals, memory is bounded by one chunk, whatever F is."""
+        them into its rows of the band.  The ik, smoothness and projection
+        terms of joint j in frame f fold into one symmetric 3 x 3 weight,
+        W = w_row I + w_proj conf dpi^T dpi (dpi the 2 x 3 projection
+        Jacobian), so a diagonal block is the one product J^T (W J) and its
+        right-hand side J^T r~ with r~ = resid + w_proj conf dpi^T (du, dv).
+        Beyond the band and per-frame residuals, memory is bounded by one
+        chunk's buffers, reused from chunk to chunk, whatever F is."""
         tree = self.tree
-        F, P = self.F, tree.params_per_frame
+        F, P, J = self.F, tree.params_per_frame, tree.n_joints
         cam = self.camera
         r3, z, du, dv, dd, dz = self._residuals(X)
         m0, m1, m2 = self._m_diag
 
-        # The ik and smoothness diagonal blocks share flat^T W flat, with the
-        # per-joint weight w_ik * m3 + w_smooth * (D^T D)_ff.
+        # The per-joint weight of the ik and smoothness diagonal blocks,
+        # w_ik * m3 + w_smooth * (D^T D)_ff, and their residuals.
         w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
         resid = self.w_ik * self.m3[..., None] * r3
         if dd is not None:
@@ -274,91 +279,112 @@ class EnergyProblem:
             w[1:-1] -= 2.0 * dd
             w[:-2] += dd
             resid += self.w_smooth * w
-        resid2 = np.stack([du, dv], axis=-1)
+        # The projection's rows of dpi/dX for u, (fx/z, 0, cu), and for v,
+        # (0, fy/z, cv), weighted by w_proj * conf.
+        cw = self.w_proj * self.conf
+        fu, fv = cam.fx / z, cam.fy / z
+        cu, cv = -fu * X[..., 0] / z, -fv * X[..., 1] / z
+        resid[..., 0] += cw * fu * du
+        resid[..., 1] += cw * fv * dv
+        resid[..., 2] += cw * (cu * du + cv * dv)
+        weight = np.empty((F, J, 3, 3))
+        weight[..., 0, 0] = w_row + cw * fu * fu
+        weight[..., 1, 1] = w_row + cw * fv * fv
+        weight[..., 2, 2] = w_row + cw * (cu * cu + cv * cv)
+        weight[..., 0, 1] = weight[..., 1, 0] = 0.0
+        weight[..., 0, 2] = weight[..., 2, 0] = cw * fu * cu
+        weight[..., 1, 2] = weight[..., 2, 1] = cw * fv * cv
         dcount = np.zeros(F)  # root-depth steps each frame takes part in
         dcount[1:] += 1.0
         dcount[:-1] += 1.0
 
-        ab = np.zeros((3 * P, F * P), order="F") if out is None else out
+        if out is None:
+            ab = np.zeros((3 * P, F * P), order="F")
+        else:
+            # out may hold a Cholesky factor, which fills in cells no write
+            # below covers (the blocks three frames apart, and with F < 3
+            # every off-diagonal block): clear it.
+            ab = out
+            ab.fill(0.0)
         band = ab.T.reshape(F, P, 3 * P)  # a view: ab is column-major
         jtr = np.empty((F, P))
-        rows, cols = self._block_tril
         item = band.itemsize
+
+        def block_view(s, k, m):
+            """Blocks (f + k, f), f = s .. s + m - 1, as an (m, P, P) view
+            of the band whose (f, b, a) element is band[f, b, kP + a - b]."""
+            return np.lib.stride_tricks.as_strided(
+                band[s:, :, k * P:],
+                shape=(m, P, P),
+                strides=(band.strides[0], band.strides[1] - item, item),
+            )
+
+        # The first chunk's Jacobian is the largest (ahead - s never grows),
+        # so each later chunk writes into a leading frame slice of it.
+        n_max = min(_CHUNK_FRAMES, F)
+        jac = None
+        wjac = np.empty((n_max, J, 3, P))
+        diag = np.empty((n_max, P, P))
         for s in range(0, F, _CHUNK_FRAMES):
             e = min(s + _CHUNK_FRAMES, F)
             n, ahead = e - s, min(e + 2, F)
-            jpos = kin.position_jacobian(
+            jac = kin.position_jacobian(
                 tree, X[s:ahead], G[s:ahead],
                 rotations=None if rotations is None else rotations[s:ahead],
+                out=None if jac is None else jac[:ahead - s],
             )                                          # (ahead - s, J, 3, P)
-            flat = jpos.reshape(ahead - s, -1, P)      # (ahead - s, 3J, P)
+            flat = jac.reshape(ahead - s, -1, P)       # (ahead - s, 3J, P)
             flat_t = flat.transpose(0, 2, 1)
 
-            diag = flat_t[:n] @ (jpos[:n] * w_row[s:e, :, None, None]).reshape(n, -1, P)
+            wj = np.matmul(weight[s:e], jac[:n], out=wjac[:n])
+            d = np.matmul(flat_t[:n], wj.reshape(n, -1, P), out=diag[:n])
             jtr[s:e] = (flat_t[:n] @ resid[s:e].reshape(n, -1, 1))[..., 0]
-
-            # dpi/dX rows for u and v.
-            zc, Xc = z[s:e], X[s:e]
-            dpi = np.zeros(Xc.shape[:2] + (2, 3))
-            dpi[..., 0, 0] = cam.fx / zc
-            dpi[..., 0, 2] = -cam.fx * Xc[..., 0] / (zc * zc)
-            dpi[..., 1, 1] = cam.fy / zc
-            dpi[..., 1, 2] = -cam.fy * Xc[..., 1] / (zc * zc)
-            pj = dpi @ jpos[:n]                        # (n, J, 2, P)
-            pjflat = pj.reshape(n, -1, P)
-            pjw = (pj * self.conf[s:e, :, None, None]).reshape(n, -1, P)
-            diag += self.w_proj * (pjw.transpose(0, 2, 1) @ pjflat)
-            jtr[s:e] += self.w_proj * (
-                pjw.transpose(0, 2, 1) @ resid2[s:e].reshape(n, -1, 1)
-            )[..., 0]
-            diag[:, 2, 2] += self.w_depth * dcount[s:e]
-            band[s:e].reshape(n, -1)[:, self._tril_cells] = diag[:, rows, cols]
+            d[:, 2, 2] += self.w_depth * dcount[s:e]
+            # Element (f, b, a) of the k = 0 view is H[fP + a, fP + b], lower
+            # for a >= b.
+            np.copyto(block_view(s, 0, n), d.transpose(0, 2, 1), where=self._lower)
 
             # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
-            # flat[f]^T flat[f+k]; each product lands in the band through a view
-            # whose (f, b, a) element is band[f, b, kP + a - b].
+            # flat[f]^T flat[f+k]; the weighted flat[f+k] goes into W J's
+            # buffer, free once the diagonal blocks are formed (scaling the
+            # strided product in the band measured slower).
             if F >= 3:
                 for k, mk in ((1, m1), (2, m2)):
                     m = min(e, F - k) - s
                     if m <= 0:
                         continue
-                    block = np.lib.stride_tricks.as_strided(
-                        band[s:, :, k * P:],
-                        shape=(m, P, P),
-                        strides=(band.strides[0], band.strides[1] - item, item),
+                    scaled = np.multiply(
+                        flat[k:k + m],
+                        (self.w_smooth * mk[s:s + m])[:, None, None],
+                        out=wjac[:m].reshape(m, -1, P),
                     )
-                    weight = (self.w_smooth * mk[s:s + m])[:, None, None]
-                    np.matmul(flat_t[:m], flat[k:k + m] * weight, out=block)
+                    np.matmul(flat_t[:m], scaled, out=block_view(s, k, m))
         if F >= 2:
             gd = np.zeros(F)
             gd[1:] += dz
             gd[:-1] -= dz
             jtr[:, 2] += self.w_depth * gd
-            # The root-depth coupling of frames f and f + 1.  With F >= 3 the
-            # k = 1 products above have just rewritten this cell; with F = 2
-            # nothing else writes it, so a reused band must be set, not added to.
-            if F >= 3:
-                band[:-1, 2, P] -= self.w_depth
-            else:
-                band[:-1, 2, P] = -self.w_depth
+            # The root-depth coupling of frames f and f + 1.
+            band[:-1, 2, P] -= self.w_depth
         return ab, jtr
 
     @staticmethod
-    def _damped_solve(ab, damping, rhs, factor) -> np.ndarray:
+    def _damped_solve(ab, damping, rhs) -> np.ndarray:
         """Solve (H + diag(damping)) x = rhs, H in lower band storage ab
-        (ab[0] is the diagonal).  The damped matrix and then its Cholesky
-        factor are written into factor, a column-major array shaped like ab;
-        ab is left as it is.  Raises LinAlgError when the damped matrix is
-        not numerically positive definite."""
-        factor[...] = ab
-        factor[0] += damping
-        chol = cholesky_banded(
-            factor, lower=True, overwrite_ab=True, check_finite=False
-        )
+        (ab[0] is the diagonal).  ab, column-major, is damped and factored
+        in place: it holds the Cholesky factor afterwards, or, when this
+        raises LinAlgError (the damped matrix is not numerically positive
+        definite), a partial one."""
+        ab[0] += damping
+        chol = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         return cho_solve_banded((chol, True), rhs, check_finite=False)
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
-        """Damped Gauss-Newton from init.  Returns (params, info dict)."""
+        """Damped Gauss-Newton from init.  Returns (params, info dict).
+
+        Each damped attempt factors the band in place, so a retry (a failed
+        factorization, a non-finite or a rejected step) assembles the band
+        again at the same pose before it adds the larger damping."""
         tree = self.tree
         F, P = self.F, tree.params_per_frame
         t = init.translations.copy()
@@ -373,14 +399,12 @@ class EnergyProblem:
         lam = _INIT_DAMPING
         converged = False
         iterations = 0
-        # One band and one Cholesky factor, rewritten every iteration: freeing
-        # and reallocating them costs fresh zeroed pages each time.
-        ab = factor = None
+        # One band, rewritten every iteration and factored in place by each
+        # damped solve: freeing and reallocating it costs fresh zeroed pages.
+        ab = None
 
         for _ in range(cfg.max_iterations):
             ab, jtr = self._normal_blocks(X, G, out=ab)
-            if factor is None:
-                factor = np.empty_like(ab)
             g = jtr.reshape(-1)
             d0 = ab[0]
             if d0.max() == 0.0:
@@ -392,9 +416,16 @@ class EnergyProblem:
             damp_base = np.maximum(d0, 1e-12 * d0.max())
 
             accepted = False
+            factored = False
             while lam <= _MAX_DAMPING:
+                if factored:
+                    # The last attempt left its (possibly partial) factor in
+                    # ab: assemble the band again at the same pose, which
+                    # gives the same band.
+                    self._normal_blocks(X, G, out=ab)
+                factored = True
                 try:
-                    delta = self._damped_solve(ab, lam * damp_base, -g, factor)
+                    delta = self._damped_solve(ab, lam * damp_base, -g)
                 except np.linalg.LinAlgError:
                     lam *= _DAMPING_INCREASE
                     continue

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-The optimizer is the slow piece (about 0.5 s for the noisy walk below), so
+The optimizer is the slow piece (about 0.25 s for the noisy walk below), so
 anything that needs a fitted sequence shares these session-scoped results
 instead of re-running the solver per test.
 """

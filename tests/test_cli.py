@@ -218,6 +218,25 @@ def test_simulate_rejects_unbuildable_walks(tmp_path, capsys, keys, error):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_simulate_removes_its_files_when_a_later_walk_fails(tmp_path, capsys):
+    """Walks are written one by one; when the second cannot be built, the
+    first one's files go too, and files from elsewhere stay."""
+    spec = tmp_path / "walks.ini"
+    spec.write_text(
+        "[first]\nspeed_m_s = 1.1\ncadence_steps_min = 100\ndistance_m = 1.5\n"
+        "[second]\nspeed_m_s = 1.1\ncadence_steps_min = 100\n"
+        "subject_height_m = 3.0\n"
+    )
+    out = tmp_path / "sim"
+    out.mkdir()
+    (out / "other.poses.json").write_text("{}")
+    assert main(["simulate", str(spec), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "walk spec [second]" in captured.err
+    assert "wrote" not in captured.out
+    assert sorted(p.name for p in out.iterdir()) == ["other.poses.json"]
+
+
 def _no_3d_joints_document():
     """Ten frames with 2D detections whose 3D joint maps are all empty."""
     times = [(f, f / 30.0) for f in range(10)]

@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from stridelab import CANONICAL_TREE, JointId, derive_anatomy
 from stridelab.kinematics import (
+    KinematicTree,
     PoseParams,
     fit_params_to_positions,
     forward_kinematics,
     hat,
     lengths_vector,
+    position_jacobian,
     so3_exp,
     so3_log,
 )
@@ -207,3 +209,85 @@ def test_masked_fit_matches_per_frame_reference():
     assert np.isclose(np.linalg.norm(fitted.rotations[0, tree.rot_slot[spine]]), np.pi)
     assert np.array_equal(fitted.rotations[2, tree.rot_slot[JointId.NECK.value]],
                           np.zeros(3))
+
+
+def _branching_tree():
+    """Seven joints: the root carries a chain and a leaf, and the chain's
+    second joint has two children, one of them with a child of its own."""
+    dirs = np.array([
+        [0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.6, 0.8, 0.0],
+        [-1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [0.0, -0.8, 0.6],
+        [1.0, 0.0, 0.0],
+    ])
+    return KinematicTree(
+        names=("root", "a", "b", "c", "d", "e", "leaf"),
+        parents=(-1, 0, 1, 2, 2, 3, 0),
+        rest_dirs=dirs,
+    )
+
+
+def _fd_position_jacobian(tree, lengths, params, exp_map, h=1e-6):
+    """Central differences of forward_kinematics in every parameter: the
+    exponential-map vectors themselves (exp_map), or left-multiplied
+    increments exp(h e) R of each rotation."""
+    F, P = params.n_frames, tree.params_per_frame
+    out = np.empty((F, tree.n_joints, 3, P))
+    for i in range(P):
+        moved = []
+        for sign in (1.0, -1.0):
+            t = params.translations.copy()
+            w = params.rotations.copy()
+            if i < 3:
+                t[:, i] += sign * h
+            elif exp_map:
+                w[:, (i - 3) // 3, (i - 3) % 3] += sign * h
+            else:
+                step = np.zeros(3)
+                step[(i - 3) % 3] = sign * h
+                slot = (i - 3) // 3
+                w[:, slot] = so3_log(so3_exp(step) @ so3_exp(w[:, slot]))
+            moved.append(forward_kinematics(tree, lengths, PoseParams(t, w)))
+        out[..., i] = (moved[0] - moved[1]) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("exp_map", [False, True], ids=["increment", "exp-map"])
+@pytest.mark.parametrize("which", ["canonical", "branching"])
+def test_position_jacobian_matches_finite_differences(which, exp_map):
+    """position_jacobian checked against forward_kinematics alone, in both
+    parameterizations; also written into a buffer that held another pose's
+    Jacobian for more frames, which must give the same result."""
+    rng = np.random.default_rng(11)
+    if which == "canonical":
+        tree = CANONICAL_TREE
+        lengths = lengths_vector(derive_anatomy(1.72))
+    else:
+        tree = _branching_tree()
+        lengths = np.array([0.0, 0.5, 0.3, 0.25, 0.4, 0.2, 0.35])
+    F = 3
+    params = PoseParams(
+        translations=rng.normal(0.0, 1.0, (F, 3)),
+        rotations=rng.normal(0.0, 0.6, (F, tree.n_rotations, 3)),
+    )
+    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    rotations = params.rotations if exp_map else None
+    got = position_jacobian(tree, X, G, rotations=rotations)
+    want = _fd_position_jacobian(tree, lengths, params, exp_map)
+    assert got.shape == (F, tree.n_joints, 3, tree.params_per_frame)
+    assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
+
+    other = PoseParams(
+        translations=rng.normal(0.0, 1.0, (F + 2, 3)),
+        rotations=rng.normal(0.0, 0.6, (F + 2, tree.n_rotations, 3)),
+    )
+    X2, G2 = forward_kinematics(tree, lengths, other, with_globals=True)
+    buffer = position_jacobian(
+        tree, X2, G2, rotations=other.rotations if exp_map else None
+    )
+    reused = position_jacobian(tree, X, G, rotations=rotations, out=buffer[:F])
+    assert np.shares_memory(reused, buffer)
+    assert np.array_equal(reused, got)

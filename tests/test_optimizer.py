@@ -348,7 +348,7 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     d0 = ab[0].copy()
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     for lam in (1e-3, 1.0):
-        got = prob._damped_solve(ab, lam * damp_base, -g, np.empty_like(ab))
+        got = prob._damped_solve(ab.copy(order="F"), lam * damp_base, -g)
         want = np.linalg.solve(H + np.diag(lam * damp_base), -g)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -398,9 +398,11 @@ def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
 
 @pytest.mark.parametrize("n_frames", [2, 3, 7])
 def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
-    """solve() reuses one band: writing a pose's band over another pose's
-    must leave exactly what a freshly zeroed band holds, also with F = 2,
-    where no smoothness block rewrites the root-depth coupling."""
+    """solve() reuses one band: writing a pose's band over another pose's,
+    or over the Cholesky factor a damped solve leaves in it, must leave
+    exactly what a freshly zeroed band holds, also with F = 2, where no
+    smoothness block rewrites the root-depth coupling, and with F = 7, where
+    the factor fills in the blocks three frames apart."""
     seq, truth = noisy_walk
     seq = _head(seq, n_frames)
     prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
@@ -414,6 +416,13 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     fresh, _ = prob._normal_blocks(X, G)
     assert reused is stale
     assert np.array_equal(reused, fresh)
+
+    d0 = fresh[0].copy()
+    prob._damped_solve(reused, 1e-3 * d0, np.ones(d0.size))
+    assert not np.array_equal(reused, fresh)
+    over_factor, _ = prob._normal_blocks(X, G, out=reused)
+    assert over_factor is reused
+    assert np.array_equal(over_factor, fresh)
 
 
 def _traced_peak(fn):
@@ -430,11 +439,11 @@ def _traced_peak(fn):
 
 
 def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
-    """Beyond its band, _normal_blocks holds one chunk's temporaries and a
-    few per-frame residual arrays; a solve iteration adds one Cholesky
-    factor to that.  Walk-sized Jacobians or block arrays, or a third
-    band-sized array, would grow these excesses by megabytes between 64
-    and 148 frames."""
+    """Beyond its band, _normal_blocks holds one chunk's buffers and a few
+    per-frame residual and weight arrays, and a solve iteration factors the
+    band in place.  Walk-sized Jacobians or block arrays, or a second
+    band-sized array such as a separate Cholesky factor, would grow these
+    excesses by megabytes between 64 and 148 frames."""
     seq, truth = noisy_walk
     assert len(seq.frames_3d) >= 148
     P = CANONICAL_TREE.params_per_frame
@@ -450,13 +459,13 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G))
         bands.append(band)
         assembly.append(peak - band)
-        # Two iterations: the second assembles while the first's band and
-        # factor exist.
+        # Two iterations: the second assembles into the band the first
+        # factored.
         peak, (_, info) = _traced_peak(
             lambda: prob.solve(init, EnergyConfig(max_iterations=2))
         )
         assert info["iterations"] == 2
-        solve.append(peak - 2 * band)
+        solve.append(peak - band)
     assert abs(assembly[1] - assembly[0]) < 1e6
     # The solve also keeps a few per-frame pose arrays (X, G, rotations and
     # their trial copies), well under half a band per frame.
@@ -481,6 +490,20 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     # The retry solves the same matrix with a larger damping.
     assert np.all(diagonals[1] >= diagonals[0])
     assert np.any(diagonals[1] > diagonals[0])
+    # Both attempts damp the band assembled at the initial pose, the retry
+    # with the larger damping alone: it is assembled again, not the failed
+    # attempt's matrix damped once more.
+    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    init = initial_params(seq, truth.anatomy)
+    X, G = forward_kinematics(
+        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
+    )
+    d0 = prob._normal_blocks(X, G)[0][0]
+    damp_base = np.maximum(d0, 1e-12 * d0.max())
+    lam = optimizer_module._INIT_DAMPING
+    assert np.array_equal(diagonals[0], d0 + lam * damp_base)
+    lam *= optimizer_module._DAMPING_INCREASE
+    assert np.array_equal(diagonals[1], d0 + lam * damp_base)
     hist = fit.energy_history
     assert len(hist) >= 2
     assert all(b < a for a, b in zip(hist, hist[1:]))
