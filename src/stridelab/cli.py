@@ -211,7 +211,9 @@ def _truth_records(poses_path: Path, walk_id: str) -> list[tuple[str, str, str, 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     paths = [Path(p) for p in args.poses]
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The fork start method launches every worker up front: start no
+        # more than there are walks.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             rows = list(pool.map(_analyze_one, map(str, paths), repeat(cfg)))
     else:
         rows = [_analyze_one(str(p), cfg) for p in paths]

@@ -11,6 +11,7 @@ is exposed as CANONICAL_TREE.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,6 +180,44 @@ class KinematicTree:
         slots = np.array([self.rot_slot[j] for j in joints], dtype=np.intp)
         return joints, descendants, slots
 
+    @cached_property
+    def swing_bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rotated joints with exactly one child, as their rotation slots
+        and, per joint, an orthonormal basis (3, 3) of its own frame whose
+        last column is the child's rest direction r.  The first two are
+        perpendicular to r: u = r x e / |r x e|, e the coordinate axis along
+        which r is smallest, then v = r x u.  Turning such a joint about its
+        own bone leaves the child in place, and whatever it moves further
+        down, the child's rotation can undo."""
+        single = [j for j in self.rotated_joints if len(self.children[j]) == 1]
+        r = self.rest_dirs[[self.children[j][0] for j in single]].reshape(-1, 3)
+        u = np.cross(r, np.eye(3)[np.argmin(np.abs(r), axis=1)])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        slots = np.array([self.rot_slot[j] for j in single], dtype=np.intp)
+        return slots, np.stack((u, np.cross(r, u), r), axis=-1)
+
+    @cached_property
+    def step_layouts(self) -> tuple["StepLayout", "StepLayout"]:
+        """The per-frame step parameters, indexed by swing: [False] is
+        PoseParams' layout, three per rotated joint, and [True] the
+        solver's, in which a joint with one child has two."""
+        _, desc, slots = self.rotation_pairs
+        layouts = []
+        for swing in (False, True):
+            keep = np.ones((self.n_rotations, 3), dtype=bool)
+            if swing:
+                keep[self.swing_bases[0], 2] = False
+            P = 3 + int(np.count_nonzero(keep))
+            columns = np.full(keep.shape, -1, dtype=np.intp)
+            columns[keep] = np.arange(3, P)
+            # The flat cell (descendant, row, column) within a frame of each
+            # (pair, row, axis) block cell, and the cells the layout keeps.
+            rows = desc[:, None, None] * 3 + np.arange(3)[:, None]
+            cells = rows * P + columns[slots][:, None, :]
+            kept = np.broadcast_to(keep[slots][:, None, :], cells.shape)
+            layouts.append(StepLayout(columns, P, np.flatnonzero(kept), cells[kept]))
+        return layouts[0], layouts[1]
+
     @property
     def n_rotations(self) -> int:
         return len(self.rotated_joints)
@@ -186,6 +225,19 @@ class KinematicTree:
     @property
     def params_per_frame(self) -> int:
         return 3 + 3 * self.n_rotations
+
+
+class StepLayout(NamedTuple):
+    """Step parameters per frame: the root translation's three, then
+    columns[s, i] for axis i of rotation slot s (-1 where that axis is not a
+    parameter); params_per_frame of them in all.  position_jacobian copies
+    cell src[k] of its flattened (pair, row, axis) blocks to flat frame
+    cell dst[k]."""
+
+    columns: np.ndarray
+    params_per_frame: int
+    src: np.ndarray
+    dst: np.ndarray
 
 
 def _canonical_rest_dirs() -> np.ndarray:
@@ -333,46 +385,63 @@ def position_jacobian(
     tree: KinematicTree,
     X: np.ndarray,
     G: np.ndarray,
-    rotations: np.ndarray | None = None,
+    axes: np.ndarray | None = None,
+    swing: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d(position)/d(params) per frame: (F, J, 3, P) with P = 3 + 3 NR.
+    """d(position)/d(step) per frame: (F, J, 3, P), P per tree.step_layouts[swing].
 
-    With rotations given, derivatives are taken with respect to the
-    exponential-map parameters themselves (each rotation block picks up the
-    left Jacobian of its current vector).  With rotations=None the derivative
-    is with respect to a left-multiplied increment at the current rotation,
-    the linearization the solver steps in.
+    Rotated joint b's step parameters turn it about axes given in its
+    parent's frame: column i of axes[f, s] (F, NR, 3, 3) is the axis of
+    slot s's i-th parameter.  None stands for the identity, which gives
+    left-multiplied increments at the current rotations (P = 3 + 3 NR, 45
+    on CANONICAL_TREE); so3_left_jacobian(rotations) gives the
+    exponential-map parameters themselves; swing_axes gives the solver's
+    swing layout, in which, with swing=True, a joint with one child keeps
+    only its first two axes (P = 35 on CANONICAL_TREE, so the solver's
+    normal matrix has bandwidth 3P - 1 = 104 instead of 134).
 
-    Descendant d of rotated joint b moves with b's rotation as
-    hat(X_b - X_d) M_b, M_b the global rotation of b's parent (the identity
-    at the root).  All of these blocks, one per tree.rotation_pairs entry,
-    are formed in one batch and scattered into their cells at once; every
-    other cell is a translation identity or a structural zero.
+    Descendant d of b moves with b's axes as hat(X_b - X_d) M_b, M_b the
+    global rotation of b's parent (the identity at the root) times the
+    axes.  All of these blocks, one per tree.rotation_pairs entry, are
+    formed in one batch, and the layout's kept cells are scattered at once;
+    every other cell is a translation identity or a structural zero.
 
     out, when given, must be a C-contiguous result of an earlier call for
-    the same tree, or a leading frame slice of one.  Its identities and
-    zeros are kept, its rotation blocks are rewritten in place, and it is
-    returned.
+    the same tree and layout, or a leading frame slice of one.  Its
+    identities and zeros are kept, its rotation blocks are rewritten in
+    place, and it is returned.
     """
     F, J, _ = X.shape
-    P = tree.params_per_frame
+    layout = tree.step_layouts[swing]
     if out is None:
-        out = np.zeros((F, J, 3, P), dtype=np.float64)
+        out = np.zeros((F, J, 3, layout.params_per_frame), dtype=np.float64)
         out[:, :, :, :3] = np.eye(3)
     joints, desc, slots = tree.rotation_pairs
     rotated = np.asarray(tree.rotated_joints)
     parents = np.asarray(tree.parents)[rotated]
     M = G[:, np.maximum(parents, 0)]               # (F, NR, 3, 3)
     M[:, parents < 0] = np.eye(3)
-    if rotations is not None:
-        M = M @ so3_left_jacobian(rotations)
+    if axes is not None:
+        M = M @ axes
     blocks = hat(X[:, joints] - X[:, desc]) @ M[:, slots]  # (F, pairs, 3, 3)
-    # Flat cell of (descendant, row, 3 + 3 slot + column) within a frame.
-    rc = np.arange(3)
-    cells = (desc[:, None, None] * 3 + rc[:, None]) * P + 3 + 3 * slots[:, None, None] + rc
-    out.reshape(F, -1)[:, cells.reshape(-1)] = blocks.reshape(F, -1)
+    out.reshape(F, -1)[:, layout.dst] = blocks.reshape(F, -1)[:, layout.src]
     return out
+
+
+def swing_axes(tree: KinematicTree, rot_local: np.ndarray) -> np.ndarray:
+    """Parent-frame step axes (F, NR, 3, 3) of the solver's swing layout
+    at local rotations rot_local (F, NR, 3, 3).
+
+    A joint with one child gets R_j times its tree.swing_bases basis: two
+    axes perpendicular to its bone, then the bone direction
+    R_j rest_dirs[child] itself, which with swing=True is no step
+    parameter.  Every other joint keeps the identity."""
+    slots, bases = tree.swing_bases
+    axes = np.empty(rot_local.shape)
+    axes[...] = np.eye(3)
+    axes[:, slots] = rot_local[:, slots] @ bases
+    return axes
 
 
 def _antiparallel(u: np.ndarray) -> np.ndarray:

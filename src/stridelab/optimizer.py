@@ -13,8 +13,14 @@ first temporal differences of the root depth.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
-term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1 (P
-parameters per frame).  Each iteration writes it once, straight into LAPACK
+term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1, P
+step parameters per frame: three for the root translation, two for a joint
+with one child (the swing directions perpendicular to its bone: turning it
+about the bone leaves the child in place, and what it moves further down
+the child's rotation can undo, so that direction adds nothing to the range
+of the Jacobian) and three for every other rotated joint.  On
+CANONICAL_TREE that is P = 35 and bandwidth 104 (45 and 134 with three
+parameters per joint).  Each iteration writes it once, straight into LAPACK
 lower band storage held column-major, and each damped step is a banded
 Cholesky solve that factors that storage in place.  The matrix is
 assembled in fixed-size frame chunks, so no Jacobian or block array spans
@@ -23,8 +29,10 @@ residuals and weights and one chunk's buffers.  A step is accepted only
 when it strictly decreases the energy, otherwise the damping is increased,
 the band assembled again at the same pose (the failed attempt overwrote it
 with its factor) and the step recomputed.  Rotations advance by
-left-multiplied increments and are re-centred every iteration, so the
-parameterization never sits near its angle-pi singularity.
+left-multiplied increments about the step axes and are re-centred every
+iteration, so the parameterization never sits near its angle-pi
+singularity; PoseParams keeps three exponential-map parameters per rotated
+joint.
 
 The residuals are evaluated in one place, EnergyProblem._residuals: the
 energy sums their weighted squares, and the Gauss-Newton step and the
@@ -181,10 +189,6 @@ class EnergyProblem:
         # Diagonals of D^T D, the frame coupling of the smoothness term's
         # Gauss-Newton blocks.
         self._m_diag = _second_difference_gram(self.F)
-        # The cells (b, a), a >= b, of _normal_blocks' k = 0 band view that
-        # hold a diagonal block's lower triangle.
-        P = tree.params_per_frame
-        self._lower = np.triu(np.ones((P, P), dtype=bool))
 
     # -- residuals and energy ---------------------------------------------
 
@@ -232,15 +236,18 @@ class EnergyProblem:
         params: the right-hand side of the Gauss-Newton step, taken at params
         itself instead of at a left-multiplied increment."""
         X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
-        _, jtr = self._normal_blocks(X, G, rotations=params.rotations)
+        _, jtr = self._normal_blocks(X, G, axes=kin.so3_left_jacobian(params.rotations))
         return 2 * jtr.reshape(-1)
 
     # -- Gauss-Newton solver ----------------------------------------------
 
-    def _normal_blocks(self, X, G, rotations=None, out=None):
-        """J^T W J and J^T W r at joint positions X, with respect to
-        left-multiplied rotation increments, or with rotations given, to
-        the exponential-map parameters (as in kin.position_jacobian).
+    def _normal_blocks(self, X, G, axes=None, swing=False, out=None):
+        """J^T W J and J^T W r at joint positions X, with respect to the step
+        parameters that axes and swing give kin.position_jacobian:
+        left-multiplied rotation increments by default (P = 45 per frame on
+        CANONICAL_TREE), the exponential-map parameters with
+        axes = so3_left_jacobian(rotations) (P = 45), or the solver's swing
+        layout with kin.swing_axes and swing=True (P = 35).
 
         J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
         with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
@@ -264,7 +271,7 @@ class EnergyProblem:
         Beyond the band and per-frame residuals, memory is bounded by one
         chunk's buffers, reused from chunk to chunk, whatever F is."""
         tree = self.tree
-        F, P, J = self.F, tree.params_per_frame, tree.n_joints
+        F, P, J = self.F, tree.step_layouts[swing].params_per_frame, tree.n_joints
         cam = self.camera
         r3, z, du, dv, dd, dz = self._residuals(X)
         m0, m1, m2 = self._m_diag
@@ -309,6 +316,9 @@ class EnergyProblem:
         band = ab.T.reshape(F, P, 3 * P)  # a view: ab is column-major
         jtr = np.empty((F, P))
         item = band.itemsize
+        # The cells (b, a), a >= b, of the k = 0 band view that hold a
+        # diagonal block's lower triangle.
+        lower = np.triu(np.ones((P, P), dtype=bool))
 
         def block_view(s, k, m):
             """Blocks (f + k, f), f = s .. s + m - 1, as an (m, P, P) view
@@ -330,7 +340,8 @@ class EnergyProblem:
             n, ahead = e - s, min(e + 2, F)
             jac = kin.position_jacobian(
                 tree, X[s:ahead], G[s:ahead],
-                rotations=None if rotations is None else rotations[s:ahead],
+                axes=None if axes is None else axes[s:ahead],
+                swing=swing,
                 out=None if jac is None else jac[:ahead - s],
             )                                          # (ahead - s, J, 3, P)
             flat = jac.reshape(ahead - s, -1, P)       # (ahead - s, 3J, P)
@@ -342,7 +353,7 @@ class EnergyProblem:
             d[:, 2, 2] += self.w_depth * dcount[s:e]
             # Element (f, b, a) of the k = 0 view is H[fP + a, fP + b], lower
             # for a >= b.
-            np.copyto(block_view(s, 0, n), d.transpose(0, 2, 1), where=self._lower)
+            np.copyto(block_view(s, 0, n), d.transpose(0, 2, 1), where=lower)
 
             # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
             # flat[f]^T flat[f+k]; the weighted flat[f+k] goes into W J's
@@ -382,11 +393,20 @@ class EnergyProblem:
     def solve(self, init: PoseParams, cfg: EnergyConfig):
         """Damped Gauss-Newton from init.  Returns (params, info dict).
 
+        Steps are taken in the swing layout: every iteration builds the step
+        axes of all rotated joints at once (kin.swing_axes), so a joint with
+        one child steps only in the two directions perpendicular to its
+        bone, and the band has P = 35 parameters per frame and bandwidth
+        3P - 1 = 104 on CANONICAL_TREE instead of 45 and 134.  A step s maps
+        back to each rotation as exp(axes s) R.
+
         Each damped attempt factors the band in place, so a retry (a failed
         factorization, a non-finite or a rejected step) assembles the band
         again at the same pose before it adds the larger damping."""
         tree = self.tree
-        F, P = self.F, tree.params_per_frame
+        F = self.F
+        layout = tree.step_layouts[True]
+        P = layout.params_per_frame
         t = init.translations.copy()
         rot = kin.so3_exp(init.rotations)  # local rotation matrices, (F, NR, 3, 3)
 
@@ -404,7 +424,8 @@ class EnergyProblem:
         ab = None
 
         for _ in range(cfg.max_iterations):
-            ab, jtr = self._normal_blocks(X, G, out=ab)
+            axes = kin.swing_axes(tree, rot)
+            ab, jtr = self._normal_blocks(X, G, axes, swing=True, out=ab)
             g = jtr.reshape(-1)
             d0 = ab[0]
             if d0.max() == 0.0:
@@ -422,7 +443,7 @@ class EnergyProblem:
                     # The last attempt left its (possibly partial) factor in
                     # ab: assemble the band again at the same pose, which
                     # gives the same band.
-                    self._normal_blocks(X, G, out=ab)
+                    self._normal_blocks(X, G, axes, swing=True, out=ab)
                 factored = True
                 try:
                     delta = self._damped_solve(ab, lam * damp_base, -g)
@@ -432,9 +453,13 @@ class EnergyProblem:
                 if not np.all(np.isfinite(delta)):
                     lam *= _DAMPING_INCREASE
                     continue
-                step = delta.reshape(F, P)
+                # Each rotation's step coefficients per axis, with a zero
+                # appended for the axes the layout leaves out (column -1),
+                # turn it about axes @ coefficients.
+                step = np.zeros((F, P + 1))
+                step[:, :P] = delta.reshape(F, P)
                 t_new = t + step[:, :3]
-                inc = kin.so3_exp(step[:, 3:].reshape(F, tree.n_rotations, 3))
+                inc = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0])
                 rot_new = inc @ rot
                 X_new, G_new = kin._fk_from_matrices(tree, self.lengths, t_new, rot_new)
                 terms_new = self.energy_terms(X_new)

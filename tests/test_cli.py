@@ -4,10 +4,14 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stridelab import pose_io
+from stridelab import cli, errors, pose_io
 from stridelab.cli import main
+from stridelab.config import load_config
+from stridelab.kinematics import CANONICAL_TREE
 from stridelab.skeleton import (
     JointId,
     Point2D,
@@ -142,6 +146,31 @@ def test_parallel_analysis_matches_serial(pipeline):
     assert main(["--jobs", "2", "analyze", *poses, "--out-dir", str(par)]) == 0
     for name in ("results.report.json", "results.gait.csv", "results.matched.csv"):
         assert _digest(par / name) == _digest(out / name)
+
+
+@pytest.mark.parametrize("jobs, n_walks, workers", [(8, 2, 2), (2, 3, 2)])
+def test_analyze_starts_no_idle_workers(pipeline, tmp_path, monkeypatch, jobs, n_walks, workers):
+    """The pool gets no more workers than there are walks to analyze."""
+    _, sim, _ = pipeline
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))[:n_walks]
+    assert main(["--jobs", str(jobs), "analyze", *poses, "--out-dir", str(tmp_path)]) == 0
+    assert started == [workers]
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -309,3 +338,67 @@ def test_bad_anatomy_ratio_exits_2(pipeline, tmp_path, capsys, ratio):
     assert "anatomy.ratios.left_knee" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+_AXES = [tuple(float(v) for v in row) for row in np.vstack([np.eye(3), -np.eye(3)])]
+# A limb laid exactly along an axis, or along a random direction.
+_limb_dir = st.one_of(
+    st.sampled_from(_AXES),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(c * c for c in v) > 1e-6),
+)
+_joint_subset = st.sets(st.sampled_from([j.label for j in JointId]))
+
+
+@st.composite
+def _pose_documents(draw):
+    """Pose documents of 1-6 frames whose limbs (of length 0 to 0.5 m, so
+    every depth stays positive) lie along x, y or z or anywhere, with a
+    random subset of joints in each modality of each frame."""
+    n = draw(st.integers(1, 6))
+    fps = draw(st.sampled_from([10.0, 30.0, 60.0]))
+    cam = load_config().camera
+    frames = []
+    for f in range(n):
+        X = np.empty((CANONICAL_TREE.n_joints, 3))
+        X[0] = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(3.0, 5.0)))
+        for j, p in enumerate(CANONICAL_TREE.parents[1:], start=1):
+            d = np.array(draw(_limb_dir))
+            X[j] = X[p] + draw(st.sampled_from([0.0, 0.1, 0.5])) * d / np.linalg.norm(d)
+        frame = {"index": f, "time_s": f / fps}
+        labels = [j.label for j in JointId]
+        in_3d, in_2d = draw(_joint_subset), draw(_joint_subset)
+        if in_3d:
+            frame["joints_3d"] = {
+                labels[j]: dict(zip("xyz", map(float, X[j])))
+                for j in range(len(labels)) if labels[j] in in_3d
+            }
+        if in_2d:
+            conf = draw(st.sampled_from([0.0, 0.3, 1.0]))
+            frame["joints_2d"] = {
+                labels[j]: {
+                    "x": float(cam.fx * X[j, 0] / X[j, 2] + cam.cx),
+                    "y": float(cam.fy * X[j, 1] / X[j, 2] + cam.cy),
+                    "confidence": conf,
+                }
+                for j in range(len(labels)) if labels[j] in in_2d
+            }
+        frames.append(frame)
+    return {"header": {"fps": fps, "subject_height_m": draw(st.floats(1.2, 2.1))},
+            "frames": frames}
+
+
+@given(doc=_pose_documents())
+@settings(max_examples=40, deadline=None)
+def test_analyze_never_raises(tmp_path_factory, doc):
+    """Every document parse_stream accepts gives an ok row or an error row
+    naming a StrideLabError subclass, never an exception."""
+    blob = json.dumps(doc).encode()
+    pose_io.parse_stream(blob)
+    path = tmp_path_factory.getbasetemp() / "any.poses.json"
+    path.write_bytes(blob)
+    row = cli._analyze_one(str(path), load_config())
+    if row["status"] == "ok":
+        assert set(row["report"]) >= {"gait_speed_m_s", "cadence_steps_min"}
+    else:
+        assert row["status"] == "error"
+        assert issubclass(getattr(errors, row["error"]["type"]), errors.StrideLabError)

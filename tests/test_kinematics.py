@@ -19,7 +19,9 @@ from stridelab.kinematics import (
     lengths_vector,
     position_jacobian,
     so3_exp,
+    so3_left_jacobian,
     so3_log,
+    swing_axes,
 )
 
 small_vec = st.lists(
@@ -274,8 +276,8 @@ def test_position_jacobian_matches_finite_differences(which, exp_map):
         rotations=rng.normal(0.0, 0.6, (F, tree.n_rotations, 3)),
     )
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
-    rotations = params.rotations if exp_map else None
-    got = position_jacobian(tree, X, G, rotations=rotations)
+    axes = so3_left_jacobian(params.rotations) if exp_map else None
+    got = position_jacobian(tree, X, G, axes=axes)
     want = _fd_position_jacobian(tree, lengths, params, exp_map)
     assert got.shape == (F, tree.n_joints, 3, tree.params_per_frame)
     assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
@@ -286,8 +288,89 @@ def test_position_jacobian_matches_finite_differences(which, exp_map):
     )
     X2, G2 = forward_kinematics(tree, lengths, other, with_globals=True)
     buffer = position_jacobian(
-        tree, X2, G2, rotations=other.rotations if exp_map else None
+        tree, X2, G2, axes=so3_left_jacobian(other.rotations) if exp_map else None
     )
-    reused = position_jacobian(tree, X, G, rotations=rotations, out=buffer[:F])
+    reused = position_jacobian(tree, X, G, axes=axes, out=buffer[:F])
     assert np.shares_memory(reused, buffer)
     assert np.array_equal(reused, got)
+
+
+def _swing_pose(tree, rng, n_frames=3):
+    return PoseParams(
+        translations=rng.normal(0.0, 1.0, (n_frames, 3)),
+        rotations=rng.normal(0.0, 0.6, (n_frames, tree.n_rotations, 3)),
+    )
+
+
+def test_swing_layout_sizes(step_tree):
+    """A joint with one child has two step parameters, every other rotated
+    joint three: 35 per frame on the skeleton, whose band is then 3 * 35 - 1
+    = 104 wide instead of 134."""
+    tree, _ = step_tree
+    slots, bases = tree.swing_bases
+    kids = [len(tree.children[j]) for j in tree.rotated_joints]
+    assert sorted(slots) == [s for s, k in enumerate(kids) if k == 1]
+    layout = tree.step_layouts[True]
+    assert layout.params_per_frame == tree.params_per_frame - len(slots)
+    if tree is CANONICAL_TREE:
+        assert (len(slots), layout.params_per_frame) == (10, 35)
+    # Each basis is a rotation whose last column is the child's rest direction.
+    assert np.allclose(bases.transpose(0, 2, 1) @ bases, np.eye(3), atol=1e-15)
+    assert np.allclose(np.linalg.det(bases), 1.0)
+    children = [tree.children[tree.rotated_joints[s]][0] for s in slots]
+    assert np.array_equal(bases[..., 2], tree.rest_dirs[children])
+
+
+def test_swing_jacobian_matches_finite_differences(step_tree):
+    """Each column of the solver's layout turns its joint about its axis:
+    position_jacobian with swing_axes and swing=True matches central
+    differences of forward_kinematics under R -> exp(h axis) R."""
+    tree, lengths = step_tree
+    rng = np.random.default_rng(23)
+    params = _swing_pose(tree, rng)
+    F = params.n_frames
+    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    rot = so3_exp(params.rotations)
+    axes = swing_axes(tree, rot)
+    layout = tree.step_layouts[True]
+    got = position_jacobian(tree, X, G, axes=axes, swing=True)
+    assert got.shape == (F, tree.n_joints, 3, layout.params_per_frame)
+
+    h = 1e-6
+    want = np.empty_like(got)
+    want[..., :3] = np.eye(3)
+    for s, i in zip(*np.nonzero(layout.columns >= 0)):
+        moved = []
+        for sign in (1.0, -1.0):
+            turned = rot.copy()
+            turned[:, s] = so3_exp(sign * h * axes[:, s, :, i]) @ rot[:, s]
+            w = so3_log(turned)
+            moved.append(forward_kinematics(tree, lengths, PoseParams(params.translations, w)))
+        want[..., layout.columns[s, i]] = (moved[0] - moved[1]) / (2 * h)
+    assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
+
+
+def test_swing_layout_keeps_the_jacobian_range(step_tree):
+    """Dropping the bone axis of each one-child joint loses no direction the
+    joints can move in: at random poses the swing Jacobian of every frame
+    has the rank of the full one, and the full one's columns add nothing to
+    its range.  The dropped axis is the bone's: turning about it leaves the
+    child in place."""
+    tree, lengths = step_tree
+    slots, _ = tree.swing_bases
+    children = [tree.children[tree.rotated_joints[s]][0] for s in slots]
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        params = _swing_pose(tree, rng, n_frames=2)
+        X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+        axes = swing_axes(tree, so3_exp(params.rotations))
+        full = position_jacobian(tree, X, G)
+        reduced = position_jacobian(tree, X, G, axes=axes, swing=True)
+        about_axes = position_jacobian(tree, X, G, axes=axes)
+        assert np.abs(about_axes[:, children, :, 5 + 3 * slots]).max() < 1e-12
+        for f in range(params.n_frames):
+            a = reduced[f].reshape(-1, reduced.shape[-1])
+            b = full[f].reshape(-1, full.shape[-1])
+            rank = np.linalg.matrix_rank(b)
+            assert np.linalg.matrix_rank(a) == rank
+            assert np.linalg.matrix_rank(np.hstack([a, b])) == rank

@@ -37,6 +37,8 @@ from stridelab.kinematics import (
     forward_kinematics,
     lengths_vector,
     position_jacobian,
+    so3_exp,
+    swing_axes,
 )
 from stridelab.optimizer import _problem_for, _second_difference_gram
 
@@ -270,9 +272,9 @@ def _dense_normal_equations(prob, X, G):
     """J^T W J and J^T W r of the whole sequence, built row by row from the
     residual Jacobians of the four energy terms: an oracle written
     independently of the band builder."""
-    F, P = prob.F, CANONICAL_TREE.params_per_frame
+    F, P = prob.F, prob.tree.params_per_frame
     cam = prob.camera
-    jpos = position_jacobian(CANONICAL_TREE, X, G)  # (F, J, 3, P)
+    jpos = position_jacobian(prob.tree, X, G)  # (F, J, 3, P)
     rows, weights, resid = [], [], []
 
     def add(w, r, *parts):
@@ -284,7 +286,7 @@ def _dense_normal_equations(prob, X, G):
         resid.append(r)
 
     for f in range(F):
-        for j in range(CANONICAL_TREE.n_joints):
+        for j in range(prob.tree.n_joints):
             if prob.m3[f, j]:
                 for c in range(3):
                     add(prob.w_ik, X[f, j, c] - prob.y3[f, j, c], (f, 1.0, jpos[f, j, c]))
@@ -296,7 +298,7 @@ def _dense_normal_equations(prob, X, G):
                 add(w, cam.fx * x / z + cam.cx - prob.y2[f, j, 0], (f, 1.0, du))
                 add(w, cam.fy * y / z + cam.cy - prob.y2[f, j, 1], (f, 1.0, dv))
     for f in range(F - 2):
-        for j in range(CANONICAL_TREE.n_joints):
+        for j in range(prob.tree.n_joints):
             for c in range(3):
                 add(
                     prob.w_smooth,
@@ -311,6 +313,15 @@ def _dense_normal_equations(prob, X, G):
     Jr = np.array(rows)
     w = np.array(weights)
     return Jr.T @ (w[:, None] * Jr), Jr.T @ (w * np.array(resid))
+
+
+def _band_to_lower(ab, n):
+    """The lower triangle of the n x n matrix held in lower band storage ab."""
+    lower = np.zeros((n, n))
+    for k in range(min(ab.shape[0], n)):
+        j = np.arange(n - k)
+        lower[j + k, j] = ab[k, j]
+    return lower
 
 
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 5])
@@ -332,10 +343,7 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     P = CANONICAL_TREE.params_per_frame
     n = H.shape[0]
     assert ab.shape == (3 * P, n)
-    from_band = np.zeros_like(H)
-    for k in range(min(3 * P, n)):
-        j = np.arange(n - k)
-        from_band[j + k, j] = ab[k, j]
+    from_band = _band_to_lower(ab, n)
     assert np.abs(from_band - np.tril(H)).max() <= 1e-12 * np.abs(H).max()
     # Blocks three or more frames apart are structurally zero.
     frame = np.arange(n) // P
@@ -351,6 +359,52 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
         got = prob._damped_solve(ab.copy(order="F"), lam * damp_base, -g)
         want = np.linalg.solve(H + np.diag(lam * damp_base), -g)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
+    """The solver's band is T^T H T and its right-hand side T^T g, H and g the
+    dense reference in left-multiplied increments and T the block-diagonal
+    map from swing steps to increments (per frame the identity on the root
+    translation and, per rotated joint, its kept step axes)."""
+    tree, lengths = step_tree
+    rng = np.random.default_rng(31)
+    F, J = 5, tree.n_joints
+
+    def pose():
+        return PoseParams(
+            translations=rng.normal(0.0, 0.2, (F, 3)) + [0.0, 0.0, 4.0],
+            rotations=rng.normal(0.0, 0.5, (F, tree.n_rotations, 3)),
+        )
+
+    truth = forward_kinematics(tree, lengths, pose())
+    y2 = np.stack([CAMERA.fx * truth[..., 0] / truth[..., 2] + CAMERA.cx,
+                   CAMERA.fy * truth[..., 1] / truth[..., 2] + CAMERA.cy], axis=-1)
+    conf = np.where(rng.random((F, J)) < 0.8, rng.uniform(0.2, 1.0, (F, J)), 0.0)
+    prob = optimizer_module.EnergyProblem(
+        tree, lengths, truth + rng.normal(0.0, 0.02, truth.shape),
+        rng.random((F, J)) < 0.8, y2 + rng.normal(0.0, 2.0, y2.shape), conf, CAMERA,
+        w_ik=1.0, w_proj=CAMERA.fx ** -2, w_smooth=0.1, w_depth=0.1,
+    )
+    params = pose()
+    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    H, g = _dense_normal_equations(prob, X, G)
+
+    axes = swing_axes(tree, so3_exp(params.rotations))
+    layout = tree.step_layouts[True]
+    P, Q = tree.params_per_frame, layout.params_per_frame
+    T = np.zeros((F * P, F * Q))
+    for f in range(F):
+        T[f * P:f * P + 3, f * Q:f * Q + 3] = np.eye(3)
+        for s, i in zip(*np.nonzero(layout.columns >= 0)):
+            row = f * P + 3 + 3 * s
+            T[row:row + 3, f * Q + layout.columns[s, i]] = axes[f, s, :, i]
+    want_H, want_g = T.T @ H @ T, T.T @ g
+
+    ab, jtr = prob._normal_blocks(X, G, axes, swing=True)
+    assert ab.shape == (3 * Q, F * Q)
+    got = _band_to_lower(ab, F * Q)
+    assert np.abs(got - np.tril(want_H)).max() <= 1e-12 * np.abs(want_H).max()
+    assert np.abs(jtr.reshape(-1) - want_g).max() <= 1e-12 * np.abs(want_g).max()
 
 
 def _thinned(walk, rate=0.2, seed=4):
@@ -391,7 +445,8 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
-    """gradient() reaches the chunked assembly through rotations=."""
+    """gradient() reaches the chunked assembly through axes=, in the
+    exponential-map layout."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     test_gradient_matches_finite_differences(seed, 5)
 
@@ -446,7 +501,11 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     excesses by megabytes between 64 and 148 frames."""
     seq, truth = noisy_walk
     assert len(seq.frames_3d) >= 148
+    item = np.dtype(np.float64).itemsize
+    # The assembly below builds the band of increments, the solver its own
+    # in the swing layout.
     P = CANONICAL_TREE.params_per_frame
+    Q = CANONICAL_TREE.step_layouts[True].params_per_frame
     bands, assembly, solve = [], [], []
     for n_frames in (64, 148):
         part = _head(seq, n_frames)
@@ -455,20 +514,21 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         X, G = forward_kinematics(
             CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
         )
-        band = 3 * P * n_frames * P * np.dtype(np.float64).itemsize
+        band = 3 * P * n_frames * P * item
         peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G))
-        bands.append(band)
         assembly.append(peak - band)
         # Two iterations: the second assembles into the band the first
         # factored.
+        band = 3 * Q * n_frames * Q * item
         peak, (_, info) = _traced_peak(
             lambda: prob.solve(init, EnergyConfig(max_iterations=2))
         )
         assert info["iterations"] == 2
+        bands.append(band)
         solve.append(peak - band)
     assert abs(assembly[1] - assembly[0]) < 1e6
-    # The solve also keeps a few per-frame pose arrays (X, G, rotations and
-    # their trial copies), well under half a band per frame.
+    # The solve also keeps a few per-frame pose arrays (X, G, rotations, step
+    # axes and their trial copies), well under half a band per frame.
     assert solve[1] - solve[0] < 0.5 * (bands[1] - bands[0])
 
 
@@ -490,15 +550,16 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     # The retry solves the same matrix with a larger damping.
     assert np.all(diagonals[1] >= diagonals[0])
     assert np.any(diagonals[1] > diagonals[0])
-    # Both attempts damp the band assembled at the initial pose, the retry
-    # with the larger damping alone: it is assembled again, not the failed
-    # attempt's matrix damped once more.
+    # Both attempts damp the band assembled at the initial pose in the
+    # solver's swing layout, the retry with the larger damping alone: it is
+    # assembled again, not the failed attempt's matrix damped once more.
     prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
     init = initial_params(seq, truth.anatomy)
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
-    d0 = prob._normal_blocks(X, G)[0][0]
+    axes = swing_axes(CANONICAL_TREE, so3_exp(init.rotations))
+    d0 = prob._normal_blocks(X, G, axes, swing=True)[0][0]
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     lam = optimizer_module._INIT_DAMPING
     assert np.array_equal(diagonals[0], d0 + lam * damp_base)
