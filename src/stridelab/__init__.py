@@ -2,8 +2,8 @@
 
 The pipeline runs in four stages, each usable on its own:
 
-1. `skeleton` / `pose_io`: typed pose containers and total parsers for the
-   two-stream (2D pixels + 3D metres) interchange format.
+1. `skeleton` / `pose_io`: the array-native pose sequence (3D metres and,
+   optionally, 2D pixels) and total parsers for its interchange format.
 2. `optimizer`: fits a kinematic skeleton through every frame at once,
    balancing 3D agreement, reprojection, temporal smoothness and depth drift.
 3. `events` / `report`: step detection on the inter-ankle distance signal and

@@ -43,12 +43,7 @@ from typing import Optional, Sequence
 
 from . import pose_io, stats
 from .config import RunConfig, _read_ini, load_config
-from .errors import (
-    ConfigError,
-    MissingHeaderField,
-    MissingModality,
-    StrideLabError,
-)
+from .errors import ConfigError, MissingHeaderField, StrideLabError
 from .events import detect_steps
 from .optimizer import optimize
 from .plots import bland_altman_svg
@@ -136,8 +131,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
             ):
                 written.append(path)
                 path.write_bytes(blob)
-            n = len(seq.frames_3d or seq.frames_2d or ())
-            report.append(f"{walk_id}: wrote {n} frames ({truth.n_steps} steps)")
+            report.append(f"{walk_id}: wrote {len(seq)} frames ({truth.n_steps} steps)")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -160,8 +154,6 @@ def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
     row: dict = {"walk_id": _walk_id_for(path), "file": path.name}
     try:
         seq = pose_io.parse_stream(path.read_bytes())
-        if seq.frames_3d is None:
-            raise MissingModality("stream has no 3D joints to analyze")
         if seq.subject_height_m is None:
             raise MissingHeaderField(
                 "header field 'subject_height_m' is required for analysis"

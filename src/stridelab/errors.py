@@ -46,7 +46,7 @@ class UnknownJoint(StrideLabError):
     """A joint name that is neither canonical nor a known alias."""
 
 
-class NonMonotonicFrames(StrideLabError):
+class NonMonotonicFrames(StrideLabError, ValueError):
     """Frame indices or timestamps do not strictly increase."""
 
 
@@ -57,11 +57,13 @@ class MissingHeaderField(StrideLabError):
 # -- optimizer ---------------------------------------------------------------
 
 class MissingModality(StrideLabError):
-    """Optimization requires both a 2D and a 3D stream."""
+    """A stream lacks the joints a stage needs: the fit and step detection
+    need 3D joints, because depth cannot be recovered from 2D joints alone."""
 
 
 class FrameCountMismatch(StrideLabError):
-    """Pose parameters and sequence disagree on the number of frames."""
+    """Arrays that must cover the same frames (a sequence's times, indices
+    and joint blocks, or pose parameters and a sequence) differ in length."""
 
 
 class DegenerateInput(StrideLabError):

@@ -26,7 +26,7 @@ scene and under time reversal.
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .errors import (
     NoStepsDetected,
     SignalTooShort,
 )
-from .optimizer import OptimizedSequence
-from .skeleton import JointId, SkeletonFrame3D, SkeletonSequence
+from .skeleton import JointId
 
 
 @dataclass(frozen=True)
@@ -118,43 +117,31 @@ class StepDetection:
     root_along: np.ndarray = field(repr=False)  # pelvis projected onto direction
 
 
-FrameSource = Union[SkeletonSequence, OptimizedSequence, Sequence[SkeletonFrame3D]]
-
-
-def _frames_3d(source: FrameSource) -> Sequence[SkeletonFrame3D]:
-    if isinstance(source, SkeletonSequence):
-        if source.frames_3d is None:
-            raise MissingModality("step detection needs the 3D stream")
-        return source.frames_3d
-    if isinstance(source, OptimizedSequence):
-        return source.frames
-    return tuple(source)
-
-
-def _joint_track(frames: Sequence[SkeletonFrame3D], joint: JointId) -> np.ndarray:
-    out = np.empty((len(frames), 3))
-    for i, fr in enumerate(frames):
-        p = fr.joints.get(joint)
-        if p is None:
-            raise MissingJoint(f"{joint.label} absent in frame {fr.index}")
-        out[i] = (p.x, p.y, p.z)
-    return out
+def _joint_track(source, joint: JointId) -> np.ndarray:
+    """One joint's (F, 3) positions; MissingJoint if a frame lacks it."""
+    seen = source.mask_3d[:, joint.value]
+    if not seen.all():
+        f = int(np.argmin(seen))
+        raise MissingJoint(f"{joint.label} absent in frame {source.indices[f]}")
+    return np.ascontiguousarray(source.points_3d[:, joint.value])
 
 
 def build_signal(
-    source: FrameSource,
+    source,
     joint: JointId = JointId.LEFT_ANKLE,
     reference: JointId = JointId.RIGHT_ANKLE,
 ) -> StepSignal:
-    """Distance between two joints over time (default: the two ankles)."""
-    frames = _frames_3d(source)
-    if len(frames) < 3:
-        raise SignalTooShort(f"need at least 3 frames, got {len(frames)}")
-    a = _joint_track(frames, joint)
-    b = _joint_track(frames, reference)
-    times = np.array([fr.time_s for fr in frames])
+    """Distance between two joints over time (default: the two ankles) in
+    the 3D joints of a SkeletonSequence or of an OptimizedSequence."""
+    if source.points_3d is None:
+        raise MissingModality("step detection needs the 3D stream")
+    if len(source) < 3:
+        raise SignalTooShort(f"need at least 3 frames, got {len(source)}")
+    a = _joint_track(source, joint)
+    b = _joint_track(source, reference)
     values = np.linalg.norm(a - b, axis=1)
-    return StepSignal(times=times, values=values, joint=joint, reference=reference)
+    return StepSignal(times=np.array(source.times), values=values,
+                      joint=joint, reference=reference)
 
 
 def topographic_prominence(values: np.ndarray, index: int, kind: str = "max") -> float:
@@ -344,18 +331,18 @@ def _walking_direction(root: np.ndarray, min_travel: float) -> np.ndarray:
 
 
 def detect_steps(
-    source: FrameSource,
+    source,
     config: DetectorConfig = DetectorConfig(),
 ) -> StepDetection:
-    """Find foot contacts in a 3D joint sequence.
+    """Find foot contacts in the 3D joints of a SkeletonSequence or of an
+    OptimizedSequence.
 
     Raises NoStepsDetected when fewer than two honest maxima survive, and
     AmbiguousWalkingDirection when the pelvis does not travel far enough to
     orient the walk.
     """
-    frames = _frames_3d(source)
-    signal = build_signal(frames)
-    root = _joint_track(frames, JointId.PELVIS)
+    signal = build_signal(source)
+    root = _joint_track(source, JointId.PELVIS)
     direction = _walking_direction(root, config.min_travel_m)
     travel = float(np.linalg.norm(root[-1] - root[0]))
 
@@ -371,8 +358,8 @@ def detect_steps(
             f"found {len(maxima)} foot contacts, need at least 2"
         )
 
-    left = _joint_track(frames, JointId.LEFT_ANKLE)
-    right = _joint_track(frames, JointId.RIGHT_ANKLE)
+    left = _joint_track(source, JointId.LEFT_ANKLE)
+    right = _joint_track(source, JointId.RIGHT_ANKLE)
     along_gap = (left - right) @ direction
 
     times = signal.times

@@ -1,7 +1,7 @@
 """Anatomically constrained sequence optimization.
 
-Fits a fixed-bone-length kinematic skeleton to noisy per-frame 2D and 3D
-detections by minimizing
+Fits a fixed-bone-length kinematic skeleton to noisy per-frame 3D (and,
+when the stream has them, 2D) detections by minimizing
 
     E = w_ik * E_ik + w_proj * E_proj + w_smooth * E_smooth + w_depth * E_depth
 
@@ -42,7 +42,6 @@ describe the same function.
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -54,10 +53,10 @@ from .kinematics import CANONICAL_TREE, KinematicTree, PoseParams
 from .skeleton import (
     AnatomyProfile,
     CameraModel,
-    JointId,
     Point3D,
     SkeletonFrame3D,
     SkeletonSequence,
+    frame_records,
 )
 
 _MIN_DEPTH = 1e-6
@@ -89,11 +88,16 @@ class EnergyConfig:
         return 1.0 / (camera.fx * camera.fx) if self.w_proj is None else self.w_proj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizedSequence:
-    """Optimizer output: anatomically consistent frames plus diagnostics."""
+    """Optimizer output: the fitted joint positions plus diagnostics.
 
-    frames: tuple[SkeletonFrame3D, ...]
+    points_3d (F, J, 3) holds every joint of every frame; frame f is video
+    frame indices[f] at times[f] seconds, as in the fitted sequence."""
+
+    points_3d: np.ndarray
+    times: np.ndarray
+    indices: np.ndarray
     fps: float
     camera_distance_m: tuple[float, ...]
     final_energy: float
@@ -104,38 +108,29 @@ class OptimizedSequence:
     params: PoseParams = field(repr=False)
     source: str = ""
 
+    def __len__(self) -> int:
+        return self.times.shape[0]
 
-def _pack_stream(frames, n_joints: int):
-    """Per-frame joint mappings -> dense (F, J, 3) point fields and an (F, J)
-    presence mask.  Both point types carry three fields: x, y, z for 3D and
-    x, y, confidence for 2D."""
-    F = len(frames)
-    index = [f * n_joints + j.value for f, fr in enumerate(frames) for j in fr.joints]
-    values = np.zeros((F * n_joints, 3))
-    present = np.zeros(F * n_joints, dtype=bool)
-    values[index] = np.fromiter(
-        chain.from_iterable(chain.from_iterable(fr.joints.values() for fr in frames)),
-        dtype=np.float64,
-        count=3 * len(index),
-    ).reshape(-1, 3)
-    present[index] = True
-    return values.reshape(F, n_joints, 3), present.reshape(F, n_joints)
+    @property
+    def mask_3d(self) -> np.ndarray:
+        """(F, J) presence mask: the fit places every joint."""
+        return np.ones(self.points_3d.shape[:2], dtype=bool)
+
+    @property
+    def frames(self) -> tuple[SkeletonFrame3D, ...]:
+        """The fitted positions as per-frame records, built on each access."""
+        return frame_records(SkeletonFrame3D, Point3D, self.indices, self.times,
+                             self.points_3d, self.mask_3d)
 
 
-def pack_sequence(seq: SkeletonSequence, tree: KinematicTree = CANONICAL_TREE):
-    """Sequence -> dense target arrays (3D targets/mask, 2D targets/confidence)."""
-    if seq.frames_3d is None or seq.frames_2d is None:
-        raise MissingModality("optimization requires both a 2D and a 3D stream")
-    y3, m3 = _pack_stream(seq.frames_3d, tree.n_joints)
-    points_2d, _ = _pack_stream(seq.frames_2d, tree.n_joints)
-    y2 = points_2d[..., :2]
-    conf = points_2d[..., 2]
-    empty = ~(m3.any(axis=1) | (conf > 0).any(axis=1))
-    if empty.any():
-        raise DegenerateInput(
-            f"frame(s) {np.flatnonzero(empty).tolist()} carry no joints in either stream"
+def _targets_3d(seq: SkeletonSequence):
+    """The 3D targets (F, J, 3) and mask (F, J) of the fit; MissingModality
+    when the sequence has no 3D joint at all."""
+    if seq.points_3d is None or not seq.mask_3d.any():
+        raise MissingModality(
+            "the fit needs 3D joints: depth cannot be recovered from 2D joints alone"
         )
-    return y3, m3, y2, conf
+    return seq.points_3d, seq.mask_3d
 
 
 def _second_difference_gram(n_frames: int):
@@ -507,7 +502,18 @@ def _problem_for(
     camera: CameraModel,
     cfg: EnergyConfig,
 ) -> EnergyProblem:
-    y3, m3, y2, conf = pack_sequence(seq)
+    """The energy of seq.  Without a 2D block the 2D targets carry zero
+    confidence, so a 3D-only stream is fitted on its 3D term."""
+    y3, m3 = _targets_3d(seq)
+    if seq.pixels_2d is None:
+        y2, conf = np.zeros(y3.shape[:2] + (2,)), np.zeros(m3.shape)
+    else:
+        y2, conf = seq.pixels_2d, seq.confidence_2d
+    empty = ~(m3.any(axis=1) | (conf > 0).any(axis=1))
+    if empty.any():
+        raise DegenerateInput(
+            f"frame(s) {np.flatnonzero(empty).tolist()} carry no joints in either stream"
+        )
     return EnergyProblem(
         CANONICAL_TREE,
         kin.lengths_vector(anatomy),
@@ -580,9 +586,7 @@ def initial_params(
 ) -> PoseParams:
     """Initialization: root from detected pelvis, rotations from closed-form
     alignment of detected bone directions; gaps filled by interpolation."""
-    if seq.frames_3d is None:
-        raise MissingModality("initialization requires a 3D stream")
-    y3, m3 = _pack_stream(seq.frames_3d, tree.n_joints)
+    y3, m3 = _targets_3d(seq)
     return _initial_params_from(y3, m3, anatomy, tree)
 
 
@@ -592,12 +596,11 @@ def _initial_params_from(
     anatomy: AnatomyProfile,
     tree: KinematicTree,
 ) -> PoseParams:
-    """initial_params on packed 3D targets y3 (F, J, 3) with mask m3 (F, J)."""
+    """initial_params on 3D targets y3 (F, J, 3) with mask m3 (F, J), which
+    must mark at least one joint."""
     F, J, _ = y3.shape
     pos = y3.copy()
     obs = m3.astype(bool)
-    if not obs.any():
-        raise MissingModality("initialization requires a 3D joint in at least one frame")
 
     frame_idx = np.arange(F, dtype=np.float64)
     root_obs = obs[:, 0]
@@ -640,7 +643,8 @@ def optimize(
     cfg: EnergyConfig = EnergyConfig(),
     init: Optional[PoseParams] = None,
 ) -> OptimizedSequence:
-    """Fit the skeleton to a two-stream sequence.
+    """Fit the skeleton to a sequence with 3D joints and, when present, 2D
+    joints.
 
     Never raises on failure to converge: the best parameters found are
     returned with converged=False when the iteration cap is hit first.
@@ -653,19 +657,11 @@ def optimize(
     params, info = prob.solve(init, cfg)
 
     X = kin.forward_kinematics(CANONICAL_TREE, kin.lengths_vector(anatomy), params)
-    assert seq.frames_3d is not None
-    joint_ids = tuple(JointId)  # in column order
-    frames = tuple(
-        SkeletonFrame3D(
-            index=fr.index,
-            time_s=fr.time_s,
-            joints={j: Point3D(*p) for j, p in zip(joint_ids, row)},
-        )
-        for fr, row in zip(seq.frames_3d, X.tolist())
-    )
     distances = tuple(float(d) for d in np.linalg.norm(params.translations, axis=1))
     return OptimizedSequence(
-        frames=frames,
+        points_3d=X,
+        times=seq.times,
+        indices=seq.indices,
         fps=seq.fps,
         camera_distance_m=distances,
         final_energy=info["energy"],

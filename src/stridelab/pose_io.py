@@ -9,7 +9,7 @@ digits, which keeps the parse(write(s)) round-trip within 5e-10 relative.
 
 Parsing is total: any byte input produces either a SkeletonSequence or one of
 the typed errors (MalformedDocument, UnknownJoint, NonMonotonicFrames,
-MissingHeaderField) - never an unhandled exception.
+NonPositiveDepth, MissingHeaderField) - never an unhandled exception.
 
 Also here: the per-walk `.gait.csv` report table (fixed column order), the
 long-format matched-measurements CSV consumed by the agreement command, and
@@ -17,26 +17,14 @@ the `.truth.json` sidecar carrying a synthetic walk's ground truth.
 """
 
 import csv
-import io
 import json
 import math
 from typing import Iterable, Mapping, Optional, TextIO, Union
 
-from .errors import (
-    MalformedDocument,
-    MissingHeaderField,
-    NonMonotonicFrames,
-    StrideLabError,
-)
-from .skeleton import (
-    JointId,
-    Point2D,
-    Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
-    SkeletonSequence,
-    canonical_joint,
-)
+import numpy as np
+
+from .errors import MalformedDocument, MissingHeaderField, StrideLabError
+from .skeleton import N_JOINTS, JointId, SkeletonSequence, canonical_joint
 from .walker import GroundTruth
 
 GAIT_CSV_COLUMNS = (
@@ -64,48 +52,54 @@ def _fmt(v: float) -> str:
 def _require_number(obj, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise MalformedDocument(f"{what} must be a number, got {obj!r}")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise MalformedDocument(f"{what} is too large for a float") from None
+    if not math.isfinite(value):
         raise MalformedDocument(f"{what} must be finite, got {obj!r}")
-    return float(obj)
+    return value
 
 
-def _parse_joints_2d(obj, where: str) -> dict[JointId, Point2D]:
+# The fields of a joint record in each joint map, with their defaults.
+_FIELDS = {
+    "joints_2d": (("x", None), ("y", None), ("confidence", 1.0)),
+    "joints_3d": (("x", None), ("y", None), ("z", None)),
+}
+_LABELS = tuple(j.label for j in JointId)  # in column order
+
+
+def _parse_joints(obj, key: str, columns: dict, where: str) -> dict:
+    """One frame's joint map `key` -> {column: values in _FIELDS[key] order}.
+
+    `columns` caches each joint name's column (None: dropped) over a
+    document."""
     if not isinstance(obj, dict):
-        raise MalformedDocument(f"{where}: joints_2d must be an object")
-    out: dict[JointId, Point2D] = {}
+        raise MalformedDocument(f"{where}: {key} must be an object")
+    out: dict[int, list] = {}
     for name, rec in obj.items():
-        joint = canonical_joint(name)
-        if joint is None:
+        if name not in columns:
+            joint = canonical_joint(name)
+            columns[name] = None if joint is None else joint.value
+        col = columns[name]
+        if col is None:
             continue
         if not isinstance(rec, dict):
             raise MalformedDocument(f"{where}: joint {name!r} must be an object")
-        x = _require_number(rec.get("x"), f"{where}: {name}.x")
-        y = _require_number(rec.get("y"), f"{where}: {name}.y")
-        conf = rec.get("confidence", 1.0)
-        out[joint] = Point2D(x, y, _require_number(conf, f"{where}: {name}.confidence"))
-    return out
-
-
-def _parse_joints_3d(obj, where: str) -> dict[JointId, Point3D]:
-    if not isinstance(obj, dict):
-        raise MalformedDocument(f"{where}: joints_3d must be an object")
-    out: dict[JointId, Point3D] = {}
-    for name, rec in obj.items():
-        joint = canonical_joint(name)
-        if joint is None:
-            continue
-        if not isinstance(rec, dict):
-            raise MalformedDocument(f"{where}: joint {name!r} must be an object")
-        out[joint] = Point3D(
-            _require_number(rec.get("x"), f"{where}: {name}.x"),
-            _require_number(rec.get("y"), f"{where}: {name}.y"),
-            _require_number(rec.get("z"), f"{where}: {name}.z"),
-        )
+        values = out[col] = []
+        for field, default in _FIELDS[key]:
+            v = rec.get(field, default)
+            if type(v) is not float or not math.isfinite(v):
+                v = _require_number(v, f"{where}: {name}.{field}")
+            values.append(v)
     return out
 
 
 def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
-    """Parse one `.poses.json` document into a SkeletonSequence."""
+    """Parse one `.poses.json` document into a SkeletonSequence.
+
+    Every frame is kept.  A modality's block exists when some frame carries
+    its joint map; frames without the map then have none of its joints."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -135,12 +129,13 @@ def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
     if not isinstance(records, list):
         raise MalformedDocument("missing or invalid 'frames' array")
 
-    has_2d = any(isinstance(r, dict) and "joints_2d" in r for r in records)
-    has_3d = any(isinstance(r, dict) and "joints_3d" in r for r in records)
-    frames_2d: list[SkeletonFrame2D] = []
-    frames_3d: list[SkeletonFrame3D] = []
-    prev_index: Optional[int] = None
-    prev_time: Optional[float] = None
+    F = len(records)
+    indices = np.empty(F, dtype=np.int64)
+    times = np.empty(F)
+    # Per joint map present in the document: (F, J, 3) values and (F, J) mask.
+    maps = {key: (np.zeros((F, N_JOINTS, 3)), np.zeros((F, N_JOINTS), dtype=bool))
+            for key in _FIELDS if any(isinstance(r, dict) and key in r for r in records)}
+    columns: dict = {}
     for pos, rec in enumerate(records):
         where = f"frames[{pos}]"
         if not isinstance(rec, dict):
@@ -148,47 +143,28 @@ def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
         idx = rec.get("index")
         if isinstance(idx, bool) or not isinstance(idx, int):
             raise MalformedDocument(f"{where}.index must be an integer")
-        time_s = _require_number(rec.get("time_s"), f"{where}.time_s")
-        if prev_index is not None and idx <= prev_index:
-            raise NonMonotonicFrames(
-                f"frame index {idx} after {prev_index} at {where}"
-            )
-        if prev_time is not None and time_s <= prev_time:
-            raise NonMonotonicFrames(
-                f"frame time {time_s} after {prev_time} at {where}"
-            )
-        prev_index = idx
-        prev_time = time_s
         try:
-            if has_2d:
-                frames_2d.append(
-                    SkeletonFrame2D(
-                        index=idx,
-                        time_s=time_s,
-                        joints=_parse_joints_2d(rec.get("joints_2d", {}), where),
-                    )
-                )
-            if has_3d:
-                frames_3d.append(
-                    SkeletonFrame3D(
-                        index=idx,
-                        time_s=time_s,
-                        joints=_parse_joints_3d(rec.get("joints_3d", {}), where),
-                    )
-                )
-        except StrideLabError:
-            raise
-        except ValueError as exc:
-            raise MalformedDocument(f"{where}: {exc}") from exc
+            indices[pos] = idx
+        except OverflowError:
+            raise MalformedDocument(f"{where}.index {idx} exceeds 64 bits") from None
+        times[pos] = _require_number(rec.get("time_s"), f"{where}.time_s")
+        for key, (values, present) in maps.items():
+            joints = _parse_joints(rec.get(key, {}), key, columns, where)
+            if joints:
+                values[pos, list(joints)] = list(joints.values())
+                present[pos, list(joints)] = True
 
+    blocks: dict = {}
+    if "joints_2d" in maps:
+        values, blocks["mask_2d"] = maps["joints_2d"]
+        blocks["pixels_2d"], blocks["confidence_2d"] = values[..., :2], values[..., 2]
+    if "joints_3d" in maps:
+        blocks["points_3d"], blocks["mask_3d"] = maps["joints_3d"]
     try:
-        return SkeletonSequence(
-            fps=fps,
-            frames_2d=tuple(frames_2d) if has_2d or not has_3d else None,
-            frames_3d=tuple(frames_3d) if has_3d or not has_2d else None,
-            subject_height_m=height,
-            source=source,
-        )
+        return SkeletonSequence(fps=fps, times=times, indices=indices,
+                                subject_height_m=height, source=source, **blocks)
+    except StrideLabError:
+        raise
     except ValueError as exc:
         raise MalformedDocument(str(exc)) from exc
 
@@ -200,31 +176,21 @@ def write_stream(seq: SkeletonSequence) -> bytes:
         header["subject_height_m"] = _round10(seq.subject_height_m)
     header["source"] = seq.source
 
-    n = len(seq)
-    records = []
-    for i in range(n):
-        fr2 = seq.frames_2d[i] if seq.frames_2d is not None else None
-        fr3 = seq.frames_3d[i] if seq.frames_3d is not None else None
-        anchor = fr3 if fr3 is not None else fr2
-        assert anchor is not None
-        rec: dict = {"index": anchor.index, "time_s": _round10(anchor.time_s)}
-        if fr2 is not None:
-            rec["joints_2d"] = {
-                j.label: {
-                    "x": _round10(p.x),
-                    "y": _round10(p.y),
-                    "confidence": _round10(p.confidence),
-                }
-                for j in JointId
-                if (p := fr2.joints.get(j)) is not None
-            }
-        if fr3 is not None:
-            rec["joints_3d"] = {
-                j.label: {"x": _round10(p.x), "y": _round10(p.y), "z": _round10(p.z)}
-                for j in JointId
-                if (p := fr3.joints.get(j)) is not None
-            }
-        records.append(rec)
+    records = [
+        {"index": i, "time_s": _round10(t)}
+        for i, t in zip(seq.indices.tolist(), seq.times.tolist())
+    ]
+    maps = []
+    if seq.pixels_2d is not None:
+        maps.append(("joints_2d", seq.mask_2d, np.concatenate(
+            [seq.pixels_2d, seq.confidence_2d[..., None]], axis=2)))
+    if seq.points_3d is not None:
+        maps.append(("joints_3d", seq.mask_3d, seq.points_3d))
+    for key, present, values in maps:
+        fields = [field for field, _ in _FIELDS[key]]
+        for rec, seen, row in zip(records, present.tolist(), values.tolist()):
+            rec[key] = {_LABELS[j]: {f: _round10(v) for f, v in zip(fields, row[j])}
+                        for j in range(N_JOINTS) if seen[j]}
 
     doc = {"header": header, "frames": records}
     return json.dumps(doc, indent=1).encode("utf-8") + b"\n"

@@ -6,9 +6,17 @@ from here; nothing else is allowed to invent joint names.
 
 Coordinate conventions
 ----------------------
-3D: camera-anchored frame, x right, y up, z depth away from the camera,
-    units metres, z > 0 for every visible joint.
+3D: camera frame, x right, y down, z depth away from the camera, units
+    metres, z > 0 for every visible joint.  This is the convention the
+    pinhole projection (`project`, `CameraModel`) assumes: v = fy*y/z + cy
+    grows with y.
 2D: image pixel frame, x right, y down, units pixels.
+
+The walker builds its scenes y-up (the head at larger y than the ankles),
+so in these coordinates a synthetic subject walks upside down and projects
+upside down in the image.  Nothing in the fit (data and model share one
+projection) or in the step detector (invariant under rigid motions of the
+scene) refers to gravity, so no result depends on it.
 """
 
 import configparser
@@ -16,12 +24,15 @@ import enum
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (
     FrameCountMismatch,
     IncompleteRatioTable,
     InvalidRatio,
+    NonMonotonicFrames,
     NonPositiveDepth,
     OutOfRangeHeight,
     UnknownJoint,
@@ -149,97 +160,164 @@ class Point3D(NamedTuple):
     z: float
 
 
-def _check_finite(values, what: str) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{what} contains a non-finite value: {v!r}")
-
-
 @dataclass(frozen=True)
 class SkeletonFrame2D:
-    """Detected joints for one video frame, in pixels.
-
-    Joints a detector failed to find are simply absent from the mapping.
-    """
+    """One frame's present 2D joints, as built by SkeletonSequence.frames_2d:
+    a plain record, not validated (the sequence's arrays are)."""
 
     index: int
     time_s: float
     joints: Mapping[JointId, Point2D]
 
-    def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"frame {self.index}: negative timestamp {self.time_s}")
-        for j, p in self.joints.items():
-            _check_finite((p.x, p.y, p.confidence), f"2D joint {j.label}")
-            if not 0.0 <= p.confidence <= 1.0:
-                raise ValueError(
-                    f"2D joint {j.label}: confidence {p.confidence} outside [0, 1]"
-                )
-
 
 @dataclass(frozen=True)
 class SkeletonFrame3D:
-    """Detected joints for one video frame, in metres (camera-anchored)."""
+    """One frame's present 3D joints, as built by SkeletonSequence.frames_3d
+    and OptimizedSequence.frames: a plain record, not validated."""
 
     index: int
     time_s: float
     joints: Mapping[JointId, Point3D]
 
-    def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"frame {self.index}: negative timestamp {self.time_s}")
-        for j, p in self.joints.items():
-            _check_finite((p.x, p.y, p.z), f"3D joint {j.label}")
-            if p.z <= 0:
-                raise NonPositiveDepth(
-                    f"3D joint {j.label}: depth must be positive, got {p.z}"
-                )
+
+def frame_records(cls, point, indices, times, values, present):
+    """Per-frame `cls` records of the present joints of (F, J, k) values."""
+    return tuple(
+        cls(index=i, time_s=t,
+            joints={_JOINTS[j]: point(*p) for j, p in enumerate(row) if seen[j]})
+        for i, t, row, seen in zip(indices.tolist(), times.tolist(),
+                                   values.tolist(), present.tolist())
+    )
 
 
-@dataclass(frozen=True)
+_JOINTS = tuple(JointId)  # in column order
+_BLOCKS = (("points_3d", "mask_3d"), ("pixels_2d", "confidence_2d", "mask_2d"))
+_COORDS = {"points_3d": (3,), "pixels_2d": (2,)}  # per joint
+
+
+def _where(bad: np.ndarray, indices: np.ndarray) -> str:
+    """'joint <label> in frame <index>' of the first True cell of bad, an
+    (F, J, ...) array."""
+    f, j = np.argwhere(bad)[0][:2]
+    return f"joint {_JOINTS[j].label} in frame {indices[f]}"
+
+
+@dataclass(frozen=True, eq=False)
 class SkeletonSequence:
-    """A clip's worth of 2D and/or 3D frames plus stream metadata.
+    """A clip's per-frame joints as arrays, plus stream metadata.
 
-    When both modalities are present they must cover identical frame indices.
+    Frame f is video frame indices[f] at times[f] seconds; both strictly
+    increase and times are finite and non-negative.  Joint columns follow
+    JointId values.  Each modality is an optional block:
+
+    * 3D: points_3d (F, J, 3) metres, z > 0, with the presence mask
+      mask_3d (F, J);
+    * 2D: pixels_2d (F, J, 2) with confidence_2d (F, J) in [0, 1] and the
+      presence mask mask_2d (F, J): a joint present with confidence 0 is
+      still a detection.
+
+    A sequence may carry neither block (frames without joints).  The
+    constructor validates and stores read-only copies; cells of absent
+    joints read 0, confidences included.
     """
 
     fps: float
-    frames_2d: Optional[tuple[SkeletonFrame2D, ...]] = None
-    frames_3d: Optional[tuple[SkeletonFrame3D, ...]] = None
+    times: np.ndarray
+    indices: np.ndarray
+    points_3d: Optional[np.ndarray] = None
+    mask_3d: Optional[np.ndarray] = None
+    pixels_2d: Optional[np.ndarray] = None
+    confidence_2d: Optional[np.ndarray] = None
+    mask_2d: Optional[np.ndarray] = None
     subject_height_m: Optional[float] = None
     source: str = ""
 
     def __post_init__(self) -> None:
         if not (self.fps > 0 and math.isfinite(self.fps)):
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
-        if self.frames_2d is None and self.frames_3d is None:
-            raise ValueError("sequence has neither 2D nor 3D frames")
-        for frames in (self.frames_2d, self.frames_3d):
-            if frames is None:
+        if np.size(self.indices) and np.asarray(self.indices).dtype.kind not in "iu":
+            raise ValueError("frame indices must be integers")
+        times = self._store("times", np.float64)
+        if times.ndim != 1:
+            raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+        indices = self._store("indices", np.int64, times.shape)
+        bad = ~(np.isfinite(times) & (times >= 0))
+        if bad.any():
+            f = int(np.argmax(bad))
+            raise ValueError(f"frame {indices[f]}: timestamp {times[f]} is not "
+                             "finite and non-negative")
+        rising = (np.diff(indices) > 0) & (np.diff(times) > 0)
+        if not rising.all():
+            f = int(np.argmin(rising))
+            raise NonMonotonicFrames(
+                f"frames must strictly increase: {indices[f]}@{times[f]} "
+                f"then {indices[f + 1]}@{times[f + 1]}"
+            )
+
+        F = len(times)
+        for names in _BLOCKS:
+            given = [getattr(self, name) is not None for name in names]
+            if not all(given):
+                if any(given):
+                    raise ValueError(f"{', '.join(names)} must be given together")
                 continue
-            for a, b in zip(frames, frames[1:]):
-                if not (b.index > a.index and b.time_s > a.time_s):
+            present = self._store(names[-1], bool, (F, N_JOINTS))
+            for name in names[:-1]:
+                values = self._store(name, np.float64, (F, N_JOINTS) + _COORDS.get(name, ()))
+                values[~present] = 0.0
+                if not np.isfinite(values).all():
                     raise ValueError(
-                        f"frames must strictly increase: {a.index}@{a.time_s} "
-                        f"then {b.index}@{b.time_s}"
-                    )
-        if self.frames_2d is not None and self.frames_3d is not None:
-            idx2 = [f.index for f in self.frames_2d]
-            idx3 = [f.index for f in self.frames_3d]
-            if idx2 != idx3:
-                raise FrameCountMismatch(
-                    "2D and 3D streams cover different frame indices"
-                )
+                        f"{name}: {_where(~np.isfinite(values), indices)} is not finite")
+                values.flags.writeable = False
+            present.flags.writeable = False
+        if self.points_3d is not None:
+            bad = self.mask_3d & (self.points_3d[..., 2] <= 0)
+            if bad.any():
+                raise NonPositiveDepth(f"3D {_where(bad, indices)}: depth "
+                                       f"{self.points_3d[..., 2][bad][0]} is not positive")
+        if self.confidence_2d is not None:
+            bad = (self.confidence_2d < 0) | (self.confidence_2d > 1)
+            if bad.any():
+                raise ValueError(f"2D {_where(bad, indices)}: confidence "
+                                 f"{self.confidence_2d[bad][0]} outside [0, 1]")
+        times.flags.writeable = indices.flags.writeable = False
+
+    def _store(self, name: str, dtype, shape: Optional[tuple] = None) -> np.ndarray:
+        """Replace field `name` by a copy of the given dtype and return it.
+        A shape other than `shape` raises FrameCountMismatch when the frame
+        count differs, ValueError otherwise."""
+        arr = np.array(getattr(self, name), dtype=dtype)
+        if shape is not None and arr.shape != shape:
+            error = FrameCountMismatch if arr.shape[:1] != shape[:1] else ValueError
+            raise error(f"{name} has shape {arr.shape}, the sequence needs {shape}")
+        object.__setattr__(self, name, arr)
+        return arr
 
     def __len__(self) -> int:
-        frames = self.frames_3d if self.frames_3d is not None else self.frames_2d
-        return len(frames)  # type: ignore[arg-type]
+        return self.times.shape[0]
 
     @property
     def duration_s(self) -> float:
-        frames = self.frames_3d if self.frames_3d is not None else self.frames_2d
-        assert frames is not None
-        return frames[-1].time_s - frames[0].time_s if len(frames) > 1 else 0.0
+        return float(self.times[-1] - self.times[0]) if len(self) > 1 else 0.0
+
+    @property
+    def frames_3d(self) -> Optional[tuple[SkeletonFrame3D, ...]]:
+        """The 3D block as per-frame records, built on each access; None
+        without a 3D block."""
+        if self.points_3d is None:
+            return None
+        return frame_records(SkeletonFrame3D, Point3D, self.indices, self.times,
+                             self.points_3d, self.mask_3d)
+
+    @property
+    def frames_2d(self) -> Optional[tuple[SkeletonFrame2D, ...]]:
+        """The 2D block as per-frame records, built on each access; None
+        without a 2D block."""
+        if self.pixels_2d is None:
+            return None
+        values = np.concatenate([self.pixels_2d, self.confidence_2d[..., None]], axis=2)
+        return frame_records(SkeletonFrame2D, Point2D, self.indices, self.times,
+                             values, self.mask_2d)
 
 
 @dataclass(frozen=True)
@@ -355,17 +433,15 @@ def derive_anatomy(
     return AnatomyProfile(height_m, default_ratio_table() if ratios is None else ratios)
 
 
-def project(frame: SkeletonFrame3D, camera: CameraModel) -> SkeletonFrame2D:
-    """Pinhole-project a 3D frame to pixels; confidences are set to 1.
+def project(points: np.ndarray, camera: CameraModel) -> np.ndarray:
+    """Pinhole-project camera-frame points (..., 3) to pixels (..., 2).
 
-    Raises NonPositiveDepth if any joint has z <= 0.  (Frame validation
-    normally prevents that, but projection is also used on raw arrays.)
+    Raises NonPositiveDepth if any point has z <= 0.
     """
-    joints: dict[JointId, Point2D] = {}
-    for j, p in frame.joints.items():
-        if p.z <= 0:
-            raise NonPositiveDepth(f"joint {j.label}: z = {p.z}")
-        u = camera.fx * p.x / p.z + camera.cx
-        v = camera.fy * p.y / p.z + camera.cy
-        joints[j] = Point2D(u, v, 1.0)
-    return SkeletonFrame2D(index=frame.index, time_s=frame.time_s, joints=joints)
+    points = np.asarray(points, dtype=np.float64)
+    z = points[..., 2]
+    if not np.all(z > 0):
+        raise NonPositiveDepth(f"cannot project a point at depth {z[~(z > 0)][0]}")
+    u = camera.fx * points[..., 0] / z + camera.cx
+    v = camera.fy * points[..., 1] / z + camera.cy
+    return np.stack([u, v], axis=-1)

@@ -28,13 +28,10 @@ from . import kinematics as kin
 from .errors import InconsistentSpec
 from .kinematics import CANONICAL_TREE, PoseParams
 from .skeleton import (
+    N_JOINTS,
     AnatomyProfile,
     CameraModel,
     JointId,
-    Point2D,
-    Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
     SkeletonSequence,
     derive_anatomy,
     project,
@@ -176,9 +173,10 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
              ratios: Optional[Mapping[JointId, float]] = None):
     """Synthesize one walk with bones scaled from `ratios` (default: shipped).
 
-    Returns (sequence, truth): a two-stream SkeletonSequence (2D frames are
-    exact pinhole projections of the 3D frames before any noise) and the
-    GroundTruth it was built from.  Identical inputs produce identical output.
+    Returns (sequence, truth): a SkeletonSequence with both blocks, every
+    joint present (2D joints are exact pinhole projections of the 3D joints
+    before any noise, with confidence 1), and the GroundTruth it was built
+    from.  Identical inputs produce identical output.
     """
     if camera is None:
         camera = CameraModel.default()
@@ -312,19 +310,16 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     # Emit the constructed positions, not the reconstruction: planted-foot
     # frames then repeat bit-identical samples, so the distance signal's
     # double-support plateaus are exact ties rather than ulp-level wiggle.
-    frames_3d = tuple(
-        SkeletonFrame3D(
-            index=i,
-            time_s=float(times[i]),
-            joints={j: Point3D(*pos[i, j.value]) for j in JointId},
-        )
-        for i in range(n_frames)
-    )
-    frames_2d = tuple(project(fr, camera) for fr in frames_3d)
+    present = np.ones((n_frames, J), dtype=bool)
     seq = SkeletonSequence(
         fps=spec.fps,
-        frames_2d=frames_2d,
-        frames_3d=frames_3d,
+        times=times,
+        indices=np.arange(n_frames),
+        points_3d=pos,
+        mask_3d=present,
+        pixels_2d=project(pos, camera),
+        confidence_2d=np.ones((n_frames, J)),
+        mask_2d=present,
         subject_height_m=spec.subject_height_m,
         source="synthetic",
     )
@@ -375,45 +370,11 @@ def inject_noise(
     probability.  The same seed always produces the same byte-for-byte result.
     """
     rng = np.random.default_rng(seed)
-    frames_3d = seq.frames_3d
-    frames_2d = seq.frames_2d
-
-    new_3d = frames_3d
-    if frames_3d is not None:
-        F = len(frames_3d)
-        noise = rng.normal(0.0, sigma3d_m, size=(F, len(JointId), 3))
-        out = []
-        for f, fr in enumerate(frames_3d):
-            joints = {
-                j: Point3D(
-                    p.x + noise[f, j.value, 0],
-                    p.y + noise[f, j.value, 1],
-                    p.z + noise[f, j.value, 2],
-                )
-                for j, p in fr.joints.items()
-            }
-            out.append(SkeletonFrame3D(index=fr.index, time_s=fr.time_s, joints=joints))
-        new_3d = tuple(out)
-
-    new_2d = frames_2d
-    if frames_2d is not None:
-        F = len(frames_2d)
-        noise2 = rng.normal(0.0, sigma2d_px, size=(F, len(JointId), 2))
-        keep = rng.random(size=(F, len(JointId))) >= dropout
-        out2 = []
-        for f, fr in enumerate(frames_2d):
-            joints2 = {
-                j: Point2D(
-                    p.x + noise2[f, j.value, 0],
-                    p.y + noise2[f, j.value, 1],
-                    p.confidence,
-                )
-                for j, p in fr.joints.items()
-                if keep[f, j.value]
-            }
-            out2.append(
-                SkeletonFrame2D(index=fr.index, time_s=fr.time_s, joints=joints2)
-            )
-        new_2d = tuple(out2)
-
-    return replace(seq, frames_2d=new_2d, frames_3d=new_3d)
+    shape = (len(seq), N_JOINTS)
+    changes = {}
+    if seq.points_3d is not None:
+        changes["points_3d"] = seq.points_3d + rng.normal(0.0, sigma3d_m, size=shape + (3,))
+    if seq.pixels_2d is not None:
+        changes["pixels_2d"] = seq.pixels_2d + rng.normal(0.0, sigma2d_px, size=shape + (2,))
+        changes["mask_2d"] = seq.mask_2d & (rng.random(size=shape) >= dropout)
+    return replace(seq, **changes)

@@ -18,11 +18,7 @@ from stridelab import (
     CameraModel,
     EnergyConfig,
     JointId,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
     SkeletonSequence,
-    Point2D,
-    Point3D,
     WalkerSpec,
     bland_altman,
     bootstrap_mean_diff_ci,
@@ -104,7 +100,7 @@ def _run_pipeline(spec: WalkerSpec) -> WalkOutcome:
     rep = compute_report(detect_steps(fitted))
     seconds = time.perf_counter() - t0
 
-    X = np.array([[fr.joints[j] for j in JointId] for fr in fitted.frames])
+    X = fitted.points_3d
     want = np.array([anatomy.length(JointId(c)) for c in _EDGE_CHILD])
     got = np.linalg.norm(X[:, _EDGE_CHILD] - X[:, _EDGE_PARENT], axis=2)
     return WalkOutcome(
@@ -223,21 +219,23 @@ def _random_problem(rng):
     )
     X = forward_kinematics(CANONICAL_TREE, lengths_vector(anatomy), params)
     obs = X + rng.normal(0.0, 0.05, X.shape)
-    frames_3d, frames_2d = [], []
+    shape = (n_frames, len(JointId))
+    mask_3d, mask_2d = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    pixels, conf = np.zeros(shape + (2,)), np.zeros(shape)
     for f in range(n_frames):
-        j3, j2 = {}, {}
-        for j in JointId:
-            x, y, z = obs[f, j.value]
-            if rng.random() < 0.9:
-                j3[j] = Point3D(x, y, z)
+        for j in range(len(JointId)):
+            x, y, z = obs[f, j]
+            mask_3d[f, j] = rng.random() < 0.9
             if rng.random() < 0.9:
                 u = CAMERA.fx * x / z + CAMERA.cx + rng.normal(0.0, 2.0)
                 v = CAMERA.fy * y / z + CAMERA.cy + rng.normal(0.0, 2.0)
-                j2[j] = Point2D(u, v, confidence=float(rng.uniform(0.2, 1.0)))
-        frames_3d.append(SkeletonFrame3D(index=f, time_s=f / 30.0, joints=j3))
-        frames_2d.append(SkeletonFrame2D(index=f, time_s=f / 30.0, joints=j2))
+                pixels[f, j] = (u, v)
+                conf[f, j] = rng.uniform(0.2, 1.0)
+                mask_2d[f, j] = True
     seq = SkeletonSequence(
-        fps=30.0, frames_2d=frames_2d, frames_3d=frames_3d, source="synthetic"
+        fps=30.0, times=np.arange(n_frames) / 30.0, indices=np.arange(n_frames),
+        points_3d=obs, mask_3d=mask_3d, pixels_2d=pixels, confidence_2d=conf,
+        mask_2d=mask_2d, source="synthetic",
     )
     cfg = EnergyConfig(
         w_ik=float(rng.uniform(0.5, 2.0)),
@@ -412,30 +410,16 @@ def test_07_bootstrap_coverage():
 
 
 def _reversed_sequence(seq):
-    frames = seq.frames_3d
-    n = len(frames)
-    rev = [
-        SkeletonFrame3D(
-            index=i, time_s=i / seq.fps, joints=frames[n - 1 - i].joints
-        )
-        for i in range(n)
-    ]
-    return SkeletonSequence(fps=seq.fps, frames_3d=rev, source=seq.source)
+    n = len(seq)
+    return SkeletonSequence(fps=seq.fps, times=np.arange(n) / seq.fps,
+                            indices=np.arange(n), points_3d=seq.points_3d[::-1],
+                            mask_3d=seq.mask_3d[::-1], source=seq.source)
 
 
 def _moved_sequence(seq, rotation, shift):
-    moved = [
-        SkeletonFrame3D(
-            index=fr.index,
-            time_s=fr.time_s,
-            joints={
-                j: Point3D(*(rotation @ np.asarray(p) + shift))
-                for j, p in fr.joints.items()
-            },
-        )
-        for fr in seq.frames_3d
-    ]
-    return SkeletonSequence(fps=seq.fps, frames_3d=moved, source=seq.source)
+    return SkeletonSequence(fps=seq.fps, times=seq.times, indices=seq.indices,
+                            points_3d=seq.points_3d @ rotation.T + shift,
+                            mask_3d=seq.mask_3d, source=seq.source)
 
 
 def test_08_step_detector_robustness():
@@ -461,7 +445,7 @@ def test_08_step_detector_robustness():
     rev = detect_steps(_reversed_sequence(seq))
     fl = np.sort([e.step_length_m for e in fwd.events])
     rl = np.sort([e.step_length_m for e in rev.events])
-    t_end = seq.frames_3d[-1].time_s
+    t_end = seq.times[-1]
     mirror = t_end - np.array([e.time_s for e in fwd.events])[::-1]
     rev_times = np.array([e.time_s for e in rev.events])
     reversal_err = max(

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,13 +11,7 @@ from stridelab import cli, errors, pose_io
 from stridelab.cli import main
 from stridelab.config import load_config
 from stridelab.kinematics import CANONICAL_TREE
-from stridelab.skeleton import (
-    JointId,
-    Point2D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
-    SkeletonSequence,
-)
+from stridelab.skeleton import JointId, SkeletonSequence
 
 WALKS_INI = """\
 [walk-a]
@@ -223,11 +216,10 @@ def test_simulate_uses_configured_ratios(tmp_path):
     assert main(["--config", str(cfg), "simulate", str(spec),
                  "--out-dir", str(tmp_path)]) == 0
     seq = pose_io.parse_stream((tmp_path / "w.poses.json").read_bytes())
-    for frame in seq.frames_3d:
-        knee = frame.joints[JointId.LEFT_KNEE]
-        ankle = frame.joints[JointId.LEFT_ANKLE]
-        shin = math.dist(knee, ankle) / seq.subject_height_m
-        assert shin == pytest.approx(0.230, abs=1e-9)
+    knee = seq.points_3d[:, JointId.LEFT_KNEE.value]
+    ankle = seq.points_3d[:, JointId.LEFT_ANKLE.value]
+    shin = np.linalg.norm(knee - ankle, axis=1) / seq.subject_height_m
+    assert shin == pytest.approx(np.full(len(seq), 0.230), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -266,25 +258,31 @@ def test_simulate_removes_its_files_when_a_later_walk_fails(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["other.poses.json"]
 
 
-def _no_3d_joints_document():
-    """Ten frames with 2D detections whose 3D joint maps are all empty."""
-    times = [(f, f / 30.0) for f in range(10)]
-    seq = SkeletonSequence(
-        fps=30.0,
-        frames_2d=tuple(
-            SkeletonFrame2D(index=f, time_s=t, joints={JointId.PELVIS: Point2D(320.0, 240.0)})
-            for f, t in times
-        ),
-        frames_3d=tuple(SkeletonFrame3D(index=f, time_s=t, joints={}) for f, t in times),
-        subject_height_m=1.72,
-    )
+def _document(n_frames=10, joints_2d=True, joints_3d=True):
+    """Ten frames, each with a 2D pelvis (joints_2d) and an empty 3D joint
+    map (joints_3d), or without either map."""
+    pixels = np.zeros((n_frames, 21, 2))
+    pixels[:, JointId.PELVIS.value] = (320.0, 240.0)
+    mask = np.zeros((n_frames, 21), dtype=bool)
+    blocks = {}
+    if joints_2d:
+        mask_2d = mask.copy()
+        mask_2d[:, JointId.PELVIS.value] = True
+        blocks.update(pixels_2d=pixels, confidence_2d=mask_2d * 1.0, mask_2d=mask_2d)
+    if joints_3d:
+        blocks.update(points_3d=np.zeros((n_frames, 21, 3)), mask_3d=mask)
+    seq = SkeletonSequence(fps=30.0, times=np.arange(n_frames) / 30.0,
+                           indices=np.arange(n_frames), subject_height_m=1.72, **blocks)
     return pose_io.write_stream(seq)
 
 
 @pytest.mark.parametrize(
     "document, error",
-    [(b"{not json", "MalformedDocument"), (_no_3d_joints_document(), "MissingModality")],
-    ids=["malformed", "no-3d-joints"],
+    [(b"{not json", "MalformedDocument"),
+     (_document(), "MissingModality"),
+     (_document(joints_3d=False), "MissingModality"),
+     (_document(joints_2d=False, joints_3d=False), "MissingModality")],
+    ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps"],
 )
 def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     bad = tmp_path / "broken.poses.json"

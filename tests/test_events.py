@@ -15,8 +15,6 @@ from stridelab import (
     DetectorConfig,
     JointId,
     NoStepsDetected,
-    Point3D,
-    SkeletonFrame3D,
     SkeletonSequence,
     WalkerSpec,
     cluster_honest_extrema,
@@ -32,6 +30,19 @@ from stridelab.errors import (
 )
 from stridelab.events import StepSignal, build_signal, topographic_prominence
 from stridelab.kinematics import so3_exp
+
+
+def _sequence_3d(points, times=None, mask=None, fps=30.0):
+    """A 3D-only sequence of (F, J, 3) points, every joint present unless a
+    mask says otherwise."""
+    F = len(points)
+    return SkeletonSequence(
+        fps=fps,
+        times=np.arange(F) / fps if times is None else times,
+        indices=np.arange(F),
+        points_3d=points,
+        mask_3d=np.ones((F, 21), dtype=bool) if mask is None else mask,
+    )
 
 
 def _signal(values, fps=30.0):
@@ -269,20 +280,8 @@ def test_noisy_walk_keeps_step_count(walk):
 def test_time_reversal_keeps_step_lengths(walk):
     seq, _ = walk
     fwd = detect_steps(seq)
-    frames = seq.frames_3d
-    t_end = frames[-1].time_s
-    reversed_frames = tuple(
-        SkeletonFrame3D(
-            index=i,
-            time_s=t_end - fr.time_s,
-            joints=fr.joints,
-        )
-        for i, fr in enumerate(reversed(frames))
-    )
-    rev_seq = SkeletonSequence(
-        fps=seq.fps, frames_3d=reversed_frames, subject_height_m=seq.subject_height_m
-    )
-    rev = detect_steps(rev_seq)
+    t_end = seq.times[-1]
+    rev = detect_steps(_sequence_3d(seq.points_3d[::-1], times=t_end - seq.times[::-1]))
     a = sorted(e.step_length_m for e in fwd.events)
     b = sorted(e.step_length_m for e in rev.events)
     assert len(a) == len(b)
@@ -298,22 +297,7 @@ def test_rigid_motion_invariance(walk):
     base = detect_steps(seq)
     R = so3_exp(np.array([0.3, 1.1, -0.4]))
     shift = np.array([2.0, -0.5, 6.0])
-
-    def moved(fr, i):
-        return SkeletonFrame3D(
-            index=fr.index,
-            time_s=fr.time_s,
-            joints={
-                j: Point3D(*(R @ np.array(p) + shift))
-                for j, p in fr.joints.items()
-            },
-        )
-
-    frames = tuple(moved(fr, i) for i, fr in enumerate(seq.frames_3d))
-    mov = detect_steps(
-        SkeletonSequence(fps=seq.fps, frames_3d=frames,
-                         subject_height_m=seq.subject_height_m)
-    )
+    mov = detect_steps(_sequence_3d(seq.points_3d @ R.T + shift, times=seq.times))
     assert len(mov.events) == len(base.events)
     for a, b in zip(base.events, mov.events):
         assert abs(a.time_s - b.time_s) < 1e-9
@@ -321,55 +305,42 @@ def test_rigid_motion_invariance(walk):
         assert a.foot == b.foot
 
 
+# One rigid pose: joint j at (0.01 j, 0.02 j, 3 + 0.01 j).
+_POSE = np.array([(0.01 * j, 0.02 * j, 3.0 + 0.01 * j) for j in range(21)])
+
+
 def test_standing_still_is_ambiguous():
-    joints = {j: Point3D(0.01 * j.value, 0.02 * j.value, 3.0 + 0.01 * j.value)
-              for j in JointId}
-    frames = tuple(
-        SkeletonFrame3D(index=i, time_s=i / 30, joints=joints) for i in range(30)
-    )
-    seq = SkeletonSequence(fps=30.0, frames_3d=frames)
     with pytest.raises(AmbiguousWalkingDirection):
-        detect_steps(seq)
+        detect_steps(_sequence_3d(np.repeat(_POSE[None], 30, axis=0)))
 
 
 def test_too_short_signal():
-    joints = {j: Point3D(0.0, 0.0, 3.0) for j in JointId}
-    frames = tuple(
-        SkeletonFrame3D(index=i, time_s=i / 30, joints=joints) for i in range(2)
-    )
     with pytest.raises(SignalTooShort):
-        detect_steps(SkeletonSequence(fps=30.0, frames_3d=frames))
+        detect_steps(_sequence_3d(np.repeat(_POSE[None], 2, axis=0)))
 
 
 def test_missing_ankle_is_reported():
-    joints = {j: Point3D(0.1, 0.1, 3.0) for j in JointId if j != JointId.LEFT_ANKLE}
-    frames = tuple(
-        SkeletonFrame3D(index=i, time_s=i / 30, joints=joints) for i in range(10)
-    )
+    mask = np.ones((10, 21), dtype=bool)
+    mask[:, JointId.LEFT_ANKLE.value] = False
     with pytest.raises(MissingJoint):
-        detect_steps(SkeletonSequence(fps=30.0, frames_3d=frames))
+        detect_steps(_sequence_3d(np.repeat(_POSE[None], 10, axis=0), mask=mask))
 
 
 def test_two_d_only_is_missing_modality():
-    from stridelab import Point2D, SkeletonFrame2D
-
-    frames = tuple(
-        SkeletonFrame2D(index=i, time_s=i / 30,
-                        joints={JointId.PELVIS: Point2D(1.0, 2.0)})
-        for i in range(10)
-    )
+    mask = np.zeros((10, 21), dtype=bool)
+    mask[:, JointId.PELVIS.value] = True
+    seq = SkeletonSequence(fps=30.0, times=np.arange(10) / 30, indices=np.arange(10),
+                           pixels_2d=np.ones((10, 21, 2)), confidence_2d=mask * 1.0,
+                           mask_2d=mask)
     with pytest.raises(MissingModality):
-        detect_steps(SkeletonSequence(fps=30.0, frames_2d=frames))
+        detect_steps(seq)
 
 
 def test_no_steps_in_flat_but_moving_scene():
-    frames = []
-    for i in range(60):
-        z = 3.0 + i * 0.05
-        joints = {j: Point3D(0.01 * j.value, 0.02 * j.value, z) for j in JointId}
-        frames.append(SkeletonFrame3D(index=i, time_s=i / 30, joints=joints))
+    points = np.repeat(_POSE[None], 60, axis=0)
+    points[..., 2] = 3.0 + 0.05 * np.arange(60)[:, None]
     with pytest.raises(NoStepsDetected):
-        detect_steps(SkeletonSequence(fps=30.0, frames_3d=tuple(frames)))
+        detect_steps(_sequence_3d(points))
 
 
 def test_detector_config_validation():
@@ -384,8 +355,9 @@ def test_signal_requires_matching_shapes():
 
 def test_build_signal_is_ankle_distance(walk):
     seq, _ = walk
-    sig = build_signal(seq.frames_3d)
-    la = np.array([fr.joints[JointId.LEFT_ANKLE] for fr in seq.frames_3d])
-    ra = np.array([fr.joints[JointId.RIGHT_ANKLE] for fr in seq.frames_3d])
+    sig = build_signal(seq)
+    frames = seq.frames_3d
+    la = np.array([fr.joints[JointId.LEFT_ANKLE] for fr in frames])
+    ra = np.array([fr.joints[JointId.RIGHT_ANKLE] for fr in frames])
     want = np.linalg.norm(la - ra, axis=1)
     assert np.allclose(sig.values, want, atol=1e-12)

@@ -18,12 +18,11 @@ from stridelab import (
     StrideLabError,
     EnergyConfig,
     JointId,
-    Point2D,
-    Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
+    MissingModality,
     SkeletonSequence,
+    compute_report,
     derive_anatomy,
+    detect_steps,
     energy,
     energy_breakdown,
     energy_gradient,
@@ -60,17 +59,17 @@ def _sequence_from_params(params, fps=30.0, jitter3d=0.0, rng=None):
     X = forward_kinematics(CANONICAL_TREE, LENGTHS, params)
     if jitter3d:
         X = X + rng.normal(0.0, jitter3d, X.shape)
-    frames_3d = []
-    frames_2d = []
-    for f in range(X.shape[0]):
-        joints = {j: Point3D(*X[f, j.value]) for j in JointId}
-        fr3 = SkeletonFrame3D(index=f, time_s=f / fps, joints=joints)
-        frames_3d.append(fr3)
-        frames_2d.append(project(fr3, CAMERA))
+    F = X.shape[0]
+    present = np.ones((F, len(JointId)), dtype=bool)
     return SkeletonSequence(
         fps=fps,
-        frames_2d=tuple(frames_2d),
-        frames_3d=tuple(frames_3d),
+        times=np.arange(F) / fps,
+        indices=np.arange(F),
+        points_3d=X,
+        mask_3d=present,
+        pixels_2d=project(X, CAMERA),
+        confidence_2d=np.ones((F, len(JointId))),
+        mask_2d=present,
         subject_height_m=1.72,
     )
 
@@ -184,15 +183,23 @@ def test_optimize_monotone_and_converged(fitted_clean):
 
 def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
     _, truth = clean_walk
+    X = fitted_clean.points_3d
+    for child, parent in enumerate(CANONICAL_TREE.parents):
+        if parent < 0:
+            continue
+        got = np.linalg.norm(X[:, child] - X[:, parent], axis=1)
+        want = truth.anatomy.length(JointId(child))
+        assert np.abs(got - want).max() < 1e-6
+
+
+def test_frames_view_lists_every_fitted_joint(fitted_clean, clean_walk):
+    """OptimizedSequence.frames: one record per fitted frame, every joint."""
+    seq, _ = clean_walk
     frames = fitted_clean.frames
-    for fr in frames[:: max(1, len(frames) // 8)]:
-        for child, parent in enumerate(CANONICAL_TREE.parents):
-            if parent < 0:
-                continue
-            a = np.array(fr.joints[JointId(child)])
-            b = np.array(fr.joints[JointId(parent)])
-            want = truth.anatomy.length(JointId(child))
-            assert abs(np.linalg.norm(a - b) - want) < 1e-6
+    assert [fr.index for fr in frames] == seq.indices.tolist()
+    assert [fr.time_s for fr in frames] == seq.times.tolist()
+    X = np.array([[fr.joints[j] for j in JointId] for fr in frames])
+    assert np.array_equal(X, fitted_clean.points_3d)
 
 
 def test_optimize_is_deterministic():
@@ -203,25 +210,15 @@ def test_optimize_is_deterministic():
     second = optimize(seq, ANATOMY, CAMERA)
     assert first.final_energy == second.final_energy
     assert first.iterations == second.iterations
-    a = np.array([[p for j in JointId for p in fr.joints[j]] for fr in first.frames])
-    b = np.array([[p for j in JointId for p in fr.joints[j]] for fr in second.frames])
-    assert np.array_equal(a, b)
+    assert np.array_equal(first.points_3d, second.points_3d)
 
 
 def test_optimize_denoises(noisy_walk, clean_walk, fitted_noisy):
     """Fitting noisy observations should land closer to the clean positions
     than the observations themselves are."""
-    noisy_seq, _ = noisy_walk
-    clean_seq, _ = clean_walk
-
-    def stack(frames):
-        return np.array(
-            [[fr.joints[j] for j in JointId] for fr in frames], dtype=float
-        )
-
-    clean = stack(clean_seq.frames_3d)
-    noisy = stack(noisy_seq.frames_3d)
-    fit = stack(fitted_noisy.frames)
+    clean = clean_walk[0].points_3d
+    noisy = noisy_walk[0].points_3d
+    fit = fitted_noisy.points_3d
     rmse_in = np.sqrt(np.mean((noisy - clean) ** 2))
     rmse_out = np.sqrt(np.mean((fit - clean) ** 2))
     assert rmse_out < 0.8 * rmse_in
@@ -233,19 +230,51 @@ def test_initial_params_reconstruct_clean_walk(clean_walk):
     X = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init
     )
-    obs = np.array(
-        [[fr.joints[j] for j in JointId] for fr in seq.frames_3d], dtype=float
-    )
-    assert np.max(np.abs(X - obs)) < 1e-6
+    assert np.max(np.abs(X - seq.points_3d)) < 1e-6
 
 
 def test_camera_distance_tracks_root(fitted_clean):
     d = np.array(fitted_clean.camera_distance_m)
-    assert d.shape == (len(fitted_clean.frames),)
-    roots = np.array(
-        [fitted_clean.frames[i].joints[JointId.PELVIS] for i in range(len(d))]
-    )
+    assert d.shape == (len(fitted_clean),)
+    roots = fitted_clean.points_3d[:, JointId.PELVIS.value]
     assert np.allclose(d, np.linalg.norm(roots, axis=1), atol=1e-9)
+
+
+def _worst_rel_error(fitted, truth):
+    rep = compute_report(detect_steps(fitted))
+    return max(abs(rep.gait_speed_m_s / truth.speed_m_s - 1),
+               abs(rep.cadence_steps_min / truth.cadence_steps_min - 1),
+               abs(rep.step_length_cm / (100 * truth.step_length_m) - 1))
+
+
+def test_three_d_only_stream_fits(noisy_walk, fitted_noisy):
+    """Without a 2D block the fit runs on the 3D term alone.  On this walk
+    it takes 14 iterations like the two-stream fit, and the worst gait
+    parameter error moves by under 0.003 percentage points; the bounds
+    below leave room for that."""
+    seq, truth = noisy_walk
+    only_3d = replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None)
+    fit = optimize(only_3d, truth.anatomy)
+    assert fit.converged
+    assert fit.energy_breakdown["proj"] == 0.0
+    assert abs(fit.iterations - fitted_noisy.iterations) <= 2
+    assert np.all(np.diff(fit.energy_history) <= 0)
+    err, err_both = _worst_rel_error(fit, truth), _worst_rel_error(fitted_noisy, truth)
+    assert err < 0.05
+    assert abs(err - err_both) < 5e-4
+
+
+def test_two_d_only_stream_is_missing_modality(noisy_walk):
+    """Depth cannot come from 2D joints alone: a stream without 3D joints is
+    refused with a typed error that says so, by the fit and by the
+    initialization."""
+    seq, truth = noisy_walk
+    for no_3d in (replace(seq, points_3d=None, mask_3d=None),
+                  replace(seq, mask_3d=np.zeros_like(seq.mask_3d))):
+        with pytest.raises(MissingModality, match="depth"):
+            optimize(no_3d, truth.anatomy)
+        with pytest.raises(MissingModality, match="depth"):
+            initial_params(no_3d, truth.anatomy)
 
 
 def test_wrong_param_shape_rejected(clean_walk):
@@ -258,14 +287,14 @@ def test_wrong_param_shape_rejected(clean_walk):
         energy(bad, seq, truth.anatomy)
 
 
+_FRAME_ARRAYS = ("times", "indices", "points_3d", "mask_3d",
+                 "pixels_2d", "confidence_2d", "mask_2d")
+
+
 def _head(seq, n_frames):
-    """The first n_frames frames of a two-stream sequence."""
-    return SkeletonSequence(
-        fps=seq.fps,
-        frames_2d=seq.frames_2d[:n_frames],
-        frames_3d=seq.frames_3d[:n_frames],
-        subject_height_m=seq.subject_height_m,
-    )
+    """The first n_frames frames of a sequence."""
+    return replace(seq, **{name: getattr(seq, name)[:n_frames]
+                           for name in _FRAME_ARRAYS if getattr(seq, name) is not None})
 
 
 def _dense_normal_equations(prob, X, G):
@@ -413,12 +442,9 @@ def _thinned(walk, rate=0.2, seed=4):
     differ from frame to frame."""
     seq, truth = walk
     rng = np.random.default_rng(seed)
-    frames_2d = tuple(
-        replace(fr, joints={j: p._replace(confidence=rng.uniform(0.2, 1.0))
-                            for j, p in fr.joints.items() if rng.random() >= rate})
-        for fr in seq.frames_2d
-    )
-    return replace(seq, frames_2d=frames_2d), truth
+    keep = rng.random(seq.mask_2d.shape) >= rate
+    conf = rng.uniform(0.2, 1.0, seq.mask_2d.shape)
+    return replace(seq, confidence_2d=conf, mask_2d=seq.mask_2d & keep), truth
 
 
 @pytest.mark.parametrize("n_frames", [5, 7])
@@ -500,7 +526,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     band-sized array such as a separate Cholesky factor, would grow these
     excesses by megabytes between 64 and 148 frames."""
     seq, truth = noisy_walk
-    assert len(seq.frames_3d) >= 148
+    assert len(seq) >= 148
     item = np.dtype(np.float64).itemsize
     # The assembly below builds the band of increments, the solver its own
     # in the swing layout.

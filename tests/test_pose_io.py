@@ -10,8 +10,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stridelab import (
     JointId,
@@ -20,9 +22,6 @@ from stridelab import (
     NonMonotonicFrames,
     NonPositiveDepth,
     Point2D,
-    Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
     SkeletonSequence,
     StrideLabError,
     UnknownJoint,
@@ -133,6 +132,8 @@ json_values = st.recursive(
 @settings(max_examples=200)
 @example({"header": {"fps": 30}, "frames": [{"index": 0}]})
 @example({"header": {"fps": 30}, "frames": [{"index": 0, "time_s": 1e400}]})
+@example({"header": {"fps": 30}, "frames": [{"index": 0, "time_s": 10**400}]})
+@example({"header": {"fps": 30}, "frames": [{"index": 2**63, "time_s": 0.0}]})
 def test_parsing_is_total(doc):
     """Arbitrary JSON either parses or raises a package error."""
     try:
@@ -151,21 +152,24 @@ def test_parsing_raw_bytes_is_total(data):
 
 
 def _tiny_sequence():
-    j3 = {
-        JointId.PELVIS: Point3D(0.05, -0.2, 3.123456789),
-        JointId.LEFT_ANKLE: Point3D(0.11, 0.7, 3.0000001),
-    }
-    j2 = {JointId.PELVIS: Point2D(540.123, 960.75, 0.5)}
+    points = np.zeros((2, 21, 3))
+    points[:, JointId.PELVIS.value] = (0.05, -0.2, 3.123456789)
+    points[:, JointId.LEFT_ANKLE.value] = (0.11, 0.7, 3.0000001)
+    mask_3d = np.zeros((2, 21), dtype=bool)
+    mask_3d[:, [JointId.PELVIS.value, JointId.LEFT_ANKLE.value]] = True
+    pixels = np.zeros((2, 21, 2))
+    pixels[0, JointId.PELVIS.value] = (540.123, 960.75)
+    conf = np.zeros((2, 21))
+    conf[0, JointId.PELVIS.value] = 0.5
     return SkeletonSequence(
         fps=30.0,
-        frames_2d=(
-            SkeletonFrame2D(index=0, time_s=0.0, joints=j2),
-            SkeletonFrame2D(index=1, time_s=1 / 30, joints={}),
-        ),
-        frames_3d=(
-            SkeletonFrame3D(index=0, time_s=0.0, joints=j3),
-            SkeletonFrame3D(index=1, time_s=1 / 30, joints=j3),
-        ),
+        times=np.array([0.0, 1 / 30]),
+        indices=np.array([0, 1]),
+        points_3d=points,
+        mask_3d=mask_3d,
+        pixels_2d=pixels,
+        confidence_2d=conf,
+        mask_2d=conf > 0,
         subject_height_m=1.72,
         source="unit test",
     )
@@ -200,7 +204,7 @@ def test_walker_stream_round_trip(clean_walk):
     seq, _ = clean_walk
     data = pose_io.write_stream(seq)
     back = pose_io.parse_stream(data)
-    assert len(back.frames_3d) == len(seq.frames_3d)
+    assert len(back) == len(seq)
     assert pose_io.write_stream(back) == data
 
 
@@ -210,17 +214,79 @@ coords = st.floats(-100, 100, allow_nan=False)
 @given(x=coords, y=coords, z=st.floats(0.01, 500))
 @settings(max_examples=80)
 def test_round_trip_precision_bound(x, y, z):
-    seq = SkeletonSequence(
-        fps=25.0,
-        frames_3d=(
-            SkeletonFrame3D(
-                index=0, time_s=0.0, joints={JointId.HEAD: Point3D(x, y, z)}
-            ),
-        ),
-    )
-    p = pose_io.parse_stream(pose_io.write_stream(seq)).frames_3d[0].joints[JointId.HEAD]
+    points = np.ones((1, 21, 3))
+    points[0, JointId.HEAD.value] = (x, y, z)
+    seq = SkeletonSequence(fps=25.0, times=[0.0], indices=[0],
+                           points_3d=points, mask_3d=np.ones((1, 21), dtype=bool))
+    p = pose_io.parse_stream(pose_io.write_stream(seq)).points_3d[0, JointId.HEAD.value]
     for a, b in zip((x, y, z), p):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+_round10 = np.vectorize(pose_io._round10, otypes=[np.float64])
+
+
+@st.composite
+def sparse_sequences(draw):
+    """Sequences of up to four frames: each modality present or not, each
+    joint present or not per frame (so frames may carry no joints), and
+    confidences that include 0 and 1."""
+    F = draw(st.integers(0, 4))
+    indices = sorted(draw(st.sets(st.integers(-10**6, 10**6), min_size=F, max_size=F)))
+    steps = draw(arrays(np.float64, F, elements=st.floats(1e-3, 10.0)))
+    blocks = {}
+    if draw(st.booleans()):
+        points = draw(arrays(np.float64, (F, 21, 3), elements=st.floats(-1e3, 1e3)))
+        points[..., 2] = draw(arrays(np.float64, (F, 21), elements=st.floats(1e-2, 1e2)))
+        blocks.update(points_3d=points, mask_3d=draw(arrays(bool, (F, 21))))
+    if draw(st.booleans()):
+        blocks.update(
+            pixels_2d=draw(arrays(np.float64, (F, 21, 2), elements=st.floats(-1e4, 1e4))),
+            confidence_2d=draw(arrays(np.float64, (F, 21), elements=st.sampled_from(
+                [0.0, 1.0]) | st.floats(0.0, 1.0))),
+            mask_2d=draw(arrays(bool, (F, 21))),
+        )
+    return SkeletonSequence(fps=draw(st.floats(1.0, 240.0)), times=np.cumsum(steps),
+                            indices=np.array(indices, dtype=np.int64),
+                            subject_height_m=1.7, source="property", **blocks)
+
+
+@given(sparse_sequences())
+@settings(max_examples=60, deadline=None)
+def test_sparse_round_trip(seq):
+    """write_stream is the canonical form: parsing it writes the same bytes,
+    and the parsed arrays are the originals rounded to 10 digits with the
+    same masks.  A sequence without frames has nothing to write per
+    modality, so it parses without blocks."""
+    blob = pose_io.write_stream(seq)
+    back = pose_io.parse_stream(blob)
+    assert pose_io.write_stream(back) == blob
+    assert np.array_equal(back.indices, seq.indices)
+    assert np.array_equal(back.times, _round10(seq.times))
+    for names in (("points_3d", "mask_3d"), ("pixels_2d", "confidence_2d", "mask_2d")):
+        if getattr(seq, names[0]) is None or len(seq) == 0:
+            assert getattr(back, names[0]) is None
+            continue
+        *values, mask = names
+        assert np.array_equal(getattr(back, mask), getattr(seq, mask))
+        for name in values:
+            assert np.array_equal(getattr(back, name), _round10(getattr(seq, name)))
+
+
+def test_frames_without_joint_maps_are_kept():
+    """Frames with neither joint map stay frames: they round-trip, and their
+    times and indices are validated."""
+    frames = [{"index": i, "time_s": 0.25 * i} for i in range(5)]
+    blob = pose_io.write_stream(pose_io.parse_stream(_doc(frames)))
+    seq = pose_io.parse_stream(blob)
+    assert len(seq) == 5 and seq.points_3d is None and seq.pixels_2d is None
+    assert json.loads(blob)["frames"] == frames
+    assert pose_io.write_stream(seq) == blob
+    negative = [{"index": i, "time_s": 0.25 * i - 1.0} for i in range(5)]
+    with pytest.raises(MalformedDocument, match="timestamp -1"):
+        pose_io.parse_stream(_doc(negative))
+    with pytest.raises(NonMonotonicFrames):
+        pose_io.parse_stream(_doc(frames[::-1]))
 
 
 def test_gait_csv_round_trip():

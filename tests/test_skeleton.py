@@ -7,12 +7,11 @@ from hypothesis import given, strategies as st
 from stridelab import (
     CameraModel,
     JointId,
+    NonMonotonicFrames,
     NonPositiveDepth,
     OutOfRangeHeight,
     Point2D,
     Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
     SkeletonSequence,
     UnknownJoint,
     canonical_joint,
@@ -128,13 +127,8 @@ def test_default_camera_focal_is_diagonal():
 
 def test_projection_of_optical_axis_hits_principal_point():
     cam = CameraModel.default()
-    frame = SkeletonFrame3D(
-        index=0, time_s=0.0, joints={JointId.PELVIS: Point3D(0.0, 0.0, 3.0)}
-    )
-    flat = project(frame, cam)
-    p = flat.joints[JointId.PELVIS]
-    assert (p.x, p.y) == (cam.cx, cam.cy)
-    assert p.confidence == 1.0
+    u, v = project(np.array([0.0, 0.0, 3.0]), cam)
+    assert (u, v) == (cam.cx, cam.cy)
 
 
 @given(
@@ -144,51 +138,103 @@ def test_projection_of_optical_axis_hits_principal_point():
 )
 def test_projection_formula(x, y, z):
     cam = CameraModel.default()
-    frame = SkeletonFrame3D(
-        index=0, time_s=0.0, joints={JointId.HEAD: Point3D(x, y, z)}
-    )
-    p = project(frame, cam).joints[JointId.HEAD]
-    assert p.x == pytest.approx(cam.fx * x / z + cam.cx)
-    assert p.y == pytest.approx(cam.fy * y / z + cam.cy)
+    u, v = project(np.array([[x, y, z]]), cam)[0]
+    assert u == pytest.approx(cam.fx * x / z + cam.cx)
+    assert v == pytest.approx(cam.fy * y / z + cam.cy)
+
+
+def _sequence(n_frames=1, **blocks):
+    return SkeletonSequence(fps=30.0, times=np.arange(n_frames) / 30.0,
+                            indices=np.arange(n_frames), **blocks)
+
+
+def _head_3d(point):
+    """A one-frame 3D block holding only the head, at point."""
+    points = np.zeros((1, 21, 3))
+    points[0, JointId.HEAD.value] = point
+    mask = np.zeros((1, 21), dtype=bool)
+    mask[0, JointId.HEAD.value] = True
+    return {"points_3d": points, "mask_3d": mask}
+
+
+def _head_2d(x, y, confidence=1.0):
+    """A one-frame 2D block holding only the head."""
+    pixels = np.zeros((1, 21, 2))
+    pixels[0, JointId.HEAD.value] = (x, y)
+    conf = np.zeros((1, 21))
+    conf[0, JointId.HEAD.value] = confidence
+    mask = np.zeros((1, 21), dtype=bool)
+    mask[0, JointId.HEAD.value] = True
+    return {"pixels_2d": pixels, "confidence_2d": conf, "mask_2d": mask}
 
 
 def test_depth_must_be_positive():
     with pytest.raises(NonPositiveDepth):
-        SkeletonFrame3D(
-            index=0, time_s=0.0, joints={JointId.HEAD: Point3D(0.0, 0.0, 0.0)}
-        )
+        _sequence(**_head_3d((0.0, 0.0, 0.0)))
     with pytest.raises(NonPositiveDepth):
-        SkeletonFrame3D(
-            index=0, time_s=0.0, joints={JointId.HEAD: Point3D(0.0, 0.0, -1.0)}
-        )
+        _sequence(**_head_3d((0.0, 0.0, -1.0)))
+    with pytest.raises(NonPositiveDepth):
+        project(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), CameraModel.default())
 
 
 def test_confidence_range_checked():
-    with pytest.raises(ValueError):
-        SkeletonFrame2D(
-            index=0, time_s=0.0, joints={JointId.HEAD: Point2D(1.0, 2.0, 1.5)}
-        )
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            _sequence(**_head_2d(1.0, 2.0, bad))
+    # A joint detected with confidence 0 is still a present joint.
+    seq = _sequence(**_head_2d(1.0, 2.0, 0.0))
+    assert seq.frames_2d[0].joints == {JointId.HEAD: Point2D(1.0, 2.0, 0.0)}
 
 
 def test_sequence_needs_some_frames():
     with pytest.raises(ValueError):
-        SkeletonSequence(fps=30.0)
+        SkeletonSequence(fps=0.0, times=[], indices=[])
     with pytest.raises(ValueError):
-        SkeletonSequence(fps=0.0, frames_3d=())
+        _sequence(points_3d=np.ones((1, 21, 3)))  # a block needs its mask
+    with pytest.raises(ValueError):
+        _sequence(points_3d=np.ones((1, 20, 3)), mask_3d=np.ones((1, 20), dtype=bool))
+    # Frames without any joint block are a sequence of their own.
+    seq = _sequence(3)
+    assert len(seq) == 3 and seq.frames_3d is None and seq.frames_2d is None
 
 
 def test_sequence_stream_indices_must_agree():
-    f3 = SkeletonFrame3D(index=0, time_s=0.0,
-                         joints={JointId.PELVIS: Point3D(0, 0, 3)})
-    f2 = SkeletonFrame2D(index=1, time_s=0.1,
-                         joints={JointId.PELVIS: Point2D(5, 5)})
     with pytest.raises(FrameCountMismatch):
-        SkeletonSequence(fps=30.0, frames_2d=(f2,), frames_3d=(f3,))
+        SkeletonSequence(fps=30.0, times=[0.0, 0.1], indices=[0])
+    with pytest.raises(FrameCountMismatch):
+        _sequence(2, **_head_3d((0.0, 0.0, 3.0)))
+    with pytest.raises(FrameCountMismatch):
+        _sequence(2, points_3d=np.ones((2, 21, 3)), mask_3d=np.ones((1, 21), dtype=bool))
+
+
+def test_sequence_frames_validated():
+    """Times are non-negative and finite; indices integers; both strictly
+    increase (NonMonotonicFrames, a ValueError)."""
+    with pytest.raises(ValueError, match="timestamp"):
+        SkeletonSequence(fps=30.0, times=[-0.1, 0.0], indices=[0, 1])
+    with pytest.raises(ValueError):
+        SkeletonSequence(fps=30.0, times=[0.0, np.nan], indices=[0, 1])
+    with pytest.raises(ValueError):
+        SkeletonSequence(fps=30.0, times=[0.0, 0.1], indices=[0.0, 1.0])
+    for times, indices in (([0.0, 0.1], [1, 1]), ([0.1, 0.1], [0, 1]),
+                           ([0.1, 0.0], [0, 1])):
+        with pytest.raises(NonMonotonicFrames):
+            SkeletonSequence(fps=30.0, times=times, indices=indices)
+    assert issubclass(NonMonotonicFrames, ValueError)
+
+
+def test_sequence_arrays_are_read_only_copies():
+    block = _head_3d((0.5, 0.0, 3.0))
+    seq = _sequence(**block)
+    block["points_3d"][0, JointId.HEAD.value, 0] = 9.0
+    assert seq.points_3d[0, JointId.HEAD.value, 0] == 0.5
+    with pytest.raises(ValueError):
+        seq.points_3d[0, 0, 0] = 1.0
 
 
 def test_sequence_duration(clean_walk):
     seq, _ = clean_walk
-    n = len(seq.frames_3d)
+    n = len(seq)
     assert seq.duration_s == pytest.approx((n - 1) / seq.fps)
 
 
@@ -202,12 +248,14 @@ def test_ratio_table_is_fresh_copy():
 
 def test_frames_reject_non_finite():
     with pytest.raises(ValueError):
-        SkeletonFrame3D(
-            index=0, time_s=0.0,
-            joints={JointId.HEAD: Point3D(np.nan, 0.0, 1.0)},
-        )
+        _sequence(**_head_3d((np.nan, 0.0, 1.0)))
     with pytest.raises(ValueError):
-        SkeletonFrame2D(
-            index=0, time_s=0.0,
-            joints={JointId.HEAD: Point2D(np.inf, 0.0)},
-        )
+        _sequence(**_head_2d(np.inf, 0.0))
+    with pytest.raises(ValueError):
+        _sequence(**{**_head_2d(0.0, 0.0), "confidence_2d": np.full((1, 21), np.nan)})
+    # Cells of absent joints are not data: they are stored as 0.
+    points = np.full((1, 21, 3), np.nan)
+    points[0, JointId.HEAD.value] = (0.0, 0.0, 2.0)
+    seq = _sequence(points_3d=points, mask_3d=_head_3d((0.0, 0.0, 2.0))["mask_3d"])
+    assert np.count_nonzero(seq.points_3d) == 1
+    assert seq.frames_3d[0].joints == {JointId.HEAD: Point3D(0.0, 0.0, 2.0)}

@@ -1,6 +1,7 @@
 """Synthetic walker: spec reconciliation, geometry, noise, determinism."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -78,16 +79,13 @@ def test_truth_params_reproduce_positions(clean_walk):
     X = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), truth.params
     )
-    obs = np.array(
-        [[fr.joints[j] for j in JointId] for fr in seq.frames_3d], dtype=float
-    )
-    assert np.max(np.abs(X - obs)) <= 1e-9
+    assert np.max(np.abs(X - seq.points_3d)) <= 1e-9
 
 
 def test_ankle_gap_peaks_at_step_length(clean_walk):
     seq, truth = clean_walk
-    la = np.array([fr.joints[JointId.LEFT_ANKLE] for fr in seq.frames_3d])
-    ra = np.array([fr.joints[JointId.RIGHT_ANKLE] for fr in seq.frames_3d])
+    la = seq.points_3d[:, JointId.LEFT_ANKLE.value]
+    ra = seq.points_3d[:, JointId.RIGHT_ANKLE.value]
     heading = np.array(truth.heading)
     gap = np.abs((la - ra) @ heading)
     assert gap.max() == pytest.approx(truth.step_length_m, abs=1e-6)
@@ -98,8 +96,8 @@ def test_double_support_plateaus_are_exact(clean_walk):
     repeats bitwise; that exactness is what the detector's plateau handling
     keys on."""
     seq, truth = clean_walk
-    la = np.array([fr.joints[JointId.LEFT_ANKLE] for fr in seq.frames_3d])
-    ra = np.array([fr.joints[JointId.RIGHT_ANKLE] for fr in seq.frames_3d])
+    la = seq.points_3d[:, JointId.LEFT_ANKLE.value]
+    ra = seq.points_3d[:, JointId.RIGHT_ANKLE.value]
     gap = np.linalg.norm(la - ra, axis=1)
     best = gap.max()
     ties = np.sum(gap == best)
@@ -134,21 +132,19 @@ def test_seed_changes_noise():
 def test_noise_magnitude(clean_walk):
     seq, _ = clean_walk
     noisy = inject_noise(seq, sigma3d_m=0.01, sigma2d_px=0.0, dropout=0.0, seed=9)
-    a = np.array([[fr.joints[j] for j in JointId] for fr in seq.frames_3d])
-    b = np.array([[fr.joints[j] for j in JointId] for fr in noisy.frames_3d])
-    rms = np.sqrt(np.mean((a - b) ** 2))
+    rms = np.sqrt(np.mean((seq.points_3d - noisy.points_3d) ** 2))
     assert rms == pytest.approx(0.01, rel=0.05)
 
 
 def test_dropout_removes_2d_joints_only(clean_walk):
     seq, _ = clean_walk
     out = inject_noise(seq, sigma3d_m=0.0, sigma2d_px=0.0, dropout=0.3, seed=4)
-    n_in = sum(len(fr.joints) for fr in seq.frames_2d)
-    n_out = sum(len(fr.joints) for fr in out.frames_2d)
-    assert n_out / n_in == pytest.approx(0.7, abs=0.03)
-    n3_in = sum(len(fr.joints) for fr in seq.frames_3d)
-    n3_out = sum(len(fr.joints) for fr in out.frames_3d)
-    assert n3_in == n3_out
+    assert out.mask_2d.sum() / seq.mask_2d.sum() == pytest.approx(0.7, abs=0.03)
+    assert np.array_equal(out.mask_3d, seq.mask_3d)
+    # A dropped joint is absent from the 2D records, a kept one unchanged.
+    kept = out.frames_2d[0].joints
+    assert set(kept) == {j for j in JointId if out.mask_2d[0, j.value]}
+    assert all(p == seq.frames_2d[0].joints[j] for j, p in kept.items())
 
 
 def test_heading_rotates_travel():
@@ -156,9 +152,7 @@ def test_heading_rotates_travel():
                       distance_m=5.0)
     seq, truth = generate(spec)
     assert np.allclose(truth.heading, [1.0, 0.0, 0.0], atol=1e-12)
-    first = np.array(seq.frames_3d[0].joints[JointId.PELVIS])
-    last = np.array(seq.frames_3d[-1].joints[JointId.PELVIS])
-    d = last - first
+    d = seq.points_3d[-1, JointId.PELVIS.value] - seq.points_3d[0, JointId.PELVIS.value]
     assert abs(d[0]) > 3.0
     assert abs(d[2]) < 1e-9
 
@@ -167,16 +161,13 @@ def test_walking_toward_camera_keeps_depth_positive():
     spec = WalkerSpec(speed_m_s=1.3, cadence_steps_min=120.0, heading_deg=180.0,
                       distance_m=2.5, start_z_m=4.0)
     seq, _ = generate(spec)
-    for fr in seq.frames_3d:
-        for p in fr.joints.values():
-            assert p.z > 0
+    assert np.all(seq.points_3d[..., 2] > 0)
 
 
 def test_pelvis_speed_is_constant(clean_walk):
     seq, truth = clean_walk
     heading = np.array(truth.heading)
-    root = np.array([fr.joints[JointId.PELVIS] for fr in seq.frames_3d])
-    along = root @ heading
+    along = seq.points_3d[:, JointId.PELVIS.value] @ heading
     v = np.diff(along) * seq.fps
     assert np.allclose(v, truth.speed_m_s, atol=1e-9)
 
@@ -185,3 +176,31 @@ def test_short_distance_still_gives_two_steps():
     spec = WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=0.3)
     _, truth = generate(spec)
     assert truth.n_steps == 2
+
+
+# sha256 of write_stream and write_truth for two fixed walks, recorded before
+# the walker built its sequences as arrays: the clean walk pins the geometry
+# and the projection, the noisy one the order of the noise draws (3D
+# normals, then 2D normals, then dropout uniforms).
+GOLDEN = {
+    "clean": (
+        WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=2.5),
+        "d537d34fab64644b269a6f337a7ea8380e432bbe6ab6eb3aa73e644eeb4be8db",
+        "2cb3ef3ba0e6d4dad46e9643464ef7eb1a66df8f6557de6b60a4c08428bd4cb2",
+    ),
+    "noisy": (
+        WalkerSpec(speed_m_s=1.1, cadence_steps_min=104.0, distance_m=2.5,
+                   sigma3d_m=0.01, sigma2d_px=2.0, dropout=0.3, seed=11,
+                   heading_deg=20.0),
+        "8f588bb09f63bbb031305d54cb0e8119228dbac6dd7e4cde33dc61381fb44413",
+        "6d473860e50cc6a2119b3317fb4c9dc925f8060db2d615e726f471f413d83e5f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_written_walk_bytes_are_pinned(name):
+    spec, poses_sha, truth_sha = GOLDEN[name]
+    seq, truth = generate(spec)
+    assert hashlib.sha256(pose_io.write_stream(seq)).hexdigest() == poses_sha
+    assert hashlib.sha256(pose_io.write_truth(truth)).hexdigest() == truth_sha
