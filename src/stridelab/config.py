@@ -172,9 +172,11 @@ def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
     if max_iterations < 1:
         raise _fail("energy.max_iterations",
                     f"must be at least 1, got {max_iterations}")
-    tolerance = num("tolerance")
-    if tolerance <= 0:
-        raise _fail("energy.tolerance", f"must be positive, got {tolerance}")
+    # A relative decrease: 1 or more would stop after any first step.
+    tolerance = _as_float("energy.tolerance", section["tolerance"])
+    if not 0.0 < tolerance < 1.0:
+        raise _fail("energy.tolerance",
+                    f"must be strictly between 0 and 1, got {tolerance}")
     return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
                         w_smooth=num("w_smooth"), w_depth=num("w_depth"),
                         max_iterations=max_iterations, tolerance=tolerance)

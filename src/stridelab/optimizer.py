@@ -28,7 +28,9 @@ the walk: a solve holds one band, reused across iterations, plus per-frame
 residuals and weights and one chunk's buffers.  A step is accepted only
 when it strictly decreases the energy, otherwise the damping is increased,
 the band assembled again at the same pose (the failed attempt overwrote it
-with its factor) and the step recomputed.  Rotations advance by
+with its factor) and the step recomputed.  The fit stops when a step
+changes the energy by at most a set fraction of it (EnergyConfig.tolerance),
+and says why it stopped (STOP_REASONS).  Rotations advance by
 left-multiplied increments about the step axes and are re-centred every
 iteration, so the parameterization never sits near its angle-pi
 singularity; PoseParams keeps three exponential-map parameters per rotated
@@ -68,13 +70,25 @@ _MAX_DAMPING = 1e14
 # Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks).
 _CHUNK_FRAMES = 32
 
+# Why EnergyProblem.solve stopped: an accepted step lowered the energy by at
+# most the relative tolerance ("decrease"); a rejected step left it flat to
+# within that tolerance, or no parameter moves any residual ("flat"); no
+# damping up to _MAX_DAMPING gave an acceptable step ("damping_exhausted");
+# or max_iterations steps were taken ("iteration_cap").
+STOP_REASONS = ("decrease", "flat", "damping_exhausted", "iteration_cap")
+CONVERGED_REASONS = frozenset({"decrease", "flat"})
+
 
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Energy weights and the iteration budget of the fit.
+    """Energy weights, the iteration cap and the stopping tolerance of the fit.
 
     w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
-    pixel residuals like squared metric residuals at unit depth.
+    pixel residuals like squared metric residuals at unit depth.  tolerance
+    is a relative energy decrease in (0, 1): the fit stops once an accepted
+    step lowers the energy by at most tolerance times its value, or a
+    rejected one changes it by at most that much, and otherwise after
+    max_iterations steps with converged=False.
     """
 
     w_ik: float = 1.0
@@ -82,7 +96,7 @@ class EnergyConfig:
     w_smooth: float = 0.1
     w_depth: float = 0.1
     max_iterations: int = 80
-    tolerance: float = 1e-9
+    tolerance: float = 1e-6
 
     def resolved_w_proj(self, camera: CameraModel) -> float:
         return 1.0 / (camera.fx * camera.fx) if self.w_proj is None else self.w_proj
@@ -93,7 +107,8 @@ class OptimizedSequence:
     """Optimizer output: the fitted joint positions plus diagnostics.
 
     points_3d (F, J, 3) holds every joint of every frame; frame f is video
-    frame indices[f] at times[f] seconds, as in the fitted sequence."""
+    frame indices[f] at times[f] seconds, as in the fitted sequence.
+    stop_reason says why the fit stopped (see STOP_REASONS)."""
 
     points_3d: np.ndarray
     times: np.ndarray
@@ -104,12 +119,19 @@ class OptimizedSequence:
     energy_breakdown: Mapping[str, float]
     energy_history: tuple[float, ...]
     iterations: int
-    converged: bool
+    stop_reason: str
     params: PoseParams = field(repr=False)
     source: str = ""
 
     def __len__(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def converged(self) -> bool:
+        """True when the fit stopped at a minimum: on a small relative
+        decrease or a flat step, not at the iteration cap or with the
+        damping exhausted."""
+        return self.stop_reason in CONVERGED_REASONS
 
     @property
     def mask_3d(self) -> np.ndarray:
@@ -397,7 +419,13 @@ class EnergyProblem:
 
         Each damped attempt factors the band in place, so a retry (a failed
         factorization, a non-finite or a rejected step) assembles the band
-        again at the same pose before it adds the larger damping."""
+        again at the same pose before it adds the larger damping.
+
+        The stopping tests are relative to the energy E, as in the
+        Levenberg-Marquardt stopping tests of Madsen, Nielsen & Tingleff
+        (2004): an accepted step with E_k - E_k+1 <= tolerance * E_k stops
+        as "decrease", a rejected step with |E_new - E_k| <= tolerance * E_k
+        as "flat".  info["stop_reason"] is one of STOP_REASONS."""
         tree = self.tree
         F = self.F
         layout = tree.step_layouts[True]
@@ -412,7 +440,6 @@ class EnergyProblem:
         energy = sum(terms.values())
         history = [energy]
         lam = _INIT_DAMPING
-        converged = False
         iterations = 0
         # One band, rewritten every iteration and factored in place by each
         # damped solve: freeing and reallocating it costs fresh zeroed pages.
@@ -424,14 +451,16 @@ class EnergyProblem:
             g = jtr.reshape(-1)
             d0 = ab[0]
             if d0.max() == 0.0:
-                converged = True
+                # No parameter moves any residual: there is nothing to step.
+                stop_reason = "flat"
                 break
             # Multiplicative (Marquardt) damping keeps steps invariant under a
             # uniform rescaling of all four weights; the relative floor guards
             # parameters with no residual influence.
             damp_base = np.maximum(d0, 1e-12 * d0.max())
 
-            accepted = False
+            # Kept when every damping up to the cap fails to give a step.
+            stop_reason = "damping_exhausted"
             factored = False
             while lam <= _MAX_DAMPING:
                 if factored:
@@ -460,30 +489,29 @@ class EnergyProblem:
                 terms_new = self.energy_terms(X_new)
                 if terms_new is not None:
                     energy_new = sum(terms_new.values())
+                    # Relative to the energy, like the damping, so a uniform
+                    # rescaling of the weights or a longer walk stops alike.
+                    floor = cfg.tolerance * energy
                     if energy_new < energy:
-                        decrease = energy - energy_new
+                        stop_reason = "decrease" if energy - energy_new <= floor else None
                         t, rot = t_new, rot_new
                         X, G = X_new, G_new
                         energy, terms = energy_new, terms_new
                         history.append(energy)
                         lam = max(lam / _DAMPING_DECREASE, 1e-12)
-                        accepted = True
                         iterations += 1
-                        if decrease <= cfg.tolerance:
-                            converged = True
                         break
-                    if abs(energy_new - energy) <= cfg.tolerance:
-                        # Flat to within tolerance: already at a minimum.
-                        converged = True
-                        accepted = True
+                    if abs(energy_new - energy) <= floor:
+                        # Flat to within tolerance (also at an energy of
+                        # exactly 0): already at a minimum.
+                        stop_reason = "flat"
                         iterations += 1
                         break
                 lam *= _DAMPING_INCREASE
-            else:
-                # Damping exhausted without an acceptable step.
+            if stop_reason is not None:
                 break
-            if converged or not accepted:
-                break
+        else:
+            stop_reason = "iteration_cap"
 
         params = PoseParams(translations=t, rotations=kin.so3_log(rot))
         info = {
@@ -491,7 +519,7 @@ class EnergyProblem:
             "terms": terms,
             "history": tuple(history),
             "iterations": iterations,
-            "converged": converged,
+            "stop_reason": stop_reason,
         }
         return params, info
 
@@ -647,7 +675,8 @@ def optimize(
     joints.
 
     Never raises on failure to converge: the best parameters found are
-    returned with converged=False when the iteration cap is hit first.
+    returned with converged=False when the iteration cap is hit or the
+    damping is exhausted first; stop_reason says which.
     """
     camera = camera or CameraModel.default()
     prob = _problem_for(seq, anatomy, camera, cfg)
@@ -668,7 +697,7 @@ def optimize(
         energy_breakdown=dict(info["terms"]),
         energy_history=info["history"],
         iterations=info["iterations"],
-        converged=info["converged"],
+        stop_reason=info["stop_reason"],
         params=params,
         source=seq.source,
     )

@@ -338,6 +338,23 @@ def test_bad_anatomy_ratio_exits_2(pipeline, tmp_path, capsys, ratio):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tolerance", ["1", "0"])
+def test_bad_energy_tolerance_exits_2(pipeline, tmp_path, capsys, tolerance):
+    """energy.tolerance is a relative decrease in (0, 1); any other value
+    fails before any walk is fit."""
+    _, sim, _ = pipeline
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[energy]\ntolerance = {tolerance}\n")
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))
+    code = main(["--config", str(cfg), "analyze", *poses,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "energy.tolerance" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 _AXES = [tuple(float(v) for v in row) for row in np.vstack([np.eye(3), -np.eye(3)])]
 # A limb laid exactly along an axis, or along a random direction.
 _limb_dir = st.one_of(

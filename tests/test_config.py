@@ -120,6 +120,23 @@ def test_bad_values_name_the_key(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("raw", ["0", "-1e-6", "1", "1.0", "1.5", "nan", "inf", "banana"])
+def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
+    """energy.tolerance is a relative energy decrease: 0 would stop only on
+    an exactly flat step, 1 or more after any first step."""
+    p = tmp_path / "run.ini"
+    p.write_text(f"[energy]\ntolerance = {raw}\n")
+    with pytest.raises(ConfigError, match=r"config key energy.tolerance"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("raw", ["1e-9", "0.5"])
+def test_tolerance_inside_the_unit_interval_accepted(tmp_path, raw):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[energy]\ntolerance = {raw}\n")
+    assert load_config(p).energy.tolerance == float(raw)
+
+
 def test_unparseable_file_rejected(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("detector]\n= nope\n")

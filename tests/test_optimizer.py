@@ -181,6 +181,92 @@ def test_optimize_monotone_and_converged(fitted_clean):
     assert fitted_clean.converged
 
 
+def test_stopping_rule_is_scale_free(noisy_walk):
+    """Scaling all four weights alike scales the energy and leaves its
+    minimizer, the Marquardt steps and the relative stopping tests alone, so
+    the fit takes the same iterations and stops for the same reason."""
+    seq, truth = noisy_walk
+    base = EnergyConfig()
+    base = replace(base, w_proj=base.resolved_w_proj(CAMERA))
+    fits = [
+        optimize(seq, truth.anatomy, CAMERA, cfg=replace(
+            base, w_ik=s * base.w_ik, w_proj=s * base.w_proj,
+            w_smooth=s * base.w_smooth, w_depth=s * base.w_depth))
+        for s in (1e-3, 1.0, 1e3)
+    ]
+    assert len({fit.iterations for fit in fits}) == 1
+    assert len({fit.stop_reason for fit in fits}) == 1
+    assert fits[0].converged
+
+
+def test_iteration_cap_is_not_converged(noisy_walk):
+    seq, truth = noisy_walk
+    fit = optimize(seq, truth.anatomy, CAMERA, cfg=EnergyConfig(max_iterations=1))
+    assert fit.stop_reason == "iteration_cap"
+    assert fit.converged is False
+    assert fit.iterations == 1
+    assert len(fit.energy_history) == 2
+
+
+def test_refit_from_a_converged_fit_stops_at_once(noisy_walk, fitted_noisy):
+    """A converged fit's own parameters are a minimum to within the
+    tolerance: a refit from them stops within one iteration."""
+    seq, truth = noisy_walk
+    assert fitted_noisy.converged
+    refit = optimize(seq, truth.anatomy, CAMERA, init=fitted_noisy.params)
+    assert refit.stop_reason in ("decrease", "flat")
+    assert refit.converged is True
+    assert refit.iterations <= 1
+    assert refit.final_energy <= fitted_noisy.final_energy * (1 + 1e-12)
+
+
+def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
+    """When no damping gives a positive definite matrix, the fit stops with
+    the damping exhausted and returns its initialization unchanged."""
+    seq, truth = noisy_walk
+    seq = _head(seq, 12)
+
+    def never_positive_definite(ab, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(optimizer_module, "cholesky_banded", never_positive_definite)
+    init = initial_params(seq, truth.anatomy)
+    fit = optimize(seq, truth.anatomy, CAMERA, init=init)
+    assert fit.stop_reason == "damping_exhausted"
+    assert fit.converged is False
+    assert fit.iterations == 0
+    assert fit.energy_history == (fit.final_energy,)
+    assert fit.final_energy == energy(init, seq, truth.anatomy, CAMERA)
+
+
+def _exact_3d_only(n_frames, seed):
+    """A 3D-only sequence observed exactly from FK, with its parameters."""
+    params = _params(np.random.default_rng(seed), n_frames, spread=0.15)
+    seq = _sequence_from_params(params)
+    return replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None), params
+
+
+def test_zero_energy_stops_as_flat():
+    """At an energy of exactly 0 the relative tests have no room: the zero
+    step changes nothing and stops as flat, not as damping exhausted."""
+    seq, params = _exact_3d_only(1, seed=23)
+    fit = optimize(seq, ANATOMY, CAMERA, init=params)
+    assert fit.final_energy == 0.0
+    assert fit.stop_reason == "flat"
+    assert fit.converged is True
+    assert fit.iterations == 1
+
+
+def test_zero_band_diagonal_stops_as_flat():
+    """With every weight zero no parameter moves any residual."""
+    seq, params = _exact_3d_only(3, seed=29)
+    cfg = EnergyConfig(w_ik=0.0, w_proj=0.0, w_smooth=0.0, w_depth=0.0)
+    fit = optimize(seq, ANATOMY, CAMERA, cfg=cfg)
+    assert fit.stop_reason == "flat"
+    assert fit.converged is True
+    assert fit.iterations == 0
+
+
 def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
     _, truth = clean_walk
     X = fitted_clean.points_3d
@@ -249,7 +335,7 @@ def _worst_rel_error(fitted, truth):
 
 def test_three_d_only_stream_fits(noisy_walk, fitted_noisy):
     """Without a 2D block the fit runs on the 3D term alone.  On this walk
-    it takes 14 iterations like the two-stream fit, and the worst gait
+    it takes as many iterations as the two-stream fit, and the worst gait
     parameter error moves by under 0.003 percentage points; the bounds
     below leave room for that."""
     seq, truth = noisy_walk
