@@ -16,10 +16,8 @@ import numpy as np
 from stridelab import CameraModel, WalkerSpec, generate
 from stridelab.events import detect_steps
 from stridelab.optimizer import optimize
-from stridelab.report import compute_report
+from stridelab.report import PARAMETERS, compute_report
 from stridelab.skeleton import default_ratio_table, derive_anatomy
-
-PARAMS = ("speed", "cadence", "step length", "step time")
 
 
 def run_walk(spec: WalkerSpec, camera: CameraModel) -> tuple[np.ndarray, float]:
@@ -29,10 +27,8 @@ def run_walk(spec: WalkerSpec, camera: CameraModel) -> tuple[np.ndarray, float]:
     fitted = optimize(seq, anatomy, camera=camera)
     rep = compute_report(detect_steps(fitted))
     dt = time.perf_counter() - t0
-    got = np.array([rep.gait_speed_m_s, rep.cadence_steps_min,
-                    rep.step_length_cm / 100.0, rep.step_time_s])
-    want = np.array([truth.speed_m_s, truth.cadence_steps_min,
-                     truth.step_length_m, truth.step_time_s])
+    got = np.array([getattr(rep, p.name) for p in PARAMETERS])
+    want = np.array([p.truth_scale * getattr(truth, p.truth_key) for p in PARAMETERS])
     return np.abs(got - want) / want, dt
 
 
@@ -50,7 +46,7 @@ def main(argv=None) -> int:
     camera = CameraModel.default()
     errors = []
     header = f"{'speed':>6} {'cadence':>8} " + "".join(
-        f"{p + ' err':>17}" for p in PARAMS
+        f"{p.label + ' err':>17}" for p in PARAMETERS
     ) + f" {'fit s':>7}"
     print(header)
     for i in range(args.walks):
@@ -73,8 +69,8 @@ def main(argv=None) -> int:
 
     worst = np.max(errors, axis=0)
     print("\nworst relative error per parameter:")
-    for name, e in zip(PARAMS, worst):
-        print(f"  {name:<12} {100 * e:.3f}%")
+    for p, e in zip(PARAMETERS, worst):
+        print(f"  {p.label:<12} {100 * e:.3f}%")
     return 0
 
 

@@ -33,22 +33,23 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import pose_io, stats
 from .config import RunConfig, _read_ini, load_config
-from .errors import ConfigError, MissingHeaderField, StrideLabError
+from .errors import ConfigError, MalformedDocument, MissingHeaderField, StrideLabError
 from .events import detect_steps
 from .optimizer import optimize
 from .plots import bland_altman_svg
-from .pose_io import _round10
-from .report import compute_report
+from .pose_io import _json_bytes, _require_number, _rounded
+from .report import PARAMETERS, compute_report
 from .skeleton import derive_anatomy
 from .walker import WalkerSpec, generate
 
@@ -57,18 +58,8 @@ __all__ = ["main"]
 _PIPELINE_METHOD = "video"
 _TRUTH_METHOD = "truth"
 
-_PARAM_UNITS = {
-    "gait_speed_m_s": "m/s",
-    "cadence_steps_min": "steps/min",
-    "step_length_cm": "cm",
-    "step_time_s": "s",
-}
-_PARAM_LABELS = {
-    "gait_speed_m_s": "gait speed",
-    "cadence_steps_min": "cadence",
-    "step_length_cm": "step length",
-    "step_time_s": "step time",
-}
+_PARAM_UNITS = {p.name: p.unit for p in PARAMETERS}
+_PARAM_LABELS = {p.name: p.label for p in PARAMETERS}
 
 
 def _slug(text: str) -> str:
@@ -170,16 +161,10 @@ def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
     row["source"] = seq.source
     row["converged"] = fitted.converged
     row["iterations"] = fitted.iterations
-    row["report"] = {
-        "n_events": rep.n_events,
-        "steps_used": rep.steps_used,
-        "duration_used_s": _round10(rep.duration_used_s),
-        "gait_speed_m_s": _round10(rep.gait_speed_m_s),
-        "cadence_steps_min": _round10(rep.cadence_steps_min),
-        "step_length_cm": _round10(rep.step_length_cm),
-        "step_time_s": _round10(rep.step_time_s),
-        "travel_m": _round10(rep.travel_m),
-    }
+    # Every scalar of the report; the per-step tuples stay out.
+    row["report"] = _rounded(
+        {k: v for k, v in vars(rep).items() if not isinstance(v, tuple)}
+    )
     return row
 
 
@@ -188,15 +173,9 @@ def _truth_records(poses_path: Path, walk_id: str) -> list[tuple[str, str, str, 
     if not sidecar.exists():
         return []
     doc = pose_io.read_truth(sidecar.read_bytes())
-    values = {
-        "gait_speed_m_s": doc["speed_m_s"],
-        "cadence_steps_min": doc["cadence_steps_min"],
-        "step_length_cm": 100.0 * doc["step_length_m"],
-        "step_time_s": doc["step_time_s"],
-    }
     return [
-        (walk_id, walk_id, _TRUTH_METHOD, param, float(v))
-        for param, v in values.items()
+        (walk_id, walk_id, _TRUTH_METHOD, p.name, float(p.truth_scale * doc[p.truth_key]))
+        for p in PARAMETERS
     ]
 
 
@@ -217,14 +196,15 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(f"{row['walk_id']}: error {err['type']}: {err['message']}")
             continue
         rep = row["report"]
+        speed, cadence = PARAMETERS[:2]
         print(
-            f"{row['walk_id']}: ok speed={rep['gait_speed_m_s']:.3f} m/s "
-            f"cadence={rep['cadence_steps_min']:.1f} steps/min "
+            f"{row['walk_id']}: ok speed={rep[speed.name]:.3f} {speed.unit} "
+            f"cadence={rep[cadence.name]:.1f} {cadence.unit} "
             f"({rep['steps_used']} steps)"
         )
-        for param in _PARAM_UNITS:
+        for p in PARAMETERS:
             matched.append(
-                (row["walk_id"], row["walk_id"], _PIPELINE_METHOD, param, rep[param])
+                (row["walk_id"], row["walk_id"], _PIPELINE_METHOD, p.name, rep[p.name])
             )
         try:
             matched.extend(_truth_records(path, row["walk_id"]))
@@ -235,9 +215,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {"schema_version": 1, "walks": rows}
     (out_dir / f"{args.name}.report.json").write_bytes(
-        json.dumps(doc, indent=1).encode("utf-8") + b"\n"
+        _json_bytes({"schema_version": 1, "walks": rows})
     )
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
@@ -259,33 +238,6 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # agree
-
-def _agreement_entry(pa: stats.ParameterAgreement, table: stats.MeasurementTable) -> dict:
-    return {
-        "parameter": pa.parameter,
-        "unit": pa.unit,
-        "n": pa.n,
-        "n_excluded": table.n_excluded,
-        "mean_ref": _round10(pa.mean_ref),
-        "sd_ref": _round10(pa.sd_ref),
-        "mean_other": _round10(pa.mean_other),
-        "sd_other": _round10(pa.sd_other),
-        "icc_2k": _round10(pa.icc_2k),
-        "icc_21": _round10(pa.icc_21),
-        "icc_31": _round10(pa.icc_31),
-        "bias": _round10(pa.bias),
-        "bias_ci": [_round10(v) for v in pa.bias_ci],
-        "bias_pct": _round10(pa.bias_pct),
-        "bias_ci_pct": [_round10(v) for v in pa.bias_ci_pct],
-        "loa": [_round10(v) for v in pa.loa],
-        "loa_pct": [_round10(v) for v in pa.loa_pct],
-        "sd_diff": _round10(pa.sd_diff),
-        "percentage_error": _round10(pa.percentage_error),
-        "classification": pa.classification,
-        "walks": list(table.rows),
-        "pairs": [[_round10(a), _round10(b)] for a, b in table.values],
-    }
-
 
 def _repeatability_entries(
     records: Sequence[tuple[str, str, str, str, float]],
@@ -318,7 +270,7 @@ def _repeatability_entries(
     return {
         "method": method,
         "parameter": parameter,
-        "icc_31": _round10(value),
+        "icc_31": value,
         "n_subjects": len(subjects),
         "n_trials": k,
     }
@@ -390,8 +342,11 @@ def _render_outputs(doc: dict, out_dir: Path, name: str) -> None:
 
 
 def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
-    with open(args.matched, encoding="utf-8", newline="") as fh:
-        records = pose_io.read_matched_csv(fh)
+    try:
+        with open(args.matched, encoding="utf-8", newline="") as fh:
+            records = pose_io.read_matched_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{args.matched} is not valid UTF-8: {exc}") from None
     methods: list[str] = []
     parameters: list[str] = []
     for _, _, method, param, _ in records:
@@ -409,7 +364,6 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
     for other in (m for m in methods if m != args.reference):
         entries = []
         repeats = []
-        n_excluded = 0
         for param in parameters:
             subset = [r for r in records if r[3] == param]
             try:
@@ -431,8 +385,7 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
                     file=sys.stderr,
                 )
                 continue
-            entries.append(_agreement_entry(pa, table))
-            n_excluded += table.n_excluded
+            entries.append(asdict(pa))
             print(
                 f"{param} ({args.reference} vs {other}): "
                 f"ICC(2,k)={pa.icc_2k:.3f} [{pa.classification}] "
@@ -446,7 +399,7 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
             reports.append(
                 {
                     "other_method": other,
-                    "n_excluded": n_excluded,
+                    "n_excluded": sum(e["n_excluded"] for e in entries),
                     "parameters": entries,
                     "repeatability": repeats,
                 }
@@ -462,13 +415,11 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
         "resamples": cfg.resamples,
         "bootstrap_level": cfg.bootstrap_level,
         "seed": cfg.seed,
-        "reports": reports,
+        "reports": _rounded(reports),
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{args.name}.agreement.json").write_bytes(
-        json.dumps(doc, indent=1).encode("utf-8") + b"\n"
-    )
+    (out_dir / f"{args.name}.agreement.json").write_bytes(_json_bytes(doc))
     _render_outputs(doc, out_dir, args.name)
     return 0
 
@@ -476,28 +427,77 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # report
 
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _check(obj, key: str, kind: type, where: str):
+    """obj[key], which must exist and be of type kind (a bool is no int)."""
+    if not isinstance(obj, dict):
+        raise MalformedDocument(f"{where} must be an object")
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedDocument(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _check_number(value, where: str, finite: bool = False) -> None:
+    """value must be a number; NaN, which `agree` writes for a percentage of
+    a zero reference mean, passes unless finite is asked for."""
+    if finite or not (isinstance(value, float) and math.isnan(value)):
+        _require_number(value, where)
+
+
+def _check_pair(value, where: str, finite: bool = False) -> None:
+    if not isinstance(value, list) or len(value) != 2:
+        raise MalformedDocument(f"{where} must be a list of 2 numbers, got {value!r}")
+    for v in value:
+        _check_number(v, where, finite)
+
+
+# The numbers of an agreement entry that table 1 prints, besides bias_ci_pct.
+_TABLE_NUMBERS = ("mean_ref", "sd_ref", "mean_other", "sd_other", "icc_2k", "icc_31",
+                  "bias_pct")
+
+
+def _read_agreement(path: Path) -> dict:
+    """The agreement JSON at path, with every field that table 1 and the
+    plots read checked; a missing or mistyped one raises MalformedDocument."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        _check(doc, "reference_method", str, "top level")
+        for i, report in enumerate(_check(doc, "reports", list, "top level")):
+            where = f"reports[{i}]"
+            _check(report, "other_method", str, where)
+            for j, entry in enumerate(_check(report, "parameters", list, where)):
+                at = f"{where}.parameters[{j}]"
+                for key, kind in (("parameter", str), ("unit", str), ("n", int)):
+                    _check(entry, key, kind, at)
+                for key in _TABLE_NUMBERS:
+                    _check_number(entry.get(key), f"{at}.{key}")
+                _check_pair(entry.get("bias_ci_pct"), f"{at}.bias_ci_pct")
+                # A Bland-Altman plot needs two pairs or more.
+                pairs = _check(entry, "pairs", list, at)
+                if len(pairs) < 2:
+                    raise MalformedDocument(
+                        f"{at}.pairs holds {len(pairs)}, not 2 or more")
+                for k, pair in enumerate(pairs):
+                    _check_pair(pair, f"{at}.pairs[{k}]", finite=True)
+    except (UnicodeDecodeError, json.JSONDecodeError, MalformedDocument) as exc:
+        raise MalformedDocument(f"agreement report {path}: {exc}") from None
+    return doc
+
+
 def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     del cfg  # rendering is fully determined by the stored report
     path = Path(args.agreement)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read agreement report {path}: {exc}") from None
-    for key in ("reference_method", "reports"):
-        if key not in doc:
-            raise ConfigError(f"agreement report {path} lacks {key!r}")
+    doc = _read_agreement(path)
     if not doc["reports"]:
         print("agreement report holds no comparisons", file=sys.stderr)
         return 1
     name = args.name or _slug(path.name.split(".")[0])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        _render_outputs(doc, out_dir, name)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(
-            f"agreement report {path} is missing fields: {exc!r}"
-        ) from None
+    _render_outputs(doc, out_dir, name)
     n = sum(len(r["parameters"]) for r in doc["reports"])
     print(f"rendered {n} comparisons from {path.name}")
     return 0
@@ -559,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             Path(args.config) if args.config else None, overrides
         )
         return args.func(args, cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, MalformedDocument, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

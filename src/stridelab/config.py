@@ -35,6 +35,7 @@ __all__ = ["RunConfig", "load_config"]
 # The shipped defaults set every key a section accepts, except these camera
 # keys, which they leave commented out.  [anatomy.ratios] takes any edge joint.
 _CAMERA_UNSET = ("focal_px", "cx", "cy")
+_MIN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _read_ini(path: Path, what: str = "config file") -> configparser.ConfigParse
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed {what} {path}: {exc}") from None
     # configparser folds [DEFAULT] keys into every other section, so they
     # would land in sections the file never names.
@@ -172,11 +173,13 @@ def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
     if max_iterations < 1:
         raise _fail("energy.max_iterations",
                     f"must be at least 1, got {max_iterations}")
-    # A relative decrease: 1 or more would stop after any first step.
+    # A relative decrease: 1 or more would stop after any first step, and
+    # below _MIN_TOLERANCE the test sits under the rounding noise of the
+    # energy sum, so fits run to max_iterations.
     tolerance = _as_float("energy.tolerance", section["tolerance"])
-    if not 0.0 < tolerance < 1.0:
+    if not _MIN_TOLERANCE <= tolerance < 1.0:
         raise _fail("energy.tolerance",
-                    f"must be strictly between 0 and 1, got {tolerance}")
+                    f"must be at least {_MIN_TOLERANCE:g} and below 1, got {tolerance}")
     return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
                         w_smooth=num("w_smooth"), w_depth=num("w_depth"),
                         max_iterations=max_iterations, tolerance=tolerance)

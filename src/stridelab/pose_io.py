@@ -19,22 +19,17 @@ the `.truth.json` sidecar carrying a synthetic walk's ground truth.
 import csv
 import json
 import math
+from dataclasses import asdict
 from typing import Iterable, Mapping, Optional, TextIO, Union
 
 import numpy as np
 
 from .errors import MalformedDocument, MissingHeaderField, StrideLabError
+from .report import PARAMETERS
 from .skeleton import N_JOINTS, JointId, SkeletonSequence, canonical_joint
 from .walker import GroundTruth
 
-GAIT_CSV_COLUMNS = (
-    "walk_id",
-    "source",
-    "gait_speed_m_s",
-    "cadence_steps_min",
-    "step_length_cm",
-    "step_time_s",
-)
+GAIT_CSV_COLUMNS = ("walk_id", "source", *(p.name for p in PARAMETERS))
 
 MATCHED_CSV_COLUMNS = ("walk_id", "subject_id", "method", "parameter", "value")
 
@@ -43,6 +38,23 @@ _FLOAT_FMT = "%.10g"
 
 def _round10(v: float) -> float:
     return float(_FLOAT_FMT % v)
+
+
+def _rounded(obj):
+    """A copy of a dict/list/tuple tree with every float rounded as
+    `_round10` rounds it; tuples become lists, as JSON writes them."""
+    if isinstance(obj, float):
+        return _round10(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _json_bytes(doc) -> bytes:
+    """A JSON result file: indented by one space, UTF-8, ending in a newline."""
+    return json.dumps(doc, indent=1).encode("utf-8") + b"\n"
 
 
 def _fmt(v: float) -> str:
@@ -192,8 +204,7 @@ def write_stream(seq: SkeletonSequence) -> bytes:
             rec[key] = {_LABELS[j]: {f: _round10(v) for f, v in zip(fields, row[j])}
                         for j in range(N_JOINTS) if seen[j]}
 
-    doc = {"header": header, "frames": records}
-    return json.dumps(doc, indent=1).encode("utf-8") + b"\n"
+    return _json_bytes({"header": header, "frames": records})
 
 
 def write_gait_csv(
@@ -270,24 +281,10 @@ def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
 
 def write_truth(truth: GroundTruth) -> bytes:
     """Serialize a synthetic walk's ground truth as a `.truth.json` sidecar."""
-    doc = {
-        "speed_m_s": _round10(truth.speed_m_s),
-        "cadence_steps_min": _round10(truth.cadence_steps_min),
-        "step_length_m": _round10(truth.step_length_m),
-        "step_time_s": _round10(truth.step_time_s),
-        "n_steps": truth.n_steps,
-        "duration_s": _round10(truth.duration_s),
-        "heading": [_round10(h) for h in truth.heading],
-        "schedule": [
-            {
-                "foot": st.foot,
-                "time_s": _round10(st.time_s),
-                "position_m": _round10(st.position_m),
-            }
-            for st in truth.schedule
-        ],
-    }
-    return json.dumps(doc, indent=1).encode("utf-8") + b"\n"
+    doc = {p.truth_key: getattr(truth, p.truth_key) for p in PARAMETERS}
+    doc.update(n_steps=truth.n_steps, duration_s=truth.duration_s,
+               heading=truth.heading, schedule=[asdict(st) for st in truth.schedule])
+    return _json_bytes(_rounded(doc))
 
 
 def read_truth(data: Union[bytes, str]) -> dict:
@@ -303,7 +300,7 @@ def read_truth(data: Union[bytes, str]) -> dict:
         raise MalformedDocument(f"sidecar is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedDocument("sidecar top level must be an object")
-    for key in ("speed_m_s", "cadence_steps_min", "step_length_m", "step_time_s"):
+    for key in (p.truth_key for p in PARAMETERS):
         if key not in doc:
             raise MissingHeaderField(f"sidecar field {key!r} is required")
         _require_number(doc[key], key)

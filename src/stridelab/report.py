@@ -10,11 +10,29 @@ exact by construction:
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TooFewSteps
 from .events import StepDetection
+
+
+class GaitParameter(NamedTuple):
+    name: str           # GaitReport field, CSV column, matched-CSV parameter
+    unit: str
+    label: str          # table-1 row and Bland-Altman plot title
+    truth_key: str      # GroundTruth field and truth sidecar key
+    truth_scale: float  # truth_key * truth_scale is in `unit`
+
+
+# The four reported parameters, in the column order of every result file.
+PARAMETERS = (
+    GaitParameter("gait_speed_m_s", "m/s", "gait speed", "speed_m_s", 1.0),
+    GaitParameter("cadence_steps_min", "steps/min", "cadence", "cadence_steps_min", 1.0),
+    GaitParameter("step_length_cm", "cm", "step length", "step_length_m", 100.0),
+    GaitParameter("step_time_s", "s", "step time", "step_time_s", 1.0),
+)
 
 
 @dataclass(frozen=True)

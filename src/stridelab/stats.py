@@ -135,11 +135,6 @@ def icc(table: MeasurementTable, form: IccForm = (2, "k")) -> float:
     return (bms - ems) / (bms + (k - 1) * ems)
 
 
-def repeatability(table: MeasurementTable) -> float:
-    """ICC(3,1) over repeated trials of one method (rows = subjects)."""
-    return icc(table, (3, 1))
-
-
 def classify_icc(value: float) -> str:
     """Band an ICC: poor / moderate / good / excellent.
 
@@ -174,11 +169,8 @@ class BlandAltman:
             raise ValueError("limits of agreement must bracket the bias")
 
 
-def bland_altman(a: Sequence[float], b: Sequence[float]) -> BlandAltman:
-    """Bland-Altman agreement between paired series (differences a - b).
-
-    Percentage fields are relative to the mean of the reference series `a`.
-    """
+def _paired(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Two paired series as equal-length 1D arrays of at least 2 values."""
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape or av.ndim != 1:
@@ -187,11 +179,25 @@ def bland_altman(a: Sequence[float], b: Sequence[float]) -> BlandAltman:
         )
     if av.size < 2:
         raise TooFewPairs(f"need at least 2 pairs, got {av.size}")
+    return av, bv
+
+
+def _percent_of(ref: float):
+    """x -> x in percent of ref; NaN when ref is (numerically) zero."""
+    return (lambda x: 100.0 * x / ref) if abs(ref) > 1e-12 else (lambda x: math.nan)
+
+
+def bland_altman(a: Sequence[float], b: Sequence[float]) -> BlandAltman:
+    """Bland-Altman agreement between paired series (differences a - b).
+
+    Percentage fields are relative to the mean of the reference series `a`.
+    """
+    av, bv = _paired(a, b)
     d = av - bv
     bias = float(d.mean())
     sd = float(d.std(ddof=1))
     ref = float(av.mean())
-    pct = (lambda x: 100.0 * x / ref) if abs(ref) > 1e-12 else (lambda x: math.nan)
+    pct = _percent_of(ref)
     return BlandAltman(
         bias=bias,
         sd=sd,
@@ -250,14 +256,7 @@ def bootstrap_mean_diff_ci(
 
 def percentage_error(a: Sequence[float], b: Sequence[float]) -> float:
     """Critchley-style percentage error: 100 * 1.96 * SD(a-b) / mean(a)."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise LengthMismatch(
-            f"paired series must be equal-length 1D, got {av.shape} and {bv.shape}"
-        )
-    if av.size < 2:
-        raise TooFewPairs(f"need at least 2 pairs, got {av.size}")
+    av, bv = _paired(a, b)
     ref = float(av.mean())
     if abs(ref) <= 1e-12:
         return math.nan
@@ -271,6 +270,7 @@ class ParameterAgreement:
     parameter: str
     unit: str
     n: int
+    n_excluded: int          # incomplete walks left out of the table
     mean_ref: float
     sd_ref: float
     mean_other: float
@@ -287,6 +287,8 @@ class ParameterAgreement:
     sd_diff: float
     percentage_error: float
     classification: str      # band of ICC(2,k)
+    walks: tuple[str, ...]   # row labels of the table
+    pairs: tuple[tuple[float, float], ...]  # (reference, other) per walk
 
     def __post_init__(self) -> None:
         if not self.loa[0] <= self.bias <= self.loa[1]:
@@ -311,13 +313,13 @@ def compare_methods(
     b = table.values[:, 1]
     ba = bland_altman(a, b)
     ci = bootstrap_mean_diff_ci(a - b, resamples=resamples, level=level, seed=seed)
-    ref = ba.reference_mean
-    pct = (lambda x: 100.0 * x / ref) if abs(ref) > 1e-12 else (lambda x: math.nan)
+    pct = _percent_of(ba.reference_mean)
     icc_2k = icc(table, (2, "k"))
     return ParameterAgreement(
         parameter=table.parameter,
         unit=table.unit,
         n=table.n,
+        n_excluded=table.n_excluded,
         mean_ref=float(a.mean()),
         sd_ref=float(a.std(ddof=1)),
         mean_other=float(b.mean()),
@@ -334,4 +336,6 @@ def compare_methods(
         sd_diff=ba.sd,
         percentage_error=percentage_error(a, b),
         classification=classify_icc(icc_2k),
+        walks=table.rows,
+        pairs=tuple(map(tuple, table.values.tolist())),
     )

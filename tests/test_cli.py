@@ -303,6 +303,50 @@ def test_agree_unknown_reference(pipeline, capsys):
     assert "mocap" in err and "truth" in err
 
 
+def _agreement_with(out, change):
+    """The pipeline's agreement JSON with its first entry changed."""
+    doc = json.loads((out / "agreement.agreement.json").read_text())
+    change(doc["reports"][0]["parameters"][0])
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [("agree", lambda out: b"walk,subject,method,parameter,value\n"),
+     ("agree", lambda out: (out / "results.matched.csv").read_bytes().replace(
+         b"walk-c", b"walk-\xff")),
+     ("report", lambda out: _agreement_with(
+         out, lambda e: e.update(pairs=[["1.0", "2.0"]] * 3))),
+     ("report", lambda out: _agreement_with(
+         out, lambda e: e.update(pairs=e["pairs"][:1])))],
+    ids=["csv-header", "csv-not-utf8", "pairs-of-strings", "one-pair"],
+)
+def test_malformed_inputs_exit_2(pipeline, tmp_path, capsys, command, document):
+    """A malformed matched CSV or agreement JSON gives one error line and
+    exit 2, and no output."""
+    _, _, out = pipeline
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(document(out))
+    args = [command, str(bad), "--out-dir", str(tmp_path / "out")]
+    if command == "agree":
+        args += ["--reference", "truth"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_renders_nan_percentages(pipeline, tmp_path):
+    """agree writes NaN for a percentage of a zero reference mean; report
+    renders it."""
+    _, _, out = pipeline
+    bad = tmp_path / "nan.agreement.json"
+    bad.write_bytes(_agreement_with(
+        out, lambda e: e.update(bias_pct=float("nan"), bias_ci_pct=[float("nan")] * 2)))
+    assert main(["report", str(bad), "--out-dir", str(tmp_path)]) == 0
+    assert "nan [nan, nan]" in (tmp_path / "nan.table1.csv").read_text()
+
+
 def test_seed_flag_flows_into_agreement(pipeline, tmp_path):
     _, _, out = pipeline
     assert main(["--seed", "123",
@@ -338,9 +382,9 @@ def test_bad_anatomy_ratio_exits_2(pipeline, tmp_path, capsys, ratio):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("tolerance", ["1", "0"])
+@pytest.mark.parametrize("tolerance", ["1", "0", "1e-11"])
 def test_bad_energy_tolerance_exits_2(pipeline, tmp_path, capsys, tolerance):
-    """energy.tolerance is a relative decrease in (0, 1); any other value
+    """energy.tolerance is a relative decrease in [1e-10, 1); any other value
     fails before any walk is fit."""
     _, sim, _ = pipeline
     cfg = tmp_path / "bad.ini"

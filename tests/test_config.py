@@ -120,17 +120,19 @@ def test_bad_values_name_the_key(tmp_path):
         load_config(p)
 
 
-@pytest.mark.parametrize("raw", ["0", "-1e-6", "1", "1.0", "1.5", "nan", "inf", "banana"])
+@pytest.mark.parametrize(
+    "raw", ["0", "-1e-6", "1e-12", "9.9e-11", "1", "1.0", "1.5", "nan", "inf", "banana"])
 def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
-    """energy.tolerance is a relative energy decrease: 0 would stop only on
-    an exactly flat step, 1 or more after any first step."""
+    """energy.tolerance is a relative energy decrease: below 1e-10 the test
+    sits under the rounding noise of the energy and fits run to the
+    iteration cap, 1 or more would stop after any first step."""
     p = tmp_path / "run.ini"
     p.write_text(f"[energy]\ntolerance = {raw}\n")
     with pytest.raises(ConfigError, match=r"config key energy.tolerance"):
         load_config(p)
 
 
-@pytest.mark.parametrize("raw", ["1e-9", "0.5"])
+@pytest.mark.parametrize("raw", ["1e-10", "1e-9", "0.5"])
 def test_tolerance_inside_the_unit_interval_accepted(tmp_path, raw):
     p = tmp_path / "run.ini"
     p.write_text(f"[energy]\ntolerance = {raw}\n")
@@ -141,6 +143,13 @@ def test_unparseable_file_rejected(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("detector]\n= nope\n")
     with pytest.raises(ConfigError):
+        load_config(p)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_bytes(b"\xff\xfe[energy]\n")
+    with pytest.raises(ConfigError, match="malformed config file"):
         load_config(p)
 
 

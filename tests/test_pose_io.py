@@ -273,6 +273,18 @@ def test_sparse_round_trip(seq):
             assert np.array_equal(getattr(back, name), _round10(getattr(seq, name)))
 
 
+def test_rounding_pass_reaches_every_float():
+    """Floats are rounded at any depth, numpy floats included; ints, bools,
+    strings and None are kept; tuples become lists; the input is unchanged."""
+    doc = {"a": 1 / 3, "n": 3, "ok": True, "s": "x", "none": None,
+           "t": (np.float64(2 / 3), [{"deep": 1e-20 / 3}])}
+    out = pose_io._rounded(doc)
+    assert out == {"a": 0.3333333333, "n": 3, "ok": True, "s": "x", "none": None,
+                   "t": [0.6666666667, [{"deep": 3.333333333e-21}]]}
+    assert type(out["t"][0]) is float and out["ok"] is True
+    assert doc["a"] == 1 / 3
+
+
 def test_frames_without_joint_maps_are_kept():
     """Frames with neither joint map stay frames: they round-trip, and their
     times and indices are validated."""

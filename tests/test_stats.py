@@ -19,7 +19,6 @@ from stridelab import (
     icc,
     percentage_error,
 )
-from stridelab.stats import repeatability
 
 # Frozen from d = a - b = (0.1, -0.1, 0.3, -0.3):
 # sd   = sqrt((0.01 + 0.01 + 0.09 + 0.09) / 3) = sqrt(0.2 / 3)
@@ -114,13 +113,6 @@ def test_icc_invariant_under_shift_scale_and_row_order(seed):
         assert icc(_table(shifted), form) == pytest.approx(ref, abs=1e-8)
         assert icc(_table(scaled), form) == pytest.approx(ref, abs=1e-8)
         assert icc(_table(permuted), form) == pytest.approx(ref, abs=1e-8)
-
-
-def test_repeatability_is_icc_31():
-    rng = np.random.default_rng(3)
-    v = rng.normal(1.2, 0.2, (6, 1)) + rng.normal(0.0, 0.02, (6, 4))
-    t = _table(v)
-    assert repeatability(t) == icc(t, (3, 1))
 
 
 def test_classify_icc_bands():
@@ -276,6 +268,22 @@ def test_compare_methods_fields_are_consistent():
     assert agr.bias_ci[0] <= agr.bias <= agr.bias_ci[1]
     assert agr.classification == classify_icc(agr.icc_2k)
     assert agr.percentage_error == pytest.approx(percentage_error(truth, video))
+
+
+def test_compare_methods_carries_its_table():
+    """The agreement names the walks it paired, their values and the walks
+    left out, which is everything the agreement JSON stores of the table."""
+    records = [
+        ("w1", "s1", "truth", 1.20), ("w1", "s1", "video", 1.22),
+        ("w2", "s2", "truth", 1.30), ("w2", "s2", "video", 1.27),
+        ("w3", "s3", "truth", 1.10),  # video row missing
+        ("w4", "s4", "truth", 1.40), ("w4", "s4", "video", 1.43),
+    ]
+    t = MeasurementTable.from_records(records, parameter="speed", unit="m/s")
+    agr = compare_methods(t, resamples=1000)
+    assert (agr.n, agr.n_excluded) == (3, 1)
+    assert agr.walks == ("w1", "w2", "w4")
+    assert agr.pairs == ((1.20, 1.22), (1.30, 1.27), (1.40, 1.43))
 
 
 def test_compare_methods_requires_two_columns():
