@@ -25,6 +25,10 @@ result (every walk failed, no parameter had enough pairs), 2 for usage or
 configuration errors.  All outputs are deterministic: the same inputs,
 config, and seeds produce byte-identical files.  No command modifies its
 inputs.
+
+Only analyze loads scipy: the optimizer imports scipy.linalg in its linear
+solve, and analyze with --jobs N > 1 imports it before forking its workers,
+so they share its pages.  simulate, agree and report never load it.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields as dataclass_fields
-from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -139,6 +143,11 @@ def _walk_id_for(path: Path) -> str:
     return name[: -len(".poses.json")] if name.endswith(".poses.json") else path.stem
 
 
+def _error_row(path: Path, exc: BaseException) -> dict:
+    return {"walk_id": _walk_id_for(path), "file": path.name, "status": "error",
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
     """Process one pose stream; returns a JSON-ready result row."""
     path = Path(path_str)
@@ -154,9 +163,7 @@ def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
         detection = detect_steps(fitted, cfg.detector)
         rep = compute_report(detection)
     except (StrideLabError, OSError) as exc:
-        row["status"] = "error"
-        row["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return row
+        return _error_row(path, exc)
     row["status"] = "ok"
     row["source"] = seq.source
     row["converged"] = fitted.converged
@@ -182,10 +189,22 @@ def _truth_records(poses_path: Path, walk_id: str) -> list[tuple[str, str, str, 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     paths = [Path(p) for p in args.poses]
     if args.jobs > 1 and len(paths) > 1:
+        # Loaded before the fork, so the workers share its pages instead of
+        # each importing it for its first fit.
+        import scipy.linalg  # noqa: F401
+
         # The fork start method launches every worker up front: start no
-        # more than there are walks.
+        # more than there are walks.  A worker that dies breaks the pool:
+        # the walks that finished keep their rows, the others get an error
+        # row.
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            rows = list(pool.map(_analyze_one, map(str, paths), repeat(cfg)))
+            futures = [pool.submit(_analyze_one, str(p), cfg) for p in paths]
+            rows = []
+            for path, future in zip(paths, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as exc:
+                    rows.append(_error_row(path, exc))
     else:
         rows = [_analyze_one(str(p), cfg) for p in paths]
 

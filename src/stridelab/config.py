@@ -35,7 +35,6 @@ __all__ = ["RunConfig", "load_config"]
 # The shipped defaults set every key a section accepts, except these camera
 # keys, which they leave commented out.  [anatomy.ratios] takes any edge joint.
 _CAMERA_UNSET = ("focal_px", "cx", "cy")
-_MIN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -165,24 +164,20 @@ def _build_camera(section: Mapping[str, str]) -> CameraModel:
 
 
 def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
+    """The [energy] section; EnergyConfig checks the ranges, and its
+    ValueError, which starts with the field name, names the key here."""
     def num(key: str) -> float:
-        return _as_non_negative(f"energy.{key}", section[key])
+        return _as_float(f"energy.{key}", section[key])
 
     auto = section["w_proj"].strip().lower() == "auto"
     max_iterations = _as_int("energy.max_iterations", section["max_iterations"])
-    if max_iterations < 1:
-        raise _fail("energy.max_iterations",
-                    f"must be at least 1, got {max_iterations}")
-    # A relative decrease: 1 or more would stop after any first step, and
-    # below _MIN_TOLERANCE the test sits under the rounding noise of the
-    # energy sum, so fits run to max_iterations.
-    tolerance = _as_float("energy.tolerance", section["tolerance"])
-    if not _MIN_TOLERANCE <= tolerance < 1.0:
-        raise _fail("energy.tolerance",
-                    f"must be at least {_MIN_TOLERANCE:g} and below 1, got {tolerance}")
-    return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
-                        w_smooth=num("w_smooth"), w_depth=num("w_depth"),
-                        max_iterations=max_iterations, tolerance=tolerance)
+    tolerance = num("tolerance")
+    try:
+        return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
+                            w_smooth=num("w_smooth"), w_depth=num("w_depth"),
+                            max_iterations=max_iterations, tolerance=tolerance)
+    except ValueError as exc:
+        raise ConfigError(f"config key energy.{exc}") from None
 
 
 def _build_detector(section: Mapping[str, str]) -> DetectorConfig:

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import kinematics as kin
 from .errors import DegenerateInput, FrameCountMismatch, MissingModality
@@ -69,6 +68,10 @@ _DAMPING_DECREASE = 3.0
 _MAX_DAMPING = 1e14
 # Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks).
 _CHUNK_FRAMES = 32
+# The smallest EnergyConfig.tolerance: below it the relative-decrease test
+# sits under the rounding noise of the energy sum, so fits run to
+# max_iterations.
+_MIN_TOLERANCE = 1e-10
 
 # Why EnergyProblem.solve stopped: an accepted step lowered the energy by at
 # most the relative tolerance ("decrease"); a rejected step left it flat to
@@ -85,10 +88,12 @@ class EnergyConfig:
 
     w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
     pixel residuals like squared metric residuals at unit depth.  tolerance
-    is a relative energy decrease in (0, 1): the fit stops once an accepted
-    step lowers the energy by at most tolerance times its value, or a
-    rejected one changes it by at most that much, and otherwise after
-    max_iterations steps with converged=False.
+    is a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once
+    an accepted step lowers the energy by at most tolerance times its value,
+    or a rejected one changes it by at most that much, and otherwise after
+    max_iterations (at least 1) steps with converged=False.  Weights are
+    non-negative.  A field outside its range raises ValueError whose message
+    starts with the field name.
     """
 
     w_ik: float = 1.0
@@ -97,6 +102,18 @@ class EnergyConfig:
     w_depth: float = 0.1
     max_iterations: int = 80
     tolerance: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for name in ("w_ik", "w_proj", "w_smooth", "w_depth"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name}: must be non-negative, got {value}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations: must be at least 1, got {self.max_iterations}")
+        # 1 or more would stop after any first step.
+        if not _MIN_TOLERANCE <= self.tolerance < 1.0:
+            raise ValueError(f"tolerance: must be at least {_MIN_TOLERANCE:g} and below 1, "
+                             f"got {self.tolerance}")
 
     def resolved_w_proj(self, camera: CameraModel) -> float:
         return 1.0 / (camera.fx * camera.fx) if self.w_proj is None else self.w_proj
@@ -403,6 +420,10 @@ class EnergyProblem:
         in place: it holds the Cholesky factor afterwards, or, when this
         raises LinAlgError (the damped matrix is not numerically positive
         definite), a partial one."""
+        # Imported here, the one place that factors, so that a process that
+        # never fits (simulate, agree, report) never loads scipy.linalg.
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
         ab[0] += damping
         chol = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         return cho_solve_banded((chol, True), rhs, check_finite=False)

@@ -181,30 +181,53 @@ def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
         raise MalformedDocument(str(exc)) from exc
 
 
+def _record_templates(key: str) -> tuple[str, ...]:
+    """Per joint column, the `%r` template of its record in joint map `key`,
+    indented as `_json_bytes` indents it inside a frame."""
+    body = ",\n".join(f'     "{field}": %r' for field, _ in _FIELDS[key])
+    return tuple(f"    {json.dumps(label)}: {{\n{body}\n    }}" for label in _LABELS)
+
+
+_RECORD_TEMPLATES = {key: _record_templates(key) for key in _FIELDS}
+
+
 def write_stream(seq: SkeletonSequence) -> bytes:
-    """Serialize a SkeletonSequence; deterministic byte-for-byte."""
-    header: dict = {"fps": _round10(seq.fps)}
+    """Serialize a SkeletonSequence; deterministic byte-for-byte.
+
+    The bytes are those of `_json_bytes` on the document, but the frames are
+    formatted here, one `%r` template per joint record: the pure-Python
+    encoder that `indent` selects takes about twice as long."""
+    header = {"fps": _round10(seq.fps)}
     if seq.subject_height_m is not None:
         header["subject_height_m"] = _round10(seq.subject_height_m)
     header["source"] = seq.source
 
-    records = [
-        {"index": i, "time_s": _round10(t)}
-        for i, t in zip(seq.indices.tolist(), seq.times.tolist())
-    ]
-    maps = []
+    maps = []  # (key, presence, values) per joint map, as nested lists
     if seq.pixels_2d is not None:
-        maps.append(("joints_2d", seq.mask_2d, np.concatenate(
-            [seq.pixels_2d, seq.confidence_2d[..., None]], axis=2)))
+        values = np.concatenate([seq.pixels_2d, seq.confidence_2d[..., None]], axis=2)
+        maps.append(("joints_2d", seq.mask_2d.tolist(), values.tolist()))
     if seq.points_3d is not None:
-        maps.append(("joints_3d", seq.mask_3d, seq.points_3d))
-    for key, present, values in maps:
-        fields = [field for field, _ in _FIELDS[key]]
-        for rec, seen, row in zip(records, present.tolist(), values.tolist()):
-            rec[key] = {_LABELS[j]: {f: _round10(v) for f, v in zip(fields, row[j])}
-                        for j in range(N_JOINTS) if seen[j]}
+        maps.append(("joints_3d", seq.mask_3d.tolist(), seq.points_3d.tolist()))
 
-    return _json_bytes({"header": header, "frames": records})
+    frames = []
+    for f, (i, t) in enumerate(zip(seq.indices.tolist(), seq.times.tolist())):
+        parts = [f'  {{\n   "index": {i!r},\n   "time_s": {_round10(t)!r}']
+        for key, present, values in maps:
+            templates, row = _RECORD_TEMPLATES[key], values[f]
+            joints = [templates[j] % tuple(map(_round10, row[j]))
+                      for j, seen in enumerate(present[f]) if seen]
+            body = "{\n" + ",\n".join(joints) + "\n   }" if joints else "{}"
+            parts.append(f'   "{key}": {body}')
+        frames.append(",\n".join(parts) + "\n  }")
+
+    text = "".join((
+        "{\n \"header\": {\n",
+        ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in header.items()),
+        "\n },\n \"frames\": ",
+        "[\n" + ",\n".join(frames) + "\n ]" if frames else "[]",
+        "\n}\n",
+    ))
+    return text.encode("utf-8")
 
 
 def write_gait_csv(

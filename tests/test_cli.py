@@ -1,12 +1,20 @@
 """End-to-end command line tests on small synthetic walks."""
 
+import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stridelab
 from stridelab import cli, errors, pose_io
 from stridelab.cli import main
 from stridelab.config import load_config
@@ -157,13 +165,122 @@ def test_analyze_starts_no_idle_workers(pipeline, tmp_path, monkeypatch, jobs, n
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
     poses = sorted(str(p) for p in sim.glob("*.poses.json"))[:n_walks]
     assert main(["--jobs", str(jobs), "analyze", *poses, "--out-dir", str(tmp_path)]) == 0
     assert started == [workers]
+
+
+_ANALYZE_ONE = cli._analyze_one
+
+
+def _analyze_or_die(done_dir, path_str, cfg):
+    """cli._analyze_one, except that the worker given walk-b exits once the
+    rows of the other walks are out."""
+    if Path(path_str).name != "walk-b.poses.json":
+        row = _ANALYZE_ONE(path_str, cfg)
+        (done_dir / row["walk_id"]).touch()
+        return row
+    deadline = time.monotonic() + 60
+    while len(list(done_dir.iterdir())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)  # for the last row to reach the parent
+    os._exit(1)
+
+
+def _die(path_str, cfg):
+    os._exit(1)
+
+
+def test_crashed_worker_gives_error_rows(pipeline, tmp_path, monkeypatch, capsys):
+    """A worker that dies breaks the pool: the walks that finished keep their
+    rows, the dead walk gets a BrokenProcessPool error row, and the run
+    exits 0 because a row is ok.  The forked workers inherit the patch."""
+    _, sim, out = pipeline
+    done = tmp_path / "done"
+    done.mkdir()
+    monkeypatch.setattr(cli, "_analyze_one", functools.partial(_analyze_or_die, done))
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))
+    assert main(["--jobs", "2", "analyze", *poses, "--out-dir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "results.report.json").read_text())["walks"]
+    assert [(r["walk_id"], r["status"]) for r in rows] == [
+        ("walk-a", "ok"), ("walk-b", "error"), ("walk-c", "ok")]
+    assert rows[1]["file"] == "walk-b.poses.json"
+    assert rows[1]["error"]["type"] == "BrokenProcessPool"
+    serial = json.loads((out / "results.report.json").read_text())["walks"]
+    assert [rows[0], rows[2]] == [serial[0], serial[2]]
+    assert len((tmp_path / "results.gait.csv").read_text().splitlines()) == 3
+    assert "analyzed 2/3 walks" in capsys.readouterr().out
+
+
+def test_every_worker_crashed_exits_1(pipeline, tmp_path, monkeypatch):
+    _, sim, _ = pipeline
+    monkeypatch.setattr(cli, "_analyze_one", _die)
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))[:2]
+    assert main(["--jobs", "2", "analyze", *poses, "--out-dir", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "results.report.json").read_text())["walks"]
+    assert [r["error"]["type"] for r in rows] == ["BrokenProcessPool"] * 2
+
+
+# Each import-boundary probe runs in a fresh interpreter: this one has
+# already loaded scipy.  It prints the exit code of main(argv) and whether
+# scipy.linalg was loaded when it returned (and, for analyze, when each
+# process pool was constructed).
+_IMPORT_PROBE = """
+import sys
+import stridelab, stridelab.cli
+from stridelab import cli
+
+loaded_at_pool = []
+
+class Probe(cli.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded_at_pool.append("scipy.linalg" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+cli.ProcessPoolExecutor = Probe
+imported = "scipy.linalg" in sys.modules
+code = cli.main(sys.argv[1:])
+print(code, imported, "scipy.linalg" in sys.modules, loaded_at_pool)
+"""
+
+
+def _probe(args):
+    src = Path(stridelab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_commands_that_never_fit_never_load_scipy(pipeline, tmp_path):
+    """Only a Gauss-Newton solve needs scipy.linalg: importing the package
+    and running simulate, agree or report leaves it unloaded."""
+    root, _, out = pipeline
+    commands = {
+        "simulate": ["simulate", root / "walks.ini", "--out-dir", tmp_path / "sim"],
+        "agree": ["agree", out / "results.matched.csv", "--reference", "truth",
+                  "--out-dir", tmp_path / "tables"],
+        "report": ["report", out / "agreement.agreement.json",
+                   "--out-dir", tmp_path / "rendered"],
+    }
+    for name, args in commands.items():
+        assert _probe(args) == "0 False False []", name
+
+
+def test_parallel_analyze_loads_scipy_before_the_fork(pipeline, tmp_path):
+    """analyze --jobs 2 loads scipy.linalg in the parent before it starts its
+    workers, so they share its pages."""
+    _, sim, _ = pipeline
+    poses = sorted(sim.glob("*.poses.json"))[:2]
+    assert _probe(["--jobs", "2", "analyze", *poses, "--out-dir", tmp_path]) == \
+        "0 False True [True]"
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -132,6 +132,16 @@ def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
         load_config(p)
 
 
+@pytest.mark.parametrize("key", ["w_ik", "w_proj", "w_smooth", "w_depth"])
+def test_negative_energy_weight_names_the_key(tmp_path, key):
+    """EnergyConfig checks the weights; the error still names the key."""
+    p = tmp_path / "run.ini"
+    p.write_text(f"[energy]\n{key} = -0.5\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    assert str(info.value) == f"config key energy.{key}: must be non-negative, got -0.5"
+
+
 @pytest.mark.parametrize("raw", ["1e-10", "1e-9", "0.5"])
 def test_tolerance_inside_the_unit_interval_accepted(tmp_path, raw):
     p = tmp_path / "run.ini"

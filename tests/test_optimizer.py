@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stridelab import optimizer as optimizer_module
 from stridelab import (
@@ -229,7 +230,7 @@ def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
     def never_positive_definite(ab, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(optimizer_module, "cholesky_banded", never_positive_definite)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", never_positive_definite)
     init = initial_params(seq, truth.anatomy)
     fit = optimize(seq, truth.anatomy, CAMERA, init=init)
     assert fit.stop_reason == "damping_exhausted"
@@ -647,7 +648,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
 def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     seq, truth = noisy_walk
     seq = _head(seq, 12)
-    real = optimizer_module.cholesky_banded
+    real = scipy.linalg.cholesky_banded
     diagonals = []
 
     def fail_once(ab, **kwargs):
@@ -656,7 +657,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
             raise np.linalg.LinAlgError("not positive definite")
         return real(ab, **kwargs)
 
-    monkeypatch.setattr(optimizer_module, "cholesky_banded", fail_once)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail_once)
     fit = optimize(seq, truth.anatomy, CAMERA)
     assert len(diagonals) >= 2
     # The retry solves the same matrix with a larger damping.
@@ -692,3 +693,28 @@ def test_smoothness_diagonals_match_dense_operator(n_frames):
     M = D.T @ D
     for k, got in enumerate(_second_difference_gram(n_frames)):
         assert np.array_equal(got, np.diag(M, k))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"tolerance": 1e-12}, "tolerance"),
+    ({"tolerance": 1.0}, "tolerance"),
+    ({"tolerance": math.nan}, "tolerance"),
+    ({"max_iterations": 0}, "max_iterations"),
+    ({"w_ik": -1.0}, "w_ik"),
+    ({"w_proj": -1e-6}, "w_proj"),
+    ({"w_smooth": math.nan}, "w_smooth"),
+    ({"w_depth": -0.1}, "w_depth"),
+])
+def test_energy_config_checks_its_fields(kwargs, field):
+    """EnergyConfig built directly, as a script would, holds the same ranges
+    as the [energy] section: a tolerance below 1e-10 would run every fit to
+    the iteration cap."""
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        EnergyConfig(**kwargs)
+
+
+def test_energy_config_accepts_its_range():
+    cfg = EnergyConfig(w_ik=0.0, w_proj=None, w_smooth=0.0, w_depth=0.0,
+                       max_iterations=1, tolerance=1e-10)
+    assert cfg.w_proj is None
+    assert EnergyConfig(w_proj=0.0, tolerance=0.999).tolerance == 0.999

@@ -9,6 +9,7 @@ files.
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,6 +272,15 @@ def test_sparse_round_trip(seq):
         assert np.array_equal(getattr(back, mask), getattr(seq, mask))
         for name in values:
             assert np.array_equal(getattr(back, name), _round10(getattr(seq, name)))
+
+
+@given(sparse_sequences(), st.text(max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_written_stream_is_the_json_encoders_text(seq, source):
+    """write_stream formats the document itself; the json encoder with
+    indent=1, the reference, writes the same bytes for that document."""
+    blob = pose_io.write_stream(replace(seq, source=source))
+    assert pose_io._json_bytes(json.loads(blob)) == blob
 
 
 def test_rounding_pass_reaches_every_float():
