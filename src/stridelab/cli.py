@@ -118,7 +118,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
         for walk_id, spec in specs:
             try:
                 seq, truth = generate(spec, camera=cfg.camera, ratios=cfg.ratios)
-            except StrideLabError as exc:
+            except (ValueError, StrideLabError) as exc:
                 raise ConfigError(f"walk spec [{walk_id}]: {exc}") from None
             for path, blob in (
                 (out_dir / f"{walk_id}.poses.json", pose_io.write_stream(seq)),

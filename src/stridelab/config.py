@@ -35,6 +35,10 @@ __all__ = ["RunConfig", "load_config"]
 # The shipped defaults set every key a section accepts, except these camera
 # keys, which they leave commented out.  [anatomy.ratios] takes any edge joint.
 _CAMERA_UNSET = ("focal_px", "cx", "cy")
+# The largest image side accepted, far beyond any camera: a larger integer
+# need not even convert to a float, and the default focal length, the image
+# diagonal, could overflow.
+_MAX_IMAGE_PX = 100_000
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,11 @@ def _build_camera(section: Mapping[str, str]) -> CameraModel:
     height = _as_int("camera.image_height", section["image_height"])
     optional = {key: _as_float(f"camera.{key}", section[key])
                 for key in _CAMERA_UNSET if section[key].strip()}
-    for path, value in (("camera.image_width", width),
-                        ("camera.image_height", height),
-                        ("camera.focal_px", optional.get("focal_px", 1.0))):
-        if value <= 0:
-            raise _fail(path, f"must be positive, got {value}")
+    for path, value in (("camera.image_width", width), ("camera.image_height", height)):
+        if not 0 < value <= _MAX_IMAGE_PX:
+            raise _fail(path, f"must be between 1 and {_MAX_IMAGE_PX} pixels")
+    if optional.get("focal_px", 1.0) <= 0:
+        raise _fail("camera.focal_px", f"must be positive, got {optional['focal_px']}")
     try:
         return CameraModel.default(image_width=width, image_height=height, **optional)
     except (ValueError, StrideLabError) as exc:

@@ -57,12 +57,10 @@ class DetectorConfig:
 
 @dataclass(frozen=True, eq=False)
 class StepSignal:
-    """Scalar joint-to-reference distance sampled at the sequence frames."""
+    """The distance between the two ankles sampled at the sequence frames."""
 
     times: np.ndarray
     values: np.ndarray
-    joint: JointId = JointId.LEFT_ANKLE
-    reference: JointId = JointId.RIGHT_ANKLE
 
     def __post_init__(self) -> None:
         if self.times.shape != self.values.shape or self.times.ndim != 1:
@@ -126,22 +124,17 @@ def _joint_track(source, joint: JointId) -> np.ndarray:
     return np.ascontiguousarray(source.points_3d[:, joint.value])
 
 
-def build_signal(
-    source,
-    joint: JointId = JointId.LEFT_ANKLE,
-    reference: JointId = JointId.RIGHT_ANKLE,
-) -> StepSignal:
-    """Distance between two joints over time (default: the two ankles) in
-    the 3D joints of a SkeletonSequence or of an OptimizedSequence."""
+def build_signal(source) -> StepSignal:
+    """Distance between the two ankles over time in the 3D joints of a
+    SkeletonSequence or of an OptimizedSequence."""
     if source.points_3d is None:
         raise MissingModality("step detection needs the 3D stream")
     if len(source) < 3:
         raise SignalTooShort(f"need at least 3 frames, got {len(source)}")
-    a = _joint_track(source, joint)
-    b = _joint_track(source, reference)
+    a = _joint_track(source, JointId.LEFT_ANKLE)
+    b = _joint_track(source, JointId.RIGHT_ANKLE)
     values = np.linalg.norm(a - b, axis=1)
-    return StepSignal(times=np.array(source.times), values=values,
-                      joint=joint, reference=reference)
+    return StepSignal(times=np.array(source.times), values=values)
 
 
 def topographic_prominence(values: np.ndarray, index: int, kind: str = "max") -> float:

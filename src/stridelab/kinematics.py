@@ -1,9 +1,11 @@
 """Rigid kinematic trees: rotation algebra, forward kinematics, pose fitting.
 
-A pose is parameterized by one root translation plus a 3-parameter
-exponential-map rotation for every joint that has children.  Bone lengths are
-fixed, so forward kinematics maps (translation, rotations) to joint positions
-exactly on the bone-length manifold.
+A pose is one root translation plus a local rotation matrix for every joint
+that has children, relative to its parent's frame.  Bone lengths are fixed,
+so forward kinematics maps (translation, rotations) to joint positions
+exactly on the bone-length manifold.  The fit steps on these matrices by
+left-multiplied increments exp(hat(d)) R, d in the parent's frame, and
+nothing converts them to another rotation representation.
 
 The math here is generic over any rooted tree; the canonical 21-joint skeleton
 is exposed as CANONICAL_TREE.
@@ -47,72 +49,6 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     K = hat(w)
     eye = np.broadcast_to(np.eye(3), K.shape)
     return eye + a[..., None, None] * K + b[..., None, None] * (K @ K)
-
-
-def so3_left_jacobian(w: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3): d exp([w + d]x) = exp([J_l(w) d]x) exp([w]x)."""
-    w = np.asarray(w, dtype=np.float64)
-    theta2 = np.sum(w * w, axis=-1)
-    theta = np.sqrt(theta2)
-    small = theta < _EPS_ANGLE
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / theta2)
-        c = np.where(
-            small, 1.0 / 6.0 - theta2 / 120.0, (theta - np.sin(theta)) / (theta2 * theta)
-        )
-    K = hat(w)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + b[..., None, None] * K + c[..., None, None] * (K @ K)
-
-
-def so3_log(R: np.ndarray) -> np.ndarray:
-    """Logarithm map, batched: (..., 3, 3) -> (..., 3) with |w| <= pi.
-
-    Goes through a quaternion (Shepperd's branching) so angles near pi stay
-    well conditioned.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    batch = R.shape[:-2]
-    Rf = R.reshape((-1, 3, 3))
-    n = Rf.shape[0]
-    q = np.empty((n, 4), dtype=np.float64)  # (w, x, y, z)
-
-    tr = np.trace(Rf, axis1=-2, axis2=-1)
-    d0, d1, d2 = Rf[:, 0, 0], Rf[:, 1, 1], Rf[:, 2, 2]
-    choice = np.where(
-        tr > np.maximum(d0, np.maximum(d1, d2)),
-        3,
-        np.argmax(np.stack([d0, d1, d2], axis=1), axis=1),
-    )
-
-    m = choice == 3
-    if np.any(m):
-        s = np.sqrt(tr[m] + 1.0) * 2.0
-        q[m, 0] = 0.25 * s
-        q[m, 1] = (Rf[m, 2, 1] - Rf[m, 1, 2]) / s
-        q[m, 2] = (Rf[m, 0, 2] - Rf[m, 2, 0]) / s
-        q[m, 3] = (Rf[m, 1, 0] - Rf[m, 0, 1]) / s
-    for axis, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1))):
-        m = choice == axis
-        if not np.any(m):
-            continue
-        s = np.sqrt(1.0 + Rf[m, i, i] - Rf[m, j, j] - Rf[m, k, k]) * 2.0
-        q[m, 0] = (Rf[m, k, j] - Rf[m, j, k]) / s
-        q[m, 1 + i] = 0.25 * s
-        q[m, 1 + j] = (Rf[m, j, i] + Rf[m, i, j]) / s
-        q[m, 1 + k] = (Rf[m, k, i] + Rf[m, i, k]) / s
-
-    # Normalize and keep the w >= 0 hemisphere so the angle lands in [0, pi].
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    q[q[:, 0] < 0] *= -1.0
-
-    vec_norm = np.linalg.norm(q[:, 1:], axis=1)
-    angle = 2.0 * np.arctan2(vec_norm, q[:, 0])
-    small = vec_norm < _EPS_ANGLE
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(small, 2.0 / np.clip(q[:, 0], _EPS_ANGLE, None), angle / vec_norm)
-    w = q[:, 1:] * scale[:, None]
-    return w.reshape(batch + (3,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +134,10 @@ class KinematicTree:
 
     @cached_property
     def step_layouts(self) -> tuple["StepLayout", "StepLayout"]:
-        """The per-frame step parameters, indexed by swing: [False] is
-        PoseParams' layout, three per rotated joint, and [True] the
-        solver's, in which a joint with one child has two."""
+        """The per-frame step parameters, indexed by swing: [False] holds
+        three left-multiplied increments per rotated joint, the layout of
+        energy_gradient, and [True] the solver's, in which a joint with one
+        child has two."""
         _, desc, slots = self.rotation_pairs
         layouts = []
         for swing in (False, True):
@@ -298,8 +235,11 @@ class PoseParams:
     """Whole-sequence pose parameters.
 
     translations: (F, 3) root positions.
-    rotations: (F, NR, 3) exponential-map vectors, one row per rotated joint
-    in tree.rotated_joints order.
+    rotations: (F, NR, 3, 3) local rotation matrices, one per rotated joint
+    in tree.rotated_joints order, each relative to its parent's frame.
+
+    Bone lengths are exact only for rotations, so every matrix must be one:
+    |R^T R - I| <= 1e-9 (Frobenius) and det R > 0, or ValueError.
     """
 
     translations: np.ndarray
@@ -310,36 +250,18 @@ class PoseParams:
         self.rotations = np.asarray(self.rotations, dtype=np.float64)
         if self.translations.ndim != 2 or self.translations.shape[1] != 3:
             raise ValueError("translations must have shape (F, 3)")
-        if self.rotations.ndim != 3 or self.rotations.shape[2] != 3:
-            raise ValueError("rotations must have shape (F, NR, 3)")
+        if self.rotations.ndim != 4 or self.rotations.shape[2:] != (3, 3):
+            raise ValueError("rotations must have shape (F, NR, 3, 3)")
         if self.rotations.shape[0] != self.translations.shape[0]:
             raise ValueError("translations and rotations disagree on frame count")
+        R = self.rotations
+        drift = np.linalg.norm(R.swapaxes(-1, -2) @ R - np.eye(3), axis=(-2, -1))
+        if not (np.all(drift <= 1e-9) and np.all(np.linalg.det(R) > 0)):
+            raise ValueError("rotations must be rotation matrices")
 
     @property
     def n_frames(self) -> int:
         return self.translations.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        F = self.n_frames
-        per_frame = np.concatenate(
-            [self.translations, self.rotations.reshape(F, -1)], axis=1
-        )
-        return per_frame.reshape(-1)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n_rotations: int) -> "PoseParams":
-        per = 3 + 3 * n_rotations
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.size % per:
-            raise ValueError(f"vector length {vec.size} not a multiple of {per}")
-        frames = vec.reshape(-1, per)
-        return cls(
-            translations=frames[:, :3].copy(),
-            rotations=frames[:, 3:].reshape(-1, n_rotations, 3).copy(),
-        )
-
-    def copy(self) -> "PoseParams":
-        return PoseParams(self.translations.copy(), self.rotations.copy())
 
 
 def _fk_from_matrices(
@@ -373,9 +295,7 @@ def forward_kinematics(
 ):
     """Joint positions (F, J, 3) for every frame; optionally the accumulated
     global rotations (F, J, 3, 3) as well."""
-    X, G = _fk_from_matrices(
-        tree, lengths, params.translations, so3_exp(params.rotations)
-    )
+    X, G = _fk_from_matrices(tree, lengths, params.translations, params.rotations)
     if with_globals:
         return X, G
     return X
@@ -395,11 +315,10 @@ def position_jacobian(
     parent's frame: column i of axes[f, s] (F, NR, 3, 3) is the axis of
     slot s's i-th parameter.  None stands for the identity, which gives
     left-multiplied increments at the current rotations (P = 3 + 3 NR, 45
-    on CANONICAL_TREE); so3_left_jacobian(rotations) gives the
-    exponential-map parameters themselves; swing_axes gives the solver's
-    swing layout, in which, with swing=True, a joint with one child keeps
-    only its first two axes (P = 35 on CANONICAL_TREE, so the solver's
-    normal matrix has bandwidth 3P - 1 = 104 instead of 134).
+    on CANONICAL_TREE); swing_axes gives the solver's swing layout, in
+    which, with swing=True, a joint with one child keeps only its first two
+    axes (P = 35 on CANONICAL_TREE, so the solver's normal matrix has
+    bandwidth 3P - 1 = 104 instead of 134).
 
     Descendant d of b moves with b's axes as hat(X_b - X_d) M_b, M_b the
     global rotation of b's parent (the identity at the root) times the
@@ -528,4 +447,4 @@ def fit_params_to_positions(
             R[many] = _align_many(us, vs[many])
         G[j] = Gp @ R
         local[:, tree.rot_slot[j]] = R
-    return PoseParams(translations=positions[:, 0].copy(), rotations=so3_log(local))
+    return PoseParams(translations=positions[:, 0].copy(), rotations=local)

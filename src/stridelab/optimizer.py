@@ -30,11 +30,10 @@ when it strictly decreases the energy, otherwise the damping is increased,
 the band assembled again at the same pose (the failed attempt overwrote it
 with its factor) and the step recomputed.  The fit stops when a step
 changes the energy by at most a set fraction of it (EnergyConfig.tolerance),
-and says why it stopped (STOP_REASONS).  Rotations advance by
-left-multiplied increments about the step axes and are re-centred every
-iteration, so the parameterization never sits near its angle-pi
-singularity; PoseParams keeps three exponential-map parameters per rotated
-joint.
+and says why it stopped (STOP_REASONS).  PoseParams holds the local rotation
+matrices themselves; each step left-multiplies them by the exponential of
+a small increment about the step axes, so no rotation is ever expressed by
+a parameter vector with a singularity to avoid.
 
 The residuals are evaluated in one place, EnergyProblem._residuals: the
 energy sums their weighted squares, and the Gauss-Newton step and the
@@ -263,14 +262,16 @@ class EnergyProblem:
         return sum(terms.values()), terms
 
     def gradient(self, params: PoseParams) -> np.ndarray:
-        """Analytic dE/dparams in PoseParams.as_vector() layout: (F * P,).
+        """Analytic dE/dstep at params, (F * P,) with P = tree.params_per_frame.
 
-        E is a weighted sum of squared residuals, so dE/dparams = 2 J^T W r
-        with J the residuals' Jacobian in the exponential-map parameters of
-        params: the right-hand side of the Gauss-Newton step, taken at params
-        itself instead of at a left-multiplied increment."""
+        Per frame the step is the root translation, then, per rotated joint,
+        an increment d in its parent's frame that moves its rotation R to
+        exp(hat(d)) R.  E is a weighted sum of squared residuals, so the
+        gradient is 2 J^T W r, J the residuals' Jacobian in these steps: the
+        right-hand side of the Gauss-Newton step in three increments per
+        joint."""
         X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
-        _, jtr = self._normal_blocks(X, G, axes=kin.so3_left_jacobian(params.rotations))
+        _, jtr = self._normal_blocks(X, G)
         return 2 * jtr.reshape(-1)
 
     # -- Gauss-Newton solver ----------------------------------------------
@@ -279,9 +280,8 @@ class EnergyProblem:
         """J^T W J and J^T W r at joint positions X, with respect to the step
         parameters that axes and swing give kin.position_jacobian:
         left-multiplied rotation increments by default (P = 45 per frame on
-        CANONICAL_TREE), the exponential-map parameters with
-        axes = so3_left_jacobian(rotations) (P = 45), or the solver's swing
-        layout with kin.swing_axes and swing=True (P = 35).
+        CANONICAL_TREE), or the solver's swing layout with kin.swing_axes and
+        swing=True (P = 35).
 
         J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
         with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
@@ -429,7 +429,8 @@ class EnergyProblem:
         return cho_solve_banded((chol, True), rhs, check_finite=False)
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
-        """Damped Gauss-Newton from init.  Returns (params, info dict).
+        """Damped Gauss-Newton from init.  Returns (params, info dict);
+        info["joints"] holds the positions (F, J, 3) of the returned params.
 
         Steps are taken in the swing layout: every iteration builds the step
         axes of all rotated joints at once (kin.swing_axes), so a joint with
@@ -451,8 +452,7 @@ class EnergyProblem:
         F = self.F
         layout = tree.step_layouts[True]
         P = layout.params_per_frame
-        t = init.translations.copy()
-        rot = kin.so3_exp(init.rotations)  # local rotation matrices, (F, NR, 3, 3)
+        t, rot = init.translations, init.rotations
 
         X, G = kin._fk_from_matrices(tree, self.lengths, t, rot)
         terms = self.energy_terms(X)
@@ -534,8 +534,9 @@ class EnergyProblem:
         else:
             stop_reason = "iteration_cap"
 
-        params = PoseParams(translations=t, rotations=kin.so3_log(rot))
+        params = PoseParams(translations=t, rotations=rot)
         info = {
+            "joints": X,
             "energy": energy,
             "terms": terms,
             "history": tuple(history),
@@ -620,30 +621,26 @@ def energy_gradient(
     camera: Optional[CameraModel] = None,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> np.ndarray:
-    """Analytic gradient of the energy in PoseParams.as_vector() layout:
-    2 J^T W r, J the weighted residuals' Jacobian in exponential-map
-    parameters."""
+    """Analytic gradient of the energy at params, (F * 45,) on the skeleton:
+    per frame the root translation's three components, then three per
+    rotated joint for the increment d (in its parent's frame) that turns its
+    rotation R to exp(hat(d)) R.  See EnergyProblem.gradient."""
     prob = _problem_for(seq, anatomy, camera or CameraModel.default(), cfg)
     _check_params(params, prob.F)
     return prob.gradient(params)
 
 
-def initial_params(
-    seq: SkeletonSequence,
-    anatomy: AnatomyProfile,
-    tree: KinematicTree = CANONICAL_TREE,
-) -> PoseParams:
+def initial_params(seq: SkeletonSequence, anatomy: AnatomyProfile) -> PoseParams:
     """Initialization: root from detected pelvis, rotations from closed-form
     alignment of detected bone directions; gaps filled by interpolation."""
     y3, m3 = _targets_3d(seq)
-    return _initial_params_from(y3, m3, anatomy, tree)
+    return _initial_params_from(y3, m3, anatomy)
 
 
 def _initial_params_from(
     y3: np.ndarray,
     m3: np.ndarray,
     anatomy: AnatomyProfile,
-    tree: KinematicTree,
 ) -> PoseParams:
     """initial_params on 3D targets y3 (F, J, 3) with mask m3 (F, J), which
     must mark at least one joint."""
@@ -671,7 +668,8 @@ def _initial_params_from(
         )
     obs[:, 0] = True
 
-    lengths = kin.lengths_vector(anatomy) if tree is CANONICAL_TREE else None
+    tree = CANONICAL_TREE
+    lengths = kin.lengths_vector(anatomy)
     for j in range(1, J):
         seen = obs[:, j]
         if seen.any():
@@ -680,8 +678,7 @@ def _initial_params_from(
         else:
             # Never observed: hang the joint off its parent in rest direction.
             p = tree.parents[j]
-            step = tree.rest_dirs[j] * (lengths[j] if lengths is not None else 0.0)
-            pos[:, j] = pos[:, p] + step
+            pos[:, j] = pos[:, p] + tree.rest_dirs[j] * lengths[j]
     return kin.fit_params_to_positions(tree, pos)
 
 
@@ -702,14 +699,12 @@ def optimize(
     camera = camera or CameraModel.default()
     prob = _problem_for(seq, anatomy, camera, cfg)
     if init is None:
-        init = _initial_params_from(prob.y3, prob.m3, anatomy, CANONICAL_TREE)
+        init = _initial_params_from(prob.y3, prob.m3, anatomy)
     _check_params(init, prob.F)
     params, info = prob.solve(init, cfg)
-
-    X = kin.forward_kinematics(CANONICAL_TREE, kin.lengths_vector(anatomy), params)
     distances = tuple(float(d) for d in np.linalg.norm(params.translations, axis=1))
     return OptimizedSequence(
-        points_3d=X,
+        points_3d=info["joints"],
         times=seq.times,
         indices=seq.indices,
         fps=seq.fps,

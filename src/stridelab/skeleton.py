@@ -216,9 +216,10 @@ class SkeletonSequence:
       presence mask mask_2d (F, J): a joint present with confidence 0 is
       still a detection.
 
-    A sequence may carry neither block (frames without joints).  The
-    constructor validates and stores read-only copies; cells of absent
-    joints read 0, confidences included.
+    A sequence may carry neither block (frames without joints).
+    subject_height_m, when given, is positive and finite (derive_anatomy
+    narrows it to (0.5, 2.5) m).  The constructor validates and stores
+    read-only copies; cells of absent joints read 0, confidences included.
     """
 
     fps: float
@@ -235,6 +236,9 @@ class SkeletonSequence:
     def __post_init__(self) -> None:
         if not (self.fps > 0 and math.isfinite(self.fps)):
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
+        height = self.subject_height_m
+        if height is not None and not (height > 0 and math.isfinite(height)):
+            raise ValueError(f"subject_height_m must be positive and finite, got {height}")
         if np.size(self.indices) and np.asarray(self.indices).dtype.kind not in "iu":
             raise ValueError("frame indices must be integers")
         times = self._store("times", np.float64)

@@ -39,6 +39,9 @@ from .skeleton import (
 
 _SPEED_TOL = 1e-9
 _REACH_MARGIN = 0.98
+# The most steps, and the most frames, one walk may have: a spec beyond
+# either fails before generate allocates anything for it.
+_MAX_FRAMES = 100_000
 # Parity (1 = right foot), then hip, knee, ankle, heel and foot tip.
 _LEGS = (
     (0, JointId.LEFT_HIP, JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
@@ -54,7 +57,9 @@ class WalkerSpec:
 
     Exactly two of (speed_m_s, cadence_steps_min, step_length_m) may be given,
     in which case the third is derived; giving all three requires them to
-    satisfy speed = step_length * cadence / 60 to within 1e-9.
+    satisfy speed = step_length * cadence / 60 to within 1e-9.  Every
+    number must be finite, the seed non-negative, and the walk at most
+    _MAX_FRAMES steps and frames long.
     """
 
     subject_height_m: float = 1.72
@@ -106,7 +111,7 @@ class WalkerSpec:
                     "cadence_steps_min",
                     60.0 * self.speed_m_s / self.step_length_m,  # type: ignore[operator]
                 )
-        if self.fps < 10:
+        if not self.fps >= 10:
             raise ValueError(f"fps must be at least 10, got {self.fps}")
         if not 0.0 <= self.double_support <= 0.4:
             raise ValueError(
@@ -118,6 +123,20 @@ class WalkerSpec:
                 raise ValueError(f"{name} must be positive, got {v}")
         if self.sigma3d_m < 0 or self.sigma2d_px < 0 or not 0 <= self.dropout <= 1:
             raise ValueError("noise levels must be non-negative, dropout in [0, 1]")
+        for name in ("subject_height_m", "sigma3d_m", "sigma2d_px",
+                     "heading_deg", "start_x_m", "start_z_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # generate() lays down max(2, round(steps)) steps of step_time_s each.
+        steps = self.distance_m / self.step_length_m
+        frames = max(2.0, steps) * self.step_time_s * self.fps
+        if not (steps <= _MAX_FRAMES and frames <= _MAX_FRAMES):
+            raise ValueError(
+                f"distance_m, the step and fps give {steps:.4g} steps over "
+                f"{frames:.4g} frames; at most {_MAX_FRAMES} of each"
+            )
 
     @property
     def step_time_s(self) -> float:

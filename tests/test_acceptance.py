@@ -215,7 +215,7 @@ def _random_problem(rng):
     anatomy = derive_anatomy(float(rng.uniform(1.5, 1.95)), default_ratio_table())
     params = PoseParams(
         translations=rng.normal(0.0, 0.4, (n_frames, 3)) + [0.0, 0.0, 6.0],
-        rotations=rng.normal(0.0, 0.25, (n_frames, n_rot, 3)),
+        rotations=so3_exp(rng.normal(0.0, 0.25, (n_frames, n_rot, 3))),
     )
     X = forward_kinematics(CANONICAL_TREE, lengths_vector(anatomy), params)
     obs = X + rng.normal(0.0, 0.05, X.shape)
@@ -246,19 +246,22 @@ def _random_problem(rng):
 
 
 def _fd_gradient(params, seq, anatomy, cfg, h=1e-6):
-    v0 = params.as_vector()
-    n_rot = params.rotations.shape[1]
-    g = np.zeros_like(v0)
-    for i in range(v0.size):
-        vp = v0.copy()
-        vm = v0.copy()
-        vp[i] += h
-        vm[i] -= h
-        ep = energy(PoseParams.from_vector(vp, n_rot), seq, anatomy,
-                    camera=CAMERA, cfg=cfg)
-        em = energy(PoseParams.from_vector(vm, n_rot), seq, anatomy,
-                    camera=CAMERA, cfg=cfg)
-        g[i] = (ep - em) / (2.0 * h)
+    """Central differences along energy_gradient's steps: the root
+    translation, then per rotation the turn R -> exp(h hat(e_i)) R."""
+    F, P = params.n_frames, CANONICAL_TREE.params_per_frame
+    g = np.zeros(F * P)
+    for k in range(g.size):
+        f, i = divmod(k, P)
+        e = []
+        for sign in (1.0, -1.0):
+            t, rot = params.translations.copy(), params.rotations.copy()
+            if i < 3:
+                t[f, i] += sign * h
+            else:
+                s, a = divmod(i - 3, 3)
+                rot[f, s] = so3_exp(sign * h * np.eye(3)[a]) @ rot[f, s]
+            e.append(energy(PoseParams(t, rot), seq, anatomy, camera=CAMERA, cfg=cfg))
+        g[k] = (e[0] - e[1]) / (2.0 * h)
     return g
 
 

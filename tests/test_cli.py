@@ -356,6 +356,44 @@ def test_simulate_rejects_unbuildable_walks(tmp_path, capsys, keys, error):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "keys, named",
+    [("fps = inf\n", "fps"),
+     ("fps = nan\n", "fps"),
+     ("distance_m = 1e300\n", "distance_m"),
+     ("cadence_steps_min = 1e12\n", "distance_m"),
+     ("heading_deg = inf\n", "heading_deg"),
+     ("sigma3d_m = inf\n", "sigma3d_m"),
+     ("seed = -1\n", "seed")],
+    ids=["infinite-fps", "nan-fps", "huge-distance", "too-many-steps",
+         "infinite-heading", "infinite-noise", "negative-seed"],
+)
+def test_simulate_rejects_specs_it_cannot_allocate(tmp_path, capsys, keys, named):
+    """Each spec here fails in WalkerSpec, before generate allocates
+    anything: exit 2, naming the walk and the key."""
+    spec = tmp_path / "walks.ini"
+    spec.write_text(f"[w]\nspeed_m_s = 1.1\n{keys}"
+                    + ("" if "cadence" in keys else "cadence_steps_min = 100\n"))
+    assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "walk spec [w]" in err and named in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_simulate_with_a_huge_image_width_exits_2(tmp_path, capsys):
+    """An image side that does not even convert to a float is refused by
+    load_config, naming the key, before any walk is read."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[camera]\nimage_width = 1" + "0" * 400 + "\n")
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\n")
+    assert main(["--config", str(cfg), "simulate", str(spec),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "camera.image_width" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_simulate_removes_its_files_when_a_later_walk_fails(tmp_path, capsys):
     """Walks are written one by one; when the second cannot be built, the
     first one's files go too, and files from elsewhere stay."""
@@ -375,7 +413,7 @@ def test_simulate_removes_its_files_when_a_later_walk_fails(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["other.poses.json"]
 
 
-def _document(n_frames=10, joints_2d=True, joints_3d=True):
+def _document(n_frames=10, joints_2d=True, joints_3d=True, height=1.72):
     """Ten frames, each with a 2D pelvis (joints_2d) and an empty 3D joint
     map (joints_3d), or without either map."""
     pixels = np.zeros((n_frames, 21, 2))
@@ -389,7 +427,7 @@ def _document(n_frames=10, joints_2d=True, joints_3d=True):
     if joints_3d:
         blocks.update(points_3d=np.zeros((n_frames, 21, 3)), mask_3d=mask)
     seq = SkeletonSequence(fps=30.0, times=np.arange(n_frames) / 30.0,
-                           indices=np.arange(n_frames), subject_height_m=1.72, **blocks)
+                           indices=np.arange(n_frames), subject_height_m=height, **blocks)
     return pose_io.write_stream(seq)
 
 
@@ -398,8 +436,9 @@ def _document(n_frames=10, joints_2d=True, joints_3d=True):
     [(b"{not json", "MalformedDocument"),
      (_document(), "MissingModality"),
      (_document(joints_3d=False), "MissingModality"),
-     (_document(joints_2d=False, joints_3d=False), "MissingModality")],
-    ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps"],
+     (_document(joints_2d=False, joints_3d=False), "MissingModality"),
+     (_document(height=3.0), "OutOfRangeHeight")],
+    ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps", "height-out-of-range"],
 )
 def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     bad = tmp_path / "broken.poses.json"

@@ -16,7 +16,7 @@ from stridelab import (
     derive_anatomy,
     load_config,
 )
-from stridelab.skeleton import default_ratio_table
+from stridelab.skeleton import default_ratio_table, packaged_defaults
 
 
 def test_defaults_load_without_a_file():
@@ -222,3 +222,39 @@ def test_config_and_anatomy_judge_a_ratio_alike(tmp_path_factory, key, raw):
         assert rejected
     else:
         assert not rejected and 0.0 < value < 1.0 and math.isfinite(value)
+
+
+def _every_key():
+    """(section, key) for every key load_config accepts: those the shipped
+    defaults set, and the camera keys they leave commented out."""
+    defaults = packaged_defaults()
+    keys = [(section, key) for section in defaults.sections() for key in defaults[section]]
+    return keys + [("camera", key) for key in ("focal_px", "cx", "cy")]
+
+
+_ANY_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=16),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1" + "0" * 400, "-" + "9" * 400, "1e400", "1e308", "-1e308",
+                     "5e-324", "0", "-0", "auto", " 1 ", ""]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(_every_key()), raw=_ANY_TEXT)
+def test_any_value_of_any_key_loads_or_names_its_section(key, raw):
+    """Bad configuration is a ConfigError, whatever the key and the text:
+    never another exception."""
+    section, name = key
+    try:
+        load_config(overrides={f"{section}.{name}": raw})
+    except ConfigError as exc:
+        assert section in str(exc), str(exc)
+
+
+@pytest.mark.parametrize("key", ["image_width", "image_height"])
+@pytest.mark.parametrize("raw", ["0", "-3", "100001", "1" + "0" * 400])
+def test_image_sides_outside_the_range_name_the_key(key, raw):
+    with pytest.raises(ConfigError, match=rf"camera\.{key}"):
+        load_config(overrides={f"camera.{key}": raw})

@@ -51,7 +51,7 @@ def _params(rng, n_frames, spread=0.3):
     nr = CANONICAL_TREE.n_rotations
     return PoseParams(
         translations=rng.normal(0.0, 0.2, (n_frames, 3)) + [0, 0, 4.0],
-        rotations=rng.normal(0.0, spread, (n_frames, nr, 3)),
+        rotations=so3_exp(rng.normal(0.0, spread, (n_frames, nr, 3))),
     )
 
 
@@ -144,19 +144,23 @@ def test_energy_linear_in_weights():
 
 
 def _fd_gradient(params, seq, cfg, h=1e-6):
-    """Central finite differences in PoseParams.as_vector() layout."""
-    nr = CANONICAL_TREE.n_rotations
-    flat = params.as_vector()
-    g = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += h
-        dn = flat.copy()
-        dn[i] -= h
-        g[i] = (
-            energy(PoseParams.from_vector(up, nr), seq, ANATOMY, CAMERA, cfg=cfg)
-            - energy(PoseParams.from_vector(dn, nr), seq, ANATOMY, CAMERA, cfg=cfg)
-        ) / (2 * h)
+    """Central finite differences in energy_gradient's layout: per frame the
+    root translation, then per rotation R the increment d of the turn
+    R -> exp(hat(d)) R."""
+    F, P = params.n_frames, CANONICAL_TREE.params_per_frame
+    g = np.empty(F * P)
+    for k in range(g.size):
+        f, i = divmod(k, P)
+        moved = []
+        for sign in (1.0, -1.0):
+            t, rot = params.translations.copy(), params.rotations.copy()
+            if i < 3:
+                t[f, i] += sign * h
+            else:
+                s, a = divmod(i - 3, 3)
+                rot[f, s] = so3_exp(sign * h * np.eye(3)[a]) @ rot[f, s]
+            moved.append(energy(PoseParams(t, rot), seq, ANATOMY, CAMERA, cfg=cfg))
+        g[k] = (moved[0] - moved[1]) / (2 * h)
     return g
 
 
@@ -368,7 +372,7 @@ def test_wrong_param_shape_rejected(clean_walk):
     seq, truth = clean_walk
     bad = PoseParams(
         translations=np.zeros((3, 3)) + [0, 0, 4],
-        rotations=np.zeros((3, CANONICAL_TREE.n_rotations, 3)),
+        rotations=np.broadcast_to(np.eye(3), (3, CANONICAL_TREE.n_rotations, 3, 3)),
     )
     with pytest.raises(StrideLabError):
         energy(bad, seq, truth.anatomy)
@@ -489,7 +493,7 @@ def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
     def pose():
         return PoseParams(
             translations=rng.normal(0.0, 0.2, (F, 3)) + [0.0, 0.0, 4.0],
-            rotations=rng.normal(0.0, 0.5, (F, tree.n_rotations, 3)),
+            rotations=so3_exp(rng.normal(0.0, 0.5, (F, tree.n_rotations, 3))),
         )
 
     truth = forward_kinematics(tree, lengths, pose())
@@ -505,7 +509,7 @@ def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
     H, g = _dense_normal_equations(prob, X, G)
 
-    axes = swing_axes(tree, so3_exp(params.rotations))
+    axes = swing_axes(tree, params.rotations)
     layout = tree.step_layouts[True]
     P, Q = tree.params_per_frame, layout.params_per_frame
     T = np.zeros((F * P, F * Q))
@@ -558,8 +562,8 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
-    """gradient() reaches the chunked assembly through axes=, in the
-    exponential-map layout."""
+    """gradient() reaches the chunked assembly in the layout of
+    left-multiplied increments, three per rotated joint."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     test_gradient_matches_finite_differences(seed, 5)
 
@@ -576,7 +580,7 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
     lengths = lengths_vector(truth.anatomy)
     init = initial_params(seq, truth.anatomy)
-    other = PoseParams(init.translations + 0.05, init.rotations * 0.5)
+    other = PoseParams(init.translations + 0.05, init.rotations.swapaxes(-1, -2))
     X, G = forward_kinematics(CANONICAL_TREE, lengths, init, with_globals=True)
     X2, G2 = forward_kinematics(CANONICAL_TREE, lengths, other, with_globals=True)
     stale, _ = prob._normal_blocks(X2, G2)
@@ -671,7 +675,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
-    axes = swing_axes(CANONICAL_TREE, so3_exp(init.rotations))
+    axes = swing_axes(CANONICAL_TREE, init.rotations)
     d0 = prob._normal_blocks(X, G, axes, swing=True)[0][0]
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     lam = optimizer_module._INIT_DAMPING

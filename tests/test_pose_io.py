@@ -56,6 +56,21 @@ def test_minimal_2d_document():
     assert frame.joints[JointId.NECK] == Point2D(512.0, 300.0, 0.9)
 
 
+@pytest.mark.parametrize("height", [-1.0, 0.0, -0.0])
+def test_non_positive_height_is_malformed(height):
+    with pytest.raises(MalformedDocument, match="subject_height_m"):
+        pose_io.parse_stream(_doc([], subject_height_m=height))
+
+
+def test_any_positive_height_round_trips():
+    """The format takes any positive height, as docs/poses.schema.json says;
+    only analyze narrows it to (0.5, 2.5) m."""
+    seq = pose_io.parse_stream(_doc([], subject_height_m=3.0))
+    assert seq.subject_height_m == 3.0
+    back = pose_io.parse_stream(pose_io.write_stream(seq))
+    assert back.subject_height_m == 3.0
+
+
 def test_missing_fps_is_typed():
     doc = json.dumps({"header": {}, "frames": []})
     with pytest.raises(MissingHeaderField):

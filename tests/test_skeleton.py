@@ -246,6 +246,15 @@ def test_ratio_table_is_fresh_copy():
     assert 2.0 < total < 3.5  # arms + legs + trunk add to more than standing height
 
 
+@pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf])
+def test_sequence_rejects_a_bad_subject_height(height):
+    """A height the parser would refuse is refused at construction, so the
+    writer never emits a document its own parser rejects."""
+    with pytest.raises(ValueError, match="subject_height_m"):
+        _sequence(subject_height_m=height)
+    assert _sequence(subject_height_m=3.0).subject_height_m == 3.0
+
+
 def test_frames_reject_non_finite():
     with pytest.raises(ValueError):
         _sequence(**_head_3d((np.nan, 0.0, 1.0)))

@@ -56,6 +56,27 @@ def test_bounds_checked():
         WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, dropout=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("fps", math.inf), ("fps", math.nan), ("distance_m", 1e300),
+    ("heading_deg", math.inf), ("start_x_m", math.nan), ("start_z_m", -math.inf),
+    ("sigma2d_px", math.inf), ("subject_height_m", math.nan), ("seed", -1),
+])
+def test_spec_rejects_values_generate_cannot_use(field, value):
+    """Non-finite numbers, a negative seed and walks past the frame cap fail
+    at construction, naming the field; none of these values allocates."""
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, **{field: value})
+
+
+def test_spec_caps_steps_and_frames():
+    """A step far shorter than a frame keeps the frame count small but
+    would still list one schedule entry per step."""
+    with pytest.raises(ValueError, match="steps"):
+        WalkerSpec(speed_m_s=1.2, cadence_steps_min=1e12, distance_m=4.0)
+    # 60 s at 30 fps is far inside both caps.
+    assert WalkerSpec(speed_m_s=1.0, cadence_steps_min=100.0, distance_m=60.0)
+
+
 def test_truth_matches_spec(clean_walk):
     _, truth = clean_walk
     assert truth.speed_m_s == pytest.approx(1.2)
