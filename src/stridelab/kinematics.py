@@ -117,6 +117,15 @@ class KinematicTree:
         return joints, descendants, slots
 
     @cached_property
+    def subtree_matrix(self) -> np.ndarray:
+        """(NR, J): row s is 1 at the strict descendants of rotation slot s's
+        joint and 0 elsewhere, so it sums a per-joint array over subtrees."""
+        _, desc, slots = self.rotation_pairs
+        out = np.zeros((self.n_rotations, self.n_joints))
+        out[slots, desc] = 1.0
+        return out
+
+    @cached_property
     def swing_bases(self) -> tuple[np.ndarray, np.ndarray]:
         """The rotated joints with exactly one child, as their rotation slots
         and, per joint, an orthonormal basis (3, 3) of its own frame whose
@@ -345,6 +354,60 @@ def position_jacobian(
         M = M @ axes
     blocks = hat(X[:, joints] - X[:, desc]) @ M[:, slots]  # (F, pairs, 3, 3)
     out.reshape(F, -1)[:, layout.dst] = blocks.reshape(F, -1)[:, layout.src]
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross products over the last axis, a x b; on small batches a third
+    of np.cross's time."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
+def position_jacobian_vjp(
+    tree: KinematicTree,
+    X: np.ndarray,
+    G: np.ndarray,
+    r: np.ndarray,
+    axes: np.ndarray | None = None,
+    swing: bool = False,
+) -> np.ndarray:
+    """J^T r per frame, (F, P), for J = position_jacobian(tree, X, G, axes,
+    swing) and r (F, J, 3) a vector per joint, without forming J.
+
+    The root translation moves every joint alike, so its entries are the
+    sum of r over the joints.  Rotated joint b moves descendant d by
+    hat(X_b - X_d) M_b, so its entries are M_b^T m_b with the moment
+    m_b = sum over b's strict descendants d of (X_d - X_b) x r_d, that is
+    sum X_d x r_d - X_b x sum r_d: two subtree sums, which one product with
+    tree.subtree_matrix per frame forms.  Positions are taken relative to
+    the root, which leaves every X_d - X_b alone and keeps the sums from
+    cancelling at a large camera distance."""
+    F = X.shape[0]
+    layout = tree.step_layouts[swing]
+    rotated = np.asarray(tree.rotated_joints)
+    parents = np.asarray(tree.parents)[rotated]
+    out = np.empty((F, layout.params_per_frame))
+    out[:, :3] = r.sum(axis=1)
+    rel = X - X[:, :1]
+    both = np.empty(r.shape[:2] + (6,))  # r and rel x r, summed at once
+    both[..., :3] = r
+    _cross(rel, r, out=both[..., 3:])
+    sums = tree.subtree_matrix @ both                             # (F, NR, 6)
+    moment = sums[..., 3:] - _cross(rel[:, rotated], sums[..., :3])
+    # M_b^T m_b: into the parent's frame (the root's is the global one),
+    # then onto the axes.
+    moved = parents >= 0
+    moment[:, moved] = np.einsum("fnij,fni->fnj", G[:, parents[moved]], moment[:, moved])
+    if axes is not None:
+        moment = np.einsum("fnij,fni->fnj", axes, moment)
+    out[:, 3:] = moment[:, layout.columns >= 0]
     return out
 
 

@@ -20,30 +20,39 @@ about the bone leaves the child in place, and what it moves further down
 the child's rotation can undo, so that direction adds nothing to the range
 of the Jacobian) and three for every other rotated joint.  On
 CANONICAL_TREE that is P = 35 and bandwidth 104 (45 and 134 with three
-parameters per joint).  Each iteration writes it once, straight into LAPACK
-lower band storage held column-major, and each damped step is a banded
-Cholesky solve that factors that storage in place.  The matrix is
-assembled in fixed-size frame chunks, so no Jacobian or block array spans
-the walk: a solve holds one band, reused across iterations, plus per-frame
-residuals and weights and one chunk's buffers.  A step is accepted only
-when it strictly decreases the energy, otherwise the damping is increased,
-the band assembled again at the same pose (the failed attempt overwrote it
-with its factor) and the step recomputed.  The fit stops when a step
-changes the energy by at most a set fraction of it (EnergyConfig.tolerance),
-and says why it stopped (STOP_REASONS).  PoseParams holds the local rotation
-matrices themselves; each step left-multiplies them by the exponential of
-a small increment about the step axes, so no rotation is ever expressed by
-a parameter vector with a singularity to avoid.
+parameters per joint).  A fresh step writes it straight into LAPACK lower
+band storage held column-major and solves by a banded Cholesky
+factorization of that storage, in place.  The matrix is assembled in
+fixed-size frame chunks, so no Jacobian or block array spans the walk: a
+solve holds one band, reused across iterations, plus per-frame residuals
+and weights and one chunk's buffers.  A step is accepted only when it
+strictly decreases the energy, otherwise the damping is increased, the
+band assembled again at the same pose (the failed attempt overwrote it
+with its factor) and the step recomputed.
+
+Once the energy drops settle (an accepted drop at most half the one
+before it), the next step is a reuse step: it solves with the factor
+still in the band, in that factor's step axes, against the gradient at
+the current pose, which kin.position_jacobian_vjp forms from subtree sums
+without a Jacobian.  That is the chord method inside the damped loop; a
+reuse step that does not lower the energy is retaken fresh.  The fit stops
+when a fresh step changes the energy by at most a set fraction of it
+(EnergyConfig.tolerance), and says why it stopped (STOP_REASONS).
+PoseParams holds the local rotation matrices themselves; each step
+left-multiplies them by the exponential of a small increment about the
+step axes, so no rotation is ever expressed by a parameter vector with a
+singularity to avoid.
 
 The residuals are evaluated in one place, EnergyProblem._residuals: the
-energy sums their weighted squares, and the Gauss-Newton step and the
-gradient (2 J^T W r) both read them through _normal_blocks, so the three
-describe the same function.
+energy sums their weighted squares, and _weighted_residuals turns them
+into r~ = dE/dX / 2, whose product J^T r~ with the position Jacobian is
+both the gradient (times 2) and the right-hand side of every step, so the
+three describe the same function.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,18 +74,20 @@ _INIT_DAMPING = 1e-3
 _DAMPING_INCREASE = 5.0
 _DAMPING_DECREASE = 3.0
 _MAX_DAMPING = 1e14
-# Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks).
+# Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks)
+# and of its right-hand side (_jtr).
 _CHUNK_FRAMES = 32
 # The smallest EnergyConfig.tolerance: below it the relative-decrease test
 # sits under the rounding noise of the energy sum, so fits run to
 # max_iterations.
 _MIN_TOLERANCE = 1e-10
 
-# Why EnergyProblem.solve stopped: an accepted step lowered the energy by at
-# most the relative tolerance ("decrease"); a rejected step left it flat to
-# within that tolerance, or no parameter moves any residual ("flat"); no
-# damping up to _MAX_DAMPING gave an acceptable step ("damping_exhausted");
-# or max_iterations steps were taken ("iteration_cap").
+# Why EnergyProblem.solve stopped: an accepted fresh step lowered the energy
+# by at most the relative tolerance ("decrease"); a rejected fresh step left
+# it flat to within that tolerance, or no parameter moves any residual
+# ("flat"); no damping up to _MAX_DAMPING gave an acceptable step
+# ("damping_exhausted"); or max_iterations steps were taken
+# ("iteration_cap").
 STOP_REASONS = ("decrease", "flat", "damping_exhausted", "iteration_cap")
 CONVERGED_REASONS = frozenset({"decrease", "flat"})
 
@@ -88,9 +99,10 @@ class EnergyConfig:
     w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
     pixel residuals like squared metric residuals at unit depth.  tolerance
     is a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once
-    an accepted step lowers the energy by at most tolerance times its value,
-    or a rejected one changes it by at most that much, and otherwise after
-    max_iterations (at least 1) steps with converged=False.  Weights are
+    an accepted step from a fresh factorization lowers the energy by at most
+    tolerance times its value, or a rejected one changes it by at most that
+    much, and otherwise after max_iterations (at least 1) accepted steps of
+    either kind (see EnergyProblem.solve) with converged=False.  Weights are
     non-negative.  A field outside its range raises ValueError whose message
     starts with the field name.
     """
@@ -171,6 +183,18 @@ def _targets_3d(seq: SkeletonSequence):
     return seq.points_3d, seq.mask_3d
 
 
+class _Trial(NamedTuple):
+    """A pose a step leads to: root translations, local rotations, joint
+    positions, global rotations, the energy terms and their sum."""
+
+    t: np.ndarray
+    rot: np.ndarray
+    X: np.ndarray
+    G: np.ndarray
+    terms: dict[str, float]
+    energy: float
+
+
 def _second_difference_gram(n_frames: int):
     """Diagonals 0, 1 and 2 of D^T D, D the (F-2) x F second-difference
     operator over frames (rows 1, -2, 1); all zero when F < 3."""
@@ -225,27 +249,39 @@ class EnergyProblem:
 
     # -- residuals and energy ---------------------------------------------
 
-    def _residuals(self, X: np.ndarray):
-        """Unweighted residuals at joint positions X: (r3, z, du, dv, dd, dz).
+    def _depths(self, X: np.ndarray) -> np.ndarray:
+        """(F, J) depths the projection divides by, 1 where a joint has no
+        2D detection."""
+        return np.where(self._active, X[..., 2], 1.0)
 
-        r3 = X - y3 (F, J, 3); z the depths the projection divides by, 1
-        where a joint has no 2D detection (F, J); du, dv the pixel residuals
-        (F, J); dd the second differences of X over frames (F - 2, J, 3),
-        None when F < 3; dz the root-depth steps (F - 1,).  Masks,
-        confidences and weights are applied by the callers."""
+    def _residuals(self, X: np.ndarray):
+        """Unweighted residuals at joint positions X: (r3, du, dv, dd, dz).
+
+        r3 = X - y3 (F, J, 3); du, dv the pixel residuals (F, J); dd the
+        second differences of X over frames (F - 2, J, 3), None when F < 3;
+        dz the root-depth steps (F - 1,).  Masks, confidences and weights are
+        applied by the callers."""
         cam = self.camera
-        z = np.where(self._active, X[..., 2], 1.0)
+        z = self._depths(X)
         du = cam.fx * X[..., 0] / z + cam.cx - self.y2[..., 0]
         dv = cam.fy * X[..., 1] / z + cam.cy - self.y2[..., 1]
         dd = X[2:] - 2.0 * X[1:-1] + X[:-2] if self.F >= 3 else None
-        return X - self.y3, z, du, dv, dd, np.diff(X[:, 0, 2])
+        return X - self.y3, du, dv, dd, np.diff(X[:, 0, 2])
+
+    def _projection_rows(self, X: np.ndarray):
+        """(fu, fv, cu, cv), each (F, J): the rows of the projection's
+        Jacobian dpi/dX, (fu, 0, cu) for u and (0, fv, cv) for v."""
+        cam = self.camera
+        z = self._depths(X)
+        fu, fv = cam.fx / z, cam.fy / z
+        return fu, fv, -fu * X[..., 0] / z, -fv * X[..., 1] / z
 
     def energy_terms(self, X: np.ndarray) -> Optional[dict[str, float]]:
         """Weighted term values for joint positions X, or None when a joint
         sits at non-positive depth (the step is then rejected outright)."""
         if np.any(X[self._active][:, 2] < _MIN_DEPTH):
             return None
-        r3, _, du, dv, dd, dz = self._residuals(X)
+        r3, du, dv, dd, dz = self._residuals(X)
         e_smooth = 0.0 if dd is None else float(np.sum(dd * dd))
         return {
             "ik": self.w_ik * float(np.sum(self.m3[..., None] * r3 ** 2)),
@@ -261,27 +297,65 @@ class EnergyProblem:
             return math.inf, {}
         return sum(terms.values()), terms
 
+    def _weighted_residuals(self, X: np.ndarray) -> np.ndarray:
+        """r~ (F, J, 3) at joint positions X: half the energy's gradient with
+        respect to the joint positions, dE/dX / 2.  The ik term gives
+        w_ik m3 (X - y3), the smoothness term w_smooth D^T dd, the
+        projection w_proj conf dpi^T (du, dv) and the root-depth term its
+        first differences on the root's z, so J^T r~ is J^T W r for any
+        position Jacobian J."""
+        r3, du, dv, dd, dz = self._residuals(X)
+        resid = self.w_ik * self.m3[..., None] * r3
+        if dd is not None:
+            wdd = self.w_smooth * dd
+            resid[2:] += wdd
+            resid[1:-1] -= 2.0 * wdd
+            resid[:-2] += wdd
+        cw = self.w_proj * self.conf
+        fu, fv, cu, cv = self._projection_rows(X)
+        resid[..., 0] += cw * fu * du
+        resid[..., 1] += cw * fv * dv
+        resid[..., 2] += cw * (cu * du + cv * dv)
+        resid[1:, 0, 2] += self.w_depth * dz
+        resid[:-1, 0, 2] -= self.w_depth * dz
+        return resid
+
+    def _jtr(self, X, G, resid, axes=None, swing=False) -> np.ndarray:
+        """J^T r~ (F, P) at joint positions X for the weighted residuals
+        resid of _weighted_residuals, in the step parameters that axes and
+        swing give kin.position_jacobian (see _normal_blocks).  No Jacobian
+        or band is formed: kin.position_jacobian_vjp sums r~ over subtrees,
+        _CHUNK_FRAMES frames at a time, so its buffers stay chunk-sized."""
+        F = self.F
+        out = np.empty((F, self.tree.step_layouts[swing].params_per_frame))
+        for s in range(0, F, _CHUNK_FRAMES):
+            e = min(s + _CHUNK_FRAMES, F)
+            out[s:e] = kin.position_jacobian_vjp(
+                self.tree, X[s:e], G[s:e], resid[s:e],
+                axes=None if axes is None else axes[s:e], swing=swing,
+            )
+        return out
+
     def gradient(self, params: PoseParams) -> np.ndarray:
         """Analytic dE/dstep at params, (F * P,) with P = tree.params_per_frame.
 
         Per frame the step is the root translation, then, per rotated joint,
         an increment d in its parent's frame that moves its rotation R to
         exp(hat(d)) R.  E is a weighted sum of squared residuals, so the
-        gradient is 2 J^T W r, J the residuals' Jacobian in these steps: the
-        right-hand side of the Gauss-Newton step in three increments per
-        joint."""
+        gradient is 2 J^T W r = 2 J^T r~, J the joint positions' Jacobian in
+        these steps: the right-hand side of the Gauss-Newton step in three
+        increments per joint."""
         X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
-        _, jtr = self._normal_blocks(X, G)
-        return 2 * jtr.reshape(-1)
+        return 2 * self._jtr(X, G, self._weighted_residuals(X)).reshape(-1)
 
     # -- Gauss-Newton solver ----------------------------------------------
 
     def _normal_blocks(self, X, G, axes=None, swing=False, out=None):
-        """J^T W J and J^T W r at joint positions X, with respect to the step
-        parameters that axes and swing give kin.position_jacobian:
-        left-multiplied rotation increments by default (P = 45 per frame on
-        CANONICAL_TREE), or the solver's swing layout with kin.swing_axes and
-        swing=True (P = 35).
+        """J^T W J at joint positions X, with respect to the step parameters
+        that axes and swing give kin.position_jacobian: left-multiplied
+        rotation increments by default (P = 45 per frame on CANONICAL_TREE),
+        or the solver's swing layout with kin.swing_axes and swing=True
+        (P = 35).  Its right-hand side J^T W r is _jtr's.
 
         J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
         with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
@@ -296,38 +370,23 @@ class EnergyProblem:
         The band is filled in chunks of _CHUNK_FRAMES frames.  Each chunk
         takes the position Jacobian of its frames and of the two that follow
         (the smoothness blocks (f + k, f), k = 1, 2, need them), forms its
-        diagonal blocks, right-hand sides and off-diagonal blocks and writes
-        them into its rows of the band.  The ik, smoothness and projection
-        terms of joint j in frame f fold into one symmetric 3 x 3 weight,
+        diagonal and off-diagonal blocks and writes them into its rows of
+        the band.  The ik, smoothness and projection terms of joint j in
+        frame f fold into one symmetric 3 x 3 weight,
         W = w_row I + w_proj conf dpi^T dpi (dpi the 2 x 3 projection
-        Jacobian), so a diagonal block is the one product J^T (W J) and its
-        right-hand side J^T r~ with r~ = resid + w_proj conf dpi^T (du, dv).
-        Beyond the band and per-frame residuals, memory is bounded by one
-        chunk's buffers, reused from chunk to chunk, whatever F is."""
+        Jacobian), so a diagonal block is the one product J^T (W J).  Beyond
+        the band and per-frame weights, memory is bounded by one chunk's
+        buffers, reused from chunk to chunk, whatever F is."""
         tree = self.tree
         F, P, J = self.F, tree.step_layouts[swing].params_per_frame, tree.n_joints
-        cam = self.camera
-        r3, z, du, dv, dd, dz = self._residuals(X)
         m0, m1, m2 = self._m_diag
 
         # The per-joint weight of the ik and smoothness diagonal blocks,
-        # w_ik * m3 + w_smooth * (D^T D)_ff, and their residuals.
+        # w_ik * m3 + w_smooth * (D^T D)_ff, plus the projection's, whose
+        # rows of dpi/dX are weighted by w_proj * conf.
         w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
-        resid = self.w_ik * self.m3[..., None] * r3
-        if dd is not None:
-            w = np.zeros_like(X)
-            w[2:] += dd
-            w[1:-1] -= 2.0 * dd
-            w[:-2] += dd
-            resid += self.w_smooth * w
-        # The projection's rows of dpi/dX for u, (fx/z, 0, cu), and for v,
-        # (0, fy/z, cv), weighted by w_proj * conf.
         cw = self.w_proj * self.conf
-        fu, fv = cam.fx / z, cam.fy / z
-        cu, cv = -fu * X[..., 0] / z, -fv * X[..., 1] / z
-        resid[..., 0] += cw * fu * du
-        resid[..., 1] += cw * fv * dv
-        resid[..., 2] += cw * (cu * du + cv * dv)
+        fu, fv, cu, cv = self._projection_rows(X)
         weight = np.empty((F, J, 3, 3))
         weight[..., 0, 0] = w_row + cw * fu * fu
         weight[..., 1, 1] = w_row + cw * fv * fv
@@ -348,7 +407,6 @@ class EnergyProblem:
             ab = out
             ab.fill(0.0)
         band = ab.T.reshape(F, P, 3 * P)  # a view: ab is column-major
-        jtr = np.empty((F, P))
         item = band.itemsize
         # The cells (b, a), a >= b, of the k = 0 band view that hold a
         # diagonal block's lower triangle.
@@ -383,7 +441,6 @@ class EnergyProblem:
 
             wj = np.matmul(weight[s:e], jac[:n], out=wjac[:n])
             d = np.matmul(flat_t[:n], wj.reshape(n, -1, P), out=diag[:n])
-            jtr[s:e] = (flat_t[:n] @ resid[s:e].reshape(n, -1, 1))[..., 0]
             d[:, 2, 2] += self.w_depth * dcount[s:e]
             # Element (f, b, a) of the k = 0 view is H[fP + a, fP + b], lower
             # for a >= b.
@@ -405,53 +462,93 @@ class EnergyProblem:
                     )
                     np.matmul(flat_t[:m], scaled, out=block_view(s, k, m))
         if F >= 2:
-            gd = np.zeros(F)
-            gd[1:] += dz
-            gd[:-1] -= dz
-            jtr[:, 2] += self.w_depth * gd
             # The root-depth coupling of frames f and f + 1.
             band[:-1, 2, P] -= self.w_depth
-        return ab, jtr
+        return ab
 
     @staticmethod
     def _damped_solve(ab, damping, rhs) -> np.ndarray:
         """Solve (H + diag(damping)) x = rhs, H in lower band storage ab
         (ab[0] is the diagonal).  ab, column-major, is damped and factored
-        in place: it holds the Cholesky factor afterwards, or, when this
-        raises LinAlgError (the damped matrix is not numerically positive
+        in place: it holds the Cholesky factor afterwards, which
+        _factor_solve can solve with again, or, when this raises
+        LinAlgError (the damped matrix is not numerically positive
         definite), a partial one."""
-        # Imported here, the one place that factors, so that a process that
+        # Imported here, where the solver factors, so that a process that
         # never fits (simulate, agree, report) never loads scipy.linalg.
-        from scipy.linalg import cho_solve_banded, cholesky_banded
+        from scipy.linalg import cholesky_banded
 
         ab[0] += damping
-        chol = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
-        return cho_solve_banded((chol, True), rhs, check_finite=False)
+        cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        return EnergyProblem._factor_solve(ab, rhs)
+
+    @staticmethod
+    def _factor_solve(ab, rhs) -> np.ndarray:
+        """Solve L L^T x = rhs, L the lower Cholesky factor in band storage
+        that _damped_solve left in ab."""
+        from scipy.linalg import cho_solve_banded
+
+        return cho_solve_banded((ab, True), rhs, check_finite=False)
+
+    def _trial(self, t, rot, axes, delta) -> Optional[_Trial]:
+        """The pose after step delta (F * P,) on step axes axes from (t,
+        rot), or None when delta is not finite or the pose puts a joint at
+        non-positive depth."""
+        if not np.all(np.isfinite(delta)):
+            return None
+        layout = self.tree.step_layouts[True]
+        P = layout.params_per_frame
+        # Each rotation's step coefficients per axis, with a zero appended
+        # for the axes the layout leaves out (column -1), turn it about
+        # axes @ coefficients.
+        step = np.zeros((self.F, P + 1))
+        step[:, :P] = delta.reshape(self.F, P)
+        t_new = t + step[:, :3]
+        rot_new = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0]) @ rot
+        X, G = kin._fk_from_matrices(self.tree, self.lengths, t_new, rot_new)
+        terms = self.energy_terms(X)
+        if terms is None:
+            return None
+        return _Trial(t_new, rot_new, X, G, terms, sum(terms.values()))
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
         """Damped Gauss-Newton from init.  Returns (params, info dict);
         info["joints"] holds the positions (F, J, 3) of the returned params.
 
-        Steps are taken in the swing layout: every iteration builds the step
+        Steps are taken in the swing layout: a fresh step builds the step
         axes of all rotated joints at once (kin.swing_axes), so a joint with
         one child steps only in the two directions perpendicular to its
         bone, and the band has P = 35 parameters per frame and bandwidth
         3P - 1 = 104 on CANONICAL_TREE instead of 45 and 134.  A step s maps
         back to each rotation as exp(axes s) R.
 
-        Each damped attempt factors the band in place, so a retry (a failed
-        factorization, a non-finite or a rejected step) assembles the band
-        again at the same pose before it adds the larger damping.
+        A fresh step assembles the band at the current pose and factors it
+        damped, in place.  A retry (a failed factorization, a non-finite or
+        a rejected step) assembles the band again at the same pose before
+        it adds the larger damping.
+
+        Once the pose has settled, the factor is reused (the chord, or
+        Shamanskii, method; Kelley, Iterative Methods for Linear and
+        Nonlinear Equations, 1995, ch. 5): an accepted step whose energy
+        drop is at most half the previous accepted drop, and still above
+        tolerance * E, hands the factor it leaves in ab, with its step axes,
+        to the next step.  That reuse step takes the gradient J^T r~ at the
+        current pose in those axes and solves with the factor, with no
+        assembly and no factorization.  It is kept only if it strictly
+        lowers the energy, and then lowers the damping like any accepted
+        step; otherwise it is retaken as a fresh step at the same pose.
+        The first step never hands over, having no earlier drop, and
+        info["iterations"] counts accepted steps of both kinds.
 
         The stopping tests are relative to the energy E, as in the
         Levenberg-Marquardt stopping tests of Madsen, Nielsen & Tingleff
-        (2004): an accepted step with E_k - E_k+1 <= tolerance * E_k stops
-        as "decrease", a rejected step with |E_new - E_k| <= tolerance * E_k
-        as "flat".  info["stop_reason"] is one of STOP_REASONS."""
+        (2004): an accepted fresh step with E_k - E_k+1 <= tolerance * E_k
+        stops as "decrease", a rejected fresh step with
+        |E_new - E_k| <= tolerance * E_k as "flat".  A reuse step never
+        stops the fit: after one whose drop is that small the next step is
+        fresh, so a converged fit stops on the current Gauss-Newton model.
+        info["stop_reason"] is one of STOP_REASONS."""
         tree = self.tree
-        F = self.F
-        layout = tree.step_layouts[True]
-        P = layout.params_per_frame
         t, rot = init.translations, init.rotations
 
         X, G = kin._fk_from_matrices(tree, self.lengths, t, rot)
@@ -462,75 +559,83 @@ class EnergyProblem:
         history = [energy]
         lam = _INIT_DAMPING
         iterations = 0
-        # One band, rewritten every iteration and factored in place by each
-        # damped solve: freeing and reallocating it costs fresh zeroed pages.
+        # One band, rewritten at every fresh step and factored in place by
+        # each damped solve: freeing and reallocating it costs fresh zeroed
+        # pages.
         ab = None
+        # The step axes of the factor in ab while the next step reuses it.
+        reuse_axes = None
+        # The previous accepted energy drop; none before the first step.
+        last_drop = 0.0
 
         for _ in range(cfg.max_iterations):
-            axes = kin.swing_axes(tree, rot)
-            ab, jtr = self._normal_blocks(X, G, axes, swing=True, out=ab)
-            g = jtr.reshape(-1)
-            d0 = ab[0]
-            if d0.max() == 0.0:
-                # No parameter moves any residual: there is nothing to step.
-                stop_reason = "flat"
-                break
-            # Multiplicative (Marquardt) damping keeps steps invariant under a
-            # uniform rescaling of all four weights; the relative floor guards
-            # parameters with no residual influence.
-            damp_base = np.maximum(d0, 1e-12 * d0.max())
+            # Relative to the energy, like the damping, so a uniform
+            # rescaling of the weights or a longer walk stops alike.
+            floor = cfg.tolerance * energy
+            resid = self._weighted_residuals(X)
+            new = None
+            if reuse_axes is not None:
+                axes, reuse_axes = reuse_axes, None
+                g = self._jtr(X, G, resid, axes, swing=True).reshape(-1)
+                new = self._trial(t, rot, axes, self._factor_solve(ab, -g))
+                if new is not None and not new.energy < energy:
+                    new = None
+            fresh = new is None
+            if fresh:
+                axes = kin.swing_axes(tree, rot)
+                ab = self._normal_blocks(X, G, axes, swing=True, out=ab)
+                d0 = ab[0]
+                if d0.max() == 0.0:
+                    # No parameter moves any residual: there is nothing to step.
+                    stop_reason = "flat"
+                    break
+                # Multiplicative (Marquardt) damping keeps steps invariant
+                # under a uniform rescaling of all four weights; the relative
+                # floor guards parameters with no residual influence.
+                damp_base = np.maximum(d0, 1e-12 * d0.max())
+                g = self._jtr(X, G, resid, axes, swing=True).reshape(-1)
 
-            # Kept when every damping up to the cap fails to give a step.
-            stop_reason = "damping_exhausted"
-            factored = False
-            while lam <= _MAX_DAMPING:
-                if factored:
-                    # The last attempt left its (possibly partial) factor in
-                    # ab: assemble the band again at the same pose, which
-                    # gives the same band.
-                    self._normal_blocks(X, G, axes, swing=True, out=ab)
-                factored = True
-                try:
-                    delta = self._damped_solve(ab, lam * damp_base, -g)
-                except np.linalg.LinAlgError:
+                # Kept when every damping up to the cap fails to give a step.
+                stop_reason = "damping_exhausted"
+                factored = False
+                while lam <= _MAX_DAMPING:
+                    if factored:
+                        # The last attempt left its (possibly partial) factor
+                        # in ab: assemble the band again at the same pose,
+                        # which gives the same band.
+                        self._normal_blocks(X, G, axes, swing=True, out=ab)
+                    factored = True
+                    try:
+                        new = self._trial(t, rot, axes,
+                                          self._damped_solve(ab, lam * damp_base, -g))
+                    except np.linalg.LinAlgError:
+                        new = None
+                    if new is not None:
+                        if new.energy < energy:
+                            break
+                        if abs(new.energy - energy) <= floor:
+                            # Flat to within tolerance (also at an energy of
+                            # exactly 0): already at a minimum.
+                            stop_reason = "flat"
+                            iterations += 1
+                            new = None
+                            break
+                        new = None
                     lam *= _DAMPING_INCREASE
-                    continue
-                if not np.all(np.isfinite(delta)):
-                    lam *= _DAMPING_INCREASE
-                    continue
-                # Each rotation's step coefficients per axis, with a zero
-                # appended for the axes the layout leaves out (column -1),
-                # turn it about axes @ coefficients.
-                step = np.zeros((F, P + 1))
-                step[:, :P] = delta.reshape(F, P)
-                t_new = t + step[:, :3]
-                inc = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0])
-                rot_new = inc @ rot
-                X_new, G_new = kin._fk_from_matrices(tree, self.lengths, t_new, rot_new)
-                terms_new = self.energy_terms(X_new)
-                if terms_new is not None:
-                    energy_new = sum(terms_new.values())
-                    # Relative to the energy, like the damping, so a uniform
-                    # rescaling of the weights or a longer walk stops alike.
-                    floor = cfg.tolerance * energy
-                    if energy_new < energy:
-                        stop_reason = "decrease" if energy - energy_new <= floor else None
-                        t, rot = t_new, rot_new
-                        X, G = X_new, G_new
-                        energy, terms = energy_new, terms_new
-                        history.append(energy)
-                        lam = max(lam / _DAMPING_DECREASE, 1e-12)
-                        iterations += 1
-                        break
-                    if abs(energy_new - energy) <= floor:
-                        # Flat to within tolerance (also at an energy of
-                        # exactly 0): already at a minimum.
-                        stop_reason = "flat"
-                        iterations += 1
-                        break
-                lam *= _DAMPING_INCREASE
-            if stop_reason is not None:
+                if new is None:
+                    break
+
+            drop = energy - new.energy
+            t, rot, X, G, terms, energy = new
+            history.append(energy)
+            lam = max(lam / _DAMPING_DECREASE, 1e-12)
+            iterations += 1
+            if fresh and drop <= floor:
+                stop_reason = "decrease"
                 break
+            if floor < drop <= 0.5 * last_drop:
+                reuse_axes = axes
+            last_drop = drop
         else:
             stop_reason = "iteration_cap"
 

@@ -42,6 +42,9 @@ _REACH_MARGIN = 0.98
 # The most steps, and the most frames, one walk may have: a spec beyond
 # either fails before generate allocates anything for it.
 _MAX_FRAMES = 100_000
+# The farthest start position, in metres along x and z, a walk may have: a
+# walk stays where the camera projects it to finite pixels.
+_MAX_START_M = 1000.0
 # Parity (1 = right foot), then hip, knee, ankle, heel and foot tip.
 _LEGS = (
     (0, JointId.LEFT_HIP, JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
@@ -58,8 +61,9 @@ class WalkerSpec:
     Exactly two of (speed_m_s, cadence_steps_min, step_length_m) may be given,
     in which case the third is derived; giving all three requires them to
     satisfy speed = step_length * cadence / 60 to within 1e-9.  Every
-    number must be finite, the seed non-negative, and the walk at most
-    _MAX_FRAMES steps and frames long.
+    number must be finite, the seed non-negative, start_x_m and start_z_m
+    at most _MAX_START_M in magnitude, and the walk at most _MAX_FRAMES
+    steps and frames long.
     """
 
     subject_height_m: float = 1.72
@@ -127,6 +131,10 @@ class WalkerSpec:
                      "heading_deg", "start_x_m", "start_z_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("start_x_m", "start_z_m"):
+            if not abs(getattr(self, name)) <= _MAX_START_M:
+                raise ValueError(f"{name} must be within {_MAX_START_M:g} m of the "
+                                 f"camera, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         # generate() lays down max(2, round(steps)) steps of step_time_s each.

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -378,6 +379,23 @@ def test_simulate_rejects_specs_it_cannot_allocate(tmp_path, capsys, keys, named
     err = capsys.readouterr().err
     assert "walk spec [w]" in err and named in err
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_simulate_refuses_a_far_start_before_projecting(tmp_path, capsys):
+    """A start 1e308 m off the camera axis fails in WalkerSpec: exit 2 with
+    one error line, no overflow warning from projecting the walk, and no
+    file written."""
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\nstart_x_m = 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", str(spec), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert not caught
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: walk spec [w]: start_x_m")
     assert not list(tmp_path.glob("*.json"))
 
 

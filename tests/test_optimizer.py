@@ -458,7 +458,8 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
     H, g = _dense_normal_equations(prob, X, G)
-    ab, jtr = prob._normal_blocks(X, G)
+    ab = prob._normal_blocks(X, G)
+    jtr = prob._jtr(X, G, prob._weighted_residuals(X))
 
     P = CANONICAL_TREE.params_per_frame
     n = H.shape[0]
@@ -520,7 +521,8 @@ def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
             T[row:row + 3, f * Q + layout.columns[s, i]] = axes[f, s, :, i]
     want_H, want_g = T.T @ H @ T, T.T @ g
 
-    ab, jtr = prob._normal_blocks(X, G, axes, swing=True)
+    ab = prob._normal_blocks(X, G, axes, swing=True)
+    jtr = prob._jtr(X, G, prob._weighted_residuals(X), axes, swing=True)
     assert ab.shape == (3 * Q, F * Q)
     got = _band_to_lower(ab, F * Q)
     assert np.abs(got - np.tril(want_H)).max() <= 1e-12 * np.abs(want_H).max()
@@ -554,15 +556,26 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(optimizer_module.kin, "position_jacobian", counted)
+    real_vjp = optimizer_module.kin.position_jacobian_vjp
+    vjp_calls = []
+
+    def counted_vjp(*args, **kwargs):
+        vjp_calls.append(args[1].shape[0])
+        return real_vjp(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module.kin, "position_jacobian_vjp", counted_vjp)
     test_banded_normal_matrix_and_solve_match_dense(_thinned(noisy_walk), n_frames)
     assert len(calls) == math.ceil(n_frames / chunk)
     assert max(calls) <= chunk + 2
+    # J^T r~ takes the same chunks without the two frames ahead.
+    assert len(vjp_calls) == math.ceil(n_frames / chunk)
+    assert max(vjp_calls) <= chunk
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
-    """gradient() reaches the chunked assembly in the layout of
+    """gradient() reaches the chunked J^T r~ in the layout of
     left-multiplied increments, three per rotated joint."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     test_gradient_matches_finite_differences(seed, 5)
@@ -583,16 +596,16 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     other = PoseParams(init.translations + 0.05, init.rotations.swapaxes(-1, -2))
     X, G = forward_kinematics(CANONICAL_TREE, lengths, init, with_globals=True)
     X2, G2 = forward_kinematics(CANONICAL_TREE, lengths, other, with_globals=True)
-    stale, _ = prob._normal_blocks(X2, G2)
-    reused, _ = prob._normal_blocks(X, G, out=stale)
-    fresh, _ = prob._normal_blocks(X, G)
+    stale = prob._normal_blocks(X2, G2)
+    reused = prob._normal_blocks(X, G, out=stale)
+    fresh = prob._normal_blocks(X, G)
     assert reused is stale
     assert np.array_equal(reused, fresh)
 
     d0 = fresh[0].copy()
     prob._damped_solve(reused, 1e-3 * d0, np.ones(d0.size))
     assert not np.array_equal(reused, fresh)
-    over_factor, _ = prob._normal_blocks(X, G, out=reused)
+    over_factor = prob._normal_blocks(X, G, out=reused)
     assert over_factor is reused
     assert np.array_equal(over_factor, fresh)
 
@@ -676,7 +689,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
     axes = swing_axes(CANONICAL_TREE, init.rotations)
-    d0 = prob._normal_blocks(X, G, axes, swing=True)[0][0]
+    d0 = prob._normal_blocks(X, G, axes, swing=True)[0]
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     lam = optimizer_module._INIT_DAMPING
     assert np.array_equal(diagonals[0], d0 + lam * damp_base)
@@ -685,6 +698,101 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     hist = fit.energy_history
     assert len(hist) >= 2
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+def _logged_steps(monkeypatch, negate_reuse=False):
+    """Patch the banded factorization, the banded solve and the energy to log
+    each call in order.  Returns the log, whose entries are "factor",
+    "solve" and ("energy", value or None), and a function that reads it
+    into one (fresh, energy) pair per step attempt: fresh when the solve
+    followed a factorization directly, energy that of the trial pose.
+    With negate_reuse, a solve that reuses an earlier factor returns the
+    negated step, which points uphill."""
+    log = []
+    real_factor = scipy.linalg.cholesky_banded
+    real_solve = scipy.linalg.cho_solve_banded
+    real_energy = optimizer_module.EnergyProblem.energy_terms
+
+    def factor(ab, **kwargs):
+        log.append("factor")
+        return real_factor(ab, **kwargs)
+
+    def solve(cb, b, **kwargs):
+        reuse = log[-1] != "factor"
+        log.append("solve")
+        x = real_solve(cb, b, **kwargs)
+        return -x if negate_reuse and reuse else x
+
+    def energy_terms(self, X):
+        terms = real_energy(self, X)
+        log.append(("energy", None if terms is None else sum(terms.values())))
+        return terms
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor)
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", solve)
+    monkeypatch.setattr(optimizer_module.EnergyProblem, "energy_terms", energy_terms)
+
+    def attempts():
+        out = []
+        for i, entry in enumerate(log):
+            if entry == "solve":
+                assert log[i + 1][0] == "energy"
+                out.append((log[i - 1] == "factor", log[i + 1][1]))
+        return out
+
+    return log, attempts
+
+
+def _accepted(attempts, start):
+    """The attempts that strictly lowered the energy from start, the
+    solver's acceptance rule, as (index, fresh, energy)."""
+    kept, energy = [], start
+    for i, (fresh, value) in enumerate(attempts):
+        if value is not None and value < energy:
+            kept.append((i, fresh, value))
+            energy = value
+    return kept
+
+
+def test_settled_steps_reuse_the_factor(noisy_walk, monkeypatch):
+    """Once the energy drops settle, steps reuse the last factor: the fit
+    factors fewer times than it iterates, every accepted step lowers the
+    energy, the second accepted step and the stopping decision follow a
+    fresh factorization, and the fit converges."""
+    seq, truth = noisy_walk
+    log, attempts = _logged_steps(monkeypatch)
+    fit = optimize(seq, truth.anatomy, CAMERA)
+    steps = attempts()
+    accepted = _accepted(steps, fit.energy_history[0])
+    assert [energy for _, _, energy in accepted] == list(fit.energy_history[1:])
+    assert len(accepted) == fit.iterations
+    assert log.count("factor") < fit.iterations
+    assert any(not fresh for _, fresh, _ in accepted)
+    assert accepted[0][1] and accepted[1][1]
+    assert fit.stop_reason == "decrease" and fit.converged
+    assert steps[-1][0]
+    assert all(b < a for a, b in zip(fit.energy_history, fit.energy_history[1:]))
+
+
+def test_reuse_step_that_raises_the_energy_is_retaken_fresh(noisy_walk, monkeypatch):
+    """A reuse step forced uphill (its solve negated) is discarded: the next
+    attempt factors afresh at the same pose, and the fit still lowers the
+    energy at every accepted step and converges, on fresh steps alone."""
+    seq, truth = noisy_walk
+    log, attempts = _logged_steps(monkeypatch, negate_reuse=True)
+    fit = optimize(seq, truth.anatomy, CAMERA)
+    steps = attempts()
+    reuses = [i for i, (fresh, _) in enumerate(steps) if not fresh]
+    assert reuses
+    accepted = _accepted(steps, fit.energy_history[0])
+    assert [energy for _, _, energy in accepted] == list(fit.energy_history[1:])
+    for i in reuses:
+        assert i not in {j for j, _, _ in accepted}
+        assert steps[i + 1][0]
+    assert all(fresh for _, fresh, _ in accepted)
+    assert fit.iterations == len(accepted)
+    assert all(b < a for a, b in zip(fit.energy_history, fit.energy_history[1:]))
+    assert fit.converged
 
 
 @pytest.mark.parametrize("n_frames", range(1, 8))

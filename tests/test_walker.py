@@ -68,6 +68,19 @@ def test_spec_rejects_values_generate_cannot_use(field, value):
         WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("start_x_m", 1e308), ("start_x_m", -1000.5), ("start_z_m", 1e4),
+])
+def test_spec_bounds_the_start_position(field, value):
+    """A start farther than 1 km from the camera along x or z fails at
+    construction, naming the field: at 1e308 m the projection of the walk
+    would overflow."""
+    with pytest.raises(ValueError, match=rf"^{field} must be within 1000 m"):
+        WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, **{field: value})
+    edge = -1000.0 if value < 0 else 1000.0
+    assert WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, **{field: edge})
+
+
 def test_spec_caps_steps_and_frames():
     """A step far shorter than a frame keeps the frame count small but
     would still list one schedule entry per step."""
