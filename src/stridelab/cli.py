@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import re
 import sys
@@ -227,7 +226,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             )
         try:
             matched.extend(_truth_records(path, row["walk_id"]))
-        except StrideLabError as exc:
+        except (StrideLabError, OSError) as exc:
             print(
                 f"{row['walk_id']}: ignoring truth sidecar: {exc}", file=sys.stderr
             )
@@ -482,7 +481,7 @@ def _read_agreement(path: Path) -> dict:
     """The agreement JSON at path, with every field that table 1 and the
     plots read checked; a missing or mistyped one raises MalformedDocument."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = pose_io.load_json_object(path.read_bytes(), "document")
         _check(doc, "reference_method", str, "top level")
         for i, report in enumerate(_check(doc, "reports", list, "top level")):
             where = f"reports[{i}]"
@@ -501,7 +500,7 @@ def _read_agreement(path: Path) -> dict:
                         f"{at}.pairs holds {len(pairs)}, not 2 or more")
                 for k, pair in enumerate(pairs):
                     _check_pair(pair, f"{at}.pairs[{k}]", finite=True)
-    except (UnicodeDecodeError, json.JSONDecodeError, MalformedDocument) as exc:
+    except MalformedDocument as exc:
         raise MalformedDocument(f"agreement report {path}: {exc}") from None
     return doc
 

@@ -4,18 +4,18 @@ During double support the ankles are maximally separated, so foot contacts
 show up as local maxima of the 3D distance between the two ankles.  Raw
 per-sample extrema are unreliable: noiseless double support produces runs of
 equal samples, and noise splits one contact into several micro-peaks.  The
-detector therefore works in stages:
+detector therefore works in two stages:
 
 1. candidate extrema of both kinds, where a maximal run of equal values
    strictly above (below) both neighbours counts once, represented by its
    middle sample; a topographic prominence floor drops shallow wiggles, and
    an optional same-kind minimum separation keeps only the most prominent
    of near-coincident candidates;
-2. clustering: same-kind candidates close in time and in value merge into
-   one cluster represented by the best-valued member;
-3. kind alternation: a valid gait signal alternates maxima and minima, so
-   where two same-kind clusters end up adjacent the less prominent one is
-   dropped (prefer missing a step over inventing one).
+2. clusters: each candidate widens to the contiguous span of samples within
+   a value tolerance of it, represented by the best sample of the span; a
+   valid gait signal alternates maxima and minima, so where two same-kind
+   clusters end up adjacent the less prominent one is dropped (prefer
+   missing a step over inventing one).
 
 Each surviving maximum cluster becomes one StepEvent; the landing foot is
 the ankle further along the walking direction, and the step length is the
@@ -44,14 +44,13 @@ from .skeleton import JointId
 class DetectorConfig:
     min_prominence_m: float = 0.05
     min_separation_s: float = 0.2
-    cluster_window_s: float = 0.15
     value_tolerance_m: float = 0.02
     min_travel_m: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("min_prominence_m", "min_separation_s",
-                     "cluster_window_s", "value_tolerance_m", "min_travel_m"):
-            if getattr(self, name) < 0:
+                     "value_tolerance_m", "min_travel_m"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -217,94 +216,63 @@ def find_extrema_candidates(
     return cands
 
 
-def _chain_groups(
-    cands: list[ExtremumCandidate], times: np.ndarray, window: float
-) -> list[list[ExtremumCandidate]]:
-    groups = [[cands[0]]]
-    for c in cands[1:]:
-        if times[c.index] - times[groups[-1][-1].index] <= window:
-            groups[-1].append(c)
-        else:
-            groups.append([c])
-    return groups
-
-
-def _split_by_value(
-    group: list[ExtremumCandidate], sign: float, times: np.ndarray,
-    tol: float, window: float,
-) -> list[list[ExtremumCandidate]]:
-    best = max(sign * c.value for c in group)
-    mine = [c for c in group if best - sign * c.value <= tol]
-    rest = [c for c in group if best - sign * c.value > tol]
-    clusters = [mine]
-    if rest:
-        for sub in _chain_groups(rest, times, window):
-            clusters.extend(_split_by_value(sub, sign, times, tol, window))
-    return clusters
+def _alternate(items: list, label, prominence) -> list:
+    """Where two adjacent items share a label, keep the more prominent, the
+    first of equals, until the labels alternate."""
+    out: list = []
+    for item in items:
+        if out and label(out[-1]) == label(item):
+            if prominence(item) > prominence(out[-1]):
+                out[-1] = item
+            continue
+        out.append(item)
+    return out
 
 
 def cluster_honest_extrema(
     candidates: Sequence[ExtremumCandidate],
     signal: StepSignal,
-    cluster_window: float = 0.15,
     value_tolerance: float = 0.02,
 ) -> list[ExtremaCluster]:
-    """Merge near-coincident same-kind candidates and enforce alternation.
+    """Widen each candidate to its near-extremal span and enforce alternation.
 
-    Same-kind candidates within cluster_window of each other and within
-    value_tolerance of the best of their group become one cluster whose
-    members span the covered frames and whose representative is the
-    best-valued member.  Where the resulting list has two same-kind clusters
-    in a row, the one with smaller prominence is discarded until maxima and
-    minima alternate.
+    Each candidate becomes one cluster whose members span every contiguous
+    sample within value_tolerance of the candidate's value and whose
+    representative is the best sample of that span.  Where the resulting
+    list has two same-kind clusters in a row, the one with smaller
+    prominence is discarded until maxima and minima alternate.
     """
     v = np.asarray(signal.values, dtype=float)
     t = signal.times
 
     clusters: list[ExtremaCluster] = []
-    for kind in ("max", "min"):
-        sign = 1.0 if kind == "max" else -1.0
-        ksorted = sorted((c for c in candidates if c.kind == kind),
-                         key=lambda c: c.index)
-        if not ksorted:
-            continue
-        for group in _chain_groups(ksorted, t, cluster_window):
-            for members in _split_by_value(group, sign, t,
-                                           value_tolerance, cluster_window):
-                lo = min(c.index for c in members)
-                hi = max(c.index for c in members)
-                best = max(sign * v[lo:hi + 1])
-                # The cluster covers the whole near-extremal region, not just
-                # the merged candidates: expanding over every contiguous
-                # sample within tolerance of the best makes the span track
-                # the full double-support interval even when smoothing has
-                # tilted its flat top into a dome with one skewed peak.
-                while lo > 0 and best - sign * v[lo - 1] <= value_tolerance:
-                    lo -= 1
-                while hi + 1 < len(v) and best - sign * v[hi + 1] <= value_tolerance:
-                    hi += 1
-                span = tuple(range(lo, hi + 1))
-                rep = lo + int(np.argmax(sign * v[lo:hi + 1]))
-                clusters.append(
-                    ExtremaCluster(
-                        kind=kind,
-                        members=span,
-                        index=rep,
-                        value=float(v[rep]),
-                        time_s=float(t[rep]),
-                        prominence=max(c.prominence for c in members),
-                    )
-                )
-
+    for c in sorted(candidates, key=lambda c: (c.kind != "max", c.index)):
+        sign = 1.0 if c.kind == "max" else -1.0
+        lo = hi = c.index
+        best = sign * v[c.index]
+        # The span covers the whole near-extremal region, not just the
+        # candidate: expanding over every contiguous sample within tolerance
+        # makes it track the full double-support interval even when
+        # smoothing has tilted its flat top into a dome with one skewed peak.
+        while lo > 0 and best - sign * v[lo - 1] <= value_tolerance:
+            lo -= 1
+        while hi + 1 < len(v) and best - sign * v[hi + 1] <= value_tolerance:
+            hi += 1
+        rep = lo + int(np.argmax(sign * v[lo:hi + 1]))
+        clusters.append(
+            ExtremaCluster(
+                kind=c.kind,
+                members=tuple(range(lo, hi + 1)),
+                index=rep,
+                value=float(v[rep]),
+                time_s=float(t[rep]),
+                prominence=c.prominence,
+            )
+        )
+    # A span may reach past a better sample, so order by representative;
+    # maxima stay first where a maximum and a minimum share one.
     clusters.sort(key=lambda c: c.index)
-    out: list[ExtremaCluster] = []
-    for c in clusters:
-        if out and out[-1].kind == c.kind:
-            if c.prominence > out[-1].prominence:
-                out[-1] = c
-            continue
-        out.append(c)
-    return out
+    return _alternate(clusters, lambda c: c.kind, lambda c: c.prominence)
 
 
 def _walking_direction(root: np.ndarray, min_travel: float) -> np.ndarray:
@@ -342,9 +310,7 @@ def detect_steps(
     candidates = find_extrema_candidates(
         signal, config.min_prominence_m, config.min_separation_s
     )
-    clusters = cluster_honest_extrema(
-        candidates, signal, config.cluster_window_s, config.value_tolerance_m
-    )
+    clusters = cluster_honest_extrema(candidates, signal, config.value_tolerance_m)
     maxima = [c for c in clusters if c.kind == "max"]
     if len(maxima) < 2:
         raise NoStepsDetected(
@@ -364,19 +330,15 @@ def detect_steps(
         # a consistent offset that cancels out of every step-time difference,
         # where the raw argmax wanders across the plateau.
         mid = 0.5 * (float(times[c.members[0]]) + float(times[c.members[-1]]))
-        ev = StepEvent(
+        events.append(StepEvent(
             foot="left" if gap > 0 else "right",
             time_s=mid,
             index=c.index,
             step_length_m=abs(gap),
             cluster=c,
-        )
-        if events and events[-1].foot == ev.foot:
-            # Feet must alternate; keep the more prominent of the clash.
-            if ev.cluster.prominence > events[-1].cluster.prominence:
-                events[-1] = ev
-            continue
-        events.append(ev)
+        ))
+    # Feet must alternate; keep the more prominent of a clash.
+    events = _alternate(events, lambda e: e.foot, lambda e: e.cluster.prominence)
     if len(events) < 2:
         raise NoStepsDetected(
             f"only {len(events)} events left after alternation check"

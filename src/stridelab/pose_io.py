@@ -107,22 +107,33 @@ def _parse_joints(obj, key: str, columns: dict, where: str) -> dict:
     return out
 
 
+def load_json_object(data: Union[bytes, str], what: str) -> dict:
+    """The JSON object that `data` holds; `what` ("document", "sidecar")
+    names it in the MalformedDocument raised for invalid UTF-8, invalid
+    JSON, nesting too deep for the parser, an integer too long to convert
+    and a top level that is not an object."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"{what} is not valid UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(data)
+    except RecursionError:
+        raise MalformedDocument(f"{what} is not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError or an over-long integer
+        raise MalformedDocument(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedDocument(f"{what} top level must be an object")
+    return doc
+
+
 def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
     """Parse one `.poses.json` document into a SkeletonSequence.
 
     Every frame is kept.  A modality's block exists when some frame carries
     its joint map; frames without the map then have none of its joints."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"document is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top level must be an object")
+    doc = load_json_object(data, "document")
 
     header = doc.get("header")
     if not isinstance(header, dict):
@@ -312,17 +323,7 @@ def write_truth(truth: GroundTruth) -> bytes:
 
 def read_truth(data: Union[bytes, str]) -> dict:
     """Parse a `.truth.json` sidecar into a plain dict."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"sidecar is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"sidecar is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("sidecar top level must be an object")
+    doc = load_json_object(data, "sidecar")
     for key in (p.truth_key for p in PARAMETERS):
         if key not in doc:
             raise MissingHeaderField(f"sidecar field {key!r} is required")

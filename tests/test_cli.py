@@ -468,6 +468,37 @@ def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     assert row["error"]["type"] == error
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_analyze_deeply_nested_document_gives_error_row(tmp_path, capsys, jobs):
+    """json.loads raises RecursionError on deep nesting; analyze, serial or
+    on two workers, writes a MalformedDocument row per walk and exits 1."""
+    paths = [tmp_path / f"deep-{i}.poses.json" for i in range(2)]
+    for path in paths:
+        path.write_bytes(b"[" * 100_000)
+    args = ["--jobs", str(jobs), "analyze", *map(str, paths), "--out-dir", str(tmp_path)]
+    assert main(args) == 1
+    report = json.loads((tmp_path / "results.report.json").read_text())
+    assert [row["error"]["type"] for row in report["walks"]] == ["MalformedDocument"] * 2
+    out = capsys.readouterr().out
+    assert out.count("error MalformedDocument: document is not valid JSON") == 2
+
+
+def test_unreadable_truth_sidecar_is_ignored(pipeline, tmp_path, capsys):
+    """A sidecar that exists but cannot be read is warned about and left
+    out, as a malformed one is; the walk's results are still written."""
+    _, sim, _ = pipeline
+    poses = tmp_path / "walk-a.poses.json"
+    poses.write_bytes((sim / "walk-a.poses.json").read_bytes())
+    (tmp_path / "walk-a.truth.json").mkdir()
+    out = tmp_path / "out"
+    assert main(["analyze", str(poses), "--out-dir", str(out)]) == 0
+    assert "walk-a: ignoring truth sidecar: " in capsys.readouterr().err
+    report = json.loads((out / "results.report.json").read_text())
+    assert [row["status"] for row in report["walks"]] == ["ok"]
+    assert (out / "results.gait.csv").exists()
+    assert not (out / "results.matched.csv").exists()
+
+
 def test_agree_unknown_reference(pipeline, capsys):
     _, _, out = pipeline
     code = main(["agree", str(out / "results.matched.csv"),
@@ -492,8 +523,11 @@ def _agreement_with(out, change):
      ("report", lambda out: _agreement_with(
          out, lambda e: e.update(pairs=[["1.0", "2.0"]] * 3))),
      ("report", lambda out: _agreement_with(
-         out, lambda e: e.update(pairs=e["pairs"][:1])))],
-    ids=["csv-header", "csv-not-utf8", "pairs-of-strings", "one-pair"],
+         out, lambda e: e.update(pairs=e["pairs"][:1]))),
+     ("report", lambda out: b"[" * 100_000),
+     ("report", lambda out: b"\xff{}")],
+    ids=["csv-header", "csv-not-utf8", "pairs-of-strings", "one-pair",
+         "deeply-nested", "json-not-utf8"],
 )
 def test_malformed_inputs_exit_2(pipeline, tmp_path, capsys, command, document):
     """A malformed matched CSV or agreement JSON gives one error line and
@@ -528,6 +562,36 @@ def test_seed_flag_flows_into_agreement(pipeline, tmp_path):
                  "--reference", "truth", "--out-dir", str(tmp_path)]) == 0
     agreement = json.loads((tmp_path / "agreement.agreement.json").read_text())
     assert agreement["seed"] == 123
+
+
+def _trial_records(trials, method="video", parameter="cadence_steps_min"):
+    """Long-format records: per subject, one value per trial."""
+    return [(f"{subject}-{k}", subject, method, parameter, value)
+            for subject, values in trials.items() for k, value in enumerate(values)]
+
+
+def test_repeatability_entry_for_equal_trials():
+    trials = {"s1": [1.0, 1.1, 1.05], "s2": [2.0, 2.2, 2.1], "s3": [3.1, 2.9, 3.0]}
+    records = _trial_records(trials) + _trial_records({"s1": [9.0]}, method="truth")
+    entry = cli._repeatability_entries(records, "video", "cadence_steps_min")
+    assert entry is not None
+    assert set(entry) == {"method", "parameter", "icc_31", "n_subjects", "n_trials"}
+    assert (entry["method"], entry["parameter"]) == ("video", "cadence_steps_min")
+    assert (entry["n_subjects"], entry["n_trials"]) == (3, 3)
+    assert 0.9 < entry["icc_31"] <= 1.0
+
+
+@pytest.mark.parametrize("trials", [
+    {"s1": [1.0, 1.1], "s2": [2.0, 2.1, 2.2]},
+    {"s1": [1.0], "s2": [2.0], "s3": [3.0]},
+    {"s1": [1.0, 1.1, 1.2]},
+    {},
+], ids=["unequal-trials", "one-trial", "one-subject", "no-subject"])
+def test_repeatability_entry_needs_equal_repeated_trials(trials):
+    """ICC(3,1) needs two subjects or more with the same number, at least
+    two, of trials each; otherwise there is no entry."""
+    records = _trial_records(trials)
+    assert cli._repeatability_entries(records, "video", "cadence_steps_min") is None
 
 
 def test_bad_jobs_value(capsys):

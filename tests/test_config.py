@@ -101,6 +101,15 @@ def test_unknown_key_rejected(tmp_path):
         load_config(p)
 
 
+def test_removed_cluster_window_key_rejected(tmp_path):
+    """detector.cluster_window_s changed no result and was removed; a file
+    that still sets it fails as any unknown key does."""
+    p = tmp_path / "run.ini"
+    p.write_text("[detector]\ncluster_window_s = 0.15\n")
+    with pytest.raises(ConfigError, match=r"unknown config key detector.cluster_window_s"):
+        load_config(p)
+
+
 def test_bad_values_name_the_key(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[detector]\nmin_prominence_m = -1\n")

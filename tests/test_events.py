@@ -1,4 +1,4 @@
-"""Step detection: candidate scan, prominence, clustering, and the full
+"""Step detection: candidate scan, prominence, clusters, and the full
 detector.
 
 The candidate scan and prominence are checked against deliberately dumb
@@ -6,6 +6,8 @@ brute-force implementations; the detector itself is checked against the
 synthetic walker's ground truth and against its two invariances
 (time reversal, rigid motion).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -179,26 +181,42 @@ def test_candidates_match_oracle_on_arbitrary_signals(values):
         )
 
 
+@given(random_signals, st.integers(1, 20))
+@settings(max_examples=150)
+def test_min_separation_leaves_same_kind_candidates_that_far_apart(values, frames):
+    """Candidates of one kind come back at least min_separation apart, so
+    no two of them could share a window shorter than that."""
+    sig = _signal(values)
+    s = frames / 30.0
+    cands = find_extrema_candidates(sig, min_separation=s)
+    for kind in ("max", "min"):
+        times = [sig.times[c.index] for c in cands if c.kind == kind]
+        for a, b in zip(times, times[1:]):
+            assert b - a >= s
+
+
 def test_near_equal_maxima_merge_to_single_cluster():
-    """Two maxima of nearly the same height within the merge window are one
-    honest extremum; the representative is the better one."""
-    v = np.array([0.0, 0.700, 0.65, 0.698, 0.0, 0.1, 0.0, 0.9, 0.0])
+    """At the shipped detector thresholds, two maxima of nearly the same
+    height two frames apart, each prominent enough on its own, are one
+    honest extremum represented by the better one: the minimum separation
+    keeps only the more prominent candidate."""
+    cfg = DetectorConfig()
+    v = np.array([0.0, 0.700, 0.6, 0.698, 0.0, 0.1, 0.0, 0.9, 0.0])
     sig = _signal(v)
-    cands = find_extrema_candidates(sig)
-    clusters = cluster_honest_extrema(cands, sig)
+    assert {c.index for c in find_extrema_candidates(sig, cfg.min_prominence_m)
+            if c.kind == "max"} >= {1, 3}
+    cands = find_extrema_candidates(sig, cfg.min_prominence_m, cfg.min_separation_s)
+    clusters = cluster_honest_extrema(cands, sig, cfg.value_tolerance_m)
     maxima = [c for c in clusters if c.kind == "max"]
-    assert len(maxima) == 2
-    assert maxima[0].index == 1
+    assert [c.index for c in maxima] == [1, 7]
     assert maxima[0].value == pytest.approx(0.700)
-    assert 3 in maxima[0].members
-    assert maxima[1].index == 7
 
 
 def test_distinct_heights_within_window_stay_separate():
     v = np.array([0.0, 0.7, 0.5, 0.3, 0.2, 0.0, 0.9, 0.0])
     sig = _signal(v)
     clusters = cluster_honest_extrema(
-        find_extrema_candidates(sig), sig, cluster_window=10.0, value_tolerance=0.02
+        find_extrema_candidates(sig), sig, value_tolerance=0.02
     )
     maxima = [c for c in clusters if c.kind == "max"]
     assert [c.index for c in maxima] == [1, 6]
@@ -210,7 +228,7 @@ def test_alternation_drops_weaker_same_kind():
     v = np.array([0.0, 1.0, 0.5, 0.6, 0.55, 0.58, 0.0, 1.0, 0.2])
     sig = _signal(v)
     clusters = cluster_honest_extrema(
-        find_extrema_candidates(sig), sig, cluster_window=0.0, value_tolerance=0.0
+        find_extrema_candidates(sig), sig, value_tolerance=0.0
     )
     kinds = [c.kind for c in clusters]
     for a, b in zip(kinds, kinds[1:]):
@@ -346,6 +364,15 @@ def test_no_steps_in_flat_but_moving_scene():
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(min_prominence_m=-0.1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DetectorConfig)])
+@pytest.mark.parametrize("value", [-0.1, float("nan")], ids=["negative", "nan"])
+def test_detector_config_rejects_negative_and_nan(name, value):
+    """NaN compares false with everything, so a bare `value < 0` would let
+    it through; every field rejects it."""
+    with pytest.raises(ValueError, match=name):
+        DetectorConfig(**{name: value})
 
 
 def test_signal_requires_matching_shapes():

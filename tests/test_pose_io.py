@@ -83,6 +83,35 @@ def test_garbage_is_malformed():
             pose_io.parse_stream(bad)
 
 
+# Inputs json.loads rejects with something other than a JSONDecodeError.
+_DEEP = {"array": b"[" * 100_000, "object": b'{"a": ' * 100_000,
+         "header": b'{"header": ' + b"[" * 100_000,
+         "long-int": b'{"header": {"fps": ' + b"1" * 5000 + b"}}"}
+
+
+@pytest.mark.parametrize("read, what", [(pose_io.parse_stream, "document"),
+                                        (pose_io.read_truth, "sidecar")],
+                         ids=["parse_stream", "read_truth"])
+@pytest.mark.parametrize("data", list(_DEEP.values()), ids=list(_DEEP))
+def test_deep_nesting_and_long_integers_are_malformed(read, what, data):
+    """json.loads raises RecursionError on deep nesting and a bare
+    ValueError on an integer of more than 4300 digits; both readers map
+    them to MalformedDocument, bytes or text alike."""
+    for blob in (data, data.decode()):
+        with pytest.raises(MalformedDocument, match=f"^{what} is not valid JSON"):
+            read(blob)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff", "is not valid UTF-8"),
+    (b"{", "is not valid JSON"),
+    (b"[1]", "top level must be an object"),
+])
+def test_load_json_object_names_what_it_reads(data, message):
+    with pytest.raises(MalformedDocument, match=f"^sidecar {message}"):
+        pose_io.load_json_object(data, "sidecar")
+
+
 def test_unknown_joint_name():
     doc = _doc(
         [{"index": 0, "time_s": 0.0, "joints_2d": {"Tail": {"x": 1.0, "y": 2.0}}}]
