@@ -167,6 +167,7 @@ def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
     row["source"] = seq.source
     row["converged"] = fitted.converged
     row["iterations"] = fitted.iterations
+    row["stop_reason"] = fitted.stop_reason
     # Every scalar of the report; the per-step tuples stay out.
     row["report"] = _rounded(
         {k: v for k, v in vars(rep).items() if not isinstance(v, tuple)}
@@ -213,6 +214,9 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
             err = row["error"]
             print(f"{row['walk_id']}: error {err['type']}: {err['message']}")
             continue
+        if not row["converged"]:
+            print(f"{row['walk_id']}: warning: fit did not converge ({row['stop_reason']})",
+                  file=sys.stderr)
         rep = row["report"]
         speed, cadence = PARAMETERS[:2]
         print(

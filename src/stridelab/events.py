@@ -25,6 +25,7 @@ displacement, which keeps every output invariant under rigid motions of the
 scene and under time reversal.
 """
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,6 +65,8 @@ class StepSignal:
     def __post_init__(self) -> None:
         if self.times.shape != self.values.shape or self.times.ndim != 1:
             raise ValueError("times and values must be equal-length 1D arrays")
+        if np.any(np.isnan(self.times)):
+            raise ValueError("signal times must not be NaN")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("signal values must be finite and non-negative")
 
@@ -203,17 +206,30 @@ def find_extrema_candidates(
                                                value=float(v[i]), prominence=p))
 
     if min_separation > 0:
-        kept: list[ExtremumCandidate] = []
-        for c in sorted(cands, key=lambda c: (-c.prominence, c.index)):
-            if all(
-                c.kind != k.kind or abs(t[c.index] - t[k.index]) >= min_separation
-                for k in kept
-            ):
-                kept.append(c)
-        cands = kept
-
+        cands = _thin(cands, t, min_separation)
     cands.sort(key=lambda c: c.index)
     return cands
+
+
+def _thin(
+    cands: list[ExtremumCandidate], times: np.ndarray, min_separation: float
+) -> list[ExtremumCandidate]:
+    """The candidates kept, most prominent first (the earlier of equals),
+    when each is kept only if it lies at least min_separation in time from
+    every kept candidate of its kind.  Each kind's kept times stay sorted,
+    so only the two that bisect finds either side of a candidate's time can
+    be the nearest: checking them is the same as checking every kept
+    candidate of the kind, without the scan over all of them."""
+    kept: list[ExtremumCandidate] = []
+    kept_times: dict[str, list[float]] = {"max": [], "min": []}
+    for c in sorted(cands, key=lambda c: (-c.prominence, c.index)):
+        same = kept_times[c.kind]
+        tc = float(times[c.index])
+        i = bisect.bisect_left(same, tc)
+        if all(abs(tc - tk) >= min_separation for tk in same[max(i - 1, 0):i + 1]):
+            same.insert(i, tc)
+            kept.append(c)
+    return kept
 
 
 def _alternate(items: list, label, prominence) -> list:

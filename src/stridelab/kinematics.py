@@ -141,27 +141,71 @@ class KinematicTree:
         slots = np.array([self.rot_slot[j] for j in single], dtype=np.intp)
         return slots, np.stack((u, np.cross(r, u), r), axis=-1)
 
+    def _limb_order(self, widths: np.ndarray) -> list[int | None]:
+        """The swing layout's column groups in frame order: None for the
+        root translation, s for rotation slot s, whose kept axes number
+        widths[s].  The root's leading child subtrees come first, then the
+        translation and the root's rotation, then the other subtrees.  The
+        translation and the root's rotation move every joint, so they couple
+        with every column, and the split point is the prefix of the root's
+        children that leaves the two sides closest in width: a column's
+        distance to the root's columns, not its order within its side, sets
+        the band."""
+        subtrees = [[self.rot_slot[j] for j in (c, *self.descendants[c])
+                     if self.rot_slot[j] >= 0] for c in self.children[0]]
+        sums = np.cumsum([0] + [int(widths[sub].sum()) for sub in subtrees])
+        split = int(np.argmin(np.maximum(sums, sums[-1] - sums)))
+        head = [s for sub in subtrees[:split] for s in sub]
+        tail = [s for sub in subtrees[split:] for s in sub]
+        root = [self.rot_slot[0]] if self.rot_slot[0] >= 0 else []
+        return [*head, None, *root, *tail]
+
     @cached_property
     def step_layouts(self) -> tuple["StepLayout", "StepLayout"]:
         """The per-frame step parameters, indexed by swing: [False] holds
-        three left-multiplied increments per rotated joint, the layout of
-        energy_gradient, and [True] the solver's, in which a joint with one
-        child has two."""
+        the root translation, then three left-multiplied increments per
+        rotated joint in slot order, the layout of energy_gradient, and
+        [True] the solver's, in which a joint with one child has two and the
+        columns run in limb order (_limb_order): on CANONICAL_TREE the spine
+        and arms, then the translation and the pelvis, then the legs."""
         _, desc, slots = self.rotation_pairs
         layouts = []
         for swing in (False, True):
             keep = np.ones((self.n_rotations, 3), dtype=bool)
             if swing:
                 keep[self.swing_bases[0], 2] = False
-            P = 3 + int(np.count_nonzero(keep))
+            widths = keep.sum(axis=1)
+            P = 3 + int(widths.sum())
             columns = np.full(keep.shape, -1, dtype=np.intp)
-            columns[keep] = np.arange(3, P)
+            start = 0
+            for s in (self._limb_order(widths) if swing
+                      else [None, *range(self.n_rotations)]):
+                if s is None:
+                    translation = np.arange(start, start + 3)
+                    start += 3
+                else:
+                    columns[s, keep[s]] = np.arange(start, start + widths[s])
+                    start += widths[s]
+            # moves[c, j] = 1 where column c moves joint j: the translation
+            # moves every joint, an axis of a rotation its joint's strict
+            # descendants.  Two columns of one frame couple where they move
+            # a common joint, and the smoothness term couples frames two
+            # apart, so the normal matrix's lower bandwidth is 2P plus the
+            # largest distance between two coupled columns.
+            moves = np.zeros((P, self.n_joints))
+            moves[translation] = 1.0
+            pair_columns = columns[slots]                     # (pairs, 3)
+            hit = pair_columns >= 0
+            moves[pair_columns[hit], np.broadcast_to(desc[:, None], hit.shape)[hit]] = 1.0
+            a, b = np.nonzero(moves @ moves.T)
+            bandwidth = 2 * P + int(np.abs(a - b).max())
             # The flat cell (descendant, row, column) within a frame of each
             # (pair, row, axis) block cell, and the cells the layout keeps.
             rows = desc[:, None, None] * 3 + np.arange(3)[:, None]
             cells = rows * P + columns[slots][:, None, :]
             kept = np.broadcast_to(keep[slots][:, None, :], cells.shape)
-            layouts.append(StepLayout(columns, P, np.flatnonzero(kept), cells[kept]))
+            layouts.append(StepLayout(columns, translation, P, bandwidth,
+                                      np.flatnonzero(kept), cells[kept]))
         return layouts[0], layouts[1]
 
     @property
@@ -174,14 +218,17 @@ class KinematicTree:
 
 
 class StepLayout(NamedTuple):
-    """Step parameters per frame: the root translation's three, then
-    columns[s, i] for axis i of rotation slot s (-1 where that axis is not a
-    parameter); params_per_frame of them in all.  position_jacobian copies
-    cell src[k] of its flattened (pair, row, axis) blocks to flat frame
-    cell dst[k]."""
+    """Step parameters per frame, params_per_frame of them: the root
+    translation's three in columns translation, and columns[s, i] for axis
+    i of rotation slot s (-1 where that axis is not a parameter).  Their
+    normal matrix has lower bandwidth bandwidth (see
+    KinematicTree.step_layouts).  position_jacobian copies cell src[k] of
+    its flattened (pair, row, axis) blocks to flat frame cell dst[k]."""
 
     columns: np.ndarray
+    translation: np.ndarray
     params_per_frame: int
+    bandwidth: int
     src: np.ndarray
     dst: np.ndarray
 
@@ -326,8 +373,10 @@ def position_jacobian(
     left-multiplied increments at the current rotations (P = 3 + 3 NR, 45
     on CANONICAL_TREE); swing_axes gives the solver's swing layout, in
     which, with swing=True, a joint with one child keeps only its first two
-    axes (P = 35 on CANONICAL_TREE, so the solver's normal matrix has
-    bandwidth 3P - 1 = 104 instead of 134).
+    axes and the columns run in limb order, the translation and the root's
+    rotation between the root's subtrees (P = 35 on CANONICAL_TREE, so the
+    solver's normal matrix has bandwidth 90 instead of 134; see
+    KinematicTree.step_layouts).
 
     Descendant d of b moves with b's axes as hat(X_b - X_d) M_b, M_b the
     global rotation of b's parent (the identity at the root) times the
@@ -344,7 +393,7 @@ def position_jacobian(
     layout = tree.step_layouts[swing]
     if out is None:
         out = np.zeros((F, J, 3, layout.params_per_frame), dtype=np.float64)
-        out[:, :, :, :3] = np.eye(3)
+        out[..., layout.translation] = np.eye(3)
     joints, desc, slots = tree.rotation_pairs
     rotated = np.asarray(tree.rotated_joints)
     parents = np.asarray(tree.parents)[rotated]
@@ -381,9 +430,10 @@ def position_jacobian_vjp(
     """J^T r per frame, (F, P), for J = position_jacobian(tree, X, G, axes,
     swing) and r (F, J, 3) a vector per joint, without forming J.
 
-    The root translation moves every joint alike, so its entries are the
-    sum of r over the joints.  Rotated joint b moves descendant d by
-    hat(X_b - X_d) M_b, so its entries are M_b^T m_b with the moment
+    The root translation moves every joint alike, so its entries (the
+    layout's translation columns) are the sum of r over the joints.
+    Rotated joint b moves descendant d by hat(X_b - X_d) M_b, so its
+    entries (the layout's columns of b) are M_b^T m_b with the moment
     m_b = sum over b's strict descendants d of (X_d - X_b) x r_d, that is
     sum X_d x r_d - X_b x sum r_d: two subtree sums, which one product with
     tree.subtree_matrix per frame forms.  Positions are taken relative to
@@ -394,7 +444,7 @@ def position_jacobian_vjp(
     rotated = np.asarray(tree.rotated_joints)
     parents = np.asarray(tree.parents)[rotated]
     out = np.empty((F, layout.params_per_frame))
-    out[:, :3] = r.sum(axis=1)
+    out[:, layout.translation] = r.sum(axis=1)
     rel = X - X[:, :1]
     both = np.empty(r.shape[:2] + (6,))  # r and rel x r, summed at once
     both[..., :3] = r
@@ -407,7 +457,8 @@ def position_jacobian_vjp(
     moment[:, moved] = np.einsum("fnij,fni->fnj", G[:, parents[moved]], moment[:, moved])
     if axes is not None:
         moment = np.einsum("fnij,fni->fnj", axes, moment)
-    out[:, 3:] = moment[:, layout.columns >= 0]
+    kept = layout.columns >= 0
+    out[:, layout.columns[kept]] = moment[:, kept]
     return out
 
 

@@ -13,22 +13,27 @@ first temporal differences of the root depth.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
-term), so the normal matrix is block-pentadiagonal with bandwidth 3P - 1, P
-step parameters per frame: three for the root translation, two for a joint
-with one child (the swing directions perpendicular to its bone: turning it
-about the bone leaves the child in place, and what it moves further down
-the child's rotation can undo, so that direction adds nothing to the range
-of the Jacobian) and three for every other rotated joint.  On
-CANONICAL_TREE that is P = 35 and bandwidth 104 (45 and 134 with three
-parameters per joint).  A fresh step writes it straight into LAPACK lower
-band storage held column-major and solves by a banded Cholesky
-factorization of that storage, in place.  The matrix is assembled in
-fixed-size frame chunks, so no Jacobian or block array spans the walk: a
-solve holds one band, reused across iterations, plus per-frame residuals
-and weights and one chunk's buffers.  A step is accepted only when it
-strictly decreases the energy, otherwise the damping is increased, the
-band assembled again at the same pose (the failed attempt overwrote it
-with its factor) and the step recomputed.
+term), so the normal matrix is block-pentadiagonal.  Each frame has P step
+parameters: three for the root translation, two for a joint with one child
+(the swing directions perpendicular to its bone: turning it about the bone
+leaves the child in place, and what it moves further down the child's
+rotation can undo, so that direction adds nothing to the range of the
+Jacobian) and three for every other rotated joint.  They run in limb order:
+the columns of the root's leading subtrees, then the root translation and
+rotation, which move every joint, then the other subtrees.  Columns of
+different subtrees never couple, so the bandwidth is 2P plus the widest
+distance between two columns of one frame that move a common joint
+(KinematicTree.step_layouts).  On CANONICAL_TREE that is P = 35 and
+bandwidth 90: spine and arms, pelvis, legs (45 and 134 with three
+parameters per joint in slot order).  A fresh step writes the matrix
+straight into LAPACK lower band storage held column-major and solves by a
+banded Cholesky factorization of that storage, in place.  The matrix is
+assembled in fixed-size frame chunks, so no Jacobian or block array spans
+the walk: a solve holds one band, reused across iterations, plus
+per-frame residuals and weights and one chunk's buffers.  A step is
+accepted only when it strictly decreases the energy, otherwise the
+damping is increased, the band assembled again at the same pose (the
+failed attempt overwrote it with its factor) and the step recomputed.
 
 Once the energy drops settle (an accepted drop at most half the one
 before it), the next step is a reuse step: it solves with the factor
@@ -358,14 +363,17 @@ class EnergyProblem:
         (P = 35).  Its right-hand side J^T W r is _jtr's.
 
         J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
-        with bandwidth 3P - 1, shape (3P, F * P).  ab is the transpose of a
-        C-order (F * P, 3P) array, so it is column-major: block (f + k, f),
-        element (a, b) sits in that array at [fP + b, kP + a - b], and each
-        block is written as P contiguous runs.  Cells past the matrix end and
-        cells of the (zero) blocks three frames apart are zero.  With out
-        given (a band this method returned before, for the same problem,
-        possibly overwritten since by its Cholesky factor), the band is
-        written into it: every cell is rewritten.
+        with the layout's bandwidth kd (90 in the swing layout on
+        CANONICAL_TREE, 3P - 1 in the other), shape (kd + 1, F * P).  ab is
+        the transpose of a C-order (F * P, kd + 1) array, so it is
+        column-major: block (f + k, f), element (a, b) sits in that array at
+        [fP + b, kP + a - b], and each block is written as P contiguous runs.
+        The cells of a block two frames apart with a - b > kd - 2P lie
+        outside the band; they are structurally zero, and are not written.
+        Cells past the matrix end and cells of the (zero) blocks three frames
+        apart are zero.  With out given (a band this method returned before,
+        for the same problem, possibly overwritten since by its Cholesky
+        factor), the band is written into it: every cell is rewritten.
 
         The band is filled in chunks of _CHUNK_FRAMES frames.  Each chunk
         takes the position Jacobian of its frames and of the two that follow
@@ -378,7 +386,10 @@ class EnergyProblem:
         the band and per-frame weights, memory is bounded by one chunk's
         buffers, reused from chunk to chunk, whatever F is."""
         tree = self.tree
-        F, P, J = self.F, tree.step_layouts[swing].params_per_frame, tree.n_joints
+        layout = tree.step_layouts[swing]
+        F, P, J = self.F, layout.params_per_frame, tree.n_joints
+        kd = layout.bandwidth
+        tz = layout.translation[2]  # the root translation's z column
         m0, m1, m2 = self._m_diag
 
         # The per-joint weight of the ik and smoothness diagonal blocks,
@@ -399,18 +410,21 @@ class EnergyProblem:
         dcount[:-1] += 1.0
 
         if out is None:
-            ab = np.zeros((3 * P, F * P), order="F")
+            ab = np.zeros((kd + 1, F * P), order="F")
         else:
             # out may hold a Cholesky factor, which fills in cells no write
             # below covers (the blocks three frames apart, and with F < 3
             # every off-diagonal block): clear it.
             ab = out
             ab.fill(0.0)
-        band = ab.T.reshape(F, P, 3 * P)  # a view: ab is column-major
+        band = ab.T.reshape(F, P, kd + 1)  # a view: ab is column-major
         item = band.itemsize
         # The cells (b, a), a >= b, of the k = 0 band view that hold a
-        # diagonal block's lower triangle.
+        # diagonal block's lower triangle, and those, a - b <= kd - 2P, of a
+        # k = 2 view that lie in the band: the view maps the others into
+        # the next column's cells.
         lower = np.triu(np.ones((P, P), dtype=bool))
+        in_band = np.tril(np.ones((P, P), dtype=bool), kd - 2 * P)
 
         def block_view(s, k, m):
             """Blocks (f + k, f), f = s .. s + m - 1, as an (m, P, P) view
@@ -441,7 +455,7 @@ class EnergyProblem:
 
             wj = np.matmul(weight[s:e], jac[:n], out=wjac[:n])
             d = np.matmul(flat_t[:n], wj.reshape(n, -1, P), out=diag[:n])
-            d[:, 2, 2] += self.w_depth * dcount[s:e]
+            d[:, tz, tz] += self.w_depth * dcount[s:e]
             # Element (f, b, a) of the k = 0 view is H[fP + a, fP + b], lower
             # for a >= b.
             np.copyto(block_view(s, 0, n), d.transpose(0, 2, 1), where=lower)
@@ -449,7 +463,9 @@ class EnergyProblem:
             # Smoothness couples frames f and f + k through (D^T D)_{f,f+k} times
             # flat[f]^T flat[f+k]; the weighted flat[f+k] goes into W J's
             # buffer, free once the diagonal blocks are formed (scaling the
-            # strided product in the band measured slower).
+            # strided product in the band measured slower).  A k = 1 block
+            # lies wholly in the band; a k = 2 block is formed in the
+            # diagonal blocks' buffer and its in-band cells copied.
             if F >= 3:
                 for k, mk in ((1, m1), (2, m2)):
                     m = min(e, F - k) - s
@@ -460,10 +476,14 @@ class EnergyProblem:
                         (self.w_smooth * mk[s:s + m])[:, None, None],
                         out=wjac[:m].reshape(m, -1, P),
                     )
-                    np.matmul(flat_t[:m], scaled, out=block_view(s, k, m))
+                    if k == 1:
+                        np.matmul(flat_t[:m], scaled, out=block_view(s, k, m))
+                    else:
+                        np.matmul(flat_t[:m], scaled, out=diag[:m])
+                        np.copyto(block_view(s, k, m), diag[:m], where=in_band)
         if F >= 2:
             # The root-depth coupling of frames f and f + 1.
-            band[:-1, 2, P] -= self.w_depth
+            band[:-1, tz, P] -= self.w_depth
         return ab
 
     @staticmethod
@@ -503,7 +523,7 @@ class EnergyProblem:
         # axes @ coefficients.
         step = np.zeros((self.F, P + 1))
         step[:, :P] = delta.reshape(self.F, P)
-        t_new = t + step[:, :3]
+        t_new = t + step[:, layout.translation]
         rot_new = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0]) @ rot
         X, G = kin._fk_from_matrices(self.tree, self.lengths, t_new, rot_new)
         terms = self.energy_terms(X)
@@ -518,9 +538,10 @@ class EnergyProblem:
         Steps are taken in the swing layout: a fresh step builds the step
         axes of all rotated joints at once (kin.swing_axes), so a joint with
         one child steps only in the two directions perpendicular to its
-        bone, and the band has P = 35 parameters per frame and bandwidth
-        3P - 1 = 104 on CANONICAL_TREE instead of 45 and 134.  A step s maps
-        back to each rotation as exp(axes s) R.
+        bone, and the columns run in limb order, the root's between its
+        subtrees.  On CANONICAL_TREE the band then has P = 35 parameters per
+        frame and bandwidth 90, 91 rows, instead of 45 and 134.  A step s
+        maps back to each rotation as exp(axes s) R.
 
         A fresh step assembles the band at the current pose and factors it
         damped, in place.  A retry (a failed factorization, a non-finite or

@@ -20,6 +20,7 @@ from stridelab import cli, errors, pose_io
 from stridelab.cli import main
 from stridelab.config import load_config
 from stridelab.kinematics import CANONICAL_TREE
+from stridelab.optimizer import CONVERGED_REASONS
 from stridelab.skeleton import JointId, SkeletonSequence
 
 WALKS_INI = """\
@@ -82,6 +83,7 @@ def test_analyze_outputs(pipeline):
     assert len(report["walks"]) == 3
     for row in report["walks"]:
         assert row["status"] == "ok"
+        assert row["converged"] and row["stop_reason"] in CONVERGED_REASONS
         assert row["report"]["gait_speed_m_s"] > 0
     gait = (out / "results.gait.csv").read_text().splitlines()
     assert gait[0].startswith("walk_id,source,gait_speed_m_s")
@@ -148,6 +150,31 @@ def test_parallel_analysis_matches_serial(pipeline):
     assert main(["--jobs", "2", "analyze", *poses, "--out-dir", str(par)]) == 0
     for name in ("results.report.json", "results.gait.csv", "results.matched.csv"):
         assert _digest(par / name) == _digest(out / name)
+
+
+def test_unconverged_fits_keep_ok_rows_that_say_why(pipeline, tmp_path, capsys):
+    """With [energy] max_iterations = 1 every fit stops at the cap.  Each
+    row stays ok with converged false and stop_reason iteration_cap right
+    after iterations, stderr has one warning per walk, the exit code stays
+    0, and serial and --jobs 2 runs write identical files."""
+    _, sim, _ = pipeline
+    cfg = tmp_path / "one-step.ini"
+    cfg.write_text("[energy]\nmax_iterations = 1\n")
+    poses = sorted(str(p) for p in sim.glob("*.poses.json"))
+    runs = [tmp_path / "serial", tmp_path / "jobs"]
+    for jobs, out in zip((1, 2), runs):
+        assert main(["--config", str(cfg), "--jobs", str(jobs), "analyze", *poses,
+                     "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"walk-{w}: warning: fit did not converge (iteration_cap)" for w in "abc"
+        ]
+        for row in json.loads((out / "results.report.json").read_text())["walks"]:
+            assert (row["status"], row["converged"], row["iterations"]) == ("ok", False, 1)
+            keys = list(row)
+            assert keys[keys.index("iterations") + 1] == "stop_reason"
+            assert row["stop_reason"] == "iteration_cap"
+    for name in ("results.report.json", "results.gait.csv", "results.matched.csv"):
+        assert _digest(runs[1] / name) == _digest(runs[0] / name)
 
 
 @pytest.mark.parametrize("jobs, n_walks, workers", [(8, 2, 2), (2, 3, 2)])

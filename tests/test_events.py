@@ -30,7 +30,13 @@ from stridelab.errors import (
     MissingModality,
     SignalTooShort,
 )
-from stridelab.events import StepSignal, build_signal, topographic_prominence
+from stridelab.events import (
+    ExtremumCandidate,
+    StepSignal,
+    _thin,
+    build_signal,
+    topographic_prominence,
+)
 from stridelab.kinematics import so3_exp
 
 
@@ -193,6 +199,76 @@ def test_min_separation_leaves_same_kind_candidates_that_far_apart(values, frame
         times = [sig.times[c.index] for c in cands if c.kind == kind]
         for a, b in zip(times, times[1:]):
             assert b - a >= s
+
+
+def _pairwise_thin(cands, times, min_separation):
+    """The minimum-separation rule written out: most prominent first, the
+    earlier of equals, each kept only if it is at least min_separation from
+    every kept candidate of its kind."""
+    kept = []
+    for c in sorted(cands, key=lambda c: (-c.prominence, c.index)):
+        if all(c.kind != k.kind or abs(times[c.index] - times[k.index]) >= min_separation
+               for k in kept):
+            kept.append(c)
+    return kept
+
+
+class _CountedSeparation(float):
+    """A min_separation that counts the comparisons made against it:
+    `x >= sep` reaches its reflected __le__ first, sep being a float
+    subclass."""
+
+    def __new__(cls, value):
+        obj = super().__new__(cls, value)
+        obj.comparisons = 0
+        return obj
+
+    def __le__(self, other):
+        self.comparisons += 1
+        return super().__le__(other)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["max", "min"]), st.integers(0, 39), st.integers(0, 4)),
+        max_size=40,
+    ),
+    st.lists(st.integers(0, 24), min_size=40, max_size=40),
+    st.integers(1, 6),
+)
+@settings(max_examples=300)
+def test_thinning_matches_the_pairwise_rule(drawn, grid, separation):
+    """On random candidate sets with tied prominences, shared indices and
+    times, and times exactly min_separation apart (all times and the
+    separation are multiples of a quarter), thinning keeps the same
+    candidates in the same order as the pairwise rule."""
+    times = np.array(grid) * 0.25
+    cands = [ExtremumCandidate(index=i, kind=kind, value=0.0, prominence=p)
+             for kind, i, p in drawn]
+    sep = 0.25 * separation
+    assert _thin(cands, times, sep) == _pairwise_thin(cands, times, sep)
+
+
+def test_thinning_a_long_signal_compares_with_two_neighbours():
+    """A noisy 20 000-frame (11 minute) 30 fps signal with the shipped
+    floors: thinning keeps what the pairwise rule keeps, and compares each
+    candidate with at most the two kept ones either side of it in time,
+    where the pairwise rule compares it with every kept one."""
+    rng = np.random.default_rng(3)
+    cfg = DetectorConfig()
+    t = np.arange(20_000) / 30.0
+    v = np.abs(0.3 + 0.25 * np.sin(2 * np.pi * 0.9 * t) + rng.normal(0.0, 0.04, t.size))
+    cands = find_extrema_candidates(StepSignal(times=t, values=v), cfg.min_prominence_m)
+    assert len(cands) > 2000
+    sep = _CountedSeparation(cfg.min_separation_s)
+    kept = _thin(cands, t, sep)
+    assert sep.comparisons <= 2 * len(cands)
+    assert kept == _pairwise_thin(cands, t, cfg.min_separation_s)
+
+
+def test_signal_times_must_not_be_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        StepSignal(times=np.array([0.0, np.nan, 1.0]), values=np.ones(3))
 
 
 def test_near_equal_maxima_merge_to_single_cluster():

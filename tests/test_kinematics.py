@@ -300,8 +300,8 @@ def _swing_pose(tree, rng, n_frames=3):
 
 def test_swing_layout_sizes(step_tree):
     """A joint with one child has two step parameters, every other rotated
-    joint three: 35 per frame on the skeleton, whose band is then 3 * 35 - 1
-    = 104 wide instead of 134."""
+    joint three: 35 per frame on the skeleton instead of 45.  Each column
+    of the layout is used once."""
     tree, _ = step_tree
     slots, bases = tree.swing_bases
     kids = [len(tree.children[j]) for j in tree.rotated_joints]
@@ -310,11 +310,37 @@ def test_swing_layout_sizes(step_tree):
     assert layout.params_per_frame == tree.params_per_frame - len(slots)
     if tree is CANONICAL_TREE:
         assert (len(slots), layout.params_per_frame) == (10, 35)
+    used = np.concatenate([layout.translation, layout.columns[layout.columns >= 0]])
+    assert np.array_equal(np.sort(used), np.arange(layout.params_per_frame))
     # Each basis is a rotation whose last column is the child's rest direction.
     assert np.allclose(bases.transpose(0, 2, 1) @ bases, np.eye(3), atol=1e-15)
     assert np.allclose(np.linalg.det(bases), 1.0)
     children = [tree.children[tree.rotated_joints[s]][0] for s in slots]
     assert np.array_equal(bases[..., 2], tree.rest_dirs[children])
+
+
+def test_swing_layout_runs_in_limb_order():
+    """On the skeleton the solver's columns run spine and arms (15), root
+    translation and pelvis (6), legs (14).  The columns furthest apart
+    that move a common joint are the spine's first and the pelvis's last,
+    20 apart, so the normal matrix's bandwidth is 2 * 35 + 20 = 90 where
+    the order of energy_gradient's layout gives 3 * 45 - 1 = 134."""
+    tree = CANONICAL_TREE
+    full, swing = tree.step_layouts
+    assert full.bandwidth == 3 * full.params_per_frame - 1 == 134
+    assert np.array_equal(full.translation, [0, 1, 2])
+    assert swing.bandwidth == 90
+    assert np.array_equal(swing.translation, [15, 16, 17])
+
+    def span(*joints):
+        cols = swing.columns[[tree.rot_slot[j.value] for j in joints]]
+        return cols[cols >= 0].min(), cols[cols >= 0].max()
+
+    assert span(JointId.SPINE, JointId.MID_SPINE, JointId.NECK, JointId.LEFT_SHOULDER,
+                JointId.LEFT_ELBOW, JointId.RIGHT_SHOULDER, JointId.RIGHT_ELBOW) == (0, 14)
+    assert span(JointId.PELVIS) == (18, 20)
+    assert span(JointId.LEFT_HIP, JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
+                JointId.RIGHT_HIP, JointId.RIGHT_KNEE, JointId.RIGHT_ANKLE) == (21, 34)
 
 
 def test_swing_jacobian_matches_finite_differences(step_tree):
@@ -333,7 +359,7 @@ def test_swing_jacobian_matches_finite_differences(step_tree):
 
     full = _fd_position_jacobian(tree, lengths, params, axes)
     want = np.empty_like(got)
-    want[..., :3] = full[..., :3]
+    want[..., layout.translation] = full[..., :3]
     for s, i in zip(*np.nonzero(layout.columns >= 0)):
         want[..., layout.columns[s, i]] = full[..., 3 + 3 * s + i]
     assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()

@@ -482,14 +482,15 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
-    """The solver's band is T^T H T and its right-hand side T^T g, H and g the
-    dense reference in left-multiplied increments and T the block-diagonal
-    map from swing steps to increments (per frame the identity on the root
-    translation and, per rotated joint, its kept step axes)."""
-    tree, lengths = step_tree
-    rng = np.random.default_rng(31)
-    F, J = 5, tree.n_joints
+def _swing_normal_equations(tree, lengths, rng, F):
+    """A random problem of F frames on tree, a random pose (X, G) with its
+    swing axes, and the dense reference of the solver's normal equations
+    there: T^T H T and T^T g, H and g _dense_normal_equations' in
+    left-multiplied increments and T the block-diagonal map from swing
+    steps to increments (per frame the identity from the layout's
+    translation columns to the root translation and, per rotated joint, its
+    kept step axes)."""
+    J = tree.n_joints
 
     def pose():
         return PoseParams(
@@ -515,18 +516,42 @@ def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
     P, Q = tree.params_per_frame, layout.params_per_frame
     T = np.zeros((F * P, F * Q))
     for f in range(F):
-        T[f * P:f * P + 3, f * Q:f * Q + 3] = np.eye(3)
+        T[f * P:f * P + 3, f * Q + layout.translation] = np.eye(3)
         for s, i in zip(*np.nonzero(layout.columns >= 0)):
             row = f * P + 3 + 3 * s
             T[row:row + 3, f * Q + layout.columns[s, i]] = axes[f, s, :, i]
-    want_H, want_g = T.T @ H @ T, T.T @ g
+    return prob, X, G, axes, T.T @ H @ T, T.T @ g
+
+
+def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
+    """The solver's band is the dense reference of _swing_normal_equations,
+    and its right-hand side that reference's."""
+    tree, lengths = step_tree
+    F = 5
+    prob, X, G, axes, want_H, want_g = _swing_normal_equations(
+        tree, lengths, np.random.default_rng(31), F)
+    layout = tree.step_layouts[True]
+    Q = layout.params_per_frame
 
     ab = prob._normal_blocks(X, G, axes, swing=True)
     jtr = prob._jtr(X, G, prob._weighted_residuals(X), axes, swing=True)
-    assert ab.shape == (3 * Q, F * Q)
+    assert ab.shape == (layout.bandwidth + 1, F * Q)
     got = _band_to_lower(ab, F * Q)
     assert np.abs(got - np.tril(want_H)).max() <= 1e-12 * np.abs(want_H).max()
     assert np.abs(jtr.reshape(-1) - want_g).max() <= 1e-12 * np.abs(want_g).max()
+
+
+@pytest.mark.parametrize("n_frames", [3, 4, 6])
+def test_swing_bandwidth_matches_the_dense_normal_matrix(step_tree, n_frames):
+    """The layout's bandwidth, derived from the tree alone, is the largest
+    distance of a nonzero from the diagonal of the dense swing normal
+    matrix at a random pose, once two frames apart couple (F >= 3): no
+    smaller band holds the matrix, and no nonzero lies outside it."""
+    tree, lengths = step_tree
+    rng = np.random.default_rng(41 + n_frames)
+    _, _, _, _, H, _ = _swing_normal_equations(tree, lengths, rng, n_frames)
+    rows, cols = np.nonzero(H)
+    assert np.abs(rows - cols).max() == tree.step_layouts[True].bandwidth
 
 
 def _thinned(walk, rate=0.2, seed=4):
@@ -633,9 +658,8 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     assert len(seq) >= 148
     item = np.dtype(np.float64).itemsize
     # The assembly below builds the band of increments, the solver its own
-    # in the swing layout.
-    P = CANONICAL_TREE.params_per_frame
-    Q = CANONICAL_TREE.step_layouts[True].params_per_frame
+    # in the swing layout, each with its layout's bandwidth.
+    full, swing = CANONICAL_TREE.step_layouts
     bands, assembly, solve = [], [], []
     for n_frames in (64, 148):
         part = _head(seq, n_frames)
@@ -644,12 +668,14 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         X, G = forward_kinematics(
             CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
         )
-        band = 3 * P * n_frames * P * item
+        P = full.params_per_frame
+        band = (full.bandwidth + 1) * n_frames * P * item
         peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G))
         assembly.append(peak - band)
         # Two iterations: the second assembles into the band the first
         # factored.
-        band = 3 * Q * n_frames * Q * item
+        Q = swing.params_per_frame
+        band = (swing.bandwidth + 1) * n_frames * Q * item
         peak, (_, info) = _traced_peak(
             lambda: prob.solve(init, EnergyConfig(max_iterations=2))
         )
