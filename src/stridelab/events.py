@@ -139,27 +139,32 @@ def build_signal(source) -> StepSignal:
     return StepSignal(times=np.array(source.times), values=values)
 
 
-def topographic_prominence(values: np.ndarray, index: int, kind: str = "max") -> float:
-    """Height of an extremum over its key saddle.
+def topographic_prominences(values: np.ndarray, kind: str = "max") -> np.ndarray:
+    """Each sample's height over its key saddle, as a maximum (minimum).
 
-    For a maximum: walk outward on each side until a strictly higher sample
-    (or the signal boundary), tracking the lowest sample seen; the prominence
-    is the peak value minus the higher of the two side minima.  Minima mirror
-    this with the roles of high and low swapped.
-    """
-    v = np.asarray(values, dtype=float)
-    sign = 1.0 if kind == "max" else -1.0
-    s = sign * v
-    peak = s[index]
-    saddles = []
-    for step in (-1, 1):
-        lowest = peak
-        i = index + step
-        while 0 <= i < s.size and s[i] <= peak:
-            lowest = min(lowest, s[i])
-            i += step
-        saddles.append(lowest)
-    return float(peak - max(saddles))
+    For a maximum at i: on each side, the lowest sample from i up to the
+    nearest strictly higher one (or the boundary); the prominence is the
+    peak value minus the higher of the two, 0 where a neighbour is higher.
+    Minima mirror this.  One pass per side keeps a stack of the samples no
+    later one has topped, each with the lowest sample since the one below
+    it: O(n), where walking out from each extremum of a drifting signal is
+    O(n^2)."""
+    s = (1.0 if kind == "max" else -1.0) * np.asarray(values, dtype=float)
+
+    def side_lows(samples: list[float]) -> list[float]:
+        stack: list[tuple[float, float]] = []  # (sample, lowest since the one below)
+        lows = []
+        for x in samples:
+            low = x
+            while stack and stack[-1][0] <= x:
+                low = min(low, stack.pop()[1])
+            stack.append((x, low))
+            lows.append(low)
+        return lows
+
+    left = np.array(side_lows(s.tolist()))
+    right = np.array(side_lows(s[::-1].tolist())[::-1])
+    return s - np.maximum(left, right)
 
 
 def _scan_one_kind(v: np.ndarray, kind: str) -> list[int]:
@@ -198,9 +203,9 @@ def find_extrema_candidates(
 
     cands: list[ExtremumCandidate] = []
     for kind in ("max", "min"):
-        idxs = _scan_one_kind(v, kind)
-        for i in idxs:
-            p = topographic_prominence(v, i, kind)
+        prominences = topographic_prominences(v, kind)
+        for i in _scan_one_kind(v, kind):
+            p = float(prominences[i])
             if p >= min_prominence:
                 cands.append(ExtremumCandidate(index=i, kind=kind,
                                                value=float(v[i]), prominence=p))

@@ -7,6 +7,10 @@ exactly on the bone-length manifold.  The fit steps on these matrices by
 left-multiplied increments exp(hat(d)) R, d in the parent's frame, and
 nothing converts them to another rotation representation.
 
+position_jacobian is the Jacobian in the fit's step (KinematicTree.step_layout);
+position_jacobian_vjp forms J^T r in three increments per rotated joint, the
+energy gradient's layout, and StepLayout.project takes it onto a step's axes.
+
 The math here is generic over any rooted tree; the canonical 21-joint skeleton
 is exposed as CANONICAL_TREE.
 """
@@ -142,7 +146,7 @@ class KinematicTree:
         return slots, np.stack((u, np.cross(r, u), r), axis=-1)
 
     def _limb_order(self, widths: np.ndarray) -> list[int | None]:
-        """The swing layout's column groups in frame order: None for the
+        """The step layout's column groups in frame order: None for the
         root translation, s for rotation slot s, whose kept axes number
         widths[s].  The root's leading child subtrees come first, then the
         translation and the root's rotation, then the other subtrees.  The
@@ -161,52 +165,47 @@ class KinematicTree:
         return [*head, None, *root, *tail]
 
     @cached_property
-    def step_layouts(self) -> tuple["StepLayout", "StepLayout"]:
-        """The per-frame step parameters, indexed by swing: [False] holds
-        the root translation, then three left-multiplied increments per
-        rotated joint in slot order, the layout of energy_gradient, and
-        [True] the solver's, in which a joint with one child has two and the
-        columns run in limb order (_limb_order): on CANONICAL_TREE the spine
-        and arms, then the translation and the pelvis, then the legs."""
+    def step_layout(self) -> "StepLayout":
+        """The solver's per-frame step parameters: the root translation,
+        then each rotated joint's turns about its step axes (swing_axes),
+        of which a joint with one child keeps the first two and every other
+        joint all three.  The columns run in limb order (_limb_order): on
+        CANONICAL_TREE the spine and arms, then the translation and the
+        pelvis, then the legs."""
         _, desc, slots = self.rotation_pairs
-        layouts = []
-        for swing in (False, True):
-            keep = np.ones((self.n_rotations, 3), dtype=bool)
-            if swing:
-                keep[self.swing_bases[0], 2] = False
-            widths = keep.sum(axis=1)
-            P = 3 + int(widths.sum())
-            columns = np.full(keep.shape, -1, dtype=np.intp)
-            start = 0
-            for s in (self._limb_order(widths) if swing
-                      else [None, *range(self.n_rotations)]):
-                if s is None:
-                    translation = np.arange(start, start + 3)
-                    start += 3
-                else:
-                    columns[s, keep[s]] = np.arange(start, start + widths[s])
-                    start += widths[s]
-            # moves[c, j] = 1 where column c moves joint j: the translation
-            # moves every joint, an axis of a rotation its joint's strict
-            # descendants.  Two columns of one frame couple where they move
-            # a common joint, and the smoothness term couples frames two
-            # apart, so the normal matrix's lower bandwidth is 2P plus the
-            # largest distance between two coupled columns.
-            moves = np.zeros((P, self.n_joints))
-            moves[translation] = 1.0
-            pair_columns = columns[slots]                     # (pairs, 3)
-            hit = pair_columns >= 0
-            moves[pair_columns[hit], np.broadcast_to(desc[:, None], hit.shape)[hit]] = 1.0
-            a, b = np.nonzero(moves @ moves.T)
-            bandwidth = 2 * P + int(np.abs(a - b).max())
-            # The flat cell (descendant, row, column) within a frame of each
-            # (pair, row, axis) block cell, and the cells the layout keeps.
-            rows = desc[:, None, None] * 3 + np.arange(3)[:, None]
-            cells = rows * P + columns[slots][:, None, :]
-            kept = np.broadcast_to(keep[slots][:, None, :], cells.shape)
-            layouts.append(StepLayout(columns, translation, P, bandwidth,
-                                      np.flatnonzero(kept), cells[kept]))
-        return layouts[0], layouts[1]
+        keep = np.ones((self.n_rotations, 3), dtype=bool)
+        keep[self.swing_bases[0], 2] = False
+        widths = keep.sum(axis=1)
+        P = 3 + int(widths.sum())
+        columns = np.full(keep.shape, -1, dtype=np.intp)
+        start = 0
+        for s in self._limb_order(widths):
+            if s is None:
+                translation = np.arange(start, start + 3)
+                start += 3
+            else:
+                columns[s, keep[s]] = np.arange(start, start + widths[s])
+                start += widths[s]
+        # moves[c, j] = 1 where column c moves joint j: the translation
+        # moves every joint, an axis of a rotation its joint's strict
+        # descendants.  Two columns of one frame couple where they move
+        # a common joint, and the smoothness term couples frames two
+        # apart, so the normal matrix's lower bandwidth is 2P plus the
+        # largest distance between two coupled columns.
+        moves = np.zeros((P, self.n_joints))
+        moves[translation] = 1.0
+        pair_columns = columns[slots]                     # (pairs, 3)
+        hit = pair_columns >= 0
+        moves[pair_columns[hit], np.broadcast_to(desc[:, None], hit.shape)[hit]] = 1.0
+        a, b = np.nonzero(moves @ moves.T)
+        bandwidth = 2 * P + int(np.abs(a - b).max())
+        # The flat cell (descendant, row, column) within a frame of each
+        # (pair, row, axis) block cell, and the cells the layout keeps.
+        rows = desc[:, None, None] * 3 + np.arange(3)[:, None]
+        cells = rows * P + pair_columns[:, None, :]
+        kept = np.broadcast_to(keep[slots][:, None, :], cells.shape)
+        return StepLayout(columns, translation, P, bandwidth,
+                          np.flatnonzero(kept), cells[kept])
 
     @property
     def n_rotations(self) -> int:
@@ -214,6 +213,7 @@ class KinematicTree:
 
     @property
     def params_per_frame(self) -> int:
+        """The columns of position_jacobian_vjp and energy_gradient."""
         return 3 + 3 * self.n_rotations
 
 
@@ -222,7 +222,7 @@ class StepLayout(NamedTuple):
     translation's three in columns translation, and columns[s, i] for axis
     i of rotation slot s (-1 where that axis is not a parameter).  Their
     normal matrix has lower bandwidth bandwidth (see
-    KinematicTree.step_layouts).  position_jacobian copies cell src[k] of
+    KinematicTree.step_layout).  position_jacobian copies cell src[k] of
     its flattened (pair, row, axis) blocks to flat frame cell dst[k]."""
 
     columns: np.ndarray
@@ -231,6 +231,20 @@ class StepLayout(NamedTuple):
     bandwidth: int
     src: np.ndarray
     dst: np.ndarray
+
+    def project(self, increments: np.ndarray, axes: np.ndarray) -> np.ndarray:
+        """J^T r (F, params_per_frame) for steps about axes (F, NR, 3, 3),
+        from position_jacobian_vjp's J^T r in increments (F, 3 + 3 NR):
+        axis i of slot s takes the slot's entries along axes[:, s, :, i]."""
+        F = increments.shape[0]
+        out = np.empty((F, self.params_per_frame))
+        out[:, self.translation] = increments[:, :3]
+        # einsum takes about a third of the time on a contiguous operand.
+        per_slot = np.ascontiguousarray(increments[:, 3:]).reshape(F, -1, 3)
+        moment = np.einsum("fnij,fni->fnj", axes, per_slot)
+        kept = self.columns >= 0
+        out[:, self.columns[kept]] = moment[:, kept]
+        return out
 
 
 def _canonical_rest_dirs() -> np.ndarray:
@@ -361,22 +375,16 @@ def position_jacobian(
     tree: KinematicTree,
     X: np.ndarray,
     G: np.ndarray,
-    axes: np.ndarray | None = None,
-    swing: bool = False,
+    axes: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d(position)/d(step) per frame: (F, J, 3, P), P per tree.step_layouts[swing].
+    """d(position)/d(step) per frame: (F, J, 3, P), P per tree.step_layout
+    (35 on CANONICAL_TREE, in limb order).
 
     Rotated joint b's step parameters turn it about axes given in its
     parent's frame: column i of axes[f, s] (F, NR, 3, 3) is the axis of
-    slot s's i-th parameter.  None stands for the identity, which gives
-    left-multiplied increments at the current rotations (P = 3 + 3 NR, 45
-    on CANONICAL_TREE); swing_axes gives the solver's swing layout, in
-    which, with swing=True, a joint with one child keeps only its first two
-    axes and the columns run in limb order, the translation and the root's
-    rotation between the root's subtrees (P = 35 on CANONICAL_TREE, so the
-    solver's normal matrix has bandwidth 90 instead of 134; see
-    KinematicTree.step_layouts).
+    slot s's i-th parameter, of which a joint with one child keeps two
+    (swing_axes gives the solver's, perpendicular to the bone).
 
     Descendant d of b moves with b's axes as hat(X_b - X_d) M_b, M_b the
     global rotation of b's parent (the identity at the root) times the
@@ -385,12 +393,12 @@ def position_jacobian(
     every other cell is a translation identity or a structural zero.
 
     out, when given, must be a C-contiguous result of an earlier call for
-    the same tree and layout, or a leading frame slice of one.  Its
-    identities and zeros are kept, its rotation blocks are rewritten in
-    place, and it is returned.
+    the same tree, or a leading frame slice of one.  Its identities and
+    zeros are kept, its rotation blocks are rewritten in place, and it is
+    returned.
     """
     F, J, _ = X.shape
-    layout = tree.step_layouts[swing]
+    layout = tree.step_layout
     if out is None:
         out = np.zeros((F, J, 3, layout.params_per_frame), dtype=np.float64)
         out[..., layout.translation] = np.eye(3)
@@ -399,9 +407,7 @@ def position_jacobian(
     parents = np.asarray(tree.parents)[rotated]
     M = G[:, np.maximum(parents, 0)]               # (F, NR, 3, 3)
     M[:, parents < 0] = np.eye(3)
-    if axes is not None:
-        M = M @ axes
-    blocks = hat(X[:, joints] - X[:, desc]) @ M[:, slots]  # (F, pairs, 3, 3)
+    blocks = hat(X[:, joints] - X[:, desc]) @ (M @ axes)[:, slots]  # (F, pairs, 3, 3)
     out.reshape(F, -1)[:, layout.dst] = blocks.reshape(F, -1)[:, layout.src]
     return out
 
@@ -424,42 +430,34 @@ def position_jacobian_vjp(
     X: np.ndarray,
     G: np.ndarray,
     r: np.ndarray,
-    axes: np.ndarray | None = None,
-    swing: bool = False,
 ) -> np.ndarray:
-    """J^T r per frame, (F, P), for J = position_jacobian(tree, X, G, axes,
-    swing) and r (F, J, 3) a vector per joint, without forming J.
+    """J^T r per frame, (F, tree.params_per_frame), for r (F, J, 3) a vector
+    per joint and J the joint positions' Jacobian in the root translation
+    and, per rotation slot, the increment d that turns R to exp(hat(d)) R,
+    without forming J.
 
-    The root translation moves every joint alike, so its entries (the
-    layout's translation columns) are the sum of r over the joints.
-    Rotated joint b moves descendant d by hat(X_b - X_d) M_b, so its
-    entries (the layout's columns of b) are M_b^T m_b with the moment
-    m_b = sum over b's strict descendants d of (X_d - X_b) x r_d, that is
+    The root translation moves every joint alike, so its three entries are
+    the sum of r over the joints.  Rotated joint b moves descendant d by
+    hat(X_b - X_d) M_b, M_b the global rotation of b's parent, so its three
+    entries are M_b^T m_b with the moment m_b = sum over b's strict
+    descendants d of (X_d - X_b) x r_d, that is
     sum X_d x r_d - X_b x sum r_d: two subtree sums, which one product with
     tree.subtree_matrix per frame forms.  Positions are taken relative to
     the root, which leaves every X_d - X_b alone and keeps the sums from
     cancelling at a large camera distance."""
     F = X.shape[0]
-    layout = tree.step_layouts[swing]
     rotated = np.asarray(tree.rotated_joints)
     parents = np.asarray(tree.parents)[rotated]
-    out = np.empty((F, layout.params_per_frame))
-    out[:, layout.translation] = r.sum(axis=1)
     rel = X - X[:, :1]
     both = np.empty(r.shape[:2] + (6,))  # r and rel x r, summed at once
     both[..., :3] = r
     _cross(rel, r, out=both[..., 3:])
     sums = tree.subtree_matrix @ both                             # (F, NR, 6)
     moment = sums[..., 3:] - _cross(rel[:, rotated], sums[..., :3])
-    # M_b^T m_b: into the parent's frame (the root's is the global one),
-    # then onto the axes.
+    # M_b^T m_b: into the parent's frame (the root's is the global one).
     moved = parents >= 0
     moment[:, moved] = np.einsum("fnij,fni->fnj", G[:, parents[moved]], moment[:, moved])
-    if axes is not None:
-        moment = np.einsum("fnij,fni->fnj", axes, moment)
-    kept = layout.columns >= 0
-    out[:, layout.columns[kept]] = moment[:, kept]
-    return out
+    return np.concatenate((r.sum(axis=1), moment.reshape(F, -1)), axis=1)
 
 
 def swing_axes(tree: KinematicTree, rot_local: np.ndarray) -> np.ndarray:
@@ -468,8 +466,8 @@ def swing_axes(tree: KinematicTree, rot_local: np.ndarray) -> np.ndarray:
 
     A joint with one child gets R_j times its tree.swing_bases basis: two
     axes perpendicular to its bone, then the bone direction
-    R_j rest_dirs[child] itself, which with swing=True is no step
-    parameter.  Every other joint keeps the identity."""
+    R_j rest_dirs[child] itself, which tree.step_layout leaves out.  Every
+    other joint keeps the identity."""
     slots, bases = tree.swing_bases
     axes = np.empty(rot_local.shape)
     axes[...] = np.eye(3)

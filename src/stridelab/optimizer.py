@@ -23,9 +23,8 @@ the columns of the root's leading subtrees, then the root translation and
 rotation, which move every joint, then the other subtrees.  Columns of
 different subtrees never couple, so the bandwidth is 2P plus the widest
 distance between two columns of one frame that move a common joint
-(KinematicTree.step_layouts).  On CANONICAL_TREE that is P = 35 and
-bandwidth 90: spine and arms, pelvis, legs (45 and 134 with three
-parameters per joint in slot order).  A fresh step writes the matrix
+(KinematicTree.step_layout).  On CANONICAL_TREE that is P = 35 and
+bandwidth 90: spine and arms, pelvis, legs.  A fresh step writes the matrix
 straight into LAPACK lower band storage held column-major and solves by a
 banded Cholesky factorization of that storage, in place.  The matrix is
 assembled in fixed-size frame chunks, so no Jacobian or block array spans
@@ -38,11 +37,13 @@ failed attempt overwrote it with its factor) and the step recomputed.
 Once the energy drops settle (an accepted drop at most half the one
 before it), the next step is a reuse step: it solves with the factor
 still in the band, in that factor's step axes, against the gradient at
-the current pose, which kin.position_jacobian_vjp forms from subtree sums
-without a Jacobian.  That is the chord method inside the damped loop; a
-reuse step that does not lower the energy is retaken fresh.  The fit stops
-when a fresh step changes the energy by at most a set fraction of it
-(EnergyConfig.tolerance), and says why it stopped (STOP_REASONS).
+the current pose, which kin.position_jacobian_vjp forms from subtree
+sums without a Jacobian, in three increments per rotated joint, and
+StepLayout.project takes onto the step axes.  That is the chord method
+inside the damped loop; a reuse step that does not lower the energy is
+retaken fresh.  The fit stops when a fresh step changes the energy by at
+most a set fraction of it (EnergyConfig.tolerance), and says why it
+stopped (STOP_REASONS).
 PoseParams holds the local rotation matrices themselves; each step
 left-multiplies them by the exponential of a small increment about the
 step axes, so no rotation is ever expressed by a parameter vector with a
@@ -108,8 +109,8 @@ class EnergyConfig:
     tolerance times its value, or a rejected one changes it by at most that
     much, and otherwise after max_iterations (at least 1) accepted steps of
     either kind (see EnergyProblem.solve) with converged=False.  Weights are
-    non-negative.  A field outside its range raises ValueError whose message
-    starts with the field name.
+    finite and non-negative.  A field outside its range raises ValueError
+    whose message starts with the field name.
     """
 
     w_ik: float = 1.0
@@ -122,7 +123,9 @@ class EnergyConfig:
     def __post_init__(self) -> None:
         for name in ("w_ik", "w_proj", "w_smooth", "w_depth"):
             value = getattr(self, name)
-            if value is not None and not value >= 0:
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: must be finite, got {value}")
+            if value is not None and value < 0:
                 raise ValueError(f"{name}: must be non-negative, got {value}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations: must be at least 1, got {self.max_iterations}")
@@ -325,19 +328,20 @@ class EnergyProblem:
         resid[:-1, 0, 2] -= self.w_depth * dz
         return resid
 
-    def _jtr(self, X, G, resid, axes=None, swing=False) -> np.ndarray:
+    def _jtr(self, X, G, resid, axes) -> np.ndarray:
         """J^T r~ (F, P) at joint positions X for the weighted residuals
-        resid of _weighted_residuals, in the step parameters that axes and
-        swing give kin.position_jacobian (see _normal_blocks).  No Jacobian
-        or band is formed: kin.position_jacobian_vjp sums r~ over subtrees,
-        _CHUNK_FRAMES frames at a time, so its buffers stay chunk-sized."""
-        F = self.F
-        out = np.empty((F, self.tree.step_layouts[swing].params_per_frame))
-        for s in range(0, F, _CHUNK_FRAMES):
-            e = min(s + _CHUNK_FRAMES, F)
-            out[s:e] = kin.position_jacobian_vjp(
-                self.tree, X[s:e], G[s:e], resid[s:e],
-                axes=None if axes is None else axes[s:e], swing=swing,
+        resid of _weighted_residuals, in the step layout about axes (see
+        _normal_blocks).  No Jacobian or band is formed:
+        kin.position_jacobian_vjp sums r~ over subtrees and the layout
+        projects the sums onto the axes, _CHUNK_FRAMES frames at a time, so
+        the buffers stay chunk-sized."""
+        layout = self.tree.step_layout
+        out = np.empty((self.F, layout.params_per_frame))
+        for s in range(0, self.F, _CHUNK_FRAMES):
+            e = min(s + _CHUNK_FRAMES, self.F)
+            out[s:e] = layout.project(
+                kin.position_jacobian_vjp(self.tree, X[s:e], G[s:e], resid[s:e]),
+                axes[s:e],
             )
         return out
 
@@ -348,32 +352,31 @@ class EnergyProblem:
         an increment d in its parent's frame that moves its rotation R to
         exp(hat(d)) R.  E is a weighted sum of squared residuals, so the
         gradient is 2 J^T W r = 2 J^T r~, J the joint positions' Jacobian in
-        these steps: the right-hand side of the Gauss-Newton step in three
-        increments per joint."""
+        these steps (kin.position_jacobian_vjp)."""
         X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
-        return 2 * self._jtr(X, G, self._weighted_residuals(X)).reshape(-1)
+        resid = self._weighted_residuals(X)
+        return 2 * kin.position_jacobian_vjp(self.tree, X, G, resid).reshape(-1)
 
     # -- Gauss-Newton solver ----------------------------------------------
 
-    def _normal_blocks(self, X, G, axes=None, swing=False, out=None):
+    def _normal_blocks(self, X, G, axes, out=None):
         """J^T W J at joint positions X, with respect to the step parameters
-        that axes and swing give kin.position_jacobian: left-multiplied
-        rotation increments by default (P = 45 per frame on CANONICAL_TREE),
-        or the solver's swing layout with kin.swing_axes and swing=True
-        (P = 35).  Its right-hand side J^T W r is _jtr's.
+        of tree.step_layout about axes (kin.position_jacobian; the solver's
+        are kin.swing_axes, P = 35 per frame on CANONICAL_TREE).  Its
+        right-hand side J^T W r is _jtr's.
 
         J^T W J is returned in LAPACK lower band storage, ab[i - j, j] = H[i, j]
-        with the layout's bandwidth kd (90 in the swing layout on
-        CANONICAL_TREE, 3P - 1 in the other), shape (kd + 1, F * P).  ab is
-        the transpose of a C-order (F * P, kd + 1) array, so it is
-        column-major: block (f + k, f), element (a, b) sits in that array at
-        [fP + b, kP + a - b], and each block is written as P contiguous runs.
-        The cells of a block two frames apart with a - b > kd - 2P lie
-        outside the band; they are structurally zero, and are not written.
-        Cells past the matrix end and cells of the (zero) blocks three frames
-        apart are zero.  With out given (a band this method returned before,
-        for the same problem, possibly overwritten since by its Cholesky
-        factor), the band is written into it: every cell is rewritten.
+        with the layout's bandwidth kd (90 on CANONICAL_TREE), shape
+        (kd + 1, F * P).  ab is the transpose of a C-order (F * P, kd + 1)
+        array, so it is column-major: block (f + k, f), element (a, b) sits
+        in that array at [fP + b, kP + a - b], and each block is written as
+        P contiguous runs.  The cells of a block two frames apart with
+        a - b > kd - 2P lie outside the band; they are structurally zero,
+        and are not written.  Cells past the matrix end and cells of the
+        (zero) blocks three frames apart are zero.  With out given (a band
+        this method returned before, for the same problem, possibly
+        overwritten since by its Cholesky factor), the band is written into
+        it: every cell is rewritten.
 
         The band is filled in chunks of _CHUNK_FRAMES frames.  Each chunk
         takes the position Jacobian of its frames and of the two that follow
@@ -386,7 +389,7 @@ class EnergyProblem:
         the band and per-frame weights, memory is bounded by one chunk's
         buffers, reused from chunk to chunk, whatever F is."""
         tree = self.tree
-        layout = tree.step_layouts[swing]
+        layout = tree.step_layout
         F, P, J = self.F, layout.params_per_frame, tree.n_joints
         kd = layout.bandwidth
         tz = layout.translation[2]  # the root translation's z column
@@ -412,9 +415,8 @@ class EnergyProblem:
         if out is None:
             ab = np.zeros((kd + 1, F * P), order="F")
         else:
-            # out may hold a Cholesky factor, which fills in cells no write
-            # below covers (the blocks three frames apart, and with F < 3
-            # every off-diagonal block): clear it.
+            # out may hold a Cholesky factor, whose off-diagonal cells no
+            # smoothness block rewrites when F < 3: clear it.
             ab = out
             ab.fill(0.0)
         band = ab.T.reshape(F, P, kd + 1)  # a view: ab is column-major
@@ -445,9 +447,7 @@ class EnergyProblem:
             e = min(s + _CHUNK_FRAMES, F)
             n, ahead = e - s, min(e + 2, F)
             jac = kin.position_jacobian(
-                tree, X[s:ahead], G[s:ahead],
-                axes=None if axes is None else axes[s:ahead],
-                swing=swing,
+                tree, X[s:ahead], G[s:ahead], axes[s:ahead],
                 out=None if jac is None else jac[:ahead - s],
             )                                          # (ahead - s, J, 3, P)
             flat = jac.reshape(ahead - s, -1, P)       # (ahead - s, 3J, P)
@@ -516,7 +516,7 @@ class EnergyProblem:
         non-positive depth."""
         if not np.all(np.isfinite(delta)):
             return None
-        layout = self.tree.step_layouts[True]
+        layout = self.tree.step_layout
         P = layout.params_per_frame
         # Each rotation's step coefficients per axis, with a zero appended
         # for the axes the layout leaves out (column -1), turn it about
@@ -535,13 +535,9 @@ class EnergyProblem:
         """Damped Gauss-Newton from init.  Returns (params, info dict);
         info["joints"] holds the positions (F, J, 3) of the returned params.
 
-        Steps are taken in the swing layout: a fresh step builds the step
-        axes of all rotated joints at once (kin.swing_axes), so a joint with
-        one child steps only in the two directions perpendicular to its
-        bone, and the columns run in limb order, the root's between its
-        subtrees.  On CANONICAL_TREE the band then has P = 35 parameters per
-        frame and bandwidth 90, 91 rows, instead of 45 and 134.  A step s
-        maps back to each rotation as exp(axes s) R.
+        Steps are taken in tree.step_layout, about the step axes a fresh
+        step builds for all rotated joints at once (kin.swing_axes); a step
+        s maps back to each rotation as exp(axes s) R.
 
         A fresh step assembles the band at the current pose and factors it
         damped, in place.  A retry (a failed factorization, a non-finite or
@@ -597,14 +593,14 @@ class EnergyProblem:
             new = None
             if reuse_axes is not None:
                 axes, reuse_axes = reuse_axes, None
-                g = self._jtr(X, G, resid, axes, swing=True).reshape(-1)
+                g = self._jtr(X, G, resid, axes).reshape(-1)
                 new = self._trial(t, rot, axes, self._factor_solve(ab, -g))
                 if new is not None and not new.energy < energy:
                     new = None
             fresh = new is None
             if fresh:
                 axes = kin.swing_axes(tree, rot)
-                ab = self._normal_blocks(X, G, axes, swing=True, out=ab)
+                ab = self._normal_blocks(X, G, axes, out=ab)
                 d0 = ab[0]
                 if d0.max() == 0.0:
                     # No parameter moves any residual: there is nothing to step.
@@ -614,7 +610,7 @@ class EnergyProblem:
                 # under a uniform rescaling of all four weights; the relative
                 # floor guards parameters with no residual influence.
                 damp_base = np.maximum(d0, 1e-12 * d0.max())
-                g = self._jtr(X, G, resid, axes, swing=True).reshape(-1)
+                g = self._jtr(X, G, resid, axes).reshape(-1)
 
                 # Kept when every damping up to the cap fails to give a step.
                 stop_reason = "damping_exhausted"
@@ -624,7 +620,7 @@ class EnergyProblem:
                         # The last attempt left its (possibly partial) factor
                         # in ab: assemble the band again at the same pose,
                         # which gives the same band.
-                        self._normal_blocks(X, G, axes, swing=True, out=ab)
+                        self._normal_blocks(X, G, axes, out=ab)
                     factored = True
                     try:
                         new = self._trial(t, rot, axes,

@@ -35,7 +35,7 @@ from stridelab.events import (
     StepSignal,
     _thin,
     build_signal,
-    topographic_prominence,
+    topographic_prominences,
 )
 from stridelab.kinematics import so3_exp
 
@@ -78,21 +78,12 @@ def _brute_force_extrema(v):
 
 
 def _brute_force_prominence(v, idx, kind):
+    """Walk out from idx on each side, tracking the running minimum, until a
+    strictly higher sample or the boundary."""
     s = v if kind == "max" else -v
     peak = s[idx]
     lows = []
     for step in (-1, 1):
-        best = peak
-        low = peak
-        i = idx + step
-        while 0 <= i < len(s):
-            low = min(low, s[i])
-            if s[i] > peak:
-                break
-            i += step
-        else:
-            low = min(np.min(s[: idx + 1]) if step == -1 else np.min(s[idx:]), peak)
-        # walk again, tracking the running minimum until a strictly higher bar
         low = peak
         i = idx + step
         while 0 <= i < len(s) and s[i] <= peak:
@@ -145,7 +136,22 @@ def test_prominence_matches_brute_force():
     for c in cands:
         want = _brute_force_prominence(v, c.index, c.kind)
         assert c.prominence == pytest.approx(want, abs=1e-12)
-        assert topographic_prominence(v, c.index, c.kind) == pytest.approx(want)
+        assert topographic_prominences(v, c.kind)[c.index] == pytest.approx(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=60),
+       st.sampled_from([0.0, 0.02]), st.sampled_from(["max", "min"]))
+def test_prominences_equal_the_walk_out(levels, drift, kind):
+    """Every sample's prominence equals the walk-out's exactly, on signals
+    with plateaus and ties (few distinct levels, long runs and repeated
+    heights on both sides of a peak) and on drifting ones, whose walks
+    outward run to the end of the signal."""
+    v = np.repeat(np.array(levels, dtype=float) * 0.1, 1 + np.arange(len(levels)) % 3)
+    v += drift * np.arange(v.size)
+    got = topographic_prominences(v, kind)
+    want = [_brute_force_prominence(v, i, kind) for i in range(v.size)]
+    assert got.tolist() == want
 
 
 def test_min_prominence_filters():

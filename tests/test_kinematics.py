@@ -20,6 +20,7 @@ from stridelab.kinematics import (
     hat,
     lengths_vector,
     position_jacobian,
+    position_jacobian_vjp,
     so3_exp,
     swing_axes,
 )
@@ -237,10 +238,9 @@ def _branching_tree():
 
 
 def _fd_position_jacobian(tree, lengths, params, axes, h=1e-6):
-    """Central differences of forward_kinematics in every parameter of
-    position_jacobian(tree, X, G, axes): the root translation, then per
-    rotation slot s and axis i the turn R -> exp(h hat(a)) R about
-    a = axes[:, s, :, i] in the parent's frame."""
+    """Central differences of forward_kinematics in the root translation,
+    then per rotation slot s and axis i the turn R -> exp(h hat(a)) R about
+    a = axes[:, s, :, i] in the parent's frame: (F, J, 3, 3 + 3 NR)."""
     F, P = params.n_frames, tree.params_per_frame
     out = np.empty((F, tree.n_joints, 3, P))
     for i in range(P):
@@ -258,13 +258,27 @@ def _fd_position_jacobian(tree, lengths, params, axes, h=1e-6):
     return out
 
 
+def _fd_step_jacobian(tree, lengths, params, axes):
+    """_fd_position_jacobian's columns placed as tree.step_layout places
+    them, the axes it leaves out dropped: the finite-difference
+    reference of position_jacobian(tree, X, G, axes)."""
+    layout = tree.step_layout
+    full = _fd_position_jacobian(tree, lengths, params, axes)
+    out = np.empty(full.shape[:3] + (layout.params_per_frame,))
+    out[..., layout.translation] = full[..., :3]
+    for s, i in zip(*np.nonzero(layout.columns >= 0)):
+        out[..., layout.columns[s, i]] = full[..., 3 + 3 * s + i]
+    return out
+
+
 @pytest.mark.parametrize("layout", ["increment", "axes"])
 @pytest.mark.parametrize("which", ["canonical", "branching"])
 def test_position_jacobian_matches_finite_differences(which, layout):
     """position_jacobian checked against forward_kinematics alone, for
-    left-multiplied increments (axes=None) and for steps about arbitrary
-    parent-frame axes; also written into a buffer that held another pose's
-    Jacobian for more frames, which must give the same result."""
+    steps about the identity axes (left-multiplied increments, less the
+    axes the layout leaves out) and about arbitrary parent-frame axes;
+    also written into a buffer that held another pose's Jacobian for more
+    frames, which must give the same result."""
     rng = np.random.default_rng(11)
     if which == "canonical":
         tree = CANONICAL_TREE
@@ -273,22 +287,56 @@ def test_position_jacobian_matches_finite_differences(which, layout):
         tree = _branching_tree()
         lengths = np.array([0.0, 0.5, 0.3, 0.25, 0.4, 0.2, 0.35])
     F = 3
+
+    def some_axes(n_frames):
+        shape = (n_frames, tree.n_rotations, 3, 3)
+        if layout == "increment":
+            return np.broadcast_to(np.eye(3), shape)
+        return rng.normal(0.0, 1.0, shape)
+
     params = _swing_pose(tree, rng, F)
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
-    identity = np.broadcast_to(np.eye(3), params.rotations.shape)
-    axes = None if layout == "increment" else rng.normal(0.0, 1.0, identity.shape)
-    got = position_jacobian(tree, X, G, axes=axes)
-    want = _fd_position_jacobian(tree, lengths, params, identity if axes is None else axes)
-    assert got.shape == (F, tree.n_joints, 3, tree.params_per_frame)
+    axes = some_axes(F)
+    got = position_jacobian(tree, X, G, axes)
+    want = _fd_step_jacobian(tree, lengths, params, axes)
+    assert got.shape == (F, tree.n_joints, 3, tree.step_layout.params_per_frame)
     assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
 
     other = _swing_pose(tree, rng, F + 2)
     X2, G2 = forward_kinematics(tree, lengths, other, with_globals=True)
-    other_axes = None if axes is None else rng.normal(0.0, 1.0, (F + 2,) + axes.shape[1:])
-    buffer = position_jacobian(tree, X2, G2, axes=other_axes)
-    reused = position_jacobian(tree, X, G, axes=axes, out=buffer[:F])
+    buffer = position_jacobian(tree, X2, G2, some_axes(F + 2))
+    reused = position_jacobian(tree, X, G, axes, out=buffer[:F])
     assert np.shares_memory(reused, buffer)
     assert np.array_equal(reused, got)
+
+
+def _increments_jacobian(tree, X, G):
+    """The joint positions' Jacobian in the root translation and three
+    increments per rotated joint, (F, J, 3, 3 + 3 NR), read exactly from
+    position_jacobian_vjp on one unit residual per joint coordinate."""
+    F, J, _ = X.shape
+    out = np.empty((F, J, 3, tree.params_per_frame))
+    for j in range(J):
+        for c in range(3):
+            r = np.zeros((F, J, 3))
+            r[:, j, c] = 1.0
+            out[:, j, c] = position_jacobian_vjp(tree, X, G, r)
+    return out
+
+
+def test_vjp_is_the_transposed_jacobian(step_tree):
+    """position_jacobian_vjp is J^T r in increments, J by central
+    differences, on every step tree (_increments_jacobian relies on it)."""
+    tree, lengths = step_tree
+    rng = np.random.default_rng(29)
+    params = _swing_pose(tree, rng)
+    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    r = rng.normal(0.0, 1.0, X.shape)
+    identity = np.broadcast_to(np.eye(3), params.rotations.shape)
+    want = np.einsum("fjcp,fjc->fp", _fd_position_jacobian(tree, lengths, params, identity), r)
+    got = position_jacobian_vjp(tree, X, G, r)
+    assert got.shape == (params.n_frames, tree.params_per_frame)
+    assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
 
 
 def _swing_pose(tree, rng, n_frames=3):
@@ -306,7 +354,7 @@ def test_swing_layout_sizes(step_tree):
     slots, bases = tree.swing_bases
     kids = [len(tree.children[j]) for j in tree.rotated_joints]
     assert sorted(slots) == [s for s, k in enumerate(kids) if k == 1]
-    layout = tree.step_layouts[True]
+    layout = tree.step_layout
     assert layout.params_per_frame == tree.params_per_frame - len(slots)
     if tree is CANONICAL_TREE:
         assert (len(slots), layout.params_per_frame) == (10, 35)
@@ -323,17 +371,14 @@ def test_swing_layout_runs_in_limb_order():
     """On the skeleton the solver's columns run spine and arms (15), root
     translation and pelvis (6), legs (14).  The columns furthest apart
     that move a common joint are the spine's first and the pelvis's last,
-    20 apart, so the normal matrix's bandwidth is 2 * 35 + 20 = 90 where
-    the order of energy_gradient's layout gives 3 * 45 - 1 = 134."""
+    20 apart, so the normal matrix's bandwidth is 2 * 35 + 20 = 90."""
     tree = CANONICAL_TREE
-    full, swing = tree.step_layouts
-    assert full.bandwidth == 3 * full.params_per_frame - 1 == 134
-    assert np.array_equal(full.translation, [0, 1, 2])
-    assert swing.bandwidth == 90
-    assert np.array_equal(swing.translation, [15, 16, 17])
+    layout = tree.step_layout
+    assert layout.bandwidth == 90
+    assert np.array_equal(layout.translation, [15, 16, 17])
 
     def span(*joints):
-        cols = swing.columns[[tree.rot_slot[j.value] for j in joints]]
+        cols = layout.columns[[tree.rot_slot[j.value] for j in joints]]
         return cols[cols >= 0].min(), cols[cols >= 0].max()
 
     assert span(JointId.SPINE, JointId.MID_SPINE, JointId.NECK, JointId.LEFT_SHOULDER,
@@ -345,32 +390,24 @@ def test_swing_layout_runs_in_limb_order():
 
 def test_swing_jacobian_matches_finite_differences(step_tree):
     """Each column of the solver's layout turns its joint about its axis:
-    position_jacobian with swing_axes and swing=True matches central
-    differences of forward_kinematics under R -> exp(h axis) R."""
+    position_jacobian with swing_axes matches central differences of
+    forward_kinematics under R -> exp(h axis) R."""
     tree, lengths = step_tree
     rng = np.random.default_rng(23)
     params = _swing_pose(tree, rng)
-    F = params.n_frames
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
     axes = swing_axes(tree, params.rotations)
-    layout = tree.step_layouts[True]
-    got = position_jacobian(tree, X, G, axes=axes, swing=True)
-    assert got.shape == (F, tree.n_joints, 3, layout.params_per_frame)
-
-    full = _fd_position_jacobian(tree, lengths, params, axes)
-    want = np.empty_like(got)
-    want[..., layout.translation] = full[..., :3]
-    for s, i in zip(*np.nonzero(layout.columns >= 0)):
-        want[..., layout.columns[s, i]] = full[..., 3 + 3 * s + i]
+    got = position_jacobian(tree, X, G, axes)
+    want = _fd_step_jacobian(tree, lengths, params, axes)
     assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
 
 
 def test_swing_layout_keeps_the_jacobian_range(step_tree):
     """Dropping the bone axis of each one-child joint loses no direction the
     joints can move in: at random poses the swing Jacobian of every frame
-    has the rank of the full one, and the full one's columns add nothing to
-    its range.  The dropped axis is the bone's: turning about it leaves the
-    child in place."""
+    has the rank of the one in three increments per rotated joint, and
+    that one's columns add nothing to its range.  The dropped axis is the
+    bone's: turning about it leaves the child in place."""
     tree, lengths = step_tree
     slots, _ = tree.swing_bases
     children = [tree.children[tree.rotated_joints[s]][0] for s in slots]
@@ -379,10 +416,12 @@ def test_swing_layout_keeps_the_jacobian_range(step_tree):
         params = _swing_pose(tree, rng, n_frames=2)
         X, G = forward_kinematics(tree, lengths, params, with_globals=True)
         axes = swing_axes(tree, params.rotations)
-        full = position_jacobian(tree, X, G)
-        reduced = position_jacobian(tree, X, G, axes=axes, swing=True)
-        about_axes = position_jacobian(tree, X, G, axes=axes)
-        assert np.abs(about_axes[:, children, :, 5 + 3 * slots]).max() < 1e-12
+        full = _increments_jacobian(tree, X, G)
+        reduced = position_jacobian(tree, X, G, axes)
+        # Every joint's motion about each slot's dropped (third) axis.
+        per_slot = full[..., 3:].reshape(full.shape[:3] + (-1, 3))
+        about_bone = np.einsum("fjcsk,fsk->fjcs", per_slot, axes[..., 2])
+        assert np.abs(about_bone[:, children, :, slots]).max() < 1e-12
         for f in range(params.n_frames):
             a = reduced[f].reshape(-1, reduced.shape[-1])
             b = full[f].reshape(-1, full.shape[-1])

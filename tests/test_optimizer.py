@@ -21,12 +21,14 @@ from stridelab import (
     JointId,
     MissingModality,
     SkeletonSequence,
+    WalkerSpec,
     compute_report,
     derive_anatomy,
     detect_steps,
     energy,
     energy_breakdown,
     energy_gradient,
+    generate,
     initial_params,
     optimize,
     project,
@@ -41,6 +43,7 @@ from stridelab.kinematics import (
     swing_axes,
 )
 from stridelab.optimizer import _problem_for, _second_difference_gram
+from stridelab.report import PARAMETERS
 
 ANATOMY = derive_anatomy(1.72)
 LENGTHS = lengths_vector(ANATOMY)
@@ -388,13 +391,14 @@ def _head(seq, n_frames):
                            for name in _FRAME_ARRAYS if getattr(seq, name) is not None})
 
 
-def _dense_normal_equations(prob, X, G):
-    """J^T W J and J^T W r of the whole sequence, built row by row from the
-    residual Jacobians of the four energy terms: an oracle written
-    independently of the band builder."""
-    F, P = prob.F, prob.tree.params_per_frame
+def _dense_normal_equations(prob, X, G, axes):
+    """J^T W J and J^T W r of the whole sequence in the step layout about
+    axes, built row by row from the residual Jacobians of the four energy
+    terms: an oracle written independently of the band builder."""
+    layout = prob.tree.step_layout
+    F, P = prob.F, layout.params_per_frame
     cam = prob.camera
-    jpos = position_jacobian(prob.tree, X, G)  # (F, J, 3, P)
+    jpos = position_jacobian(prob.tree, X, G, axes)  # (F, J, 3, P)
     rows, weights, resid = [], [], []
 
     def add(w, r, *parts):
@@ -427,7 +431,7 @@ def _dense_normal_equations(prob, X, G):
                     (f + 1, -2.0, jpos[f + 1, j, c]),
                     (f + 2, 1.0, jpos[f + 2, j, c]),
                 )
-    depth = np.eye(P)[2]  # the root translation's z parameter
+    depth = np.eye(P)[layout.translation[2]]  # the root translation's z
     for f in range(F - 1):
         add(prob.w_depth, X[f + 1, 0, 2] - X[f, 0, 2], (f, -1.0, depth), (f + 1, 1.0, depth))
     Jr = np.array(rows)
@@ -446,7 +450,8 @@ def _band_to_lower(ab, n):
 
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 5])
 def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
-    """F = 1 and 2 have no smoothness term and F = 3 a single second
+    """The solver's band, at the swing axes of the walk's initial pose.
+    F = 1 and 2 have no smoothness term and F = 3 a single second
     difference; the band storage must still hold the lower triangle of the
     dense matrix (to round-off) and exact zeros everywhere else."""
     seq, truth = noisy_walk
@@ -457,20 +462,22 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
-    H, g = _dense_normal_equations(prob, X, G)
-    ab = prob._normal_blocks(X, G)
-    jtr = prob._jtr(X, G, prob._weighted_residuals(X))
+    axes = swing_axes(CANONICAL_TREE, init.rotations)
+    H, g = _dense_normal_equations(prob, X, G, axes)
+    ab = prob._normal_blocks(X, G, axes)
+    jtr = prob._jtr(X, G, prob._weighted_residuals(X), axes)
 
-    P = CANONICAL_TREE.params_per_frame
+    layout = CANONICAL_TREE.step_layout
+    P, kd = layout.params_per_frame, layout.bandwidth
     n = H.shape[0]
-    assert ab.shape == (3 * P, n)
+    assert ab.shape == (kd + 1, n)
     from_band = _band_to_lower(ab, n)
     assert np.abs(from_band - np.tril(H)).max() <= 1e-12 * np.abs(H).max()
     # Blocks three or more frames apart are structurally zero.
     frame = np.arange(n) // P
     assert not from_band[frame[:, None] - frame[None, :] >= 3].any()
     # Storage cells past the matrix end (bottom-right corner) stay zero.
-    for k in range(1, 3 * P):
+    for k in range(1, kd + 1):
         assert not ab[k, max(n - k, 0):].any()
     assert np.abs(jtr.reshape(-1) - g).max() <= 1e-12 * np.abs(g).max()
 
@@ -482,14 +489,9 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def _swing_normal_equations(tree, lengths, rng, F):
-    """A random problem of F frames on tree, a random pose (X, G) with its
-    swing axes, and the dense reference of the solver's normal equations
-    there: T^T H T and T^T g, H and g _dense_normal_equations' in
-    left-multiplied increments and T the block-diagonal map from swing
-    steps to increments (per frame the identity from the layout's
-    translation columns to the root translation and, per rotated joint, its
-    kept step axes)."""
+def _random_problem(tree, lengths, rng, F):
+    """A random problem of F frames on tree, with 2D confidences and 3D
+    masks that vary, and a random pose (X, G) with its swing axes."""
     J = tree.n_joints
 
     def pose():
@@ -509,32 +511,22 @@ def _swing_normal_equations(tree, lengths, rng, F):
     )
     params = pose()
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
-    H, g = _dense_normal_equations(prob, X, G)
-
-    axes = swing_axes(tree, params.rotations)
-    layout = tree.step_layouts[True]
-    P, Q = tree.params_per_frame, layout.params_per_frame
-    T = np.zeros((F * P, F * Q))
-    for f in range(F):
-        T[f * P:f * P + 3, f * Q + layout.translation] = np.eye(3)
-        for s, i in zip(*np.nonzero(layout.columns >= 0)):
-            row = f * P + 3 + 3 * s
-            T[row:row + 3, f * Q + layout.columns[s, i]] = axes[f, s, :, i]
-    return prob, X, G, axes, T.T @ H @ T, T.T @ g
+    return prob, X, G, swing_axes(tree, params.rotations)
 
 
 def test_swing_band_is_the_projected_dense_normal_matrix(step_tree):
-    """The solver's band is the dense reference of _swing_normal_equations,
+    """On every step tree, the solver's band at a random problem and pose
+    is the dense reference of _dense_normal_equations at the swing axes,
     and its right-hand side that reference's."""
     tree, lengths = step_tree
     F = 5
-    prob, X, G, axes, want_H, want_g = _swing_normal_equations(
-        tree, lengths, np.random.default_rng(31), F)
-    layout = tree.step_layouts[True]
+    prob, X, G, axes = _random_problem(tree, lengths, np.random.default_rng(31), F)
+    want_H, want_g = _dense_normal_equations(prob, X, G, axes)
+    layout = tree.step_layout
     Q = layout.params_per_frame
 
-    ab = prob._normal_blocks(X, G, axes, swing=True)
-    jtr = prob._jtr(X, G, prob._weighted_residuals(X), axes, swing=True)
+    ab = prob._normal_blocks(X, G, axes)
+    jtr = prob._jtr(X, G, prob._weighted_residuals(X), axes)
     assert ab.shape == (layout.bandwidth + 1, F * Q)
     got = _band_to_lower(ab, F * Q)
     assert np.abs(got - np.tril(want_H)).max() <= 1e-12 * np.abs(want_H).max()
@@ -549,9 +541,9 @@ def test_swing_bandwidth_matches_the_dense_normal_matrix(step_tree, n_frames):
     smaller band holds the matrix, and no nonzero lies outside it."""
     tree, lengths = step_tree
     rng = np.random.default_rng(41 + n_frames)
-    _, _, _, _, H, _ = _swing_normal_equations(tree, lengths, rng, n_frames)
+    H, _ = _dense_normal_equations(*_random_problem(tree, lengths, rng, n_frames))
     rows, cols = np.nonzero(H)
-    assert np.abs(rows - cols).max() == tree.step_layouts[True].bandwidth
+    assert np.abs(rows - cols).max() == tree.step_layout.bandwidth
 
 
 def _thinned(walk, rate=0.2, seed=4):
@@ -600,10 +592,20 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
-    """gradient() reaches the chunked J^T r~ in the layout of
-    left-multiplied increments, three per rotated joint."""
+    """The solver's right-hand side J^T r~, formed one to three frames at a
+    time, is half the gradient (formed over the walk at once, in
+    increments) projected onto the swing axes."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
-    test_gradient_matches_finite_differences(seed, 5)
+    rng = np.random.default_rng(seed)
+    seq = _sequence_from_params(_params(rng, 5))
+    probe = _params(rng, 5)
+    prob = _problem_for(seq, ANATOMY, CAMERA, EnergyConfig())
+    X, G = forward_kinematics(CANONICAL_TREE, LENGTHS, probe, with_globals=True)
+    axes = swing_axes(CANONICAL_TREE, probe.rotations)
+    got = prob._jtr(X, G, prob._weighted_residuals(X), axes)
+    gradient = prob.gradient(probe).reshape(5, -1)
+    want = CANONICAL_TREE.step_layout.project(gradient / 2, axes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n_frames", [2, 3, 7])
@@ -612,7 +614,7 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     or over the Cholesky factor a damped solve leaves in it, must leave
     exactly what a freshly zeroed band holds, also with F = 2, where no
     smoothness block rewrites the root-depth coupling, and with F = 7, where
-    the factor fills in the blocks three frames apart."""
+    the blocks two frames apart are written only inside the band."""
     seq, truth = noisy_walk
     seq = _head(seq, n_frames)
     prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
@@ -621,16 +623,17 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     other = PoseParams(init.translations + 0.05, init.rotations.swapaxes(-1, -2))
     X, G = forward_kinematics(CANONICAL_TREE, lengths, init, with_globals=True)
     X2, G2 = forward_kinematics(CANONICAL_TREE, lengths, other, with_globals=True)
-    stale = prob._normal_blocks(X2, G2)
-    reused = prob._normal_blocks(X, G, out=stale)
-    fresh = prob._normal_blocks(X, G)
+    axes = swing_axes(CANONICAL_TREE, init.rotations)
+    stale = prob._normal_blocks(X2, G2, swing_axes(CANONICAL_TREE, other.rotations))
+    reused = prob._normal_blocks(X, G, axes, out=stale)
+    fresh = prob._normal_blocks(X, G, axes)
     assert reused is stale
     assert np.array_equal(reused, fresh)
 
     d0 = fresh[0].copy()
     prob._damped_solve(reused, 1e-3 * d0, np.ones(d0.size))
     assert not np.array_equal(reused, fresh)
-    over_factor = prob._normal_blocks(X, G, out=reused)
+    over_factor = prob._normal_blocks(X, G, axes, out=reused)
     assert over_factor is reused
     assert np.array_equal(over_factor, fresh)
 
@@ -657,9 +660,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     seq, truth = noisy_walk
     assert len(seq) >= 148
     item = np.dtype(np.float64).itemsize
-    # The assembly below builds the band of increments, the solver its own
-    # in the swing layout, each with its layout's bandwidth.
-    full, swing = CANONICAL_TREE.step_layouts
+    layout = CANONICAL_TREE.step_layout
     bands, assembly, solve = [], [], []
     for n_frames in (64, 148):
         part = _head(seq, n_frames)
@@ -668,14 +669,12 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         X, G = forward_kinematics(
             CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
         )
-        P = full.params_per_frame
-        band = (full.bandwidth + 1) * n_frames * P * item
-        peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G))
+        axes = swing_axes(CANONICAL_TREE, init.rotations)
+        band = (layout.bandwidth + 1) * n_frames * layout.params_per_frame * item
+        peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G, axes))
         assembly.append(peak - band)
         # Two iterations: the second assembles into the band the first
         # factored.
-        Q = swing.params_per_frame
-        band = (swing.bandwidth + 1) * n_frames * Q * item
         peak, (_, info) = _traced_peak(
             lambda: prob.solve(init, EnergyConfig(max_iterations=2))
         )
@@ -715,7 +714,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
     )
     axes = swing_axes(CANONICAL_TREE, init.rotations)
-    d0 = prob._normal_blocks(X, G, axes, swing=True)[0]
+    d0 = prob._normal_blocks(X, G, axes)[0]
     damp_base = np.maximum(d0, 1e-12 * d0.max())
     lam = optimizer_module._INIT_DAMPING
     assert np.array_equal(diagonals[0], d0 + lam * damp_base)
@@ -851,8 +850,54 @@ def test_energy_config_checks_its_fields(kwargs, field):
         EnergyConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["w_ik", "w_proj", "w_smooth", "w_depth"])
+def test_energy_config_rejects_infinite_weights(field):
+    """An infinite weight would make every trial energy inf or nan, and the
+    fit would stop at once as damping_exhausted under a burst of
+    RuntimeWarnings; it is refused where the config is built."""
+    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+        EnergyConfig(**{field: math.inf})
+
+
 def test_energy_config_accepts_its_range():
     cfg = EnergyConfig(w_ik=0.0, w_proj=None, w_smooth=0.0, w_depth=0.0,
                        max_iterations=1, tolerance=1e-10)
     assert cfg.w_proj is None
     assert EnergyConfig(w_proj=0.0, tolerance=0.999).tolerance == 0.999
+
+
+# Three short fits pinned end to end: (walk, strip the 2D block, iterations,
+# stop reason, the four report values in PARAMETERS order at 10 significant
+# digits).  A change to the solver that is meant to leave its output alone
+# must leave these as they are.
+GOLDEN_FITS = {
+    "clean": (
+        WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=3.0, seed=3),
+        False, 4, "decrease",
+        ("1.200000866", "109.9236641", "65.56244882", "0.5458333333"),
+    ),
+    "noisy": (
+        WalkerSpec(speed_m_s=1.1, cadence_steps_min=104.0, distance_m=3.0,
+                   sigma3d_m=0.015, sigma2d_px=3.0, dropout=0.2, seed=12),
+        False, 8, "decrease",
+        ("1.105048542", "104.3478261", "64.40743456", "0.575"),
+    ),
+    "3d-only": (
+        WalkerSpec(speed_m_s=1.3, cadence_steps_min=116.0, distance_m=3.0,
+                   sigma3d_m=0.01, sigma2d_px=2.0, dropout=0.2, seed=13),
+        True, 8, "decrease",
+        ("1.299462097", "114.893617", "68.38855361", "0.5222222222"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FITS))
+def test_fitted_walks_are_pinned(name):
+    spec, only_3d, iterations, stop_reason, values = GOLDEN_FITS[name]
+    seq, truth = generate(spec)
+    if only_3d:
+        seq = replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None)
+    fit = optimize(seq, truth.anatomy)
+    rep = compute_report(detect_steps(fit))
+    assert (fit.iterations, fit.stop_reason) == (iterations, stop_reason)
+    assert tuple(f"{getattr(rep, p.name):.10g}" for p in PARAMETERS) == values
