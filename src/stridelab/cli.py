@@ -26,9 +26,11 @@ configuration errors.  All outputs are deterministic: the same inputs,
 config, and seeds produce byte-identical files.  No command modifies its
 inputs.
 
-Only analyze loads scipy: the optimizer imports scipy.linalg in its linear
-solve, and analyze with --jobs N > 1 imports it before forking its workers,
-so they share its pages.  simulate, agree and report never load it.
+Only analyze loads scipy: the optimizer's banded Cholesky solve loads
+scipy's compiled LAPACK extension (scipy/linalg/_flapack) alone, without
+the scipy.linalg package, and analyze with --jobs N > 1 loads it before
+forking its workers, so they share its pages.  simulate, agree and report
+never load it.  No command imports scipy.linalg.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from . import pose_io, stats
 from .config import RunConfig, _read_ini, load_config
 from .errors import ConfigError, MalformedDocument, MissingHeaderField, StrideLabError
 from .events import detect_steps
-from .optimizer import optimize
+from .optimizer import _lapack, optimize
 from .plots import bland_altman_svg
 from .pose_io import _json_bytes, _require_number, _rounded
 from .report import PARAMETERS, compute_report
@@ -189,9 +191,10 @@ def _truth_records(poses_path: Path, walk_id: str) -> list[tuple[str, str, str, 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     paths = [Path(p) for p in args.poses]
     if args.jobs > 1 and len(paths) > 1:
-        # Loaded before the fork, so the workers share its pages instead of
-        # each importing it for its first fit.
-        import scipy.linalg  # noqa: F401
+        # The solver's LAPACK extension is loaded before the fork, so the
+        # workers share its pages instead of each loading it for its first
+        # fit.
+        _lapack()
 
         # The fork start method launches every worker up front: start no
         # more than there are walks.  A worker that dies breaks the pool:

@@ -26,9 +26,11 @@ distance between two columns of one frame that move a common joint
 (KinematicTree.step_layout).  On CANONICAL_TREE that is P = 35 and
 bandwidth 90: spine and arms, pelvis, legs.  A fresh step writes the matrix
 straight into LAPACK lower band storage held column-major and solves by a
-banded Cholesky factorization of that storage, in place.  The matrix is
-assembled in fixed-size frame chunks, so no Jacobian or block array spans
-the walk: a solve holds one band, reused across iterations, plus
+banded Cholesky factorization of that storage, in place (LAPACK's dpbtrf
+and dpbtrs, called on scipy's compiled extension, which _lapack loads
+without the scipy.linalg package).  The matrix is assembled in fixed-size
+frame chunks, so no Jacobian or block array spans the walk: a solve holds
+one band, reused across iterations, plus
 per-frame residuals and weights and one chunk's buffers.  A step is
 accepted only when it strictly decreases the energy, otherwise the
 damping is increased, the band assembled again at the same pose (the
@@ -56,8 +58,13 @@ both the gradient (times 2) and the right-hand side of every step, so the
 three describe the same function.
 """
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -96,6 +103,55 @@ _MIN_TOLERANCE = 1e-10
 # ("iteration_cap").
 STOP_REASONS = ("decrease", "flat", "damping_exhausted", "iteration_cap")
 CONVERGED_REASONS = frozenset({"decrease", "flat"})
+
+_LAPACK_MODULE = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrapper, scipy/linalg/_flapack, loaded alone.
+
+    The solver needs only dpbtrf and dpbtrs, the routines behind
+    scipy.linalg.cholesky_banded and cho_solve_banded.  After stridelab.cli
+    is imported, importing the scipy.linalg package for them loads 301
+    more modules, about 25 MB and 0.23 s; the scipy package and this
+    extension load 16, about 3 MB and 14 ms.  That cut analyze's peak RSS
+    on 12 walks from 71 to 48 MB on one worker and from 58 to 42 MB on two
+    (2 vCPUs, scipy 1.17).  The module is registered under its own name, so
+    a later import of scipy.linalg reuses it, and one that came first is
+    reused here.  Raises ImportError naming the directories searched when
+    scipy ships no such extension."""
+    module = sys.modules.get(_LAPACK_MODULE)
+    if module is not None:
+        return module
+    import scipy
+
+    dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
+    for d in dirs:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(d, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(_LAPACK_MODULE, path)
+                spec = importlib.util.spec_from_file_location(
+                    _LAPACK_MODULE, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[_LAPACK_MODULE] = module
+                return module
+    raise ImportError(
+        f"scipy's LAPACK extension _flapack not found in {', '.join(dirs)}",
+        name=_LAPACK_MODULE,
+    )
+
+
+def _check_info(routine: str, info: int) -> None:
+    """Raise as scipy does on a LAPACK routine's info code: LinAlgError for
+    a leading minor that is not positive definite, ValueError for an
+    illegal argument."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
 
 
 @dataclass(frozen=True)
@@ -415,10 +471,13 @@ class EnergyProblem:
         if out is None:
             ab = np.zeros((kd + 1, F * P), order="F")
         else:
-            # out may hold a Cholesky factor, whose off-diagonal cells no
-            # smoothness block rewrites when F < 3: clear it.
+            # out may hold a Cholesky factor.  With F >= 3 the smoothness
+            # blocks rewrite every cell a factor can make nonzero (its fill
+            # stays right of each row's first nonzero); with F < 3 none is
+            # written, and the factor's off-diagonal cells must be cleared.
             ab = out
-            ab.fill(0.0)
+            if F < 3:
+                ab.fill(0.0)
         band = ab.T.reshape(F, P, kd + 1)  # a view: ab is column-major
         item = band.itemsize
         # The cells (b, a), a >= b, of the k = 0 band view that hold a
@@ -494,21 +553,23 @@ class EnergyProblem:
         _factor_solve can solve with again, or, when this raises
         LinAlgError (the damped matrix is not numerically positive
         definite), a partial one."""
-        # Imported here, where the solver factors, so that a process that
-        # never fits (simulate, agree, report) never loads scipy.linalg.
-        from scipy.linalg import cholesky_banded
-
+        # The same LAPACK calls as scipy.linalg.cholesky_banded(ab,
+        # lower=True, overwrite_ab=True) and cho_solve_banded((ab, True),
+        # rhs), so the steps are bit-identical; _lapack loads the extension
+        # on the first solve, so a process that never fits (simulate, agree,
+        # report) never loads it.
         ab[0] += damping
-        cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        _, info = _lapack().dpbtrf(ab, lower=1, overwrite_ab=1)
+        _check_info("pbtrf", info)
         return EnergyProblem._factor_solve(ab, rhs)
 
     @staticmethod
     def _factor_solve(ab, rhs) -> np.ndarray:
         """Solve L L^T x = rhs, L the lower Cholesky factor in band storage
         that _damped_solve left in ab."""
-        from scipy.linalg import cho_solve_banded
-
-        return cho_solve_banded((ab, True), rhs, check_finite=False)
+        x, info = _lapack().dpbtrs(ab, rhs, lower=1)
+        _check_info("pbtrs", info)
+        return x
 
     def _trial(self, t, rot, axes, delta) -> Optional[_Trial]:
         """The pose after step delta (F * P,) on step axes axes from (t,

@@ -256,25 +256,28 @@ def test_every_worker_crashed_exits_1(pipeline, tmp_path, monkeypatch):
 
 
 # Each import-boundary probe runs in a fresh interpreter: this one has
-# already loaded scipy.  It prints the exit code of main(argv) and whether
-# scipy.linalg was loaded when it returned (and, for analyze, when each
-# process pool was constructed).
+# already loaded scipy.  It prints the exit code of main(argv), whether
+# scipy.linalg was loaded after the import and when main returned, whether
+# the solver's LAPACK extension was loaded when main returned, and, for
+# analyze, whether that extension was loaded when each process pool was
+# constructed.
 _IMPORT_PROBE = """
 import sys
 import stridelab, stridelab.cli
 from stridelab import cli
 
+LAPACK = "scipy.linalg._flapack"
 loaded_at_pool = []
 
 class Probe(cli.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        loaded_at_pool.append("scipy.linalg" in sys.modules)
+        loaded_at_pool.append(LAPACK in sys.modules)
         super().__init__(*args, **kwargs)
 
 cli.ProcessPoolExecutor = Probe
 imported = "scipy.linalg" in sys.modules
 code = cli.main(sys.argv[1:])
-print(code, imported, "scipy.linalg" in sys.modules, loaded_at_pool)
+print(code, imported, "scipy.linalg" in sys.modules, LAPACK in sys.modules, loaded_at_pool)
 """
 
 
@@ -288,8 +291,9 @@ def _probe(args):
 
 
 def test_commands_that_never_fit_never_load_scipy(pipeline, tmp_path):
-    """Only a Gauss-Newton solve needs scipy.linalg: importing the package
-    and running simulate, agree or report leaves it unloaded."""
+    """Only a Gauss-Newton solve needs scipy's LAPACK extension: importing
+    the package and running simulate, agree or report loads neither it nor
+    scipy.linalg."""
     root, _, out = pipeline
     commands = {
         "simulate": ["simulate", root / "walks.ini", "--out-dir", tmp_path / "sim"],
@@ -299,16 +303,19 @@ def test_commands_that_never_fit_never_load_scipy(pipeline, tmp_path):
                    "--out-dir", tmp_path / "rendered"],
     }
     for name, args in commands.items():
-        assert _probe(args) == "0 False False []", name
+        assert _probe(args) == "0 False False False []", name
 
 
 def test_parallel_analyze_loads_scipy_before_the_fork(pipeline, tmp_path):
-    """analyze --jobs 2 loads scipy.linalg in the parent before it starts its
-    workers, so they share its pages."""
+    """analyze --jobs 2 loads the solver's LAPACK extension in the parent
+    before it starts its workers, so they share its pages; on one worker or
+    two, analyze never loads scipy.linalg."""
     _, sim, _ = pipeline
     poses = sorted(sim.glob("*.poses.json"))[:2]
-    assert _probe(["--jobs", "2", "analyze", *poses, "--out-dir", tmp_path]) == \
-        "0 False True [True]"
+    assert _probe(["--jobs", "2", "analyze", *poses, "--out-dir", tmp_path / "2"]) == \
+        "0 False False True [True]"
+    assert _probe(["--jobs", "1", "analyze", *poses, "--out-dir", tmp_path / "1"]) == \
+        "0 False False True []"
 
 
 def test_simulate_is_deterministic(tmp_path):

@@ -6,12 +6,14 @@ differences for the gradient.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from stridelab import optimizer as optimizer_module
 from stridelab import (
@@ -235,9 +237,9 @@ def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
     seq = _head(seq, 12)
 
     def never_positive_definite(ab, **kwargs):
-        raise np.linalg.LinAlgError("not positive definite")
+        return ab, 1  # LAPACK's info: the first leading minor is not positive definite
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", never_positive_definite)
+    monkeypatch.setattr(optimizer_module._lapack(), "dpbtrf", never_positive_definite)
     init = initial_params(seq, truth.anatomy)
     fit = optimize(seq, truth.anatomy, CAMERA, init=init)
     assert fit.stop_reason == "damping_exhausted"
@@ -690,16 +692,17 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
 def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     seq, truth = noisy_walk
     seq = _head(seq, 12)
-    real = scipy.linalg.cholesky_banded
+    lapack = optimizer_module._lapack()
+    real = lapack.dpbtrf
     diagonals = []
 
     def fail_once(ab, **kwargs):
         diagonals.append(ab[0].copy())
         if len(diagonals) == 1:
-            raise np.linalg.LinAlgError("not positive definite")
+            return ab, 1  # LAPACK's info: not positive definite
         return real(ab, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", fail_once)
+    monkeypatch.setattr(lapack, "dpbtrf", fail_once)
     fit = optimize(seq, truth.anatomy, CAMERA)
     assert len(diagonals) >= 2
     # The retry solves the same matrix with a larger damping.
@@ -725,8 +728,109 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     assert all(b < a for a, b in zip(hist, hist[1:]))
 
 
+def test_banded_factor_and_solve_are_scipys(noisy_walk):
+    """The solver calls LAPACK's dpbtrf and dpbtrs on scipy's extension
+    directly, as scipy.linalg.cholesky_banded and cho_solve_banded do: on
+    the damped band of NOISY_SPEC's initial pose, factor and solution are
+    bit-equal to scipy's."""
+    import scipy.linalg
+
+    seq, truth = noisy_walk
+    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    init = initial_params(seq, truth.anatomy)
+    X, G = forward_kinematics(
+        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
+    )
+    axes = swing_axes(CANONICAL_TREE, init.rotations)
+    ab = prob._normal_blocks(X, G, axes)
+    damping = optimizer_module._INIT_DAMPING * np.maximum(ab[0], 1e-12 * ab[0].max())
+    rhs = -prob._jtr(X, G, prob._weighted_residuals(X), axes).reshape(-1)
+
+    damped = ab.copy(order="F")
+    damped[0] += damping
+    factor = scipy.linalg.cholesky_banded(damped, lower=True, check_finite=False)
+    expected = scipy.linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
+    x = prob._damped_solve(ab, damping, rhs)
+    assert ab.tobytes() == factor.tobytes()
+    assert x.tobytes() == expected.tobytes()
+    assert prob._factor_solve(ab, rhs).tobytes() == expected.tobytes()
+
+
+def test_band_that_is_not_positive_definite_raises():
+    """A band whose leading minor is not positive raises LinAlgError, as
+    scipy.linalg.cholesky_banded does, and an illegal-argument info code
+    raises ValueError."""
+    ab = np.zeros((2, 4), order="F")
+    ab[0] = (1.0, 1.0, -1.0, 1.0)
+    ab[1, :3] = 0.5
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor"):
+        optimizer_module.EnergyProblem._damped_solve(ab, 0.0, np.ones(4))
+    with pytest.raises(ValueError, match="2-th argument of internal pbtrs"):
+        optimizer_module._check_info("pbtrs", -2)
+
+
+def test_missing_lapack_extension_names_the_path_searched(monkeypatch, tmp_path):
+    """Without scipy's _flapack extension the solver raises ImportError
+    naming where it looked; it falls back on nothing."""
+    import scipy
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    optimizer_module._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=str(tmp_path / "linalg")):
+            optimizer_module._lapack()
+    finally:
+        optimizer_module._lapack.cache_clear()
+
+
+# Fits a short walk in a fresh interpreter, importing scipy.linalg before or
+# after the fit as argv[1] says, and prints whether scipy.linalg was loaded
+# during the fit, whether scipy.linalg's LAPACK wrapper is the solver's, and
+# the fit's energy history in hex.
+_LAPACK_ORDER_PROBE = """
+import sys
+import numpy as np
+from stridelab import WalkerSpec, generate, optimize
+from stridelab import optimizer
+
+if sys.argv[1] == "before":
+    import scipy.linalg
+seq, truth = generate(WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0,
+                                 distance_m=1.5, sigma3d_m=0.01, seed=5))
+fit = optimize(seq, truth.anatomy)
+during = "scipy.linalg" in sys.modules
+import scipy.linalg
+from scipy.linalg import lapack
+factor = scipy.linalg.cholesky_banded(np.array([[4.0, 9.0], [2.0, 0.0]]), lower=True)
+assert np.array_equal(factor, [[2.0, np.sqrt(8.0)], [1.0, 0.0]])
+print(during, lapack._flapack is optimizer._lapack(), fit.converged,
+      [e.hex() for e in fit.energy_history])
+"""
+
+
+def test_fit_runs_whether_scipy_linalg_is_imported_before_or_after():
+    """The solver loads scipy's LAPACK extension alone and registers it
+    under its name, so scipy.linalg imported before the first fit lends
+    it the same module, and imported after reuses the solver's; the fit is
+    bit-identical either way."""
+    src = os.path.dirname(os.path.dirname(optimizer_module.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = {}
+    for order in ("before", "after"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAPACK_ORDER_PROBE, order],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[order] = proc.stdout.splitlines()[-1].split(" ", 3)
+    assert out["before"][:3] == ["True", "True", "True"]
+    assert out["after"][:3] == ["False", "True", "True"]
+    assert out["before"][3] == out["after"][3]
+
+
 def _logged_steps(monkeypatch, negate_reuse=False):
-    """Patch the banded factorization, the banded solve and the energy to log
+    """Patch the banded factorization (dpbtrf), the banded solve (dpbtrs) and the energy to log
     each call in order.  Returns the log, whose entries are "factor",
     "solve" and ("energy", value or None), and a function that reads it
     into one (fresh, energy) pair per step attempt: fresh when the solve
@@ -734,8 +838,9 @@ def _logged_steps(monkeypatch, negate_reuse=False):
     With negate_reuse, a solve that reuses an earlier factor returns the
     negated step, which points uphill."""
     log = []
-    real_factor = scipy.linalg.cholesky_banded
-    real_solve = scipy.linalg.cho_solve_banded
+    lapack = optimizer_module._lapack()
+    real_factor = lapack.dpbtrf
+    real_solve = lapack.dpbtrs
     real_energy = optimizer_module.EnergyProblem.energy_terms
 
     def factor(ab, **kwargs):
@@ -745,16 +850,16 @@ def _logged_steps(monkeypatch, negate_reuse=False):
     def solve(cb, b, **kwargs):
         reuse = log[-1] != "factor"
         log.append("solve")
-        x = real_solve(cb, b, **kwargs)
-        return -x if negate_reuse and reuse else x
+        x, info = real_solve(cb, b, **kwargs)
+        return (-x if negate_reuse and reuse else x), info
 
     def energy_terms(self, X):
         terms = real_energy(self, X)
         log.append(("energy", None if terms is None else sum(terms.values())))
         return terms
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor)
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", solve)
+    monkeypatch.setattr(lapack, "dpbtrf", factor)
+    monkeypatch.setattr(lapack, "dpbtrs", solve)
     monkeypatch.setattr(optimizer_module.EnergyProblem, "energy_terms", energy_terms)
 
     def attempts():
