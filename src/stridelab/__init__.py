@@ -8,6 +8,7 @@ The pipeline runs in four stages, each usable on its own:
    balancing 3D agreement, reprojection, temporal smoothness and depth drift.
 3. `events` / `report`: step detection on the inter-ankle distance signal and
    aggregation into speed, cadence, step length and step time.
+   `analyze_sequence` runs stages 2 and 3 in one call.
 4. `stats`: agreement tooling (ICC, Bland-Altman, bootstrap CIs) for method
    comparison studies.
 
@@ -78,6 +79,7 @@ from .events import (
     find_extrema_candidates,
 )
 from .report import GaitReport, compute_report
+from .pipeline import WalkResult, analyze_sequence
 from .walker import GroundTruth, WalkerSpec, generate, inject_noise
 from .stats import (
     BlandAltman,
@@ -139,7 +141,9 @@ __all__ = [
     "TooFewPairs",
     "TooFewSteps",
     "UnknownJoint",
+    "WalkResult",
     "WalkerSpec",
+    "analyze_sequence",
     "bland_altman",
     "bootstrap_mean_diff_ci",
     "canonical_joint",

@@ -22,9 +22,10 @@ Four subcommands cover the study workflow:
 
 Exit codes: 0 on success, 1 when a command ran but produced no usable
 result (every walk failed, no parameter had enough pairs), 2 for usage or
-configuration errors.  All outputs are deterministic: the same inputs,
-config, and seeds produce byte-identical files.  No command modifies its
-inputs.
+configuration errors, among them two analyze inputs with one walk id (the
+same file name in two directories, or one file given twice).  All outputs
+are deterministic: the same inputs, config, and seeds produce
+byte-identical files.  No command modifies its inputs.
 
 Only analyze loads scipy: the optimizer's banded Cholesky solve loads
 scipy's compiled LAPACK extension (scipy/linalg/_flapack) alone, without
@@ -49,13 +50,12 @@ from typing import Optional, Sequence
 
 from . import pose_io, stats
 from .config import RunConfig, _read_ini, load_config
-from .errors import ConfigError, MalformedDocument, MissingHeaderField, StrideLabError
-from .events import detect_steps
-from .optimizer import _lapack, optimize
+from .errors import ConfigError, MalformedDocument, StrideLabError
+from .optimizer import _lapack
+from .pipeline import analyze_sequence
 from .plots import bland_altman_svg
 from .pose_io import _json_bytes, _require_number, _rounded
-from .report import PARAMETERS, compute_report
-from .skeleton import derive_anatomy
+from .report import PARAMETERS, truth_values
 from .walker import WalkerSpec, generate
 
 __all__ = ["main"]
@@ -155,14 +155,7 @@ def _analyze_one(path_str: str, cfg: RunConfig) -> dict:
     row: dict = {"walk_id": _walk_id_for(path), "file": path.name}
     try:
         seq = pose_io.parse_stream(path.read_bytes())
-        if seq.subject_height_m is None:
-            raise MissingHeaderField(
-                "header field 'subject_height_m' is required for analysis"
-            )
-        anatomy = derive_anatomy(seq.subject_height_m, cfg.ratios)
-        fitted = optimize(seq, anatomy, camera=cfg.camera, cfg=cfg.energy)
-        detection = detect_steps(fitted, cfg.detector)
-        rep = compute_report(detection)
+        fitted, rep = analyze_sequence(seq, cfg)
     except (StrideLabError, OSError) as exc:
         return _error_row(path, exc)
     row["status"] = "ok"
@@ -181,15 +174,20 @@ def _truth_records(poses_path: Path, walk_id: str) -> list[tuple[str, str, str, 
     sidecar = poses_path.with_name(f"{walk_id}.truth.json")
     if not sidecar.exists():
         return []
-    doc = pose_io.read_truth(sidecar.read_bytes())
-    return [
-        (walk_id, walk_id, _TRUTH_METHOD, p.name, float(p.truth_scale * doc[p.truth_key]))
-        for p in PARAMETERS
-    ]
+    truth = truth_values(pose_io.read_truth(sidecar.read_bytes()))
+    return [(walk_id, walk_id, _TRUTH_METHOD, name, v) for name, v in truth.items()]
 
 
 def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     paths = [Path(p) for p in args.poses]
+    # Rows are matched by walk id, so two inputs with one id would merge.
+    first: dict[str, Path] = {}
+    for path in paths:
+        walk_id = _walk_id_for(path)
+        if walk_id in first:
+            raise ConfigError(f"walk id {walk_id!r} names two inputs: "
+                              f"{first[walk_id]} and {path}")
+        first[walk_id] = path
     if args.jobs > 1 and len(paths) > 1:
         # The solver's LAPACK extension is loaded before the fork, so the
         # workers share its pages instead of each loading it for its first

@@ -290,6 +290,8 @@ def write_matched_csv(
 
 
 def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
+    """The records of a matched CSV, which holds one row per (walk_id,
+    method, parameter); a repeated one raises MalformedDocument."""
     reader = csv.reader(fp)
     try:
         head = next(reader)
@@ -300,6 +302,7 @@ def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
             f"matched CSV columns must be {MATCHED_CSV_COLUMNS}, got {tuple(head)}"
         )
     out = []
+    first: dict[tuple[str, str, str], int] = {}
     for lineno, row in enumerate(reader, start=2):
         if len(row) != 5:
             raise MalformedDocument(f"line {lineno}: expected 5 cells, got {len(row)}")
@@ -309,6 +312,12 @@ def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
             raise MalformedDocument(
                 f"line {lineno}: value is not a number: {row[4]!r}"
             ) from None
+        key = (row[0], row[2], row[3])
+        if first.setdefault(key, lineno) != lineno:
+            raise MalformedDocument(
+                f"line {lineno}: walk {row[0]!r}, method {row[2]!r}, parameter "
+                f"{row[3]!r} repeats line {first[key]}"
+            )
         out.append((row[0], row[1], row[2], row[3], value))
     return out
 

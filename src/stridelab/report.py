@@ -10,7 +10,7 @@ exact by construction:
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,12 @@ PARAMETERS = (
     GaitParameter("step_length_cm", "cm", "step length", "step_length_m", 100.0),
     GaitParameter("step_time_s", "s", "step time", "step_time_s", 1.0),
 )
+
+
+def truth_values(mapping: Mapping[str, float]) -> dict[str, float]:
+    """Each parameter's true value in its unit, by name, from a mapping keyed
+    by truth_key: a truth sidecar, or vars() of a GroundTruth."""
+    return {p.name: p.truth_scale * mapping[p.truth_key] for p in PARAMETERS}
 
 
 @dataclass(frozen=True)

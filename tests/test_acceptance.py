@@ -20,10 +20,12 @@ from stridelab import (
     JointId,
     SkeletonSequence,
     WalkerSpec,
+    analyze_sequence,
     bland_altman,
     bootstrap_mean_diff_ci,
     generate,
     icc,
+    load_config,
     percentage_error,
     pose_io,
 )
@@ -36,13 +38,14 @@ from stridelab.kinematics import (
     lengths_vector,
     so3_exp,
 )
-from stridelab.optimizer import energy, energy_gradient, optimize
-from stridelab.report import compute_report
+from stridelab.optimizer import energy, energy_gradient
+from stridelab.report import PARAMETERS, truth_values
 from stridelab.skeleton import default_ratio_table, derive_anatomy
 from stridelab.stats import MeasurementTable
 
 CAMERA = CameraModel.default()
-PARAMS = ("gait_speed_m_s", "cadence_steps_min", "step_length_cm", "step_time_s")
+CONFIG = load_config()
+PARAMS = tuple(p.name for p in PARAMETERS)
 
 N_SWEEP = 30
 SWEEP_DISTANCE_M = 6.0
@@ -94,28 +97,16 @@ _EDGE_PARENT = np.array([p for p in CANONICAL_TREE.parents if p >= 0])
 
 def _run_pipeline(spec: WalkerSpec) -> WalkOutcome:
     seq, truth = generate(spec)
-    anatomy = derive_anatomy(seq.subject_height_m, default_ratio_table())
     t0 = time.perf_counter()
-    fitted = optimize(seq, anatomy, camera=CAMERA)
-    rep = compute_report(detect_steps(fitted))
+    fitted, rep = analyze_sequence(seq, CONFIG)
     seconds = time.perf_counter() - t0
 
     X = fitted.points_3d
-    want = np.array([anatomy.length(JointId(c)) for c in _EDGE_CHILD])
+    want = np.array([truth.anatomy.length(JointId(c)) for c in _EDGE_CHILD])
     got = np.linalg.norm(X[:, _EDGE_CHILD] - X[:, _EDGE_PARENT], axis=2)
     return WalkOutcome(
-        truth={
-            "gait_speed_m_s": truth.speed_m_s,
-            "cadence_steps_min": truth.cadence_steps_min,
-            "step_length_cm": 100.0 * truth.step_length_m,
-            "step_time_s": truth.step_time_s,
-        },
-        video={
-            "gait_speed_m_s": rep.gait_speed_m_s,
-            "cadence_steps_min": rep.cadence_steps_min,
-            "step_length_cm": rep.step_length_cm,
-            "step_time_s": rep.step_time_s,
-        },
+        truth=truth_values(vars(truth)),
+        video={p: getattr(rep, p) for p in PARAMS},
         energy_history=fitted.energy_history,
         max_bone_err_m=float(np.abs(got - want).max()),
         seconds=seconds,

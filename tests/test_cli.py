@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from stridelab.cli import main
 from stridelab.config import load_config
 from stridelab.kinematics import CANONICAL_TREE
 from stridelab.optimizer import CONVERGED_REASONS
+from stridelab.pipeline import analyze_sequence
 from stridelab.skeleton import JointId, SkeletonSequence
 
 WALKS_INI = """\
@@ -489,8 +491,10 @@ def _document(n_frames=10, joints_2d=True, joints_3d=True, height=1.72):
      (_document(), "MissingModality"),
      (_document(joints_3d=False), "MissingModality"),
      (_document(joints_2d=False, joints_3d=False), "MissingModality"),
-     (_document(height=3.0), "OutOfRangeHeight")],
-    ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps", "height-out-of-range"],
+     (_document(height=3.0), "OutOfRangeHeight"),
+     (_document(height=None), "MissingHeaderField")],
+    ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps", "height-out-of-range",
+         "no-height"],
 )
 def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     bad = tmp_path / "broken.poses.json"
@@ -500,6 +504,43 @@ def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     row = report["walks"][0]
     assert row["status"] == "error"
     assert row["error"]["type"] == error
+
+
+def test_a_stream_without_height_gives_one_message(clean_walk, tmp_path):
+    """analyze_sequence refuses a stream whose header has no subject height,
+    and analyze writes its message in the walk's error row."""
+    seq = replace(clean_walk[0], subject_height_m=None)
+    message = "header field 'subject_height_m' is required for analysis"
+    with pytest.raises(errors.MissingHeaderField) as info:
+        analyze_sequence(seq, load_config())
+    assert str(info.value) == message
+    path = tmp_path / "no-height.poses.json"
+    path.write_bytes(pose_io.write_stream(seq))
+    row = cli._analyze_one(str(path), load_config())
+    assert row["error"] == {"type": "MissingHeaderField", "message": message}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("copied", [True, False], ids=["two-directories", "one-file-twice"])
+def test_analyze_refuses_two_inputs_with_one_walk_id(pipeline, tmp_path, capsys, jobs,
+                                                      copied):
+    """Rows are matched by walk id, so analyze exits 2, before any fit,
+    when two inputs share one: a file name in two directories, or one file
+    given twice."""
+    _, sim, _ = pipeline
+    first = sim / "walk-a.poses.json"
+    second = tmp_path / first.name if copied else first
+    if copied:
+        second.write_bytes(first.read_bytes())
+    out = tmp_path / "out"
+    args = ["--jobs", str(jobs), "analyze", str(first), str(sim / "walk-b.poses.json"),
+            str(second), "--out-dir", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: walk id 'walk-a' names two inputs: {first} and {second}\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -554,13 +595,15 @@ def _agreement_with(out, change):
     [("agree", lambda out: b"walk,subject,method,parameter,value\n"),
      ("agree", lambda out: (out / "results.matched.csv").read_bytes().replace(
          b"walk-c", b"walk-\xff")),
+     ("agree", lambda out: (out / "results.matched.csv").read_bytes().replace(
+         b"walk-b", b"walk-a")),
      ("report", lambda out: _agreement_with(
          out, lambda e: e.update(pairs=[["1.0", "2.0"]] * 3))),
      ("report", lambda out: _agreement_with(
          out, lambda e: e.update(pairs=e["pairs"][:1]))),
      ("report", lambda out: b"[" * 100_000),
      ("report", lambda out: b"\xff{}")],
-    ids=["csv-header", "csv-not-utf8", "pairs-of-strings", "one-pair",
+    ids=["csv-header", "csv-not-utf8", "csv-repeated-walk", "pairs-of-strings", "one-pair",
          "deeply-nested", "json-not-utf8"],
 )
 def test_malformed_inputs_exit_2(pipeline, tmp_path, capsys, command, document):

@@ -24,14 +24,14 @@ from stridelab import (
     MissingModality,
     SkeletonSequence,
     WalkerSpec,
-    compute_report,
+    analyze_sequence,
     derive_anatomy,
-    detect_steps,
     energy,
     energy_breakdown,
     energy_gradient,
     generate,
     initial_params,
+    load_config,
     optimize,
     project,
 )
@@ -45,11 +45,12 @@ from stridelab.kinematics import (
     swing_axes,
 )
 from stridelab.optimizer import _problem_for, _second_difference_gram
-from stridelab.report import PARAMETERS
+from stridelab.report import PARAMETERS, truth_values
 
 ANATOMY = derive_anatomy(1.72)
 LENGTHS = lengths_vector(ANATOMY)
 CAMERA = CameraModel.default()
+CONFIG = load_config()
 
 
 def _params(rng, n_frames, spread=0.3):
@@ -336,11 +337,9 @@ def test_camera_distance_tracks_root(fitted_clean):
     assert np.allclose(d, np.linalg.norm(roots, axis=1), atol=1e-9)
 
 
-def _worst_rel_error(fitted, truth):
-    rep = compute_report(detect_steps(fitted))
-    return max(abs(rep.gait_speed_m_s / truth.speed_m_s - 1),
-               abs(rep.cadence_steps_min / truth.cadence_steps_min - 1),
-               abs(rep.step_length_cm / (100 * truth.step_length_m) - 1))
+def _worst_rel_error(rep, truth):
+    return max(abs(getattr(rep, name) / value - 1)
+               for name, value in truth_values(vars(truth)).items())
 
 
 def test_three_d_only_stream_fits(noisy_walk, fitted_noisy):
@@ -350,12 +349,13 @@ def test_three_d_only_stream_fits(noisy_walk, fitted_noisy):
     below leave room for that."""
     seq, truth = noisy_walk
     only_3d = replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None)
-    fit = optimize(only_3d, truth.anatomy)
+    fit, rep = analyze_sequence(only_3d, CONFIG)
     assert fit.converged
     assert fit.energy_breakdown["proj"] == 0.0
     assert abs(fit.iterations - fitted_noisy.iterations) <= 2
     assert np.all(np.diff(fit.energy_history) <= 0)
-    err, err_both = _worst_rel_error(fit, truth), _worst_rel_error(fitted_noisy, truth)
+    err = _worst_rel_error(rep, truth)
+    err_both = _worst_rel_error(analyze_sequence(seq, CONFIG).report, truth)
     assert err < 0.05
     assert abs(err - err_both) < 5e-4
 
@@ -1002,7 +1002,6 @@ def test_fitted_walks_are_pinned(name):
     seq, truth = generate(spec)
     if only_3d:
         seq = replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None)
-    fit = optimize(seq, truth.anatomy)
-    rep = compute_report(detect_steps(fit))
+    fit, rep = analyze_sequence(seq, CONFIG)
     assert (fit.iterations, fit.stop_reason) == (iterations, stop_reason)
     assert tuple(f"{getattr(rep, p.name):.10g}" for p in PARAMETERS) == values

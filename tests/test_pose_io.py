@@ -405,6 +405,15 @@ def test_matched_csv_rejects_bad_value():
         )
 
 
+def test_matched_csv_rejects_a_repeated_row():
+    """One row per (walk_id, method, parameter): a repeat, whatever its
+    subject and value, names both lines."""
+    text = ("walk_id,subject_id,method,parameter,value\n"
+            "w,s,m,p,1\nw,s,n,p,1\nw,t,m,p,2\n")
+    with pytest.raises(MalformedDocument, match="^line 4: .* repeats line 2$"):
+        pose_io.read_matched_csv(io.StringIO(text))
+
+
 def test_truth_round_trip(clean_walk):
     _, truth = clean_walk
     doc = pose_io.read_truth(pose_io.write_truth(truth))
