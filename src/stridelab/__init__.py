@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     DegenerateInput,
     DegenerateVariance,
+    DuplicateMeasurement,
     FrameCountMismatch,
     IncompleteRatioTable,
     InconsistentSpec,
@@ -106,6 +107,7 @@ __all__ = [
     "DegenerateInput",
     "DegenerateVariance",
     "DetectorConfig",
+    "DuplicateMeasurement",
     "EnergyConfig",
     "GaitReport",
     "GroundTruth",

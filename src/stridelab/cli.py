@@ -111,8 +111,9 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Walks are generated and written one at a time, so only one is held in
-    # memory; a failure removes what this run wrote before it, and the
-    # report lines are printed only once every walk is written.
+    # memory, and a pose stream goes to its file frame by frame, never whole;
+    # a failure, also one in the middle of a file, removes what this run
+    # wrote, and the report lines are printed only once every walk is written.
     written: list[Path] = []
     report: list[str] = []
     try:
@@ -121,12 +122,13 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
                 seq, truth = generate(spec, camera=cfg.camera, ratios=cfg.ratios)
             except (ValueError, StrideLabError) as exc:
                 raise ConfigError(f"walk spec [{walk_id}]: {exc}") from None
-            for path, blob in (
-                (out_dir / f"{walk_id}.poses.json", pose_io.write_stream(seq)),
-                (out_dir / f"{walk_id}.truth.json", pose_io.write_truth(truth)),
+            for path, chunks in (
+                (out_dir / f"{walk_id}.poses.json", pose_io.stream_chunks(seq)),
+                (out_dir / f"{walk_id}.truth.json", [pose_io.write_truth(truth)]),
             ):
                 written.append(path)
-                path.write_bytes(blob)
+                with path.open("wb") as fp:
+                    fp.writelines(chunks)
             report.append(f"{walk_id}: wrote {len(seq)} frames ({truth.n_steps} steps)")
     except BaseException:
         for path in written:

@@ -113,3 +113,7 @@ class LengthMismatch(StrideLabError):
 
 class TooFewPairs(StrideLabError):
     """Not enough paired observations for the requested statistic."""
+
+
+class DuplicateMeasurement(StrideLabError):
+    """Two records give one walk a value by the same method."""

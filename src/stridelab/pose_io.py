@@ -9,7 +9,14 @@ digits, which keeps the parse(write(s)) round-trip within 5e-10 relative.
 
 Parsing is total: any byte input produces either a SkeletonSequence or one of
 the typed errors (MalformedDocument, UnknownJoint, NonMonotonicFrames,
-NonPositiveDepth, MissingHeaderField) - never an unhandled exception.
+NonPositiveDepth, MissingHeaderField) - never an unhandled exception.  Any
+JSON layout of the document is read.  Its frames are decoded one at a time
+into flat typed buffers, so the parse holds the document's text and 8 bytes
+per value and per joint record, never a tree of the whole document; a
+document the frame-by-frame scan does not read, or one with an error, is
+read whole, and that reading defines every result and error.  Writing goes
+frame by frame too: `stream_chunks` yields the bytes of `write_stream` one
+frame at a time.
 
 Also here: the per-walk `.gait.csv` report table (fixed column order), the
 long-format matched-measurements CSV consumed by the agreement command, and
@@ -19,8 +26,9 @@ the `.truth.json` sidecar carrying a synthetic walk's ground truth.
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict
-from typing import Iterable, Mapping, Optional, TextIO, Union
+from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 import numpy as np
 
@@ -107,16 +115,22 @@ def _parse_joints(obj, key: str, columns: dict, where: str) -> dict:
     return out
 
 
+def _text(data: Union[bytes, str], what: str) -> str:
+    """`data` as text; invalid UTF-8 raises MalformedDocument naming `what`."""
+    if isinstance(data, bytes):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"{what} is not valid UTF-8: {exc}") from exc
+    return data
+
+
 def load_json_object(data: Union[bytes, str], what: str) -> dict:
     """The JSON object that `data` holds; `what` ("document", "sidecar")
     names it in the MalformedDocument raised for invalid UTF-8, invalid
     JSON, nesting too deep for the parser, an integer too long to convert
     and a top level that is not an object."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"{what} is not valid UTF-8: {exc}") from exc
+    data = _text(data, what)
     try:
         doc = json.loads(data)
     except RecursionError:
@@ -128,12 +142,154 @@ def load_json_object(data: Union[bytes, str], what: str) -> dict:
     return doc
 
 
+class _FrameReader:
+    """Reads frame records, in order, into flat typed buffers: each frame's
+    index and time and, per joint map met, each joint record's flat
+    (frame, joint) cell and field values.  `sequence` fills the
+    SkeletonSequence's blocks from them with one assignment per array."""
+
+    def __init__(self) -> None:
+        self.indices = array("q")
+        self.times = array("d")
+        self.maps: dict = {}     # joint map key -> (cells, values) buffers
+        self.columns: dict = {}  # the `_parse_joints` cache
+
+    def read(self, rec) -> None:
+        pos = len(self.indices)
+        where = f"frames[{pos}]"
+        if not isinstance(rec, dict):
+            raise MalformedDocument(f"{where} must be an object")
+        idx = rec.get("index")
+        if isinstance(idx, bool) or not isinstance(idx, int):
+            raise MalformedDocument(f"{where}.index must be an integer")
+        try:
+            self.indices.append(idx)
+        except OverflowError:
+            raise MalformedDocument(f"{where}.index {idx} exceeds 64 bits") from None
+        self.times.append(_require_number(rec.get("time_s"), f"{where}.time_s"))
+        base = pos * N_JOINTS
+        for key in _FIELDS:
+            if key in rec:
+                joints = _parse_joints(rec[key], key, self.columns, where)
+                if key not in self.maps:
+                    self.maps[key] = array("q"), array("d")
+                cells, values = self.maps[key]
+                for col, fields in joints.items():
+                    cells.append(base + col)
+                    values.extend(fields)
+
+    def sequence(self, fps: float, height: Optional[float], source: str) -> SkeletonSequence:
+        """The frames read, under this header.  A modality's block exists
+        when some frame carried its joint map."""
+        F = len(self.indices)
+        maps = {}
+        for key, (cells, values) in self.maps.items():
+            k = len(_FIELDS[key])
+            block = np.zeros((F * N_JOINTS, k))
+            present = np.zeros(F * N_JOINTS, dtype=bool)
+            cells = np.frombuffer(cells, dtype=np.int64)
+            block[cells] = np.frombuffer(values).reshape(-1, k)
+            present[cells] = True
+            maps[key] = block.reshape(F, N_JOINTS, k), present.reshape(F, N_JOINTS)
+        blocks: dict = {}
+        if "joints_2d" in maps:
+            values, blocks["mask_2d"] = maps["joints_2d"]
+            blocks["pixels_2d"], blocks["confidence_2d"] = values[..., :2], values[..., 2]
+        if "joints_3d" in maps:
+            blocks["points_3d"], blocks["mask_3d"] = maps["joints_3d"]
+        try:
+            return SkeletonSequence(fps=fps, times=np.frombuffer(self.times),
+                                    indices=np.frombuffer(self.indices, dtype=np.int64),
+                                    subject_height_m=height, source=source, **blocks)
+        except StrideLabError:
+            raise
+        except ValueError as exc:
+            raise MalformedDocument(str(exc)) from exc
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _skip(text: str, pos: int) -> int:
+    """The position of the first non-whitespace character from `pos` on."""
+    return json.decoder.WHITESPACE.match(text, pos).end()
+
+
+class _Unscanned(ValueError):
+    """A document layout that `_scan` leaves to the whole-document parser."""
+
+
+def _scan(text: str, read_frame) -> dict:
+    """The top-level members of the JSON object in `text`, decoded one at a
+    time.  Each element of the `frames` array goes to `read_frame` as soon
+    as it is decoded, and `frames` maps to an empty list.
+
+    Raises _Unscanned for a top level that is not an object, a repeated
+    key, `frames` that is not an array, and trailing data, and the
+    decoder's errors for invalid JSON."""
+    pos = _skip(text, 0)
+    if not text.startswith("{", pos):
+        raise _Unscanned
+    members: dict = {}
+    while True:
+        pos = _skip(text, pos + 1)
+        if not text.startswith('"', pos):
+            raise _Unscanned  # an empty object or a trailing comma
+        key, pos = _decode(text, pos)
+        pos = _skip(text, pos)
+        if key in members or not text.startswith(":", pos):
+            raise _Unscanned
+        pos = _skip(text, pos + 1)
+        if key == "frames":
+            pos = _scan_array(text, pos, read_frame)
+            members[key] = []
+        else:
+            members[key], pos = _decode(text, pos)
+        pos = _skip(text, pos)
+        if not text.startswith(",", pos):
+            break
+    if not text.startswith("}", pos) or _skip(text, pos + 1) != len(text):
+        raise _Unscanned
+    return members
+
+
+def _scan_array(text: str, pos: int, read_element) -> int:
+    """Hand each element of the JSON array at `pos` to `read_element` as it
+    is decoded; the position after the array."""
+    if not text.startswith("[", pos):
+        raise _Unscanned
+    pos = _skip(text, pos + 1)
+    if text.startswith("]", pos):
+        return pos + 1
+    while True:
+        element, pos = _decode(text, pos)
+        read_element(element)
+        pos = _skip(text, pos)
+        if not text.startswith(",", pos):
+            break
+        pos = _skip(text, pos + 1)
+    if not text.startswith("]", pos):
+        raise _Unscanned
+    return pos + 1
+
+
 def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
     """Parse one `.poses.json` document into a SkeletonSequence.
 
-    Every frame is kept.  A modality's block exists when some frame carries
-    its joint map; frames without the map then have none of its joints."""
-    doc = load_json_object(data, "document")
+    Frames are decoded and read one at a time, so no tree of the whole
+    document is built.  A layout `_scan` does not read, and any document
+    with an error, is read again whole by `load_json_object` into a fresh
+    reader: that path defines every result and error, and checks the header
+    before any frame.  Every frame is kept.  A modality's block exists when
+    some frame carries its joint map; frames without the map then have none
+    of its joints."""
+    text = _text(data, "document")
+    frames = _FrameReader()
+    try:
+        doc = _scan(text, frames.read)
+    except (ValueError, RecursionError, StrideLabError):
+        doc, frames = load_json_object(text, "document"), _FrameReader()
+    del text  # a decoded copy of bytes is not kept while the arrays are built
 
     header = doc.get("header")
     if not isinstance(header, dict):
@@ -151,45 +307,9 @@ def parse_stream(data: Union[bytes, str]) -> SkeletonSequence:
     records = doc.get("frames")
     if not isinstance(records, list):
         raise MalformedDocument("missing or invalid 'frames' array")
-
-    F = len(records)
-    indices = np.empty(F, dtype=np.int64)
-    times = np.empty(F)
-    # Per joint map present in the document: (F, J, 3) values and (F, J) mask.
-    maps = {key: (np.zeros((F, N_JOINTS, 3)), np.zeros((F, N_JOINTS), dtype=bool))
-            for key in _FIELDS if any(isinstance(r, dict) and key in r for r in records)}
-    columns: dict = {}
-    for pos, rec in enumerate(records):
-        where = f"frames[{pos}]"
-        if not isinstance(rec, dict):
-            raise MalformedDocument(f"{where} must be an object")
-        idx = rec.get("index")
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise MalformedDocument(f"{where}.index must be an integer")
-        try:
-            indices[pos] = idx
-        except OverflowError:
-            raise MalformedDocument(f"{where}.index {idx} exceeds 64 bits") from None
-        times[pos] = _require_number(rec.get("time_s"), f"{where}.time_s")
-        for key, (values, present) in maps.items():
-            joints = _parse_joints(rec.get(key, {}), key, columns, where)
-            if joints:
-                values[pos, list(joints)] = list(joints.values())
-                present[pos, list(joints)] = True
-
-    blocks: dict = {}
-    if "joints_2d" in maps:
-        values, blocks["mask_2d"] = maps["joints_2d"]
-        blocks["pixels_2d"], blocks["confidence_2d"] = values[..., :2], values[..., 2]
-    if "joints_3d" in maps:
-        blocks["points_3d"], blocks["mask_3d"] = maps["joints_3d"]
-    try:
-        return SkeletonSequence(fps=fps, times=times, indices=indices,
-                                subject_height_m=height, source=source, **blocks)
-    except StrideLabError:
-        raise
-    except ValueError as exc:
-        raise MalformedDocument(str(exc)) from exc
+    for rec in records:
+        frames.read(rec)
+    return frames.sequence(fps, height, source)
 
 
 def _record_templates(key: str) -> tuple[str, ...]:
@@ -202,43 +322,47 @@ def _record_templates(key: str) -> tuple[str, ...]:
 _RECORD_TEMPLATES = {key: _record_templates(key) for key in _FIELDS}
 
 
-def write_stream(seq: SkeletonSequence) -> bytes:
-    """Serialize a SkeletonSequence; deterministic byte-for-byte.
-
-    The bytes are those of `_json_bytes` on the document, but the frames are
-    formatted here, one `%r` template per joint record: the pure-Python
-    encoder that `indent` selects takes about twice as long."""
+def stream_chunks(seq: SkeletonSequence) -> Iterator[bytes]:
+    """The bytes of `write_stream(seq)` in order: the header, each frame,
+    then the closing bytes, each chunk encoded as it is formatted."""
     header = {"fps": _round10(seq.fps)}
     if seq.subject_height_m is not None:
         header["subject_height_m"] = _round10(seq.subject_height_m)
     header["source"] = seq.source
-
-    maps = []  # (key, presence, values) per joint map, as nested lists
-    if seq.pixels_2d is not None:
-        values = np.concatenate([seq.pixels_2d, seq.confidence_2d[..., None]], axis=2)
-        maps.append(("joints_2d", seq.mask_2d.tolist(), values.tolist()))
-    if seq.points_3d is not None:
-        maps.append(("joints_3d", seq.mask_3d.tolist(), seq.points_3d.tolist()))
-
-    frames = []
-    for f, (i, t) in enumerate(zip(seq.indices.tolist(), seq.times.tolist())):
-        parts = [f'  {{\n   "index": {i!r},\n   "time_s": {_round10(t)!r}']
-        for key, present, values in maps:
-            templates, row = _RECORD_TEMPLATES[key], values[f]
-            joints = [templates[j] % tuple(map(_round10, row[j]))
-                      for j, seen in enumerate(present[f]) if seen]
-            body = "{\n" + ",\n".join(joints) + "\n   }" if joints else "{}"
-            parts.append(f'   "{key}": {body}')
-        frames.append(",\n".join(parts) + "\n  }")
-
-    text = "".join((
+    yield "".join((
         "{\n \"header\": {\n",
         ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in header.items()),
         "\n },\n \"frames\": ",
-        "[\n" + ",\n".join(frames) + "\n ]" if frames else "[]",
-        "\n}\n",
-    ))
-    return text.encode("utf-8")
+    )).encode("utf-8")
+
+    maps = []  # (key, presence, values) per joint map
+    if seq.pixels_2d is not None:
+        values = np.concatenate([seq.pixels_2d, seq.confidence_2d[..., None]], axis=2)
+        maps.append(("joints_2d", seq.mask_2d, values))
+    if seq.points_3d is not None:
+        maps.append(("joints_3d", seq.mask_3d, seq.points_3d))
+
+    opening = "[\n"
+    for f, (i, t) in enumerate(zip(seq.indices.tolist(), seq.times.tolist())):
+        parts = [f'{opening}  {{\n   "index": {i!r},\n   "time_s": {_round10(t)!r}']
+        for key, present, values in maps:
+            templates, row = _RECORD_TEMPLATES[key], values[f].tolist()
+            joints = [templates[j] % tuple(map(_round10, row[j]))
+                      for j, seen in enumerate(present[f].tolist()) if seen]
+            body = "{\n" + ",\n".join(joints) + "\n   }" if joints else "{}"
+            parts.append(f'   "{key}": {body}')
+        yield (",\n".join(parts) + "\n  }").encode("utf-8")
+        opening = ",\n"
+    yield b"\n ]\n}\n" if len(seq) else b"[]\n}\n"
+
+
+def write_stream(seq: SkeletonSequence) -> bytes:
+    """Serialize a SkeletonSequence; deterministic byte-for-byte.
+
+    The bytes are those of `_json_bytes` on the document, but the frames are
+    formatted by `stream_chunks`, one `%r` template per joint record: the
+    pure-Python encoder that `indent` selects takes about twice as long."""
+    return b"".join(stream_chunks(seq))
 
 
 def write_gait_csv(

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateVariance, LengthMismatch, TooFewPairs
+from .errors import DegenerateVariance, DuplicateMeasurement, LengthMismatch, TooFewPairs
 
 ICC_FORMS = ((2, 1), (2, "k"), (3, 1))
 
@@ -74,12 +74,17 @@ class MeasurementTable:
 
         Walks missing any method are excluded and counted in n_excluded,
         mirroring how incompletely measured walks leave a comparison study.
+        A walk measured twice by one method raises DuplicateMeasurement.
         """
         by_walk: dict[str, dict[str, float]] = {}
         subj: dict[str, str] = {}
         seen_methods: list[str] = []
         for walk_id, subject_id, method, value in records:
-            by_walk.setdefault(walk_id, {})[method] = float(value)
+            measured = by_walk.setdefault(walk_id, {})
+            if method in measured:
+                raise DuplicateMeasurement(
+                    f"walk {walk_id!r} has two {method!r} values for {parameter!r}")
+            measured[method] = float(value)
             subj[walk_id] = subject_id
             if method not in seen_methods:
                 seen_methods.append(method)

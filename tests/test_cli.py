@@ -467,6 +467,47 @@ def test_simulate_removes_its_files_when_a_later_walk_fails(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["other.poses.json"]
 
 
+def test_simulate_leaves_no_file_when_a_write_fails_midway(tmp_path, capsys, monkeypatch):
+    """A pose stream goes to its file chunk by chunk; when a write fails
+    after the header and two frames of the second walk, the partial file and
+    the first walk's files go, and files from elsewhere stay."""
+    chunks = pose_io.stream_chunks
+    calls = []
+
+    def fail_on_second_walk(seq):
+        calls.append(len(seq))
+        if len(calls) == 1:
+            yield from chunks(seq)
+            return
+        yield from list(chunks(seq))[:3]
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pose_io, "stream_chunks", fail_on_second_walk)
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[first]\nspeed_m_s = 1.1\ncadence_steps_min = 100\ndistance_m = 1.5\n"
+                    "[second]\nspeed_m_s = 1.1\ncadence_steps_min = 100\ndistance_m = 1.5\n")
+    out = tmp_path / "sim"
+    out.mkdir()
+    (out / "other.poses.json").write_text("{}")
+    assert main(["simulate", str(spec), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "No space left on device" in captured.err and "wrote" not in captured.out
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["other.poses.json"]
+
+
+def test_simulate_writes_the_bytes_of_write_stream(tmp_path):
+    """The file simulate writes chunk by chunk holds write_stream's bytes."""
+    spec = tmp_path / "walks.ini"
+    spec.write_text("[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\ndistance_m = 1.5\n")
+    assert main(["simulate", str(spec), "--out-dir", str(tmp_path)]) == 0
+    cfg = load_config()
+    seq, _ = stridelab.generate(
+        stridelab.WalkerSpec(speed_m_s=1.1, cadence_steps_min=100.0, distance_m=1.5),
+        camera=cfg.camera, ratios=cfg.ratios)
+    assert (tmp_path / "w.poses.json").read_bytes() == pose_io.write_stream(seq)
+
+
 def _document(n_frames=10, joints_2d=True, joints_3d=True, height=1.72):
     """Ten frames, each with a 2D pelvis (joints_2d) and an empty 3D joint
     map (joints_3d), or without either map."""

@@ -9,6 +9,7 @@ files.
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from stridelab import (
     SkeletonSequence,
     StrideLabError,
     UnknownJoint,
+    WalkerSpec,
+    generate,
 )
 from stridelab import pose_io
 
@@ -325,6 +328,160 @@ def test_written_stream_is_the_json_encoders_text(seq, source):
     indent=1, the reference, writes the same bytes for that document."""
     blob = pose_io.write_stream(replace(seq, source=source))
     assert pose_io._json_bytes(json.loads(blob)) == blob
+
+
+# -- frame-by-frame parsing ----------------------------------------------------
+
+_ARRAYS = ("times", "indices", "points_3d", "mask_3d", "pixels_2d", "confidence_2d",
+           "mask_2d")
+
+
+def _outcome(data):
+    """parse_stream's result as comparable values: the header and each
+    array's dtype, shape and bytes, or the error's type and message."""
+    try:
+        seq = pose_io.parse_stream(data)
+    except StrideLabError as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(seq, name) for name in _ARRAYS]
+    return (seq.fps, seq.subject_height_m, seq.source,
+            *(a if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def _unscanned(text, read_frame):
+    raise pose_io._Unscanned
+
+
+def _both_paths(data):
+    """(outcome, whether the frame-by-frame scan gave it, outcome of the
+    whole-document path alone)."""
+    calls = []
+    load = pose_io.load_json_object
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pose_io, "load_json_object", lambda *a: calls.append(a) or load(*a))
+        streamed = _outcome(data)
+        scanned = not calls
+        mp.setattr(pose_io, "_scan", _unscanned)
+        whole = _outcome(data)
+    return streamed, scanned, whole
+
+
+# Integer coordinates, an alias (mid_hip), a dropped name (nose), two names
+# of one joint in one map (the last one counts), a frame without joint maps.
+_HEADER = {"fps": 30, "subject_height_m": 1.7, "source": "corpus"}
+_FRAMES = [
+    {"index": 0, "time_s": 0,
+     "joints_2d": {"Neck": {"x": 512, "y": 300, "confidence": 1},
+                   "mid_hip": {"x": 500.5, "y": 600}, "nose": {"x": 1, "y": 2}},
+     "joints_3d": {"Pelvis": {"x": 0, "y": 1, "z": 3},
+                   "left_ankle": {"x": 0.1, "y": 0.9, "z": 3.5},
+                   "Left Ankle": {"x": 0.2, "y": 0.8, "z": 2}}},
+    {"index": 2, "time_s": 0.1, "joints_3d": {"RIGHT_ANKLE": {"x": -1, "y": 0, "z": 4}}},
+    {"index": 5, "time_s": 0.25},
+]
+_DOC = {"header": _HEADER, "frames": _FRAMES}
+_TEXT = json.dumps(_DOC, indent=1)
+_H, _F = json.dumps(_HEADER), json.dumps(_FRAMES)  # as JSON text
+_BAD_FRAMES = json.dumps([{"index": 0, "time_s": 0}, {"index": "one", "time_s": 1}])
+
+# id -> (document, whether the frame-by-frame scan reads it)
+_CORPUS = {
+    "indented": (_TEXT, True),
+    "indented-bytes": (_TEXT.encode(), True),
+    "compact": (json.dumps(_DOC, separators=(",", ":")), True),
+    "sort-keys": (json.dumps(_DOC, sort_keys=True), True),
+    "extra-keys": (json.dumps({"version": [1, {"a": None}], **_DOC, "z": "x"}), True),
+    "whitespace-around": (" \n\t" + _TEXT + "\r\n ", True),
+    "frames-empty": (f'{{"header": {_H}, "frames": []}}', True),
+    "frames-missing": (f'{{"header": {_H}}}', True),
+    "header-missing": (f'{{"frames": {_F}}}', True),
+    "repeated-header": (f'{{"header": {_H}, "frames": {_F}, "header": {{"fps": 60}}}}',
+                        False),
+    "repeated-frames": (f'{{"header": {_H}, "frames": [], "frames": {_F}}}', False),
+    "repeated-other": (f'{{"a": 1, "header": {_H}, "frames": {_F}, "a": 2}}', False),
+    "frames-zero": (f'{{"header": {_H}, "frames": 0}}', False),
+    "frames-object": (f'{{"header": {_H}, "frames": {{}}}}', False),
+    "empty-object": ("{}", False),
+    "trailing-data": (_TEXT + " x", False),
+    "trailing-comma": (f'{{"header": {_H}, "frames": {_F},}}', False),
+    "trailing-frame-comma": (f'{{"header": {_H}, "frames": [{_F[1:-1]},]}}', False),
+    "top-level-array": (f"[{_TEXT}]", False),
+    "deep": ("[" * 100_000, False),
+    "deep-frame": (f'{{"header": {_H}, "frames": [' + "[" * 100_000, False),
+    "invalid-after-frames": (f'{{"frames": {_F}, "header": {_H}, "x": }}', False),
+    "byte-order-mark": ("\ufeff" + _TEXT, False),
+    "bad-frame": (f'{{"header": {_H}, "frames": {_BAD_FRAMES}}}', False),
+    "bad-header": (f'{{"frames": {_F}, "header": {{"fps": "x"}}}}', True),
+    "bad-header-then-bad-frame": (f'{{"header": {{"fps": "x"}}, "frames": {_BAD_FRAMES}}}',
+                                  False),
+    "bad-frame-then-bad-header": (f'{{"frames": {_BAD_FRAMES}, "header": {{"fps": "x"}}}}',
+                                  False),
+}
+
+
+@pytest.mark.parametrize("data, scanned", list(_CORPUS.values()), ids=list(_CORPUS))
+def test_frame_by_frame_parse_equals_the_whole_document_path(data, scanned):
+    """Every document gives the result or error the whole-document path
+    gives; those the scan does not read, and those with an error, take
+    that path."""
+    streamed, was_scanned, whole = _both_paths(data)
+    assert streamed == whole
+    assert was_scanned == scanned
+
+
+def test_corpus_reads_what_it_says():
+    """The corpus's own claims: aliases and integers are read, a dropped
+    name is not, the last of two names of one joint counts, a header error
+    wins over a frame error in either order, and a repeated key keeps its
+    last value."""
+    seq = pose_io.parse_stream(_TEXT)
+    pelvis, ankle = JointId.PELVIS.value, JointId.LEFT_ANKLE.value
+    assert seq.indices.tolist() == [0, 2, 5] and seq.times.tolist() == [0.0, 0.1, 0.25]
+    assert seq.pixels_2d[0, pelvis].tolist() == [500.5, 600.0]
+    assert seq.mask_2d[0].sum() == 2 and not seq.mask_2d[1:].any()
+    assert seq.points_3d[0, ankle].tolist() == [0.2, 0.8, 2.0]
+    for name in ("bad-header-then-bad-frame", "bad-frame-then-bad-header", "bad-header"):
+        assert _outcome(_CORPUS[name][0]) == (MalformedDocument,
+                                              "header.fps must be a number, got 'x'")
+    assert _outcome(_CORPUS["bad-frame"][0]) == (MalformedDocument,
+                                                 "frames[1].index must be an integer")
+    assert pose_io.parse_stream(_CORPUS["repeated-header"][0]).fps == 60.0
+
+
+@given(sparse_sequences(), st.sampled_from([None, 0, 1, 2, "\t"]),
+       st.sampled_from([None, (",", ":"), (" , ", " : ")]), st.booleans(), st.booleans(),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_any_layout_of_a_written_walk_parses_to_the_same_arrays(
+        seq, indent, separators, sort_keys, frames_first, as_bytes):
+    """Re-serializing a written walk with another indent, separators or key
+    order changes no parsed value, and the scan reads every layout."""
+    blob = pose_io.write_stream(seq)
+    doc = json.loads(blob)
+    if frames_first:
+        doc = {"frames": doc["frames"], "header": doc["header"]}
+    text = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys)
+    streamed, scanned, _ = _both_paths(text.encode() if as_bytes else text)
+    assert scanned
+    assert streamed == _outcome(blob)
+
+
+def test_parse_peak_memory_is_bounded_by_the_document():
+    """Frames are decoded one at a time, so the parse holds the decoded text
+    and flat buffers of the values, never a tree of the whole document:
+    its traced peak stays under twice the document's bytes on a long walk
+    (the whole-document path peaks near four times)."""
+    seq, _ = generate(WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=12.0,
+                                 fps=60.0, sigma3d_m=0.01, sigma2d_px=2.0, seed=3))
+    blob = pose_io.write_stream(seq)
+    assert len(seq) >= 590
+    tracemalloc.start()
+    try:
+        pose_io.parse_stream(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(blob)
 
 
 def test_rounding_pass_reaches_every_float():

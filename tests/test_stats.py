@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stridelab import (
     DegenerateVariance,
+    DuplicateMeasurement,
     LengthMismatch,
     MeasurementTable,
     TooFewPairs,
@@ -229,6 +230,18 @@ def test_from_records_drops_incomplete_walks():
 def test_from_records_too_few_pairs():
     records = [("w1", "s1", "truth", 1.2), ("w1", "s1", "video", 1.2)]
     with pytest.raises(TooFewPairs):
+        MeasurementTable.from_records(records, parameter="speed")
+
+
+def test_from_records_refuses_a_walk_measured_twice_by_one_method():
+    """A second value for one walk and method is an error naming both, not
+    a silent replacement of the first."""
+    records = [
+        ("w1", "s1", "truth", 1.0), ("w1", "s1", "video", 1.1),
+        ("w2", "s2", "truth", 2.0), ("w2", "s2", "video", 2.1),
+        ("w1", "s1", "video", 9.0),
+    ]
+    with pytest.raises(DuplicateMeasurement, match="^walk 'w1' has two 'video' values"):
         MeasurementTable.from_records(records, parameter="speed")
 
 
