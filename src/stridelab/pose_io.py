@@ -415,7 +415,8 @@ def write_matched_csv(
 
 def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
     """The records of a matched CSV, which holds one row per (walk_id,
-    method, parameter); a repeated one raises MalformedDocument."""
+    method, parameter) with a finite value; a repeated row or any other
+    value raises MalformedDocument."""
     reader = csv.reader(fp)
     try:
         head = next(reader)
@@ -433,9 +434,13 @@ def read_matched_csv(fp: TextIO) -> list[tuple[str, str, str, str, float]]:
         try:
             value = float(row[4])
         except ValueError:
+            value = math.nan
+        # A NaN or infinite value would silently drop its parameter from
+        # every comparison, so it fails the file like any malformed cell.
+        if not math.isfinite(value):
             raise MalformedDocument(
-                f"line {lineno}: value is not a number: {row[4]!r}"
-            ) from None
+                f"line {lineno}: value is not a finite number: {row[4]!r}"
+            )
         key = (row[0], row[2], row[3])
         if first.setdefault(key, lineno) != lineno:
             raise MalformedDocument(

@@ -16,6 +16,9 @@ All joint positions are generated through the same kinematic tree the
 optimizer fits (legs via closed-form two-bone inverse kinematics, trunk rigid,
 arms and head on phase-locked sinusoids), so the ground-truth pose parameters
 reproduce the noiseless frames through forward kinematics exactly.
+
+Each joint's track is built over all frames at once, as array expressions of
+the frame times, and every frame rounds as one computed on its own would.
 """
 
 import math
@@ -29,6 +32,7 @@ from .errors import InconsistentSpec
 from .kinematics import CANONICAL_TREE, PoseParams
 from .skeleton import (
     N_JOINTS,
+    PARENT,
     AnatomyProfile,
     CameraModel,
     JointId,
@@ -180,20 +184,28 @@ def _cycloid(u: np.ndarray) -> np.ndarray:
     return u - np.sin(2.0 * np.pi * u) / (2.0 * np.pi)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, 3) with (n, 3) or (3,), as (n, 1).  Each
+    row is a vector @ vector product, which numpy hands to BLAS ddot as it
+    does a 1-D np.dot, so each rounds as one frame's dot product does."""
+    return (a[:, None, :] @ b[..., None])[:, 0]
+
+
 def _knee_point(hip, ankle, l1, l2, forward):
-    """Two-bone inverse kinematics: knee position bending toward `forward`."""
+    """Two-bone inverse kinematics over all frames: (n, 3) hip and ankle
+    tracks to the knee track, bending toward `forward`."""
     d = ankle - hip
-    n = float(np.linalg.norm(d))
+    n = np.sqrt(_dots(d, d))
     dhat = d / n
     a = (l1 * l1 - l2 * l2 + n * n) / (2.0 * n)
     r2 = l1 * l1 - a * a
-    if r2 <= 0:
+    if np.any(r2 <= 0):
         raise InconsistentSpec("leg cannot reach the requested foot position")
-    bend = forward - np.dot(forward, dhat) * dhat
-    bn = float(np.linalg.norm(bend))
-    if bn < 1e-9:
+    bend = forward - _dots(dhat, forward) * dhat
+    bn = np.sqrt(_dots(bend, bend))
+    if np.any(bn < 1e-9):
         raise ValueError("degenerate knee bend direction")
-    return hip + a * dhat + math.sqrt(r2) * (bend / bn)
+    return hip + a * dhat + np.sqrt(r2) * (bend / bn)
 
 
 def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
@@ -241,9 +253,9 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
 
     theta = math.radians(spec.heading_deg)
     heading = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    lateral = np.cross(np.array([0.0, 1.0, 0.0]), heading)  # subject's right
+    xhat, yhat = np.eye(3)[:2]
+    lateral = np.cross(yhat, heading)  # subject's right
     origin = np.array([spec.start_x_m, 0.0, spec.start_z_m])
-    yhat = np.array([0.0, 1.0, 0.0])
 
     # Landing k (k = 1..n_steps) happens at t_k at along-track position k*sl.
     # Odd landings belong to the right foot.  The sequence starts and ends
@@ -253,17 +265,6 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     t_end = t_land(n_steps) + ds * T + 0.5 * (1.0 - ds) * T
     n_frames = int(math.floor(t_end * spec.fps)) + 1
     times = np.arange(n_frames) / spec.fps
-
-    def ankle_track(parity: int, t: float, y_ankle: float):
-        """(along, height) of one foot's ankle; parity 1 = right foot."""
-        k_last = int(math.floor((t - t_land(parity)) / (2.0 * T))) * 2 + parity
-        lift = t_land(k_last + 1) + ds * T
-        if t <= lift:
-            return k_last * sl, y_ankle
-        u = (t - lift) / ((1.0 - ds) * T)
-        along = k_last * sl + 2.0 * sl * float(_cycloid(np.array(u)))
-        height = y_ankle + clearance * (1.0 - math.cos(2.0 * math.pi * u)) / 2.0
-        return along, height
 
     # Trunk orientation: yaw aligning rest-pose forward (+z) to the heading.
     yaw = np.array(
@@ -278,55 +279,51 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     arm_amp = 0.25
     nod_amp = 0.03
 
-    J = tree.n_joints
-    pos = np.zeros((n_frames, J, 3))
-    xhat = np.array([1.0, 0.0, 0.0])
+    bone = {j: tree.rest_dirs[j.value] * lengths[j.value] for j in JointId}
+    pos = np.empty((n_frames, N_JOINTS, 3))
+    track = pos.swapaxes(0, 1)  # track[j.value]: joint j in every frame
 
-    for i, t in enumerate(times):
-        along_pelvis = v * (t - t1) + 0.5 * sl
-        pelvis = origin + heading * along_pelvis + yhat * h_pelvis
-        phase = 2.0 * math.pi * (t - t1) / stride_T
+    along_pelvis = v * (times - t1) + 0.5 * sl
+    pelvis = origin + heading * along_pelvis[:, None] + yhat * h_pelvis
+    track[JointId.PELVIS.value] = pelvis
+    for j in (JointId.SPINE, JointId.MID_SPINE, JointId.NECK):  # upright trunk
+        track[j.value] = track[PARENT[j].value] + yhat * lengths[j.value]
+    neck = track[JointId.NECK.value]
+    sway = np.sin(2.0 * math.pi * (times - t1) / stride_T)
 
-        def put(j: JointId, p: np.ndarray) -> None:
-            pos[i, j.value] = p
+    # Head and shoulders ride a small nod applied to the whole neck frame.
+    still = np.zeros(n_frames)
+    frame_rot = yaw @ kin.so3_exp(np.stack([nod_amp * sway, still, still], axis=1))
+    track[JointId.HEAD.value] = neck + frame_rot @ bone[JointId.HEAD]
+    for sign, sh, el, wr in (
+        (1.0, JointId.LEFT_SHOULDER, JointId.LEFT_ELBOW, JointId.LEFT_WRIST),
+        (-1.0, JointId.RIGHT_SHOULDER, JointId.RIGHT_ELBOW, JointId.RIGHT_WRIST),
+    ):
+        arm_rot = yaw @ kin.so3_exp((arm_amp * sway * sign)[:, None] * xhat)
+        track[sh.value] = neck + frame_rot @ bone[sh]
+        track[el.value] = track[sh.value] + arm_rot @ bone[el]
+        track[wr.value] = track[el.value] + arm_rot @ bone[wr]
 
-        put(JointId.PELVIS, pelvis)
-        spine = pelvis + yhat * lengths[JointId.SPINE.value]
-        mid = spine + yhat * lengths[JointId.MID_SPINE.value]
-        neck = mid + yhat * lengths[JointId.NECK.value]
-        put(JointId.SPINE, spine)
-        put(JointId.MID_SPINE, mid)
-        put(JointId.NECK, neck)
-
-        # Head and shoulders ride a small nod applied to the whole neck frame.
-        nod = kin.so3_exp(np.array([nod_amp * math.sin(phase), 0.0, 0.0]))
-        frame_rot = yaw @ nod
-        put(JointId.HEAD, neck + frame_rot @ (tree.rest_dirs[JointId.HEAD.value]
-                                              * lengths[JointId.HEAD.value]))
-        for side, sh, el, wr in (
-            ("left", JointId.LEFT_SHOULDER, JointId.LEFT_ELBOW, JointId.LEFT_WRIST),
-            ("right", JointId.RIGHT_SHOULDER, JointId.RIGHT_ELBOW, JointId.RIGHT_WRIST),
-        ):
-            shoulder = neck + frame_rot @ (tree.rest_dirs[sh.value] * lengths[sh.value])
-            put(sh, shoulder)
-            swing = arm_amp * math.sin(phase) * (1.0 if side == "left" else -1.0)
-            arm_rot = yaw @ kin.so3_exp(swing * xhat)
-            elbow = shoulder + arm_rot @ (tree.rest_dirs[el.value] * lengths[el.value])
-            wrist = elbow + arm_rot @ (tree.rest_dirs[wr.value] * lengths[wr.value])
-            put(el, elbow)
-            put(wr, wrist)
-
-        for parity, hip_j, knee_j, ankle_j, heel_j, toe_j in _LEGS:
-            side_sign = -1.0 if parity == 0 else 1.0  # left hip on subject's left
-            hip = pelvis + side_sign * lengths[hip_j.value] * lateral
-            put(hip_j, hip)
-            along, height = ankle_track(parity, float(t), lengths[heel_j.value])
-            ankle = origin + heading * along + yhat * height
-            put(ankle_j, ankle)
-            put(knee_j, _knee_point(hip, ankle, lengths[knee_j.value],
-                                    lengths[ankle_j.value], heading))
-            put(heel_j, ankle - yhat * lengths[heel_j.value])
-            put(toe_j, ankle + heading * lengths[toe_j.value])
+    for parity, hip_j, knee_j, ankle_j, heel_j, toe_j in _LEGS:
+        side_sign = -1.0 if parity == 0 else 1.0  # left hip on subject's left
+        hip = pelvis + side_sign * lengths[hip_j.value] * lateral
+        # The foot stands where it last landed until it lifts off, then
+        # swings a cycloid over one stride and rises by `clearance`.
+        y_ankle = lengths[heel_j.value]
+        k_last = np.floor((times - t_land(parity)) / (2.0 * T)).astype(np.int64) * 2 + parity
+        lift = t_land(k_last + 1) + ds * T
+        u = (times - lift) / ((1.0 - ds) * T)
+        swinging = times > lift
+        along = np.where(swinging, k_last * sl + 2.0 * sl * _cycloid(u), k_last * sl)
+        rise = clearance * (1.0 - np.cos(2.0 * math.pi * u)) / 2.0
+        height = np.where(swinging, y_ankle + rise, y_ankle)
+        ankle = origin + heading * along[:, None] + yhat * height[:, None]
+        track[hip_j.value] = hip
+        track[ankle_j.value] = ankle
+        track[knee_j.value] = _knee_point(hip, ankle, lengths[knee_j.value],
+                                          lengths[ankle_j.value], heading)
+        track[heel_j.value] = ankle - yhat * y_ankle
+        track[toe_j.value] = ankle + heading * lengths[toe_j.value]
 
     params = kin.fit_params_to_positions(tree, pos)
     model = kin.forward_kinematics(tree, lengths, params)
@@ -337,7 +334,7 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     # Emit the constructed positions, not the reconstruction: planted-foot
     # frames then repeat bit-identical samples, so the distance signal's
     # double-support plateaus are exact ties rather than ulp-level wiggle.
-    present = np.ones((n_frames, J), dtype=bool)
+    present = np.ones((n_frames, N_JOINTS), dtype=bool)
     seq = SkeletonSequence(
         fps=spec.fps,
         times=times,
@@ -345,7 +342,7 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
         points_3d=pos,
         mask_3d=present,
         pixels_2d=project(pos, camera),
-        confidence_2d=np.ones((n_frames, J)),
+        confidence_2d=np.ones((n_frames, N_JOINTS)),
         mask_2d=present,
         subject_height_m=spec.subject_height_m,
         source="synthetic",

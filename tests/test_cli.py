@@ -11,6 +11,7 @@ import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -624,6 +625,13 @@ def test_agree_unknown_reference(pipeline, capsys):
     assert "mocap" in err and "truth" in err
 
 
+def _matched_with_value(out, value):
+    """The pipeline's matched CSV with the value of its first record replaced."""
+    lines = (out / "results.matched.csv").read_bytes().split(b"\n")
+    lines[1] = lines[1].rsplit(b",", 1)[0] + b"," + value
+    return b"\n".join(lines)
+
+
 def _agreement_with(out, change):
     """The pipeline's agreement JSON with its first entry changed."""
     doc = json.loads((out / "agreement.agreement.json").read_text())
@@ -638,14 +646,15 @@ def _agreement_with(out, change):
          b"walk-c", b"walk-\xff")),
      ("agree", lambda out: (out / "results.matched.csv").read_bytes().replace(
          b"walk-b", b"walk-a")),
+     ("agree", lambda out: _matched_with_value(out, b"nan")),
      ("report", lambda out: _agreement_with(
          out, lambda e: e.update(pairs=[["1.0", "2.0"]] * 3))),
      ("report", lambda out: _agreement_with(
          out, lambda e: e.update(pairs=e["pairs"][:1]))),
      ("report", lambda out: b"[" * 100_000),
      ("report", lambda out: b"\xff{}")],
-    ids=["csv-header", "csv-not-utf8", "csv-repeated-walk", "pairs-of-strings", "one-pair",
-         "deeply-nested", "json-not-utf8"],
+    ids=["csv-header", "csv-not-utf8", "csv-repeated-walk", "csv-nan-value",
+         "pairs-of-strings", "one-pair", "deeply-nested", "json-not-utf8"],
 )
 def test_malformed_inputs_exit_2(pipeline, tmp_path, capsys, command, document):
     """A malformed matched CSV or agreement JSON gives one error line and
@@ -660,6 +669,24 @@ def test_malformed_inputs_exit_2(pipeline, tmp_path, capsys, command, document):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_svgs_escape_markup_in_names(pipeline, tmp_path):
+    """A method named with &, < and > gives SVGs that parse as XML, from
+    agree and from report, with the name as their title text."""
+    _, _, out = pipeline
+    matched = tmp_path / "lab.matched.csv"
+    matched.write_bytes((out / "results.matched.csv").read_bytes().replace(
+        b",video,", b",R&D <lab>,"))
+    assert main(["agree", str(matched), "--reference", "truth",
+                 "--out-dir", str(tmp_path / "agree")]) == 0
+    assert main(["report", str(tmp_path / "agree" / "agreement.agreement.json"),
+                 "--out-dir", str(tmp_path / "report")]) == 0
+    svgs = sorted(tmp_path.glob("*/*.ba.svg"))
+    assert len(svgs) == 8
+    for svg in svgs:
+        title = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
+        assert title.text.endswith(": truth vs R&D <lab>")
 
 
 def test_report_renders_nan_percentages(pipeline, tmp_path):

@@ -562,6 +562,16 @@ def test_matched_csv_rejects_bad_value():
         )
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity"])
+def test_matched_csv_rejects_a_non_finite_value(cell):
+    """A NaN or infinite value fails the file, naming its line, instead of
+    dropping its parameter from the agreement."""
+    text = f"walk_id,subject_id,method,parameter,value\nw,s,m,p,1\nw,s,n,p,{cell}\n"
+    with pytest.raises(MalformedDocument,
+                       match=rf"^line 3: value is not a finite number: '{cell}'$"):
+        pose_io.read_matched_csv(io.StringIO(text))
+
+
 def test_matched_csv_rejects_a_repeated_row():
     """One row per (walk_id, method, parameter): a repeat, whatever its
     subject and value, names both lines."""
