@@ -31,7 +31,8 @@ Only analyze loads scipy: the optimizer's banded Cholesky solve loads
 scipy's compiled LAPACK extension (scipy/linalg/_flapack) alone, without
 the scipy.linalg package, and analyze with --jobs N > 1 loads it before
 forking its workers, so they share its pages.  simulate, agree and report
-never load it.  No command imports scipy.linalg.
+never load it.  No command imports scipy.linalg, and only analyze with
+--jobs N > 1 loads multiprocessing, for its process pool.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ import io
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -65,6 +64,19 @@ _TRUTH_METHOD = "truth"
 
 _PARAM_UNITS = {p.name: p.unit for p in PARAMETERS}
 _PARAM_LABELS = {p.name: p.label for p in PARAMETERS}
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor and BrokenProcessPool, imported on first access:
+    only analyze --jobs N > 1 uses them, and loading multiprocessing for
+    them would cost every other command 13-20 ms of start-up (2 vCPUs,
+    Python 3.11)."""
+    if name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        from concurrent.futures import process
+
+        value = globals()[name] = getattr(process, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _slug(text: str) -> str:
@@ -191,6 +203,8 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
                               f"{first[walk_id]} and {path}")
         first[walk_id] = path
     if args.jobs > 1 and len(paths) > 1:
+        # Through the module, whose __getattr__ loads the pool types.
+        module = sys.modules[__name__]
         # The solver's LAPACK extension is loaded before the fork, so the
         # workers share its pages instead of each loading it for its first
         # fit.
@@ -200,13 +214,13 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         # more than there are walks.  A worker that dies breaks the pool:
         # the walks that finished keep their rows, the others get an error
         # row.
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+        with module.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             futures = [pool.submit(_analyze_one, str(p), cfg) for p in paths]
             rows = []
             for path, future in zip(paths, futures):
                 try:
                     rows.append(future.result())
-                except BrokenProcessPool as exc:
+                except module.BrokenProcessPool as exc:
                     rows.append(_error_row(path, exc))
     else:
         rows = [_analyze_one(str(p), cfg) for p in paths]
@@ -345,25 +359,48 @@ def _render_table_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-def _render_outputs(doc: dict, out_dir: Path, name: str) -> None:
+def _plot_files(doc: dict, name: str) -> list[tuple[dict, dict, str]]:
+    """(report, parameter entry, file name) for each Bland-Altman SVG of
+    doc.  Two methods or parameters whose names differ only where _slug
+    replaces characters would share a file, one plot overwriting the
+    other: that raises ConfigError naming both."""
+    files = []
+    owner: dict[str, tuple[str, str]] = {}
+    for report in doc["reports"]:
+        for entry in report["parameters"]:
+            method, parameter = report["other_method"], entry["parameter"]
+            fname = f"{name}.{_slug(method)}.{_slug(parameter)}.ba.svg"
+            if fname in owner:
+                first = owner[fname]
+                raise ConfigError(
+                    f"the Bland-Altman plots of method {first[0]!r} ({first[1]}) and "
+                    f"method {method!r} ({parameter}) would both be written to {fname}"
+                )
+            owner[fname] = (method, parameter)
+            files.append((report, entry, fname))
+    return files
+
+
+def _render_outputs(doc: dict, out_dir: Path, name: str,
+                    files: list[tuple[dict, dict, str]]) -> None:
+    """Write doc's table and its Bland-Altman SVGs, files as _plot_files
+    gives them."""
     (out_dir / f"{name}.table1.csv").write_text(
         _render_table_csv(doc), encoding="utf-8", newline=""
     )
-    for report in doc["reports"]:
-        for entry in report["parameters"]:
-            a = [p[0] for p in entry["pairs"]]
-            b = [p[1] for p in entry["pairs"]]
-            label = _PARAM_LABELS.get(entry["parameter"], entry["parameter"])
-            svg = bland_altman_svg(
-                a,
-                b,
-                parameter=label,
-                unit=entry["unit"],
-                method_a=doc["reference_method"],
-                method_b=report["other_method"],
-            )
-            fname = f"{name}.{_slug(report['other_method'])}.{_slug(entry['parameter'])}.ba.svg"
-            (out_dir / fname).write_text(svg, encoding="utf-8", newline="")
+    for report, entry, fname in files:
+        a = [p[0] for p in entry["pairs"]]
+        b = [p[1] for p in entry["pairs"]]
+        label = _PARAM_LABELS.get(entry["parameter"], entry["parameter"])
+        svg = bland_altman_svg(
+            a,
+            b,
+            parameter=label,
+            unit=entry["unit"],
+            method_a=doc["reference_method"],
+            method_b=report["other_method"],
+        )
+        (out_dir / fname).write_text(svg, encoding="utf-8", newline="")
 
 
 def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -442,10 +479,11 @@ def _cmd_agree(args: argparse.Namespace, cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "reports": _rounded(reports),
     }
+    files = _plot_files(doc, args.name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{args.name}.agreement.json").write_bytes(_json_bytes(doc))
-    _render_outputs(doc, out_dir, args.name)
+    _render_outputs(doc, out_dir, args.name, files)
     return 0
 
 
@@ -520,9 +558,10 @@ def _cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("agreement report holds no comparisons", file=sys.stderr)
         return 1
     name = args.name or _slug(path.name.split(".")[0])
+    files = _plot_files(doc, name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _render_outputs(doc, out_dir, name)
+    _render_outputs(doc, out_dir, name, files)
     n = sum(len(r["parameters"]) for r in doc["reports"])
     print(f"rendered {n} comparisons from {path.name}")
     return 0

@@ -43,9 +43,11 @@ the current pose, which kin.position_jacobian_vjp forms from subtree
 sums without a Jacobian, in three increments per rotated joint, and
 StepLayout.project takes onto the step axes.  That is the chord method
 inside the damped loop; a reuse step that does not lower the energy is
-retaken fresh.  The fit stops when a fresh step changes the energy by at
-most a set fraction of it (EnergyConfig.tolerance), and says why it
-stopped (STOP_REASONS).
+retaken fresh.  The fit stops when a step changes the energy by at most a
+set fraction of it (EnergyConfig.tolerance): a fresh step on that test
+alone, a reuse step only when its drop is also at most half the one
+before, so the chord iteration's contraction bounds the decrease still to
+come by the same fraction.  It says why it stopped (STOP_REASONS).
 PoseParams holds the local rotation matrices themselves; each step
 left-multiplies them by the exponential of a small increment about the
 step axes, so no rotation is ever expressed by a parameter vector with a
@@ -94,13 +96,17 @@ _CHUNK_FRAMES = 32
 # sits under the rounding noise of the energy sum, so fits run to
 # max_iterations.
 _MIN_TOLERANCE = 1e-10
+# The largest ratio of an accepted energy drop to the one before it at which
+# the drops count as contracting: such a step hands its factor to the next
+# step, and a reuse step with such a drop at most the tolerance stops the fit.
+_CONTRACTION = 0.5
 
-# Why EnergyProblem.solve stopped: an accepted fresh step lowered the energy
-# by at most the relative tolerance ("decrease"); a rejected fresh step left
-# it flat to within that tolerance, or no parameter moves any residual
-# ("flat"); no damping up to _MAX_DAMPING gave an acceptable step
-# ("damping_exhausted"); or max_iterations steps were taken
-# ("iteration_cap").
+# Why EnergyProblem.solve stopped: an accepted fresh step, or a contracting
+# reuse step, lowered the energy by at most the relative tolerance
+# ("decrease"); a rejected fresh step left it flat to within that
+# tolerance, or no parameter moves any residual ("flat"); no damping up to
+# _MAX_DAMPING gave an acceptable step ("damping_exhausted"); or
+# max_iterations steps were taken ("iteration_cap").
 STOP_REASONS = ("decrease", "flat", "damping_exhausted", "iteration_cap")
 CONVERGED_REASONS = frozenset({"decrease", "flat"})
 
@@ -161,12 +167,14 @@ class EnergyConfig:
     w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
     pixel residuals like squared metric residuals at unit depth.  tolerance
     is a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once
-    an accepted step from a fresh factorization lowers the energy by at most
-    tolerance times its value, or a rejected one changes it by at most that
-    much, and otherwise after max_iterations (at least 1) accepted steps of
-    either kind (see EnergyProblem.solve) with converged=False.  Weights are
-    finite and non-negative.  A field outside its range raises ValueError
-    whose message starts with the field name.
+    an accepted step lowers the energy by at most tolerance times its value
+    (a step that reuses an earlier factorization only when its drop is also
+    at most half the drop before it), or a rejected step from a fresh
+    factorization changes it by at most that much, and otherwise after
+    max_iterations (at least 1) accepted steps of either kind (see
+    EnergyProblem.solve) with converged=False.  Weights are finite and
+    non-negative.  A field outside its range raises ValueError whose
+    message starts with the field name.
     """
 
     w_ik: float = 1.0
@@ -608,10 +616,11 @@ class EnergyProblem:
         Once the pose has settled, the factor is reused (the chord, or
         Shamanskii, method; Kelley, Iterative Methods for Linear and
         Nonlinear Equations, 1995, ch. 5): an accepted step whose energy
-        drop is at most half the previous accepted drop, and still above
-        tolerance * E, hands the factor it leaves in ab, with its step axes,
-        to the next step.  That reuse step takes the gradient J^T r~ at the
-        current pose in those axes and solves with the factor, with no
+        drop contracts, at most _CONTRACTION (one half) times the previous
+        accepted drop, and is still above tolerance * E, hands the factor it
+        leaves in ab, with its step axes, to the next step.  That reuse step
+        takes the gradient J^T r~ at the current pose in those axes and
+        solves with the factor, with no
         assembly and no factorization.  It is kept only if it strictly
         lowers the energy, and then lowers the damping like any accepted
         step; otherwise it is retaken as a fresh step at the same pose.
@@ -622,10 +631,15 @@ class EnergyProblem:
         Levenberg-Marquardt stopping tests of Madsen, Nielsen & Tingleff
         (2004): an accepted fresh step with E_k - E_k+1 <= tolerance * E_k
         stops as "decrease", a rejected fresh step with
-        |E_new - E_k| <= tolerance * E_k as "flat".  A reuse step never
-        stops the fit: after one whose drop is that small the next step is
-        fresh, so a converged fit stops on the current Gauss-Newton model.
-        info["stop_reason"] is one of STOP_REASONS."""
+        |E_new - E_k| <= tolerance * E_k as "flat".  An accepted reuse step
+        stops as "decrease" when its drop is within the same bound and
+        contracts as above.  The chord iteration converges q-linearly: while
+        its drops keep contracting by a ratio q <= 1/2, the decrease still
+        to come is at most drop * q / (1 - q) <= drop <= tolerance * E_k,
+        the bound the fresh test gives, so the confirming fresh step (one
+        assembly and one factorization) is not taken.  After a reuse step whose drop is
+        that small but does not contract, the next step is fresh, and it
+        decides.  info["stop_reason"] is one of STOP_REASONS."""
         tree = self.tree
         t, rot = init.translations, init.rotations
 
@@ -708,10 +722,12 @@ class EnergyProblem:
             history.append(energy)
             lam = max(lam / _DAMPING_DECREASE, 1e-12)
             iterations += 1
-            if fresh and drop <= floor:
+            contracting = drop <= _CONTRACTION * last_drop
+            if drop <= floor and (fresh or contracting):
                 stop_reason = "decrease"
                 break
-            if floor < drop <= 0.5 * last_drop:
+            if contracting:
+                # Above the floor here: the step hands its factor over.
                 reuse_axes = axes
             last_drop = drop
         else:

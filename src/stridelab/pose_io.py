@@ -377,7 +377,9 @@ def write_gait_csv(
 
 
 def read_gait_csv(fp: TextIO) -> list[dict]:
-    """Read a `.gait.csv` back into one dict per walk (floats parsed)."""
+    """Read a `.gait.csv` back into one dict per walk (floats parsed).  A
+    value that is not a finite number raises MalformedDocument naming its
+    line, as in read_matched_csv."""
     reader = csv.reader(fp)
     try:
         head = next(reader)
@@ -394,11 +396,14 @@ def read_gait_csv(fp: TextIO) -> list[dict]:
         rec: dict = {"walk_id": row[0], "source": row[1]}
         for key, cell in zip(GAIT_CSV_COLUMNS[2:], row[2:]):
             try:
-                rec[key] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise MalformedDocument(
-                    f"line {lineno}: {key} is not a number: {cell!r}"
-                ) from None
+                    f"line {lineno}: {key} is not a finite number: {cell!r}"
+                )
+            rec[key] = value
         out.append(rec)
     return out
 

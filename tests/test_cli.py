@@ -321,6 +321,18 @@ def test_parallel_analyze_loads_scipy_before_the_fork(pipeline, tmp_path):
         "0 False False True []"
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    """Only analyze --jobs N > 1 needs a process pool: importing the CLI
+    loads neither multiprocessing nor concurrent.futures.process."""
+    src = Path(stridelab.__file__).resolve().parents[1]
+    code = ("import sys, stridelab.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_simulate_is_deterministic(tmp_path):
     spec = tmp_path / "walks.ini"
     spec.write_text("[w]\nspeed_m_s = 1.1\ncadence_steps_min = 100\n"
@@ -687,6 +699,47 @@ def test_svgs_escape_markup_in_names(pipeline, tmp_path):
     for svg in svgs:
         title = ElementTree.parse(svg).getroot().find("{http://www.w3.org/2000/svg}text")
         assert title.text.endswith(": truth vs R&D <lab>")
+
+
+def _with_methods(out, names):
+    """The pipeline's matched CSV with its video rows repeated under each
+    of names."""
+    lines = (out / "results.matched.csv").read_bytes().splitlines(keepends=True)
+    video = [line for line in lines if b",video," in line]
+    return b"".join(lines + [line.replace(b",video,", f",{n},".encode())
+                             for n in names for line in video])
+
+
+def test_colliding_plot_names_exit_2(pipeline, tmp_path, capsys):
+    """Two methods whose names give one SVG file name would overwrite one
+    plot with the other: agree and report exit 2 with one error line naming
+    both, before writing any file.  Names that differ in their file names
+    are plotted apart."""
+    _, _, out = pipeline
+    matched = tmp_path / "clash.matched.csv"
+    matched.write_bytes(_with_methods(out, ["video 1", "video/1"]))
+    assert main(["agree", str(matched), "--reference", "truth",
+                 "--out-dir", str(tmp_path / "agree")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'video 1'" in err and "'video/1'" in err
+    assert not (tmp_path / "agree").exists()
+
+    doc = json.loads((out / "agreement.agreement.json").read_text())
+    first = doc["reports"][0]
+    doc["reports"] = [dict(first, other_method=n) for n in ("video 1", "video/1")]
+    clash = tmp_path / "clash.agreement.json"
+    clash.write_text(json.dumps(doc))
+    assert main(["report", str(clash), "--out-dir", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'video 1'" in err and "'video/1'" in err
+    assert not (tmp_path / "report").exists()
+
+    matched.write_bytes(_with_methods(out, ["video 1", "video/2"]))
+    assert main(["agree", str(matched), "--reference", "truth",
+                 "--out-dir", str(tmp_path / "apart")]) == 0
+    assert len(list((tmp_path / "apart").glob("*.ba.svg"))) == 12
 
 
 def test_report_renders_nan_percentages(pipeline, tmp_path):

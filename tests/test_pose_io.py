@@ -541,6 +541,16 @@ def test_gait_csv_rejects_wrong_header():
         pose_io.read_gait_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "fast"])
+def test_gait_csv_rejects_a_value_that_is_not_a_finite_number(cell):
+    """A NaN, infinite or text value fails the file naming its line, as
+    read_matched_csv does."""
+    text = ",".join(pose_io.GAIT_CSV_COLUMNS) + f"\nw,s,1.2,110,{cell},0.55\n"
+    with pytest.raises(MalformedDocument,
+                       match=rf"^line 2: step_length_cm is not a finite number: '{cell}'$"):
+        pose_io.read_gait_csv(io.StringIO(text))
+
+
 def test_matched_csv_round_trip():
     records = [
         ("w1", "s1", "video", "gait_speed_m_s", 1.25),
