@@ -50,9 +50,15 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         a = np.where(small, 1.0 - theta2 / 6.0, np.sin(theta) / theta)
         b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(theta)) / theta2)
+    # I + a K + b K^2, accumulated in place: the same sums in another order
+    # (K's diagonal is zero), with no (..., 3, 3) temporaries beyond R and K.
     K = hat(w)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + a[..., None, None] * K + b[..., None, None] * (K @ K)
+    R = K @ K
+    R *= b[..., None, None]
+    K *= a[..., None, None]
+    R += K
+    R.reshape(R.shape[:-2] + (9,))[..., ::4] += 1.0
+    return R
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,8 +331,17 @@ class PoseParams:
         if self.rotations.shape[0] != self.translations.shape[0]:
             raise ValueError("translations and rotations disagree on frame count")
         R = self.rotations
-        drift = np.linalg.norm(R.swapaxes(-1, -2) @ R - np.eye(3), axis=(-2, -1))
-        if not (np.all(drift <= 1e-9) and np.all(np.linalg.det(R) > 0)):
+        # R^T R from a contiguous transpose, which matmul takes faster; a
+        # non-finite or huge entry gives a drift that is not <= 1e-9, without
+        # a warning.  Once the drift is within 1e-9, det R is 1 or -1 to
+        # within about 1e-9, so the column triple product c0 . (c1 x c2)
+        # gives its sign without an LU factorization.
+        with np.errstate(invalid="ignore", over="ignore"):
+            RtR = np.ascontiguousarray(R.swapaxes(-1, -2)) @ R
+            drift = np.linalg.norm(RtR - np.eye(3), axis=(-2, -1))
+        if not (np.all(drift <= 1e-9)
+                and np.all(np.einsum("...i,...i->...", R[..., 0],
+                                     _cross(R[..., 1], R[..., 2])) > 0)):
             raise ValueError("rotations must be rotation matrices")
 
     @property

@@ -30,8 +30,10 @@ banded Cholesky factorization of that storage, in place (LAPACK's dpbtrf
 and dpbtrs, called on scipy's compiled extension, which _lapack loads
 without the scipy.linalg package).  The matrix is assembled in fixed-size
 frame chunks, so no Jacobian or block array spans the walk: a solve holds
-one band, reused across iterations, plus
-per-frame residuals and weights and one chunk's buffers.  A step is
+one band, reused across iterations, plus per-frame residuals, weights and
+poses and one chunk's buffers.  Chunks belong to the assembly alone: the
+right-hand side J^T r~ needs no Jacobian and is formed over the whole walk
+in one pass (EnergyProblem._jtr).  A step is
 accepted only when it strictly decreases the energy, otherwise the
 damping is increased, the band assembled again at the same pose (the
 failed attempt overwrote it with its factor) and the step recomputed.
@@ -89,8 +91,10 @@ _INIT_DAMPING = 1e-3
 _DAMPING_INCREASE = 5.0
 _DAMPING_DECREASE = 3.0
 _MAX_DAMPING = 1e14
-# Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks)
-# and of its right-hand side (_jtr).
+# Frames per chunk of the Gauss-Newton normal-matrix assembly (_normal_blocks),
+# the one walk-long computation whose per-frame buffers (Jacobians and
+# blocks) are too large to hold for every frame at once; its right-hand side
+# (_jtr) is formed over the whole walk.
 _CHUNK_FRAMES = 32
 # The smallest EnergyConfig.tolerance: below it the relative-decrease test
 # sits under the rounding noise of the energy sum, so fits run to
@@ -397,17 +401,12 @@ class EnergyProblem:
         resid of _weighted_residuals, in the step layout about axes (see
         _normal_blocks).  No Jacobian or band is formed:
         kin.position_jacobian_vjp sums r~ over subtrees and the layout
-        projects the sums onto the axes, _CHUNK_FRAMES frames at a time, so
-        the buffers stay chunk-sized."""
-        layout = self.tree.step_layout
-        out = np.empty((self.F, layout.params_per_frame))
-        for s in range(0, self.F, _CHUNK_FRAMES):
-            e = min(s + _CHUNK_FRAMES, self.F)
-            out[s:e] = layout.project(
-                kin.position_jacobian_vjp(self.tree, X[s:e], G[s:e], resid[s:e]),
-                axes[s:e],
-            )
-        return out
+        projects the sums onto the axes, over the whole walk in one call
+        each.  Their buffers hold a few values per joint and frame, no more
+        than the residuals do, so unlike the assembly's they need no
+        chunks."""
+        increments = kin.position_jacobian_vjp(self.tree, X, G, resid)
+        return self.tree.step_layout.project(increments, axes)
 
     def gradient(self, params: PoseParams) -> np.ndarray:
         """Analytic dE/dstep at params, (F * P,) with P = tree.params_per_frame.

@@ -87,16 +87,25 @@ _FIELDS = {
     "joints_3d": (("x", None), ("y", None), ("z", None)),
 }
 _LABELS = tuple(j.label for j in JointId)  # in column order
+# Per joint map, the SkeletonSequence mask it fills, then each block with
+# the fields (a slice or one index of _FIELDS[key]) that it takes.
+_BLOCK_NAMES = {
+    "joints_2d": ("mask_2d", ("pixels_2d", slice(0, 2)), ("confidence_2d", 2)),
+    "joints_3d": ("mask_3d", ("points_3d", slice(0, 3))),
+}
 
 
-def _parse_joints(obj, key: str, columns: dict, where: str) -> dict:
-    """One frame's joint map `key` -> {column: values in _FIELDS[key] order}.
+def _parse_joints(obj, key: str, columns: dict, where: str, base: int,
+                  cells: array, values: array) -> None:
+    """Append one frame's joint map `key`: each record's flat cell, `base`
+    plus its joint's column, to `cells`, and its values in _FIELDS[key]
+    order to `values`.
 
     `columns` caches each joint name's column (None: dropped) over a
     document."""
     if not isinstance(obj, dict):
         raise MalformedDocument(f"{where}: {key} must be an object")
-    out: dict[int, list] = {}
+    fields = _FIELDS[key]
     for name, rec in obj.items():
         if name not in columns:
             joint = canonical_joint(name)
@@ -106,13 +115,13 @@ def _parse_joints(obj, key: str, columns: dict, where: str) -> dict:
             continue
         if not isinstance(rec, dict):
             raise MalformedDocument(f"{where}: joint {name!r} must be an object")
-        values = out[col] = []
-        for field, default in _FIELDS[key]:
+        cells.append(base + col)
+        for field, default in fields:
             v = rec.get(field, default)
-            if type(v) is not float or not math.isfinite(v):
-                v = _require_number(v, f"{where}: {name}.{field}")
-            values.append(v)
-    return out
+            if type(v) is float and math.isfinite(v):
+                values.append(v)
+            else:
+                values.append(_require_number(v, f"{where}: {name}.{field}"))
 
 
 def _text(data: Union[bytes, str], what: str) -> str:
@@ -145,8 +154,9 @@ def load_json_object(data: Union[bytes, str], what: str) -> dict:
 class _FrameReader:
     """Reads frame records, in order, into flat typed buffers: each frame's
     index and time and, per joint map met, each joint record's flat
-    (frame, joint) cell and field values.  `sequence` fills the
-    SkeletonSequence's blocks from them with one assignment per array."""
+    (frame, joint) cell and field values.  `sequence` builds the
+    SkeletonSequence's blocks from them, one assignment per array, and
+    hands them over without a copy."""
 
     def __init__(self) -> None:
         self.indices = array("q")
@@ -167,40 +177,41 @@ class _FrameReader:
         except OverflowError:
             raise MalformedDocument(f"{where}.index {idx} exceeds 64 bits") from None
         self.times.append(_require_number(rec.get("time_s"), f"{where}.time_s"))
-        base = pos * N_JOINTS
         for key in _FIELDS:
             if key in rec:
-                joints = _parse_joints(rec[key], key, self.columns, where)
                 if key not in self.maps:
                     self.maps[key] = array("q"), array("d")
-                cells, values = self.maps[key]
-                for col, fields in joints.items():
-                    cells.append(base + col)
-                    values.extend(fields)
+                _parse_joints(rec[key], key, self.columns, where, pos * N_JOINTS,
+                              *self.maps[key])
 
     def sequence(self, fps: float, height: Optional[float], source: str) -> SkeletonSequence:
         """The frames read, under this header.  A modality's block exists
-        when some frame carried its joint map."""
+        when some frame carried its joint map; where one frame names a
+        joint twice in a map, the last record counts."""
         F = len(self.indices)
-        maps = {}
-        for key, (cells, values) in self.maps.items():
-            k = len(_FIELDS[key])
-            block = np.zeros((F * N_JOINTS, k))
-            present = np.zeros(F * N_JOINTS, dtype=bool)
-            cells = np.frombuffer(cells, dtype=np.int64)
-            block[cells] = np.frombuffer(values).reshape(-1, k)
-            present[cells] = True
-            maps[key] = block.reshape(F, N_JOINTS, k), present.reshape(F, N_JOINTS)
         blocks: dict = {}
-        if "joints_2d" in maps:
-            values, blocks["mask_2d"] = maps["joints_2d"]
-            blocks["pixels_2d"], blocks["confidence_2d"] = values[..., :2], values[..., 2]
-        if "joints_3d" in maps:
-            blocks["points_3d"], blocks["mask_3d"] = maps["joints_3d"]
+        for key, (cells, values) in self.maps.items():
+            cells = np.frombuffer(cells, dtype=np.int64)
+            values = np.frombuffer(values).reshape(-1, len(_FIELDS[key]))
+            present = np.zeros(F * N_JOINTS, dtype=bool)
+            present[cells] = True
+            # numpy leaves unspecified which of two assignments to one cell
+            # lands, so a cell met twice keeps its last record explicitly.
+            if np.count_nonzero(present) < len(cells):
+                last = len(cells) - 1 - np.unique(cells[::-1], return_index=True)[1]
+                cells, values = cells[last], values[last]
+            mask, *arrays = _BLOCK_NAMES[key]
+            blocks[mask] = present.reshape(F, N_JOINTS)
+            for name, part in arrays:
+                taken = values[:, part]
+                block = np.zeros((F * N_JOINTS,) + taken.shape[1:])
+                block[cells] = taken
+                blocks[name] = block.reshape((F, N_JOINTS) + taken.shape[1:])
         try:
             return SkeletonSequence(fps=fps, times=np.frombuffer(self.times),
                                     indices=np.frombuffer(self.indices, dtype=np.int64),
-                                    subject_height_m=height, source=source, **blocks)
+                                    subject_height_m=height, source=source, _owned=True,
+                                    **blocks)
         except StrideLabError:
             raise
         except ValueError as exc:

@@ -22,7 +22,7 @@ scene) refers to gravity, so no result depends on it.
 import configparser
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from importlib import resources
 from typing import Mapping, NamedTuple, Optional
 
@@ -220,6 +220,9 @@ class SkeletonSequence:
     subject_height_m, when given, is positive and finite (derive_anatomy
     narrows it to (0.5, 2.5) m).  The constructor validates and stores
     read-only copies; cells of absent joints read 0, confidences included.
+    With _owned=True it keeps arrays already of the stored dtype instead of
+    copying them: only for arrays built for the sequence that no one else
+    holds (pose_io's frame reader passes them).
     """
 
     fps: float
@@ -232,8 +235,9 @@ class SkeletonSequence:
     mask_2d: Optional[np.ndarray] = None
     subject_height_m: Optional[float] = None
     source: str = ""
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _owned: bool) -> None:
         if not (self.fps > 0 and math.isfinite(self.fps)):
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         height = self.subject_height_m
@@ -241,10 +245,11 @@ class SkeletonSequence:
             raise ValueError(f"subject_height_m must be positive and finite, got {height}")
         if np.size(self.indices) and np.asarray(self.indices).dtype.kind not in "iu":
             raise ValueError("frame indices must be integers")
-        times = self._store("times", np.float64)
+        copy = not _owned
+        times = self._store("times", np.float64, copy=copy)
         if times.ndim != 1:
             raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-        indices = self._store("indices", np.int64, times.shape)
+        indices = self._store("indices", np.int64, times.shape, copy)
         bad = ~(np.isfinite(times) & (times >= 0))
         if bad.any():
             f = int(np.argmax(bad))
@@ -265,9 +270,10 @@ class SkeletonSequence:
                 if any(given):
                     raise ValueError(f"{', '.join(names)} must be given together")
                 continue
-            present = self._store(names[-1], bool, (F, N_JOINTS))
+            present = self._store(names[-1], bool, (F, N_JOINTS), copy)
             for name in names[:-1]:
-                values = self._store(name, np.float64, (F, N_JOINTS) + _COORDS.get(name, ()))
+                values = self._store(name, np.float64,
+                                     (F, N_JOINTS) + _COORDS.get(name, ()), copy)
                 values[~present] = 0.0
                 if not np.isfinite(values).all():
                     raise ValueError(
@@ -286,11 +292,13 @@ class SkeletonSequence:
                                  f"{self.confidence_2d[bad][0]} outside [0, 1]")
         times.flags.writeable = indices.flags.writeable = False
 
-    def _store(self, name: str, dtype, shape: Optional[tuple] = None) -> np.ndarray:
-        """Replace field `name` by a copy of the given dtype and return it.
+    def _store(self, name: str, dtype, shape: Optional[tuple] = None,
+               copy: bool = True) -> np.ndarray:
+        """Replace field `name` by a copy of the given dtype (with copy
+        False, by the array itself when it has that dtype) and return it.
         A shape other than `shape` raises FrameCountMismatch when the frame
         count differs, ValueError otherwise."""
-        arr = np.array(getattr(self, name), dtype=dtype)
+        arr = np.array(getattr(self, name), dtype=dtype, copy=copy or None)
         if shape is not None and arr.shape != shape:
             error = FrameCountMismatch if arr.shape[:1] != shape[:1] else ValueError
             raise error(f"{name} has shape {arr.shape}, the sequence needs {shape}")

@@ -7,6 +7,8 @@ matrices; the finite differences below turn them by small left-multiplied
 increments exp(h e) R, the steps of the fit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +136,49 @@ def test_params_reject_non_rotations(bad):
     }[bad]
     with pytest.raises(ValueError, match="rotation matrices"):
         PoseParams(translations=np.zeros((2, 3)), rotations=rotations)
+
+
+def _with_drift(R, drift):
+    """R with its first column scaled so that |M^T M - I| is drift."""
+    return R * np.array([math.sqrt(1.0 + drift), 1.0, 1.0])
+
+
+@pytest.mark.parametrize("case, accepted", [
+    ("drift 0.5e-9", True),
+    ("drift 2e-9", False),
+    ("reflection -I", False),
+    ("reflection -R", False),
+    ("+inf", False),
+    ("-inf", False),
+    ("huge", False),
+])
+def test_params_rotation_check_at_its_edges(case, accepted):
+    """The check accepts a Frobenius drift |R^T R - I| up to 1e-9 and a
+    positive determinant: a drift of half the bound passes, twice the bound
+    fails, a reflection fails with no drift at all, and an infinite or
+    overflowing entry fails with a ValueError, not a warning."""
+    rotations = so3_exp(np.random.default_rng(5).normal(0.0, 0.5, (2, 14, 3)))
+    R = rotations[0, 3]
+    M = {
+        "drift 0.5e-9": _with_drift(R, 0.5e-9),
+        "drift 2e-9": _with_drift(R, 2e-9),
+        "reflection -I": -np.eye(3),
+        "reflection -R": -R,
+        "+inf": np.where(np.eye(3, dtype=bool), R, np.inf),
+        "-inf": np.where(np.eye(3, dtype=bool), -np.inf, R),
+        "huge": R * 1e200,
+    }[case]
+    if case.startswith("drift"):
+        drift = np.linalg.norm(M.T @ M - np.eye(3))
+        assert drift == pytest.approx(float(case.split()[1]), rel=1e-5)
+    if case == "reflection -I":
+        assert np.array_equal(M.T @ M, np.eye(3))
+    rotations[0, 3] = M
+    if accepted:
+        PoseParams(translations=np.zeros((2, 3)), rotations=rotations)
+    else:
+        with pytest.raises(ValueError, match="rotation matrices"):
+            PoseParams(translations=np.zeros((2, 3)), rotations=rotations)
 
 
 def _reference_fit(tree, positions, present):

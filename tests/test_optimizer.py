@@ -5,6 +5,7 @@ Two oracles anchor this file: a direct summation of the four residual terms
 differences for the gradient.
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -565,7 +566,8 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
     """Chunks of one to three frames split F = 5 and 7 so that blocks (f + k, f)
     cross chunk edges and the last chunk is partial (5 = 2 + 2 + 1, 7 = 3 + 3
     + 1); the band, J^T r and the solve still match the dense reference, on
-    a walk whose 2D masks and confidences vary between frames."""
+    a walk whose 2D masks and confidences vary between frames.  Chunks are
+    the assembly's alone: J^T r is formed over the whole walk at once."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     real = optimizer_module.kin.position_jacobian
     calls = []
@@ -586,17 +588,16 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
     test_banded_normal_matrix_and_solve_match_dense(_thinned(noisy_walk), n_frames)
     assert len(calls) == math.ceil(n_frames / chunk)
     assert max(calls) <= chunk + 2
-    # J^T r~ takes the same chunks without the two frames ahead.
-    assert len(vjp_calls) == math.ceil(n_frames / chunk)
-    assert max(vjp_calls) <= chunk
+    # J^T r~ takes one whole-walk call, whatever the chunk size.
+    assert vjp_calls == [n_frames]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
-    """The solver's right-hand side J^T r~, formed one to three frames at a
-    time, is half the gradient (formed over the walk at once, in
-    increments) projected onto the swing axes."""
+    """The solver's right-hand side J^T r~ is half the gradient (formed in
+    increments) projected onto the swing axes, whatever the assembly's chunk
+    size, one to three frames here."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     rng = np.random.default_rng(seed)
     seq = _sequence_from_params(_params(rng, 5))
@@ -642,7 +643,13 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
 
 def _traced_peak(fn):
     """Peak bytes traced while fn runs, above what was traced before it, and
-    fn's result."""
+    fn's result.  fn runs once untraced first, and a full collection then
+    resets the collector's counts, so the window traces the same work
+    whatever ran before: no first-call work (a lazy import or cache, such
+    as the LAPACK extension's load, 0.7 MB at the first solve of a
+    process), and any collection inside it falls at the same point."""
+    fn()
+    gc.collect()
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()

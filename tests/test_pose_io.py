@@ -466,15 +466,21 @@ def test_any_layout_of_a_written_walk_parses_to_the_same_arrays(
     assert streamed == _outcome(blob)
 
 
-def test_parse_peak_memory_is_bounded_by_the_document():
+@pytest.fixture(scope="module")
+def long_walk():
+    """A noisy 590-frame walk (60 fps, 12 m) and its written bytes."""
+    seq, _ = generate(WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=12.0,
+                                 fps=60.0, sigma3d_m=0.01, sigma2d_px=2.0, seed=3))
+    assert len(seq) >= 590
+    return seq, pose_io.write_stream(seq)
+
+
+def test_parse_peak_memory_is_bounded_by_the_document(long_walk):
     """Frames are decoded one at a time, so the parse holds the decoded text
     and flat buffers of the values, never a tree of the whole document:
     its traced peak stays under twice the document's bytes on a long walk
     (the whole-document path peaks near four times)."""
-    seq, _ = generate(WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=12.0,
-                                 fps=60.0, sigma3d_m=0.01, sigma2d_px=2.0, seed=3))
-    blob = pose_io.write_stream(seq)
-    assert len(seq) >= 590
+    _, blob = long_walk
     tracemalloc.start()
     try:
         pose_io.parse_stream(blob)
@@ -482,6 +488,59 @@ def test_parse_peak_memory_is_bounded_by_the_document():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(blob)
+
+
+def test_reader_hands_its_blocks_to_the_sequence(long_walk):
+    """The reader builds each block in the sequence's dtype, with pixels and
+    confidences as separate arrays, and the sequence keeps them without a
+    second copy: on the 590-frame walk, building the sequence peaks at most
+    0.8 MB traced (1.3 MB when the sequence copied them; its blocks and
+    masks take 0.62 MB), and every array holds the written values bit for
+    bit, read-only."""
+    seq, blob = long_walk
+    reader = pose_io._FrameReader()
+    for rec in json.loads(blob)["frames"]:
+        reader.read(rec)
+    tracemalloc.start()
+    try:
+        parsed = reader.sequence(seq.fps, seq.subject_height_m, seq.source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6
+    written = np.vectorize(pose_io._round10, otypes=[float])
+    for name in _ARRAYS:
+        got, want = getattr(parsed, name), getattr(seq, name)
+        if want.dtype.kind == "f":
+            want = written(want)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("value, message", [
+    (1, None),
+    (-0.0, None),
+    (True, "frames[0]: Head.x must be a number, got True"),
+    (None, "frames[0]: Head.x must be a number, got None"),
+    ("1", "frames[0]: Head.x must be a number, got '1'"),
+    (math.nan, "frames[0]: Head.x must be finite, got nan"),
+    (-math.inf, "frames[0]: Head.x must be finite, got -inf"),
+    (10**400, "frames[0]: Head.x is too large for a float"),
+])
+@pytest.mark.parametrize("key", ["joints_2d", "joints_3d"])
+def test_a_coordinate_that_is_not_a_float_takes_the_full_check(key, value, message):
+    """A coordinate that is not a finite float is checked as any number is:
+    an integer reads as its float, anything else names the joint and
+    field.  A finite float, -0.0 too, is kept as it is."""
+    record = {"x": value, "y": 2.0, "z": 3.0}
+    data = _doc([{"index": 0, "time_s": 0.0, key: {"Head": record}}])
+    if message is None:
+        seq = pose_io.parse_stream(data)
+        x = (seq.pixels_2d if key == "joints_2d" else seq.points_3d)[0, JointId.HEAD.value, 0]
+        assert x == value and math.copysign(1.0, x) == math.copysign(1.0, value)
+        return
+    assert _outcome(data) == (MalformedDocument, message)
 
 
 def test_rounding_pass_reaches_every_float():

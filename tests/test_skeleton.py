@@ -232,6 +232,18 @@ def test_sequence_arrays_are_read_only_copies():
         seq.points_3d[0, 0, 0] = 1.0
 
 
+def test_sequence_never_keeps_a_callers_arrays():
+    """Arrays already of the stored dtype and shape are copied too: the
+    sequence shares no memory with them and leaves them writeable."""
+    blocks = {**_head_3d((0.5, 0.0, 3.0)), **_head_2d(1.0, 2.0, 0.5)}
+    times, indices = np.zeros(1), np.zeros(1, dtype=np.int64)
+    seq = SkeletonSequence(fps=30.0, times=times, indices=indices, **blocks)
+    for name, given in (("times", times), ("indices", indices), *blocks.items()):
+        assert not np.shares_memory(getattr(seq, name), given)
+        assert given.flags.writeable
+        assert not getattr(seq, name).flags.writeable
+
+
 def test_sequence_duration(clean_walk):
     seq, _ = clean_walk
     n = len(seq)
