@@ -3,8 +3,9 @@
 
 Runs the full in-process pipeline (synthesize -> fit -> detect -> report)
 for each grid point and prints per-parameter relative errors against ground
-truth, plus the worst case.  Useful for probing how noise levels or frame
-rates move the error envelope without setting up a study directory.  A walk
+truth, plus the worst case.  Useful for probing how the 3D noise level or
+the frame rate moves the error envelope without setting up a study
+directory; the fit reads no 2D joint, so the walks carry no 2D noise.  A walk
 the pipeline fails on prints an error row and the sweep goes on; the worst
 case covers the walks that ran.  Exits 1 when none ran, 2 on a bad argument.
 """
@@ -34,8 +35,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--walks", type=int, default=10)
     ap.add_argument("--sigma3d", type=float, default=0.0)
-    ap.add_argument("--sigma2d", type=float, default=0.0)
-    ap.add_argument("--dropout", type=float, default=0.0)
     ap.add_argument("--distance", type=float, default=6.0)
     ap.add_argument("--fps", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=0)
@@ -53,8 +52,6 @@ def main(argv=None) -> int:
                 distance_m=args.distance,
                 fps=args.fps,
                 sigma3d_m=args.sigma3d,
-                sigma2d_px=args.sigma2d,
-                dropout=args.dropout,
                 seed=args.seed + i,
             ))
         except (ValueError, StrideLabError) as exc:

@@ -4,8 +4,8 @@ The pipeline runs in four stages, each usable on its own:
 
 1. `skeleton` / `pose_io`: the array-native pose sequence (3D metres and,
    optionally, 2D pixels) and total parsers for its interchange format.
-2. `optimizer`: fits a kinematic skeleton through every frame at once,
-   balancing 3D agreement, reprojection, temporal smoothness and depth drift.
+2. `optimizer`: fits a kinematic skeleton to the 3D joints of every frame
+   at once, balancing 3D agreement against temporal smoothness.
 3. `events` / `report`: step detection on the inter-ankle distance signal and
    aggregation into speed, cadence, step length and step time.
    `analyze_sequence` runs stages 2 and 3 in one call.

@@ -173,12 +173,10 @@ def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
     def num(key: str) -> float:
         return _as_float(f"energy.{key}", section[key])
 
-    auto = section["w_proj"].strip().lower() == "auto"
     max_iterations = _as_int("energy.max_iterations", section["max_iterations"])
     tolerance = num("tolerance")
     try:
-        return EnergyConfig(w_ik=num("w_ik"), w_proj=None if auto else num("w_proj"),
-                            w_smooth=num("w_smooth"), w_depth=num("w_depth"),
+        return EnergyConfig(w_ik=num("w_ik"), w_smooth=num("w_smooth"),
                             max_iterations=max_iterations, tolerance=tolerance)
     except ValueError as exc:
         raise ConfigError(f"config key energy.{exc}") from None

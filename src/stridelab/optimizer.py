@@ -1,15 +1,13 @@
 """Anatomically constrained sequence optimization.
 
-Fits a fixed-bone-length kinematic skeleton to noisy per-frame 3D (and,
-when the stream has them, 2D) detections by minimizing
+Fits a fixed-bone-length kinematic skeleton to noisy per-frame 3D
+detections by minimizing
 
-    E = w_ik * E_ik + w_proj * E_proj + w_smooth * E_smooth + w_depth * E_depth
+    E = w_ik * E_ik + w_smooth * E_smooth
 
 where E_ik sums squared distances between model joints and detected 3D
-joints, E_proj sums confidence-weighted squared pixel errors between
-projected model joints and detected 2D joints, E_smooth sums squared second
-temporal differences of all model joint positions, and E_depth sums squared
-first temporal differences of the root depth.
+joints and E_smooth sums squared second temporal differences of all model
+joint positions.  A stream's 2D joints, when it has them, are not read.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
@@ -85,7 +83,6 @@ from .skeleton import (
     frame_records,
 )
 
-_MIN_DEPTH = 1e-6
 # Marquardt damping: start, factor up on a rejected step, down on an accepted one, cap.
 _INIT_DAMPING = 1e-3
 _DAMPING_INCREASE = 5.0
@@ -168,12 +165,12 @@ def _check_info(routine: str, info: int) -> None:
 class EnergyConfig:
     """Energy weights, the iteration cap and the stopping tolerance of the fit.
 
-    w_proj=None resolves to 1/fx^2 for the camera in use, which weighs squared
-    pixel residuals like squared metric residuals at unit depth.  tolerance
-    is a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once
-    an accepted step lowers the energy by at most tolerance times its value
-    (a step that reuses an earlier factorization only when its drop is also
-    at most half the drop before it), or a rejected step from a fresh
+    w_ik weighs the squared distances to the detected 3D joints, w_smooth
+    the squared second differences of the joint trajectories.  tolerance is
+    a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once an
+    accepted step lowers the energy by at most tolerance times its value (a
+    step that reuses an earlier factorization only when its drop is also at
+    most half the drop before it), or a rejected step from a fresh
     factorization changes it by at most that much, and otherwise after
     max_iterations (at least 1) accepted steps of either kind (see
     EnergyProblem.solve) with converged=False.  Weights are finite and
@@ -182,18 +179,16 @@ class EnergyConfig:
     """
 
     w_ik: float = 1.0
-    w_proj: Optional[float] = None
     w_smooth: float = 0.1
-    w_depth: float = 0.1
     max_iterations: int = 80
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("w_ik", "w_proj", "w_smooth", "w_depth"):
+        for name in ("w_ik", "w_smooth"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name}: must be finite, got {value}")
-            if value is not None and value < 0:
+            if value < 0:
                 raise ValueError(f"{name}: must be non-negative, got {value}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations: must be at least 1, got {self.max_iterations}")
@@ -201,9 +196,6 @@ class EnergyConfig:
         if not _MIN_TOLERANCE <= self.tolerance < 1.0:
             raise ValueError(f"tolerance: must be at least {_MIN_TOLERANCE:g} and below 1, "
                              f"got {self.tolerance}")
-
-    def resolved_w_proj(self, camera: CameraModel) -> float:
-        return 1.0 / (camera.fx * camera.fx) if self.w_proj is None else self.w_proj
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,11 +242,17 @@ class OptimizedSequence:
 
 
 def _targets_3d(seq: SkeletonSequence):
-    """The 3D targets (F, J, 3) and mask (F, J) of the fit; MissingModality
-    when the sequence has no 3D joint at all."""
+    """The 3D targets (F, J, 3) and mask (F, J) of the fit, the only joints
+    it reads: MissingModality when the sequence has no 3D joint at all,
+    DegenerateInput naming the frames that have none."""
     if seq.points_3d is None or not seq.mask_3d.any():
         raise MissingModality(
             "the fit needs 3D joints: depth cannot be recovered from 2D joints alone"
+        )
+    empty = ~seq.mask_3d.any(axis=1)
+    if empty.any():
+        raise DegenerateInput(
+            f"frame(s) {np.flatnonzero(empty).tolist()} carry no 3D joint"
         )
     return seq.points_3d, seq.mask_3d
 
@@ -298,26 +296,15 @@ class EnergyProblem:
         lengths: np.ndarray,
         y3: np.ndarray,
         m3: np.ndarray,
-        y2: np.ndarray,
-        conf: np.ndarray,
-        camera: CameraModel,
         w_ik: float,
-        w_proj: float,
         w_smooth: float,
-        w_depth: float,
     ) -> None:
         self.tree = tree
         self.lengths = np.asarray(lengths, dtype=np.float64)
         self.y3 = y3
         self.m3 = m3.astype(np.float64)
-        self.y2 = y2
-        self.conf = conf
-        self._active = conf > 0  # joints with a 2D detection
-        self.camera = camera
         self.w_ik = w_ik
-        self.w_proj = w_proj
         self.w_smooth = w_smooth
-        self.w_depth = w_depth
         self.F = y3.shape[0]
         # Diagonals of D^T D, the frame coupling of the smoothness term's
         # Gauss-Newton blocks.
@@ -325,75 +312,40 @@ class EnergyProblem:
 
     # -- residuals and energy ---------------------------------------------
 
-    def _depths(self, X: np.ndarray) -> np.ndarray:
-        """(F, J) depths the projection divides by, 1 where a joint has no
-        2D detection."""
-        return np.where(self._active, X[..., 2], 1.0)
-
     def _residuals(self, X: np.ndarray):
-        """Unweighted residuals at joint positions X: (r3, du, dv, dd, dz).
+        """Unweighted residuals at joint positions X: (r3, dd).
 
-        r3 = X - y3 (F, J, 3); du, dv the pixel residuals (F, J); dd the
-        second differences of X over frames (F - 2, J, 3), None when F < 3;
-        dz the root-depth steps (F - 1,).  Masks, confidences and weights are
-        applied by the callers."""
-        cam = self.camera
-        z = self._depths(X)
-        du = cam.fx * X[..., 0] / z + cam.cx - self.y2[..., 0]
-        dv = cam.fy * X[..., 1] / z + cam.cy - self.y2[..., 1]
+        r3 = X - y3 (F, J, 3); dd the second differences of X over frames
+        (F - 2, J, 3), None when F < 3.  Masks and weights are applied by
+        the callers."""
         dd = X[2:] - 2.0 * X[1:-1] + X[:-2] if self.F >= 3 else None
-        return X - self.y3, du, dv, dd, np.diff(X[:, 0, 2])
+        return X - self.y3, dd
 
-    def _projection_rows(self, X: np.ndarray):
-        """(fu, fv, cu, cv), each (F, J): the rows of the projection's
-        Jacobian dpi/dX, (fu, 0, cu) for u and (0, fv, cv) for v."""
-        cam = self.camera
-        z = self._depths(X)
-        fu, fv = cam.fx / z, cam.fy / z
-        return fu, fv, -fu * X[..., 0] / z, -fv * X[..., 1] / z
-
-    def energy_terms(self, X: np.ndarray) -> Optional[dict[str, float]]:
-        """Weighted term values for joint positions X, or None when a joint
-        sits at non-positive depth (the step is then rejected outright)."""
-        if np.any(X[self._active][:, 2] < _MIN_DEPTH):
-            return None
-        r3, du, dv, dd, dz = self._residuals(X)
+    def energy_terms(self, X: np.ndarray) -> dict[str, float]:
+        """Weighted term values for joint positions X."""
+        r3, dd = self._residuals(X)
         e_smooth = 0.0 if dd is None else float(np.sum(dd * dd))
         return {
             "ik": self.w_ik * float(np.sum(self.m3[..., None] * r3 ** 2)),
-            "proj": self.w_proj * float(np.sum(self.conf * (du * du + dv * dv))),
             "smooth": self.w_smooth * e_smooth,
-            "depth": self.w_depth * float(np.sum(dz ** 2)),
         }
 
     def energy_from_params(self, params: PoseParams) -> tuple[float, dict[str, float]]:
-        X = kin.forward_kinematics(self.tree, self.lengths, params)
-        terms = self.energy_terms(X)
-        if terms is None:
-            return math.inf, {}
+        terms = self.energy_terms(kin.forward_kinematics(self.tree, self.lengths, params))
         return sum(terms.values()), terms
 
     def _weighted_residuals(self, X: np.ndarray) -> np.ndarray:
         """r~ (F, J, 3) at joint positions X: half the energy's gradient with
         respect to the joint positions, dE/dX / 2.  The ik term gives
-        w_ik m3 (X - y3), the smoothness term w_smooth D^T dd, the
-        projection w_proj conf dpi^T (du, dv) and the root-depth term its
-        first differences on the root's z, so J^T r~ is J^T W r for any
-        position Jacobian J."""
-        r3, du, dv, dd, dz = self._residuals(X)
+        w_ik m3 (X - y3) and the smoothness term w_smooth D^T dd, so J^T r~
+        is J^T W r for any position Jacobian J."""
+        r3, dd = self._residuals(X)
         resid = self.w_ik * self.m3[..., None] * r3
         if dd is not None:
             wdd = self.w_smooth * dd
             resid[2:] += wdd
             resid[1:-1] -= 2.0 * wdd
             resid[:-2] += wdd
-        cw = self.w_proj * self.conf
-        fu, fv, cu, cv = self._projection_rows(X)
-        resid[..., 0] += cw * fu * du
-        resid[..., 1] += cw * fv * dv
-        resid[..., 2] += cw * (cu * du + cv * dv)
-        resid[1:, 0, 2] += self.w_depth * dz
-        resid[:-1, 0, 2] -= self.w_depth * dz
         return resid
 
     def _jtr(self, X, G, resid, axes) -> np.ndarray:
@@ -445,35 +397,20 @@ class EnergyProblem:
         takes the position Jacobian of its frames and of the two that follow
         (the smoothness blocks (f + k, f), k = 1, 2, need them), forms its
         diagonal and off-diagonal blocks and writes them into its rows of
-        the band.  The ik, smoothness and projection terms of joint j in
-        frame f fold into one symmetric 3 x 3 weight,
-        W = w_row I + w_proj conf dpi^T dpi (dpi the 2 x 3 projection
-        Jacobian), so a diagonal block is the one product J^T (W J).  Beyond
-        the band and per-frame weights, memory is bounded by one chunk's
-        buffers, reused from chunk to chunk, whatever F is."""
+        the band.  The ik and smoothness terms of joint j in frame f weigh
+        its three coordinates alike, W = w_row I, so a diagonal block is the
+        one product J^T (w_row J).  Beyond the band and per-frame weights,
+        memory is bounded by one chunk's buffers, reused from chunk to
+        chunk, whatever F is."""
         tree = self.tree
         layout = tree.step_layout
         F, P, J = self.F, layout.params_per_frame, tree.n_joints
         kd = layout.bandwidth
-        tz = layout.translation[2]  # the root translation's z column
         m0, m1, m2 = self._m_diag
 
-        # The per-joint weight of the ik and smoothness diagonal blocks,
-        # w_ik * m3 + w_smooth * (D^T D)_ff, plus the projection's, whose
-        # rows of dpi/dX are weighted by w_proj * conf.
-        w_row = self.w_ik * self.m3 + self.w_smooth * m0[:, None]  # (F, J)
-        cw = self.w_proj * self.conf
-        fu, fv, cu, cv = self._projection_rows(X)
-        weight = np.empty((F, J, 3, 3))
-        weight[..., 0, 0] = w_row + cw * fu * fu
-        weight[..., 1, 1] = w_row + cw * fv * fv
-        weight[..., 2, 2] = w_row + cw * (cu * cu + cv * cv)
-        weight[..., 0, 1] = weight[..., 1, 0] = 0.0
-        weight[..., 0, 2] = weight[..., 2, 0] = cw * fu * cu
-        weight[..., 1, 2] = weight[..., 2, 1] = cw * fv * cv
-        dcount = np.zeros(F)  # root-depth steps each frame takes part in
-        dcount[1:] += 1.0
-        dcount[:-1] += 1.0
+        # The per-joint weight of the diagonal blocks,
+        # w_ik * m3 + w_smooth * (D^T D)_ff, shaped to scale a Jacobian.
+        w_row = (self.w_ik * self.m3 + self.w_smooth * m0[:, None])[..., None, None]
 
         if out is None:
             ab = np.zeros((kd + 1, F * P), order="F")
@@ -519,9 +456,8 @@ class EnergyProblem:
             flat = jac.reshape(ahead - s, -1, P)       # (ahead - s, 3J, P)
             flat_t = flat.transpose(0, 2, 1)
 
-            wj = np.matmul(weight[s:e], jac[:n], out=wjac[:n])
+            wj = np.multiply(jac[:n], w_row[s:e], out=wjac[:n])
             d = np.matmul(flat_t[:n], wj.reshape(n, -1, P), out=diag[:n])
-            d[:, tz, tz] += self.w_depth * dcount[s:e]
             # Element (f, b, a) of the k = 0 view is H[fP + a, fP + b], lower
             # for a >= b.
             np.copyto(block_view(s, 0, n), d.transpose(0, 2, 1), where=lower)
@@ -547,9 +483,6 @@ class EnergyProblem:
                     else:
                         np.matmul(flat_t[:m], scaled, out=diag[:m])
                         np.copyto(block_view(s, k, m), diag[:m], where=in_band)
-        if F >= 2:
-            # The root-depth coupling of frames f and f + 1.
-            band[:-1, tz, P] -= self.w_depth
         return ab
 
     @staticmethod
@@ -580,8 +513,7 @@ class EnergyProblem:
 
     def _trial(self, t, rot, axes, delta) -> Optional[_Trial]:
         """The pose after step delta (F * P,) on step axes axes from (t,
-        rot), or None when delta is not finite or the pose puts a joint at
-        non-positive depth."""
+        rot), or None when delta is not finite."""
         if not np.all(np.isfinite(delta)):
             return None
         layout = self.tree.step_layout
@@ -595,8 +527,6 @@ class EnergyProblem:
         rot_new = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0]) @ rot
         X, G = kin._fk_from_matrices(self.tree, self.lengths, t_new, rot_new)
         terms = self.energy_terms(X)
-        if terms is None:
-            return None
         return _Trial(t_new, rot_new, X, G, terms, sum(terms.values()))
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
@@ -644,8 +574,6 @@ class EnergyProblem:
 
         X, G = kin._fk_from_matrices(tree, self.lengths, t, rot)
         terms = self.energy_terms(X)
-        if terms is None:
-            raise DegenerateInput("initial pose projects a joint at non-positive depth")
         energy = sum(terms.values())
         history = [energy]
         lam = _INIT_DAMPING
@@ -681,7 +609,7 @@ class EnergyProblem:
                     stop_reason = "flat"
                     break
                 # Multiplicative (Marquardt) damping keeps steps invariant
-                # under a uniform rescaling of all four weights; the relative
+                # under a uniform rescaling of both weights; the relative
                 # floor guards parameters with no residual influence.
                 damp_base = np.maximum(d0, 1e-12 * d0.max())
                 g = self._jtr(X, G, resid, axes).reshape(-1)
@@ -744,37 +672,12 @@ class EnergyProblem:
         return params, info
 
 
-def _problem_for(
-    seq: SkeletonSequence,
-    anatomy: AnatomyProfile,
-    camera: CameraModel,
-    cfg: EnergyConfig,
-) -> EnergyProblem:
-    """The energy of seq.  Without a 2D block the 2D targets carry zero
-    confidence, so a 3D-only stream is fitted on its 3D term."""
+def _problem_for(seq: SkeletonSequence, anatomy: AnatomyProfile,
+                 cfg: EnergyConfig) -> EnergyProblem:
+    """The energy of seq, on its 3D joints alone (see _targets_3d)."""
     y3, m3 = _targets_3d(seq)
-    if seq.pixels_2d is None:
-        y2, conf = np.zeros(y3.shape[:2] + (2,)), np.zeros(m3.shape)
-    else:
-        y2, conf = seq.pixels_2d, seq.confidence_2d
-    empty = ~(m3.any(axis=1) | (conf > 0).any(axis=1))
-    if empty.any():
-        raise DegenerateInput(
-            f"frame(s) {np.flatnonzero(empty).tolist()} carry no joints in either stream"
-        )
-    return EnergyProblem(
-        CANONICAL_TREE,
-        kin.lengths_vector(anatomy),
-        y3,
-        m3,
-        y2,
-        conf,
-        camera,
-        w_ik=cfg.w_ik,
-        w_proj=cfg.resolved_w_proj(camera),
-        w_smooth=cfg.w_smooth,
-        w_depth=cfg.w_depth,
-    )
+    return EnergyProblem(CANONICAL_TREE, kin.lengths_vector(anatomy), y3, m3,
+                         w_ik=cfg.w_ik, w_smooth=cfg.w_smooth)
 
 
 def _check_params(params: PoseParams, n_frames: int) -> None:
@@ -788,11 +691,10 @@ def energy(
     params: PoseParams,
     seq: SkeletonSequence,
     anatomy: AnatomyProfile,
-    camera: Optional[CameraModel] = None,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> float:
     """Total energy of a candidate pose parameterization."""
-    prob = _problem_for(seq, anatomy, camera or CameraModel.default(), cfg)
+    prob = _problem_for(seq, anatomy, cfg)
     _check_params(params, prob.F)
     total, _ = prob.energy_from_params(params)
     return total
@@ -802,11 +704,10 @@ def energy_breakdown(
     params: PoseParams,
     seq: SkeletonSequence,
     anatomy: AnatomyProfile,
-    camera: Optional[CameraModel] = None,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> dict[str, float]:
-    """Weighted per-term energies: keys ik, proj, smooth, depth."""
-    prob = _problem_for(seq, anatomy, camera or CameraModel.default(), cfg)
+    """Weighted per-term energies: keys ik and smooth."""
+    prob = _problem_for(seq, anatomy, cfg)
     _check_params(params, prob.F)
     _, terms = prob.energy_from_params(params)
     return terms
@@ -816,21 +717,21 @@ def energy_gradient(
     params: PoseParams,
     seq: SkeletonSequence,
     anatomy: AnatomyProfile,
-    camera: Optional[CameraModel] = None,
     cfg: EnergyConfig = EnergyConfig(),
 ) -> np.ndarray:
     """Analytic gradient of the energy at params, (F * 45,) on the skeleton:
     per frame the root translation's three components, then three per
     rotated joint for the increment d (in its parent's frame) that turns its
     rotation R to exp(hat(d)) R.  See EnergyProblem.gradient."""
-    prob = _problem_for(seq, anatomy, camera or CameraModel.default(), cfg)
+    prob = _problem_for(seq, anatomy, cfg)
     _check_params(params, prob.F)
     return prob.gradient(params)
 
 
 def initial_params(seq: SkeletonSequence, anatomy: AnatomyProfile) -> PoseParams:
     """Initialization: root from detected pelvis, rotations from closed-form
-    alignment of detected bone directions; gaps filled by interpolation."""
+    alignment of detected bone directions; a joint missing from a frame is
+    interpolated.  Refuses the sequences optimize refuses (_targets_3d)."""
     y3, m3 = _targets_3d(seq)
     return _initial_params_from(y3, m3, anatomy)
 
@@ -841,7 +742,7 @@ def _initial_params_from(
     anatomy: AnatomyProfile,
 ) -> PoseParams:
     """initial_params on 3D targets y3 (F, J, 3) with mask m3 (F, J), which
-    must mark at least one joint."""
+    must mark at least one joint in every frame."""
     F, J, _ = y3.shape
     pos = y3.copy()
     obs = m3.astype(bool)
@@ -849,17 +750,11 @@ def _initial_params_from(
     frame_idx = np.arange(F, dtype=np.float64)
     root_obs = obs[:, 0]
     if not root_obs.any():
-        # No pelvis anywhere: fall back to the per-frame centroid of whatever
-        # 3D joints exist, then interpolate the truly empty frames.
-        counts = obs.sum(axis=1)
-        root_obs = counts > 0
-        with np.errstate(invalid="ignore"):
-            pos[:, 0] = np.where(
-                root_obs[:, None],
-                np.nansum(np.where(obs[..., None], pos, np.nan), axis=1)
-                / np.maximum(counts, 1)[:, None],
-                0.0,
-            )
+        # No pelvis anywhere: fall back to the centroid of each frame's 3D
+        # joints, which every frame has.
+        pos[:, 0] = (np.where(obs[..., None], pos, 0.0).sum(axis=1)
+                     / obs.sum(axis=1)[:, None])
+        root_obs = obs.any(axis=1)
     for axis in range(3):
         pos[:, 0, axis] = np.interp(
             frame_idx, frame_idx[root_obs], pos[root_obs, 0, axis]
@@ -887,15 +782,15 @@ def optimize(
     cfg: EnergyConfig = EnergyConfig(),
     init: Optional[PoseParams] = None,
 ) -> OptimizedSequence:
-    """Fit the skeleton to a sequence with 3D joints and, when present, 2D
-    joints.
+    """Fit the skeleton to a sequence's 3D joints; its 2D joints are not read.
 
-    Never raises on failure to converge: the best parameters found are
-    returned with converged=False when the iteration cap is hit or the
-    damping is exhausted first; stop_reason says which.
+    camera is accepted and ignored: the fit projects nothing, and
+    perfbench/bench.py's analyze_walk still passes it.  Never raises on
+    failure to converge: the best parameters found are returned with
+    converged=False when the iteration cap is hit or the damping is
+    exhausted first; stop_reason says which.
     """
-    camera = camera or CameraModel.default()
-    prob = _problem_for(seq, anatomy, camera, cfg)
+    prob = _problem_for(seq, anatomy, cfg)
     if init is None:
         init = _initial_params_from(prob.y3, prob.m3, anatomy)
     _check_params(init, prob.F)

@@ -21,5 +21,5 @@ def analyze_sequence(seq: SkeletonSequence, cfg: RunConfig) -> WalkResult:
     if seq.subject_height_m is None:
         raise MissingHeaderField("header field 'subject_height_m' is required for analysis")
     anatomy = derive_anatomy(seq.subject_height_m, cfg.ratios)
-    fitted = optimize(seq, anatomy, camera=cfg.camera, cfg=cfg.energy)
+    fitted = optimize(seq, anatomy, cfg=cfg.energy)
     return WalkResult(fitted, compute_report(detect_steps(fitted, cfg.detector)))

@@ -68,6 +68,10 @@ class WalkerSpec:
     number must be finite, the seed non-negative, start_x_m and start_z_m
     at most _MAX_START_M in magnitude, and the walk at most _MAX_FRAMES
     steps and frames long.
+
+    sigma3d_m is the per-axis noise of the 3D joints.  sigma2d_px and
+    dropout shape the 2D block the walk carries, and what `simulate`
+    writes, only: the fit reads no 2D joint.
     """
 
     subject_height_m: float = 1.72

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from stridelab import (
-    CameraModel,
     EnergyConfig,
     JointId,
     SkeletonSequence,
@@ -43,7 +42,6 @@ from stridelab.report import PARAMETERS, truth_values
 from stridelab.skeleton import default_ratio_table, derive_anatomy
 from stridelab.stats import MeasurementTable
 
-CAMERA = CameraModel.default()
 CONFIG = load_config()
 PARAMS = tuple(p.name for p in PARAMETERS)
 
@@ -210,28 +208,14 @@ def _random_problem(rng):
     )
     X = forward_kinematics(CANONICAL_TREE, lengths_vector(anatomy), params)
     obs = X + rng.normal(0.0, 0.05, X.shape)
-    shape = (n_frames, len(JointId))
-    mask_3d, mask_2d = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    pixels, conf = np.zeros(shape + (2,)), np.zeros(shape)
-    for f in range(n_frames):
-        for j in range(len(JointId)):
-            x, y, z = obs[f, j]
-            mask_3d[f, j] = rng.random() < 0.9
-            if rng.random() < 0.9:
-                u = CAMERA.fx * x / z + CAMERA.cx + rng.normal(0.0, 2.0)
-                v = CAMERA.fy * y / z + CAMERA.cy + rng.normal(0.0, 2.0)
-                pixels[f, j] = (u, v)
-                conf[f, j] = rng.uniform(0.2, 1.0)
-                mask_2d[f, j] = True
     seq = SkeletonSequence(
         fps=30.0, times=np.arange(n_frames) / 30.0, indices=np.arange(n_frames),
-        points_3d=obs, mask_3d=mask_3d, pixels_2d=pixels, confidence_2d=conf,
-        mask_2d=mask_2d, source="synthetic",
+        points_3d=obs, mask_3d=rng.random((n_frames, len(JointId))) < 0.9,
+        source="synthetic",
     )
     cfg = EnergyConfig(
         w_ik=float(rng.uniform(0.5, 2.0)),
         w_smooth=float(rng.uniform(0.0, 0.5)),
-        w_depth=float(rng.uniform(0.0, 0.5)),
     )
     return params, seq, anatomy, cfg
 
@@ -251,7 +235,7 @@ def _fd_gradient(params, seq, anatomy, cfg, h=1e-6):
             else:
                 s, a = divmod(i - 3, 3)
                 rot[f, s] = so3_exp(sign * h * np.eye(3)[a]) @ rot[f, s]
-            e.append(energy(PoseParams(t, rot), seq, anatomy, camera=CAMERA, cfg=cfg))
+            e.append(energy(PoseParams(t, rot), seq, anatomy, cfg=cfg))
         g[k] = (e[0] - e[1]) / (2.0 * h)
     return g
 
@@ -261,7 +245,7 @@ def test_04_optimizer_numerics(clean_sweep, noisy_sweep):
     worst_grad = 0.0
     for _ in range(100):
         params, seq, anatomy, cfg = _random_problem(rng)
-        ga = energy_gradient(params, seq, anatomy, camera=CAMERA, cfg=cfg)
+        ga = energy_gradient(params, seq, anatomy, cfg=cfg)
         gf = _fd_gradient(params, seq, anatomy, cfg)
         rel = np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-12)
         worst_grad = max(worst_grad, rel)

@@ -560,6 +560,27 @@ def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     assert row["error"]["type"] == error
 
 
+def test_frame_without_3d_joints_gives_degenerate_input_row(pipeline, tmp_path, capsys):
+    """The fit reads only 3D joints: a frame whose 3D joint map is empty
+    gives the walk a DegenerateInput row naming the frame, even though its
+    2D joint map is kept, and the other walk still gets an ok row."""
+    _, sim, _ = pipeline
+    doc = json.loads((sim / "walk-a.poses.json").read_text())
+    doc["frames"][4]["joints_3d"] = {}
+    assert doc["frames"][4]["joints_2d"]
+    bad = tmp_path / "hole.poses.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["analyze", str(bad), str(sim / "walk-b.poses.json"),
+                 "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = json.loads((out / "results.report.json").read_text())["walks"]
+    assert [row["status"] for row in rows] == ["error", "ok"]
+    assert rows[0]["error"] == {"type": "DegenerateInput",
+                                "message": "frame(s) [4] carry no 3D joint"}
+
+
 def test_a_stream_without_height_gives_one_message(clean_walk, tmp_path):
     """analyze_sequence refuses a stream whose header has no subject height,
     and analyze writes its message in the walk's error row."""
@@ -831,6 +852,22 @@ def test_bad_energy_tolerance_exits_2(pipeline, tmp_path, capsys, tolerance):
     assert code == 2
     err = capsys.readouterr().err
     assert "energy.tolerance" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_energy_key_exits_2(pipeline, tmp_path, capsys):
+    """[energy] w_proj weighed a 2D reprojection term the fit no longer
+    has: a config that still sets it exits 2 as an unknown key before any
+    walk is fit, with no traceback."""
+    _, sim, _ = pipeline
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[energy]\nw_proj = auto\n")
+    code = main(["--config", str(cfg), "analyze", str(sim / "walk-a.poses.json"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key energy.w_proj" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -25,7 +25,7 @@ def test_defaults_load_without_a_file():
     assert cfg.seed == 0
     assert cfg.bootstrap_level == pytest.approx(0.95)
     assert cfg.energy.w_ik == pytest.approx(1.0)
-    assert cfg.energy.w_proj is None            # auto -> 1/focal^2 downstream
+    assert cfg.energy.w_smooth == pytest.approx(0.1)
     assert cfg.detector.min_prominence_m == pytest.approx(0.05)
     assert cfg.camera.cx == pytest.approx(540.0)
     assert cfg.ratios == default_ratio_table()
@@ -101,13 +101,21 @@ def test_unknown_key_rejected(tmp_path):
         load_config(p)
 
 
-def test_removed_cluster_window_key_rejected(tmp_path):
-    """detector.cluster_window_s changed no result and was removed; a file
-    that still sets it fails as any unknown key does."""
+@pytest.mark.parametrize("section, key, raw", [
+    ("detector", "cluster_window_s", "0.15"),
+    ("energy", "w_proj", "auto"),
+    ("energy", "w_depth", "0.1"),
+], ids=["cluster_window_s", "w_proj", "w_depth"])
+def test_removed_key_rejected(tmp_path, section, key, raw):
+    """Keys that were removed fail as any unknown key does:
+    detector.cluster_window_s changed no result, and energy.w_proj and
+    energy.w_depth weighed the 2D reprojection and root-depth terms, which
+    the fit no longer has."""
     p = tmp_path / "run.ini"
-    p.write_text("[detector]\ncluster_window_s = 0.15\n")
-    with pytest.raises(ConfigError, match=r"unknown config key detector.cluster_window_s"):
+    p.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as info:
         load_config(p)
+    assert str(info.value) == f"unknown config key {section}.{key}"
 
 
 def test_bad_values_name_the_key(tmp_path):
@@ -141,7 +149,7 @@ def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
         load_config(p)
 
 
-@pytest.mark.parametrize("key", ["w_ik", "w_proj", "w_smooth", "w_depth"])
+@pytest.mark.parametrize("key", ["w_ik", "w_smooth"])
 def test_negative_energy_weight_names_the_key(tmp_path, key):
     """EnergyConfig checks the weights; the error still names the key."""
     p = tmp_path / "run.ini"

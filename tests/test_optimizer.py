@@ -1,6 +1,6 @@
 """Energy model and solver.
 
-Two oracles anchor this file: a direct summation of the four residual terms
+Two oracles anchor this file: a direct summation of the two residual terms
 (independent of the vectorized implementation) and central finite
 differences for the gradient.
 """
@@ -19,6 +19,7 @@ import pytest
 from stridelab import optimizer as optimizer_module
 from stridelab import (
     CameraModel,
+    DegenerateInput,
     StrideLabError,
     EnergyConfig,
     JointId,
@@ -63,7 +64,8 @@ def _params(rng, n_frames, spread=0.3):
 
 
 def _sequence_from_params(params, fps=30.0, jitter3d=0.0, rng=None):
-    """Build a two-stream sequence whose 3D/2D observations come from FK."""
+    """Build a two-stream sequence whose 3D/2D observations come from FK;
+    the fit reads the 3D stream alone."""
     X = forward_kinematics(CANONICAL_TREE, LENGTHS, params)
     if jitter3d:
         X = X + rng.normal(0.0, jitter3d, X.shape)
@@ -85,25 +87,14 @@ def _sequence_from_params(params, fps=30.0, jitter3d=0.0, rng=None):
 def _energy_oracle(params, seq, cfg):
     """Direct per-term summation, written independently of the solver."""
     X = forward_kinematics(CANONICAL_TREE, LENGTHS, params)
-    w_proj = cfg.resolved_w_proj(CAMERA)
     total = 0.0
     for f, fr in enumerate(seq.frames_3d):
         for j, p in fr.joints.items():
             d = X[f, j.value] - np.array(p)
             total += cfg.w_ik * float(d @ d)
-    for f, fr in enumerate(seq.frames_2d):
-        for j, p in fr.joints.items():
-            x, y, z = X[f, j.value]
-            u = CAMERA.fx * x / z + CAMERA.cx
-            v = CAMERA.fy * y / z + CAMERA.cy
-            total += w_proj * p.confidence * ((u - p.x) ** 2 + (v - p.y) ** 2)
-    F = X.shape[0]
-    if F >= 3:
+    if X.shape[0] >= 3:
         dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
         total += cfg.w_smooth * float(np.sum(dd * dd))
-    if F >= 2:
-        tz = params.translations[:, 2]
-        total += cfg.w_depth * float(np.sum(np.diff(tz) ** 2))
     return total
 
 
@@ -112,8 +103,8 @@ def test_energy_matches_direct_summation():
     params = _params(rng, 3)
     seq = _sequence_from_params(params)
     probe = _params(rng, 3)
-    cfg = EnergyConfig(w_ik=0.7, w_proj=2e-6, w_smooth=0.3, w_depth=0.05)
-    got = energy(probe, seq, ANATOMY, CAMERA, cfg=cfg)
+    cfg = EnergyConfig(w_ik=0.7, w_smooth=0.3)
+    got = energy(probe, seq, ANATOMY, cfg=cfg)
     want = _energy_oracle(probe, seq, cfg)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -122,8 +113,8 @@ def test_energy_zero_at_exact_data():
     rng = np.random.default_rng(1)
     params = _params(rng, 1)
     seq = _sequence_from_params(params)
-    cfg = EnergyConfig(w_smooth=0.0, w_depth=0.0)
-    assert energy(params, seq, ANATOMY, CAMERA, cfg=cfg) < 1e-16
+    cfg = EnergyConfig(w_smooth=0.0)
+    assert energy(params, seq, ANATOMY, cfg=cfg) < 1e-16
 
 
 def test_breakdown_sums_to_energy():
@@ -131,9 +122,9 @@ def test_breakdown_sums_to_energy():
     params = _params(rng, 4)
     seq = _sequence_from_params(params)
     probe = _params(rng, 4)
-    terms = energy_breakdown(probe, seq, ANATOMY, CAMERA)
-    assert set(terms) == {"ik", "proj", "smooth", "depth"}
-    total = energy(probe, seq, ANATOMY, CAMERA)
+    terms = energy_breakdown(probe, seq, ANATOMY)
+    assert set(terms) == {"ik", "smooth"}
+    total = energy(probe, seq, ANATOMY)
     assert sum(terms.values()) == pytest.approx(total, rel=1e-12)
     assert all(v >= 0 for v in terms.values())
 
@@ -143,10 +134,10 @@ def test_energy_linear_in_weights():
     params = _params(rng, 2)
     seq = _sequence_from_params(params)
     probe = _params(rng, 2)
-    base = EnergyConfig(w_ik=1.0, w_proj=1e-6, w_smooth=0.1, w_depth=0.1)
-    double = EnergyConfig(w_ik=2.0, w_proj=2e-6, w_smooth=0.2, w_depth=0.2)
-    e1 = energy(probe, seq, ANATOMY, CAMERA, cfg=base)
-    e2 = energy(probe, seq, ANATOMY, CAMERA, cfg=double)
+    base = EnergyConfig(w_ik=1.0, w_smooth=0.1)
+    double = EnergyConfig(w_ik=2.0, w_smooth=0.2)
+    e1 = energy(probe, seq, ANATOMY, cfg=base)
+    e2 = energy(probe, seq, ANATOMY, cfg=double)
     assert e2 == pytest.approx(2 * e1, rel=1e-12)
 
 
@@ -166,7 +157,7 @@ def _fd_gradient(params, seq, cfg, h=1e-6):
             else:
                 s, a = divmod(i - 3, 3)
                 rot[f, s] = so3_exp(sign * h * np.eye(3)[a]) @ rot[f, s]
-            moved.append(energy(PoseParams(t, rot), seq, ANATOMY, CAMERA, cfg=cfg))
+            moved.append(energy(PoseParams(t, rot), seq, ANATOMY, cfg=cfg))
         g[k] = (moved[0] - moved[1]) / (2 * h)
     return g
 
@@ -174,14 +165,13 @@ def _fd_gradient(params, seq, cfg, h=1e-6):
 @pytest.mark.parametrize("n_frames", [2, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradient_matches_finite_differences(seed, n_frames):
-    """Two frames have no smoothness term; five exercise it and couple the
-    root depth across four steps."""
+    """Two frames have no smoothness term; five exercise it."""
     rng = np.random.default_rng(seed)
     params = _params(rng, n_frames)
     seq = _sequence_from_params(params)
     probe = _params(rng, n_frames)
     cfg = EnergyConfig()
-    got = energy_gradient(probe, seq, ANATOMY, CAMERA, cfg=cfg)
+    got = energy_gradient(probe, seq, ANATOMY, cfg=cfg)
     want = _fd_gradient(probe, seq, cfg)
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-4
 
@@ -194,16 +184,14 @@ def test_optimize_monotone_and_converged(fitted_clean):
 
 
 def test_stopping_rule_is_scale_free(noisy_walk):
-    """Scaling all four weights alike scales the energy and leaves its
+    """Scaling both weights alike scales the energy and leaves its
     minimizer, the Marquardt steps and the relative stopping tests alone, so
     the fit takes the same iterations and stops for the same reason."""
     seq, truth = noisy_walk
     base = EnergyConfig()
-    base = replace(base, w_proj=base.resolved_w_proj(CAMERA))
     fits = [
-        optimize(seq, truth.anatomy, CAMERA, cfg=replace(
-            base, w_ik=s * base.w_ik, w_proj=s * base.w_proj,
-            w_smooth=s * base.w_smooth, w_depth=s * base.w_depth))
+        optimize(seq, truth.anatomy, cfg=replace(
+            base, w_ik=s * base.w_ik, w_smooth=s * base.w_smooth))
         for s in (1e-3, 1.0, 1e3)
     ]
     assert len({fit.iterations for fit in fits}) == 1
@@ -213,7 +201,7 @@ def test_stopping_rule_is_scale_free(noisy_walk):
 
 def test_iteration_cap_is_not_converged(noisy_walk):
     seq, truth = noisy_walk
-    fit = optimize(seq, truth.anatomy, CAMERA, cfg=EnergyConfig(max_iterations=1))
+    fit = optimize(seq, truth.anatomy, cfg=EnergyConfig(max_iterations=1))
     assert fit.stop_reason == "iteration_cap"
     assert fit.converged is False
     assert fit.iterations == 1
@@ -225,7 +213,7 @@ def test_refit_from_a_converged_fit_stops_at_once(noisy_walk, fitted_noisy):
     tolerance: a refit from them stops within one iteration."""
     seq, truth = noisy_walk
     assert fitted_noisy.converged
-    refit = optimize(seq, truth.anatomy, CAMERA, init=fitted_noisy.params)
+    refit = optimize(seq, truth.anatomy, init=fitted_noisy.params)
     assert refit.stop_reason in ("decrease", "flat")
     assert refit.converged is True
     assert refit.iterations <= 1
@@ -243,12 +231,12 @@ def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
 
     monkeypatch.setattr(optimizer_module._lapack(), "dpbtrf", never_positive_definite)
     init = initial_params(seq, truth.anatomy)
-    fit = optimize(seq, truth.anatomy, CAMERA, init=init)
+    fit = optimize(seq, truth.anatomy, init=init)
     assert fit.stop_reason == "damping_exhausted"
     assert fit.converged is False
     assert fit.iterations == 0
     assert fit.energy_history == (fit.final_energy,)
-    assert fit.final_energy == energy(init, seq, truth.anatomy, CAMERA)
+    assert fit.final_energy == energy(init, seq, truth.anatomy)
 
 
 def _exact_3d_only(n_frames, seed):
@@ -262,7 +250,7 @@ def test_zero_energy_stops_as_flat():
     """At an energy of exactly 0 the relative tests have no room: the zero
     step changes nothing and stops as flat, not as damping exhausted."""
     seq, params = _exact_3d_only(1, seed=23)
-    fit = optimize(seq, ANATOMY, CAMERA, init=params)
+    fit = optimize(seq, ANATOMY, init=params)
     assert fit.final_energy == 0.0
     assert fit.stop_reason == "flat"
     assert fit.converged is True
@@ -272,8 +260,8 @@ def test_zero_energy_stops_as_flat():
 def test_zero_band_diagonal_stops_as_flat():
     """With every weight zero no parameter moves any residual."""
     seq, params = _exact_3d_only(3, seed=29)
-    cfg = EnergyConfig(w_ik=0.0, w_proj=0.0, w_smooth=0.0, w_depth=0.0)
-    fit = optimize(seq, ANATOMY, CAMERA, cfg=cfg)
+    cfg = EnergyConfig(w_ik=0.0, w_smooth=0.0)
+    fit = optimize(seq, ANATOMY, cfg=cfg)
     assert fit.stop_reason == "flat"
     assert fit.converged is True
     assert fit.iterations == 0
@@ -304,8 +292,8 @@ def test_optimize_is_deterministic():
     rng = np.random.default_rng(17)
     params = _params(rng, 3, spread=0.15)
     seq = _sequence_from_params(params, jitter3d=0.01, rng=rng)
-    first = optimize(seq, ANATOMY, CAMERA)
-    second = optimize(seq, ANATOMY, CAMERA)
+    first = optimize(seq, ANATOMY)
+    second = optimize(seq, ANATOMY)
     assert first.final_energy == second.final_energy
     assert first.iterations == second.iterations
     assert np.array_equal(first.points_3d, second.points_3d)
@@ -343,22 +331,42 @@ def _worst_rel_error(rep, truth):
                for name, value in truth_values(vars(truth)).items())
 
 
-def test_three_d_only_stream_fits(noisy_walk, fitted_noisy):
-    """Without a 2D block the fit runs on the 3D term alone.  On this walk
-    it takes as many iterations as the two-stream fit, and the worst gait
-    parameter error moves by under 0.003 percentage points; the bounds
-    below leave room for that."""
+def test_three_d_only_stream_fits(noisy_walk):
+    """The fit reads no 2D joint: without the 2D block it gives bit for bit
+    the fit and the report it gives with it."""
     seq, truth = noisy_walk
     only_3d = replace(seq, pixels_2d=None, confidence_2d=None, mask_2d=None)
     fit, rep = analyze_sequence(only_3d, CONFIG)
+    both, rep_both = analyze_sequence(seq, CONFIG)
     assert fit.converged
-    assert fit.energy_breakdown["proj"] == 0.0
-    assert abs(fit.iterations - fitted_noisy.iterations) <= 2
-    assert np.all(np.diff(fit.energy_history) <= 0)
-    err = _worst_rel_error(rep, truth)
-    err_both = _worst_rel_error(analyze_sequence(seq, CONFIG).report, truth)
-    assert err < 0.05
-    assert abs(err - err_both) < 5e-4
+    assert np.array_equal(fit.points_3d, both.points_3d)
+    assert fit.energy_history == both.energy_history
+    assert (fit.iterations, fit.stop_reason) == (both.iterations, both.stop_reason)
+    assert rep == rep_both
+    assert _worst_rel_error(rep, truth) < 0.05
+
+
+def test_frame_without_3d_joints_is_degenerate(noisy_walk):
+    """A frame whose 3D joint map is empty is refused, naming the frame,
+    whatever its 2D joints: the fit reads nothing else in it."""
+    seq, truth = noisy_walk
+    mask_3d = seq.mask_3d.copy()
+    mask_3d[[3, 5]] = False
+    holed = replace(seq, mask_3d=mask_3d)
+    for fit in (optimize, initial_params):
+        with pytest.raises(DegenerateInput, match=r"^frame\(s\) \[3, 5\] carry no 3D joint$"):
+            fit(holed, truth.anatomy)
+
+
+def test_initial_root_without_a_pelvis_is_the_joint_centroid(clean_walk):
+    """With no pelvis in any frame, the initial root of each frame is the
+    centroid of its 3D joints."""
+    seq, truth = clean_walk
+    mask_3d = seq.mask_3d.copy()
+    mask_3d[:, JointId.PELVIS.value] = False
+    init = initial_params(replace(seq, mask_3d=mask_3d), truth.anatomy)
+    want = seq.points_3d[:, 1:].mean(axis=1)
+    assert np.abs(init.translations - want).max() < 1e-12
 
 
 def test_two_d_only_stream_is_missing_modality(noisy_walk):
@@ -396,11 +404,9 @@ def _head(seq, n_frames):
 
 def _dense_normal_equations(prob, X, G, axes):
     """J^T W J and J^T W r of the whole sequence in the step layout about
-    axes, built row by row from the residual Jacobians of the four energy
+    axes, built row by row from the residual Jacobians of the two energy
     terms: an oracle written independently of the band builder."""
-    layout = prob.tree.step_layout
-    F, P = prob.F, layout.params_per_frame
-    cam = prob.camera
+    F, P = prob.F, prob.tree.step_layout.params_per_frame
     jpos = position_jacobian(prob.tree, X, G, axes)  # (F, J, 3, P)
     rows, weights, resid = [], [], []
 
@@ -417,13 +423,6 @@ def _dense_normal_equations(prob, X, G, axes):
             if prob.m3[f, j]:
                 for c in range(3):
                     add(prob.w_ik, X[f, j, c] - prob.y3[f, j, c], (f, 1.0, jpos[f, j, c]))
-            if prob.conf[f, j] > 0:
-                x, y, z = X[f, j]
-                du = np.array([cam.fx / z, 0.0, -cam.fx * x / z**2]) @ jpos[f, j]
-                dv = np.array([0.0, cam.fy / z, -cam.fy * y / z**2]) @ jpos[f, j]
-                w = prob.w_proj * prob.conf[f, j]
-                add(w, cam.fx * x / z + cam.cx - prob.y2[f, j, 0], (f, 1.0, du))
-                add(w, cam.fy * y / z + cam.cy - prob.y2[f, j, 1], (f, 1.0, dv))
     for f in range(F - 2):
         for j in range(prob.tree.n_joints):
             for c in range(3):
@@ -434,9 +433,6 @@ def _dense_normal_equations(prob, X, G, axes):
                     (f + 1, -2.0, jpos[f + 1, j, c]),
                     (f + 2, 1.0, jpos[f + 2, j, c]),
                 )
-    depth = np.eye(P)[layout.translation[2]]  # the root translation's z
-    for f in range(F - 1):
-        add(prob.w_depth, X[f + 1, 0, 2] - X[f, 0, 2], (f, -1.0, depth), (f + 1, 1.0, depth))
     Jr = np.array(rows)
     w = np.array(weights)
     return Jr.T @ (w[:, None] * Jr), Jr.T @ (w * np.array(resid))
@@ -460,7 +456,7 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     seq, truth = noisy_walk
     seq = _head(seq, n_frames)
     cfg = EnergyConfig()
-    prob = _problem_for(seq, truth.anatomy, CAMERA, cfg)
+    prob = _problem_for(seq, truth.anatomy, cfg)
     init = initial_params(seq, truth.anatomy)
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
@@ -493,9 +489,8 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
 
 
 def _random_problem(tree, lengths, rng, F):
-    """A random problem of F frames on tree, with 2D confidences and 3D
-    masks that vary, and a random pose (X, G) with its swing axes."""
-    J = tree.n_joints
+    """A random problem of F frames on tree, with 3D masks that vary, and a
+    random pose (X, G) with its swing axes."""
 
     def pose():
         return PoseParams(
@@ -504,13 +499,9 @@ def _random_problem(tree, lengths, rng, F):
         )
 
     truth = forward_kinematics(tree, lengths, pose())
-    y2 = np.stack([CAMERA.fx * truth[..., 0] / truth[..., 2] + CAMERA.cx,
-                   CAMERA.fy * truth[..., 1] / truth[..., 2] + CAMERA.cy], axis=-1)
-    conf = np.where(rng.random((F, J)) < 0.8, rng.uniform(0.2, 1.0, (F, J)), 0.0)
     prob = optimizer_module.EnergyProblem(
         tree, lengths, truth + rng.normal(0.0, 0.02, truth.shape),
-        rng.random((F, J)) < 0.8, y2 + rng.normal(0.0, 2.0, y2.shape), conf, CAMERA,
-        w_ik=1.0, w_proj=CAMERA.fx ** -2, w_smooth=0.1, w_depth=0.1,
+        rng.random((F, tree.n_joints)) < 0.8, w_ik=1.0, w_smooth=0.1,
     )
     params = pose()
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
@@ -550,14 +541,11 @@ def test_swing_bandwidth_matches_the_dense_normal_matrix(step_tree, n_frames):
 
 
 def _thinned(walk, rate=0.2, seed=4):
-    """The walk with a fraction of its 2D joints removed, as the walker's
-    dropout does, and random 2D confidences, so the projection weights
+    """The walk with a fraction of its 3D joints removed, so the ik weights
     differ from frame to frame."""
     seq, truth = walk
-    rng = np.random.default_rng(seed)
-    keep = rng.random(seq.mask_2d.shape) >= rate
-    conf = rng.uniform(0.2, 1.0, seq.mask_2d.shape)
-    return replace(seq, confidence_2d=conf, mask_2d=seq.mask_2d & keep), truth
+    keep = np.random.default_rng(seed).random(seq.mask_3d.shape) >= rate
+    return replace(seq, mask_3d=seq.mask_3d & keep), truth
 
 
 @pytest.mark.parametrize("n_frames", [5, 7])
@@ -566,7 +554,7 @@ def test_band_across_chunk_boundaries(noisy_walk, monkeypatch, chunk, n_frames):
     """Chunks of one to three frames split F = 5 and 7 so that blocks (f + k, f)
     cross chunk edges and the last chunk is partial (5 = 2 + 2 + 1, 7 = 3 + 3
     + 1); the band, J^T r and the solve still match the dense reference, on
-    a walk whose 2D masks and confidences vary between frames.  Chunks are
+    a walk whose 3D masks vary between frames.  Chunks are
     the assembly's alone: J^T r is formed over the whole walk at once."""
     monkeypatch.setattr(optimizer_module, "_CHUNK_FRAMES", chunk)
     real = optimizer_module.kin.position_jacobian
@@ -602,7 +590,7 @@ def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
     rng = np.random.default_rng(seed)
     seq = _sequence_from_params(_params(rng, 5))
     probe = _params(rng, 5)
-    prob = _problem_for(seq, ANATOMY, CAMERA, EnergyConfig())
+    prob = _problem_for(seq, ANATOMY, EnergyConfig())
     X, G = forward_kinematics(CANONICAL_TREE, LENGTHS, probe, with_globals=True)
     axes = swing_axes(CANONICAL_TREE, probe.rotations)
     got = prob._jtr(X, G, prob._weighted_residuals(X), axes)
@@ -616,11 +604,11 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     """solve() reuses one band: writing a pose's band over another pose's,
     or over the Cholesky factor a damped solve leaves in it, must leave
     exactly what a freshly zeroed band holds, also with F = 2, where no
-    smoothness block rewrites the root-depth coupling, and with F = 7, where
+    smoothness block rewrites the factor's off-diagonal cells, and with F = 7, where
     the blocks two frames apart are written only inside the band."""
     seq, truth = noisy_walk
     seq = _head(seq, n_frames)
-    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    prob = _problem_for(seq, truth.anatomy, EnergyConfig())
     lengths = lengths_vector(truth.anatomy)
     init = initial_params(seq, truth.anatomy)
     other = PoseParams(init.translations + 0.05, init.rotations.swapaxes(-1, -2))
@@ -673,7 +661,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     bands, assembly, solve = [], [], []
     for n_frames in (64, 148):
         part = _head(seq, n_frames)
-        prob = _problem_for(part, truth.anatomy, CAMERA, EnergyConfig())
+        prob = _problem_for(part, truth.anatomy, EnergyConfig())
         init = initial_params(part, truth.anatomy)
         X, G = forward_kinematics(
             CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
@@ -710,7 +698,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
         return real(ab, **kwargs)
 
     monkeypatch.setattr(lapack, "dpbtrf", fail_once)
-    fit = optimize(seq, truth.anatomy, CAMERA)
+    fit = optimize(seq, truth.anatomy)
     assert len(diagonals) >= 2
     # The retry solves the same matrix with a larger damping.
     assert np.all(diagonals[1] >= diagonals[0])
@@ -718,7 +706,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     # Both attempts damp the band assembled at the initial pose in the
     # solver's swing layout, the retry with the larger damping alone: it is
     # assembled again, not the failed attempt's matrix damped once more.
-    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    prob = _problem_for(seq, truth.anatomy, EnergyConfig())
     init = initial_params(seq, truth.anatomy)
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
@@ -743,7 +731,7 @@ def test_banded_factor_and_solve_are_scipys(noisy_walk):
     import scipy.linalg
 
     seq, truth = noisy_walk
-    prob = _problem_for(seq, truth.anatomy, CAMERA, EnergyConfig())
+    prob = _problem_for(seq, truth.anatomy, EnergyConfig())
     init = initial_params(seq, truth.anatomy)
     X, G = forward_kinematics(
         CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
@@ -839,7 +827,7 @@ def test_fit_runs_whether_scipy_linalg_is_imported_before_or_after():
 def _logged_steps(monkeypatch, negate_reuse=False):
     """Patch the banded factorization (dpbtrf), the banded solve (dpbtrs) and the energy to log
     each call in order.  Returns the log, whose entries are "factor",
-    "solve" and ("energy", value or None), and a function that reads it
+    "solve" and ("energy", value), and a function that reads it
     into one (fresh, energy) pair per step attempt: fresh when the solve
     followed a factorization directly, energy that of the trial pose.
     With negate_reuse, a solve that reuses an earlier factor returns the
@@ -862,7 +850,7 @@ def _logged_steps(monkeypatch, negate_reuse=False):
 
     def energy_terms(self, X):
         terms = real_energy(self, X)
-        log.append(("energy", None if terms is None else sum(terms.values())))
+        log.append(("energy", sum(terms.values())))
         return terms
 
     monkeypatch.setattr(lapack, "dpbtrf", factor)
@@ -885,7 +873,7 @@ def _accepted(attempts, start):
     solver's acceptance rule, as (index, fresh, energy)."""
     kept, energy = [], start
     for i, (fresh, value) in enumerate(attempts):
-        if value is not None and value < energy:
+        if value < energy:
             kept.append((i, fresh, value))
             energy = value
     return kept
@@ -911,7 +899,7 @@ def test_settled_steps_reuse_the_factor(noisy_walk, monkeypatch):
     before."""
     seq, truth = noisy_walk
     log, attempts = _logged_steps(monkeypatch)
-    fit = optimize(seq, truth.anatomy, CAMERA)
+    fit = optimize(seq, truth.anatomy)
     steps = attempts()
     accepted = _accepted(steps, fit.energy_history[0])
     assert [energy for _, _, energy in accepted] == list(fit.energy_history[1:])
@@ -932,7 +920,7 @@ def test_contracting_reuse_step_stops_the_fit(noisy_walk, monkeypatch):
     no factorization after the one that step reused."""
     seq, truth = noisy_walk
     log, attempts = _logged_steps(monkeypatch)
-    fit = optimize(seq, truth.anatomy, CAMERA)
+    fit = optimize(seq, truth.anatomy)
     fresh, energy = attempts()[-1]
     assert not fresh and energy == fit.final_energy
     drop, floor, last = _drops(fit.energy_history)[-1]
@@ -946,12 +934,12 @@ def test_small_reuse_drop_that_does_not_contract_is_confirmed_fresh(monkeypatch)
     """A reuse step whose drop is at most the floor but more than half the
     drop before it does not stop the fit: the next step is fresh, and it
     decides.  This walk (the 0.8 m/s grid walk of the benchmark's fit_batch
-    at seed 20) takes one such step, with a drop 0.55 of the one before."""
+    at seed 20) takes one such step, with a drop 0.54 of the one before."""
     spec = WalkerSpec(speed_m_s=0.8, cadence_steps_min=90.0, distance_m=6.0,
                       sigma3d_m=0.01, sigma2d_px=2.0, seed=649421745)
     seq, truth = generate(spec)
     _, attempts = _logged_steps(monkeypatch)
-    fit = optimize(seq, truth.anatomy, CAMERA)
+    fit = optimize(seq, truth.anatomy)
     steps = attempts()
     accepted = _accepted(steps, fit.energy_history[0])
     assert len(accepted) == fit.iterations
@@ -972,7 +960,7 @@ def test_reuse_step_that_raises_the_energy_is_retaken_fresh(noisy_walk, monkeypa
     energy at every accepted step and converges, on fresh steps alone."""
     seq, truth = noisy_walk
     log, attempts = _logged_steps(monkeypatch, negate_reuse=True)
-    fit = optimize(seq, truth.anatomy, CAMERA)
+    fit = optimize(seq, truth.anatomy)
     steps = attempts()
     reuses = [i for i, (fresh, _) in enumerate(steps) if not fresh]
     assert reuses
@@ -1005,9 +993,9 @@ def test_smoothness_diagonals_match_dense_operator(n_frames):
     ({"tolerance": math.nan}, "tolerance"),
     ({"max_iterations": 0}, "max_iterations"),
     ({"w_ik": -1.0}, "w_ik"),
-    ({"w_proj": -1e-6}, "w_proj"),
+    ({"w_ik": math.nan}, "w_ik"),
     ({"w_smooth": math.nan}, "w_smooth"),
-    ({"w_depth": -0.1}, "w_depth"),
+    ({"w_smooth": -0.1}, "w_smooth"),
 ])
 def test_energy_config_checks_its_fields(kwargs, field):
     """EnergyConfig built directly, as a script would, holds the same ranges
@@ -1017,7 +1005,7 @@ def test_energy_config_checks_its_fields(kwargs, field):
         EnergyConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["w_ik", "w_proj", "w_smooth", "w_depth"])
+@pytest.mark.parametrize("field", ["w_ik", "w_smooth"])
 def test_energy_config_rejects_infinite_weights(field):
     """An infinite weight would make every trial energy inf or nan, and the
     fit would stop at once as damping_exhausted under a burst of
@@ -1027,10 +1015,9 @@ def test_energy_config_rejects_infinite_weights(field):
 
 
 def test_energy_config_accepts_its_range():
-    cfg = EnergyConfig(w_ik=0.0, w_proj=None, w_smooth=0.0, w_depth=0.0,
-                       max_iterations=1, tolerance=1e-10)
-    assert cfg.w_proj is None
-    assert EnergyConfig(w_proj=0.0, tolerance=0.999).tolerance == 0.999
+    cfg = EnergyConfig(w_ik=0.0, w_smooth=0.0, max_iterations=1, tolerance=1e-10)
+    assert (cfg.w_ik, cfg.w_smooth) == (0.0, 0.0)
+    assert EnergyConfig(tolerance=0.999).tolerance == 0.999
 
 
 # Three short fits pinned end to end: (walk, strip the 2D block, iterations,
@@ -1041,19 +1028,19 @@ GOLDEN_FITS = {
     "clean": (
         WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=3.0, seed=3),
         False, 3, "decrease",
-        ("1.200000853", "109.9236641", "65.5624504", "0.5458333333"),
+        ("1.200000691", "109.9236641", "65.56232665", "0.5458333333"),
     ),
     "noisy": (
         WalkerSpec(speed_m_s=1.1, cadence_steps_min=104.0, distance_m=3.0,
                    sigma3d_m=0.015, sigma2d_px=3.0, dropout=0.2, seed=12),
         False, 8, "decrease",
-        ("1.105048542", "104.3478261", "64.40743456", "0.575"),
+        ("1.105224082", "104.3478261", "64.40722599", "0.575"),
     ),
     "3d-only": (
         WalkerSpec(speed_m_s=1.3, cadence_steps_min=116.0, distance_m=3.0,
                    sigma3d_m=0.01, sigma2d_px=2.0, dropout=0.2, seed=13),
         True, 7, "decrease",
-        ("1.299464293", "114.893617", "68.3885587", "0.5222222222"),
+        ("1.299483524", "114.893617", "68.38861938", "0.5222222222"),
     ),
 }
 
