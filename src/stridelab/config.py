@@ -176,7 +176,7 @@ def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
     max_iterations = _as_int("energy.max_iterations", section["max_iterations"])
     tolerance = num("tolerance")
     try:
-        return EnergyConfig(w_ik=num("w_ik"), w_smooth=num("w_smooth"),
+        return EnergyConfig(w_smooth=num("w_smooth"),
                             max_iterations=max_iterations, tolerance=tolerance)
     except ValueError as exc:
         raise ConfigError(f"config key energy.{exc}") from None

@@ -3,11 +3,13 @@
 Fits a fixed-bone-length kinematic skeleton to noisy per-frame 3D
 detections by minimizing
 
-    E = w_ik * E_ik + w_smooth * E_smooth
+    E = E_ik + w_smooth * E_smooth
 
 where E_ik sums squared distances between model joints and detected 3D
 joints and E_smooth sums squared second temporal differences of all model
-joint positions.  A stream's 2D joints, when it has them, are not read.
+joint positions.  The solver is scale-free (relative stopping tests,
+Marquardt damping), so a weight on E_ik would only rescale E: w_smooth is
+the one weight.  A stream's 2D joints, when it has them, are not read.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
@@ -105,9 +107,9 @@ _CONTRACTION = 0.5
 # Why EnergyProblem.solve stopped: an accepted fresh step, or a contracting
 # reuse step, lowered the energy by at most the relative tolerance
 # ("decrease"); a rejected fresh step left it flat to within that
-# tolerance, or no parameter moves any residual ("flat"); no damping up to
-# _MAX_DAMPING gave an acceptable step ("damping_exhausted"); or
-# max_iterations steps were taken ("iteration_cap").
+# tolerance ("flat"); no damping up to _MAX_DAMPING gave an acceptable step
+# ("damping_exhausted"); or max_iterations steps were taken
+# ("iteration_cap").
 STOP_REASONS = ("decrease", "flat", "damping_exhausted", "iteration_cap")
 CONVERGED_REASONS = frozenset({"decrease", "flat"})
 
@@ -163,33 +165,31 @@ def _check_info(routine: str, info: int) -> None:
 
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Energy weights, the iteration cap and the stopping tolerance of the fit.
+    """The smoothness weight, iteration cap and stopping tolerance of the fit.
 
-    w_ik weighs the squared distances to the detected 3D joints, w_smooth
-    the squared second differences of the joint trajectories.  tolerance is
-    a relative energy decrease in [_MIN_TOLERANCE, 1): the fit stops once an
-    accepted step lowers the energy by at most tolerance times its value (a
-    step that reuses an earlier factorization only when its drop is also at
-    most half the drop before it), or a rejected step from a fresh
-    factorization changes it by at most that much, and otherwise after
-    max_iterations (at least 1) accepted steps of either kind (see
-    EnergyProblem.solve) with converged=False.  Weights are finite and
-    non-negative.  A field outside its range raises ValueError whose
-    message starts with the field name.
+    w_smooth weighs the squared second differences of the joint
+    trajectories against the squared distances to the detected 3D joints,
+    whose weight is 1: a second weight would only rescale the energy, which
+    changes no fit (EnergyProblem.solve).  tolerance is a relative energy
+    decrease in [_MIN_TOLERANCE, 1): the fit stops once an accepted step
+    lowers the energy by at most tolerance times its value (a step that
+    reuses an earlier factorization only when its drop is also at most
+    half the drop before it), or a rejected step from a fresh factorization
+    changes it by at most that much, and otherwise after max_iterations (at
+    least 1) accepted steps of either kind (see EnergyProblem.solve) with
+    converged=False.  w_smooth is finite and non-negative.  A field outside
+    its range raises ValueError whose message starts with the field name.
     """
 
-    w_ik: float = 1.0
     w_smooth: float = 0.1
     max_iterations: int = 80
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("w_ik", "w_smooth"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name}: must be finite, got {value}")
-            if value < 0:
-                raise ValueError(f"{name}: must be non-negative, got {value}")
+        if not math.isfinite(self.w_smooth):
+            raise ValueError(f"w_smooth: must be finite, got {self.w_smooth}")
+        if self.w_smooth < 0:
+            raise ValueError(f"w_smooth: must be non-negative, got {self.w_smooth}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations: must be at least 1, got {self.max_iterations}")
         # 1 or more would stop after any first step.
@@ -296,14 +296,12 @@ class EnergyProblem:
         lengths: np.ndarray,
         y3: np.ndarray,
         m3: np.ndarray,
-        w_ik: float,
         w_smooth: float,
     ) -> None:
         self.tree = tree
         self.lengths = np.asarray(lengths, dtype=np.float64)
         self.y3 = y3
         self.m3 = m3.astype(np.float64)
-        self.w_ik = w_ik
         self.w_smooth = w_smooth
         self.F = y3.shape[0]
         # Diagonals of D^T D, the frame coupling of the smoothness term's
@@ -326,7 +324,7 @@ class EnergyProblem:
         r3, dd = self._residuals(X)
         e_smooth = 0.0 if dd is None else float(np.sum(dd * dd))
         return {
-            "ik": self.w_ik * float(np.sum(self.m3[..., None] * r3 ** 2)),
+            "ik": float(np.sum(self.m3[..., None] * r3 ** 2)),
             "smooth": self.w_smooth * e_smooth,
         }
 
@@ -337,10 +335,10 @@ class EnergyProblem:
     def _weighted_residuals(self, X: np.ndarray) -> np.ndarray:
         """r~ (F, J, 3) at joint positions X: half the energy's gradient with
         respect to the joint positions, dE/dX / 2.  The ik term gives
-        w_ik m3 (X - y3) and the smoothness term w_smooth D^T dd, so J^T r~
-        is J^T W r for any position Jacobian J."""
+        m3 (X - y3) and the smoothness term w_smooth D^T dd, so J^T r~ is
+        J^T W r for any position Jacobian J."""
         r3, dd = self._residuals(X)
-        resid = self.w_ik * self.m3[..., None] * r3
+        resid = self.m3[..., None] * r3
         if dd is not None:
             wdd = self.w_smooth * dd
             resid[2:] += wdd
@@ -398,8 +396,9 @@ class EnergyProblem:
         (the smoothness blocks (f + k, f), k = 1, 2, need them), forms its
         diagonal and off-diagonal blocks and writes them into its rows of
         the band.  The ik and smoothness terms of joint j in frame f weigh
-        its three coordinates alike, W = w_row I, so a diagonal block is the
-        one product J^T (w_row J).  Beyond the band and per-frame weights,
+        its three coordinates alike, W = w_row I with w_row = m3 +
+        w_smooth (D^T D)_ff, so a diagonal block is the one product
+        J^T (w_row J).  Beyond the band and per-frame weights,
         memory is bounded by one chunk's buffers, reused from chunk to
         chunk, whatever F is."""
         tree = self.tree
@@ -409,8 +408,8 @@ class EnergyProblem:
         m0, m1, m2 = self._m_diag
 
         # The per-joint weight of the diagonal blocks,
-        # w_ik * m3 + w_smooth * (D^T D)_ff, shaped to scale a Jacobian.
-        w_row = (self.w_ik * self.m3 + self.w_smooth * m0[:, None])[..., None, None]
+        # m3 + w_smooth * (D^T D)_ff, shaped to scale a Jacobian.
+        w_row = (self.m3 + self.w_smooth * m0[:, None])[..., None, None]
 
         if out is None:
             ab = np.zeros((kd + 1, F * P), order="F")
@@ -568,7 +567,11 @@ class EnergyProblem:
         the bound the fresh test gives, so the confirming fresh step (one
         assembly and one factorization) is not taken.  After a reuse step whose drop is
         that small but does not contract, the next step is fresh, and it
-        decides.  info["stop_reason"] is one of STOP_REASONS."""
+        decides.  info["stop_reason"] is one of STOP_REASONS.  At data
+        weight 1 and a 3D joint in every frame (_targets_3d), each frame's
+        translation diagonal is at least 1; the damping's relative floor
+        covers a rotation with no observed descendant, whose diagonal is 0
+        at w_smooth = 0."""
         tree = self.tree
         t, rot = init.translations, init.rotations
 
@@ -588,8 +591,8 @@ class EnergyProblem:
         last_drop = 0.0
 
         for _ in range(cfg.max_iterations):
-            # Relative to the energy, like the damping, so a uniform
-            # rescaling of the weights or a longer walk stops alike.
+            # Relative to the energy, like the damping, so a rescaled
+            # energy or a longer walk stops alike.
             floor = cfg.tolerance * energy
             resid = self._weighted_residuals(X)
             new = None
@@ -604,13 +607,9 @@ class EnergyProblem:
                 axes = kin.swing_axes(tree, rot)
                 ab = self._normal_blocks(X, G, axes, out=ab)
                 d0 = ab[0]
-                if d0.max() == 0.0:
-                    # No parameter moves any residual: there is nothing to step.
-                    stop_reason = "flat"
-                    break
                 # Multiplicative (Marquardt) damping keeps steps invariant
-                # under a uniform rescaling of both weights; the relative
-                # floor guards parameters with no residual influence.
+                # under a rescaling of the energy; the relative floor guards
+                # parameters with no residual influence.
                 damp_base = np.maximum(d0, 1e-12 * d0.max())
                 g = self._jtr(X, G, resid, axes).reshape(-1)
 
@@ -677,7 +676,7 @@ def _problem_for(seq: SkeletonSequence, anatomy: AnatomyProfile,
     """The energy of seq, on its 3D joints alone (see _targets_3d)."""
     y3, m3 = _targets_3d(seq)
     return EnergyProblem(CANONICAL_TREE, kin.lengths_vector(anatomy), y3, m3,
-                         w_ik=cfg.w_ik, w_smooth=cfg.w_smooth)
+                         w_smooth=cfg.w_smooth)
 
 
 def _check_params(params: PoseParams, n_frames: int) -> None:

@@ -387,38 +387,6 @@ def write_gait_csv(
         w.writerow([walk_id, source, *(_fmt(values[k]) for k in GAIT_CSV_COLUMNS[2:])])
 
 
-def read_gait_csv(fp: TextIO) -> list[dict]:
-    """Read a `.gait.csv` back into one dict per walk (floats parsed).  A
-    value that is not a finite number raises MalformedDocument naming its
-    line, as in read_matched_csv."""
-    reader = csv.reader(fp)
-    try:
-        head = next(reader)
-    except StopIteration:
-        raise MalformedDocument("empty gait CSV") from None
-    if tuple(head) != GAIT_CSV_COLUMNS:
-        raise MalformedDocument(
-            f"gait CSV columns must be {GAIT_CSV_COLUMNS}, got {tuple(head)}"
-        )
-    out = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(GAIT_CSV_COLUMNS):
-            raise MalformedDocument(f"line {lineno}: expected {len(GAIT_CSV_COLUMNS)} cells")
-        rec: dict = {"walk_id": row[0], "source": row[1]}
-        for key, cell in zip(GAIT_CSV_COLUMNS[2:], row[2:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise MalformedDocument(
-                    f"line {lineno}: {key} is not a finite number: {cell!r}"
-                )
-            rec[key] = value
-        out.append(rec)
-    return out
-
-
 def write_matched_csv(
     fp: TextIO, records: Iterable[tuple[str, str, str, str, float]]
 ) -> None:

@@ -213,10 +213,7 @@ def _random_problem(rng):
         points_3d=obs, mask_3d=rng.random((n_frames, len(JointId))) < 0.9,
         source="synthetic",
     )
-    cfg = EnergyConfig(
-        w_ik=float(rng.uniform(0.5, 2.0)),
-        w_smooth=float(rng.uniform(0.0, 0.5)),
-    )
+    cfg = EnergyConfig(w_smooth=float(rng.uniform(0.0, 0.5)))
     return params, seq, anatomy, cfg
 
 

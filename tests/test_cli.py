@@ -858,18 +858,22 @@ def test_bad_energy_tolerance_exits_2(pipeline, tmp_path, capsys, tolerance):
 
 def test_removed_energy_key_exits_2(pipeline, tmp_path, capsys):
     """[energy] w_proj weighed a 2D reprojection term the fit no longer
-    has: a config that still sets it exits 2 as an unknown key before any
-    walk is fit, with no traceback."""
+    has, and w_ik a data term that now has weight 1: a config that still
+    sets either exits 2 as an unknown key before any walk is fit, with one
+    error line and no traceback."""
     _, sim, _ = pipeline
-    cfg = tmp_path / "old.ini"
-    cfg.write_text("[energy]\nw_proj = auto\n")
-    code = main(["--config", str(cfg), "analyze", str(sim / "walk-a.poses.json"),
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown config key energy.w_proj" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    for key, raw in (("w_proj", "auto"), ("w_ik", "2")):
+        cfg = tmp_path / f"old-{key}.ini"
+        cfg.write_text(f"[energy]\n{key} = {raw}\n")
+        out = tmp_path / f"out-{key}"
+        code = main(["--config", str(cfg), "analyze", str(sim / "walk-a.poses.json"),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: unknown config key energy.{key}"]
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 _AXES = [tuple(float(v) for v in row) for row in np.vstack([np.eye(3), -np.eye(3)])]

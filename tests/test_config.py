@@ -24,7 +24,6 @@ def test_defaults_load_without_a_file():
     assert cfg.resamples == 10_000
     assert cfg.seed == 0
     assert cfg.bootstrap_level == pytest.approx(0.95)
-    assert cfg.energy.w_ik == pytest.approx(1.0)
     assert cfg.energy.w_smooth == pytest.approx(0.1)
     assert cfg.detector.min_prominence_m == pytest.approx(0.05)
     assert cfg.camera.cx == pytest.approx(540.0)
@@ -105,16 +104,21 @@ def test_unknown_key_rejected(tmp_path):
     ("detector", "cluster_window_s", "0.15"),
     ("energy", "w_proj", "auto"),
     ("energy", "w_depth", "0.1"),
-], ids=["cluster_window_s", "w_proj", "w_depth"])
+    ("energy", "w_ik", "2"),
+], ids=["cluster_window_s", "w_proj", "w_depth", "w_ik"])
 def test_removed_key_rejected(tmp_path, section, key, raw):
-    """Keys that were removed fail as any unknown key does:
-    detector.cluster_window_s changed no result, and energy.w_proj and
-    energy.w_depth weighed the 2D reprojection and root-depth terms, which
-    the fit no longer has."""
+    """Keys that were removed fail as any unknown key does, in a config
+    file and as an override: detector.cluster_window_s changed no result,
+    energy.w_proj and energy.w_depth weighed the 2D reprojection and
+    root-depth terms, which the fit no longer has, and energy.w_ik only
+    rescaled the energy (its ratio to w_smooth is w_smooth alone now)."""
     p = tmp_path / "run.ini"
     p.write_text(f"[{section}]\n{key} = {raw}\n")
     with pytest.raises(ConfigError) as info:
         load_config(p)
+    assert str(info.value) == f"unknown config key {section}.{key}"
+    with pytest.raises(ConfigError) as info:
+        load_config(overrides={f"{section}.{key}": raw})
     assert str(info.value) == f"unknown config key {section}.{key}"
 
 
@@ -132,8 +136,8 @@ def test_bad_values_name_the_key(tmp_path):
     p.write_text("[energy]\nmax_iterations = 0\n")
     with pytest.raises(ConfigError, match=r"config key energy.max_iterations"):
         load_config(p)
-    p.write_text("[energy]\nw_ik = banana\n")
-    with pytest.raises(ConfigError, match=r"config key energy.w_ik"):
+    p.write_text("[energy]\nw_smooth = banana\n")
+    with pytest.raises(ConfigError, match=r"config key energy.w_smooth"):
         load_config(p)
 
 
@@ -149,7 +153,7 @@ def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
         load_config(p)
 
 
-@pytest.mark.parametrize("key", ["w_ik", "w_smooth"])
+@pytest.mark.parametrize("key", ["w_smooth"])
 def test_negative_energy_weight_names_the_key(tmp_path, key):
     """EnergyConfig checks the weights; the error still names the key."""
     p = tmp_path / "run.ini"

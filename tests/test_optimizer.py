@@ -91,7 +91,7 @@ def _energy_oracle(params, seq, cfg):
     for f, fr in enumerate(seq.frames_3d):
         for j, p in fr.joints.items():
             d = X[f, j.value] - np.array(p)
-            total += cfg.w_ik * float(d @ d)
+            total += float(d @ d)
     if X.shape[0] >= 3:
         dd = X[2:] - 2.0 * X[1:-1] + X[:-2]
         total += cfg.w_smooth * float(np.sum(dd * dd))
@@ -103,7 +103,7 @@ def test_energy_matches_direct_summation():
     params = _params(rng, 3)
     seq = _sequence_from_params(params)
     probe = _params(rng, 3)
-    cfg = EnergyConfig(w_ik=0.7, w_smooth=0.3)
+    cfg = EnergyConfig(w_smooth=0.3)
     got = energy(probe, seq, ANATOMY, cfg=cfg)
     want = _energy_oracle(probe, seq, cfg)
     assert got == pytest.approx(want, rel=1e-9)
@@ -130,15 +130,18 @@ def test_breakdown_sums_to_energy():
 
 
 def test_energy_linear_in_weights():
+    """E = E_ik + w_smooth E_smooth: the energy is linear in its one
+    weight, and its ik term does not depend on it."""
     rng = np.random.default_rng(2)
-    params = _params(rng, 2)
+    params = _params(rng, 3)
     seq = _sequence_from_params(params)
-    probe = _params(rng, 2)
-    base = EnergyConfig(w_ik=1.0, w_smooth=0.1)
-    double = EnergyConfig(w_ik=2.0, w_smooth=0.2)
-    e1 = energy(probe, seq, ANATOMY, cfg=base)
-    e2 = energy(probe, seq, ANATOMY, cfg=double)
-    assert e2 == pytest.approx(2 * e1, rel=1e-12)
+    probe = _params(rng, 3)
+    e = {w: energy(probe, seq, ANATOMY, cfg=EnergyConfig(w_smooth=w))
+         for w in (0.0, 0.1, 0.2)}
+    assert e[0.2] - e[0.1] == pytest.approx(e[0.1] - e[0.0], rel=1e-9)
+    assert e[0.1] > e[0.0] > 0.0
+    terms = energy_breakdown(probe, seq, ANATOMY, cfg=EnergyConfig(w_smooth=0.2))
+    assert terms["ik"] == e[0.0]
 
 
 def _fd_gradient(params, seq, cfg, h=1e-6):
@@ -184,19 +187,25 @@ def test_optimize_monotone_and_converged(fitted_clean):
 
 
 def test_stopping_rule_is_scale_free(noisy_walk):
-    """Scaling both weights alike scales the energy and leaves its
-    minimizer, the Marquardt steps and the relative stopping tests alone, so
-    the fit takes the same iterations and stops for the same reason."""
+    """Measuring the walk in other units (the 3D joints, the bones and the
+    start's root translations scaled by s) scales the energy by s^2 and
+    leaves its minimizer, the Marquardt steps and the relative stopping
+    tests alone, so the fit takes the same iterations and stops for the
+    same reason.  A data weight next to w_smooth would only have rescaled
+    the energy in the same way."""
     seq, truth = noisy_walk
-    base = EnergyConfig()
-    fits = [
-        optimize(seq, truth.anatomy, cfg=replace(
-            base, w_ik=s * base.w_ik, w_smooth=s * base.w_smooth))
-        for s in (1e-3, 1.0, 1e3)
-    ]
-    assert len({fit.iterations for fit in fits}) == 1
-    assert len({fit.stop_reason for fit in fits}) == 1
-    assert fits[0].converged
+    cfg = EnergyConfig()
+    prob = _problem_for(seq, truth.anatomy, cfg)
+    init = initial_params(seq, truth.anatomy)
+    infos = []
+    for s in (1e-3, 1.0, 1e3):
+        scaled = optimizer_module.EnergyProblem(
+            prob.tree, s * prob.lengths, s * prob.y3, prob.m3, w_smooth=cfg.w_smooth)
+        _, info = scaled.solve(PoseParams(s * init.translations, init.rotations), cfg)
+        infos.append(info)
+    assert len({info["iterations"] for info in infos}) == 1
+    assert len({info["stop_reason"] for info in infos}) == 1
+    assert infos[0]["stop_reason"] in optimizer_module.CONVERGED_REASONS
 
 
 def test_iteration_cap_is_not_converged(noisy_walk):
@@ -255,16 +264,6 @@ def test_zero_energy_stops_as_flat():
     assert fit.stop_reason == "flat"
     assert fit.converged is True
     assert fit.iterations == 1
-
-
-def test_zero_band_diagonal_stops_as_flat():
-    """With every weight zero no parameter moves any residual."""
-    seq, params = _exact_3d_only(3, seed=29)
-    cfg = EnergyConfig(w_ik=0.0, w_smooth=0.0)
-    fit = optimize(seq, ANATOMY, cfg=cfg)
-    assert fit.stop_reason == "flat"
-    assert fit.converged is True
-    assert fit.iterations == 0
 
 
 def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
@@ -422,7 +421,7 @@ def _dense_normal_equations(prob, X, G, axes):
         for j in range(prob.tree.n_joints):
             if prob.m3[f, j]:
                 for c in range(3):
-                    add(prob.w_ik, X[f, j, c] - prob.y3[f, j, c], (f, 1.0, jpos[f, j, c]))
+                    add(1.0, X[f, j, c] - prob.y3[f, j, c], (f, 1.0, jpos[f, j, c]))
     for f in range(F - 2):
         for j in range(prob.tree.n_joints):
             for c in range(3):
@@ -501,7 +500,7 @@ def _random_problem(tree, lengths, rng, F):
     truth = forward_kinematics(tree, lengths, pose())
     prob = optimizer_module.EnergyProblem(
         tree, lengths, truth + rng.normal(0.0, 0.02, truth.shape),
-        rng.random((F, tree.n_joints)) < 0.8, w_ik=1.0, w_smooth=0.1,
+        rng.random((F, tree.n_joints)) < 0.8, w_smooth=0.1,
     )
     params = pose()
     X, G = forward_kinematics(tree, lengths, params, with_globals=True)
@@ -992,8 +991,8 @@ def test_smoothness_diagonals_match_dense_operator(n_frames):
     ({"tolerance": 1.0}, "tolerance"),
     ({"tolerance": math.nan}, "tolerance"),
     ({"max_iterations": 0}, "max_iterations"),
-    ({"w_ik": -1.0}, "w_ik"),
-    ({"w_ik": math.nan}, "w_ik"),
+    ({"tolerance": 0.0}, "tolerance"),
+    ({"w_smooth": -math.inf}, "w_smooth"),
     ({"w_smooth": math.nan}, "w_smooth"),
     ({"w_smooth": -0.1}, "w_smooth"),
 ])
@@ -1005,7 +1004,7 @@ def test_energy_config_checks_its_fields(kwargs, field):
         EnergyConfig(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["w_ik", "w_smooth"])
+@pytest.mark.parametrize("field", ["w_smooth"])
 def test_energy_config_rejects_infinite_weights(field):
     """An infinite weight would make every trial energy inf or nan, and the
     fit would stop at once as damping_exhausted under a burst of
@@ -1015,8 +1014,8 @@ def test_energy_config_rejects_infinite_weights(field):
 
 
 def test_energy_config_accepts_its_range():
-    cfg = EnergyConfig(w_ik=0.0, w_smooth=0.0, max_iterations=1, tolerance=1e-10)
-    assert (cfg.w_ik, cfg.w_smooth) == (0.0, 0.0)
+    cfg = EnergyConfig(w_smooth=0.0, max_iterations=1, tolerance=1e-10)
+    assert cfg.w_smooth == 0.0
     assert EnergyConfig(tolerance=0.999).tolerance == 0.999
 
 

@@ -6,6 +6,7 @@ internals.  Writing must be byte-stable so identical runs produce identical
 files.
 """
 
+import csv
 import io
 import json
 import math
@@ -572,6 +573,8 @@ def test_frames_without_joint_maps_are_kept():
 
 
 def test_gait_csv_round_trip():
+    """The table holds the header, then one row per walk: its id, its source
+    and the four gait parameters at 10 significant digits."""
     values = {
         "n_events": 9,
         "gait_speed_m_s": 1.2034,
@@ -582,32 +585,10 @@ def test_gait_csv_round_trip():
     }
     buf = io.StringIO()
     pose_io.write_gait_csv(buf, [("walk-007", "synthetic", values)])
-    rows = pose_io.read_gait_csv(io.StringIO(buf.getvalue()))
-    assert rows == [
-        {
-            "walk_id": "walk-007",
-            "source": "synthetic",
-            "gait_speed_m_s": pytest.approx(1.2034),
-            "cadence_steps_min": pytest.approx(110.2),
-            "step_length_cm": pytest.approx(65.51),
-            "step_time_s": pytest.approx(0.5445),
-        }
-    ]
-
-
-def test_gait_csv_rejects_wrong_header():
-    with pytest.raises(MalformedDocument):
-        pose_io.read_gait_csv(io.StringIO("a,b,c\n1,2,3\n"))
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "fast"])
-def test_gait_csv_rejects_a_value_that_is_not_a_finite_number(cell):
-    """A NaN, infinite or text value fails the file naming its line, as
-    read_matched_csv does."""
-    text = ",".join(pose_io.GAIT_CSV_COLUMNS) + f"\nw,s,1.2,110,{cell},0.55\n"
-    with pytest.raises(MalformedDocument,
-                       match=rf"^line 2: step_length_cm is not a finite number: '{cell}'$"):
-        pose_io.read_gait_csv(io.StringIO(text))
+    head, row = csv.reader(io.StringIO(buf.getvalue()))
+    assert tuple(head) == pose_io.GAIT_CSV_COLUMNS
+    assert row[:2] == ["walk-007", "synthetic"]
+    assert [float(cell) for cell in row[2:]] == [1.2034, 110.2, 65.51, 0.5445]
 
 
 def test_matched_csv_round_trip():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from stridelab import NoStepsDetected, analyze_sequence
+from stridelab.optimizer import STOP_REASONS
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "sweep_accuracy.py"
 
@@ -41,18 +42,28 @@ def test_bad_arguments_exit_2_before_any_walk(sweep, capsys, argv, message):
                          ids=["one-fails", "all-fail"])
 def test_failed_walks_print_error_rows(sweep, capsys, monkeypatch, failing, code):
     """A walk the pipeline fails on gets an error row and the sweep goes on;
-    the summary covers the others, and with none left the script exits 1."""
-    calls = []
+    the summary covers the others, and with none left the script exits 1.
+    A walk that ran ends its row with its fit's iterations and stop
+    reason."""
+    calls, fits = [], []
 
     def analyze(seq, cfg):
         calls.append(seq)
         if len(calls) - 1 in failing:
             raise NoStepsDetected("no foot contact found")
-        return analyze_sequence(seq, cfg)
+        result = analyze_sequence(seq, cfg)
+        fits.append(result.fitted)
+        return result
 
     monkeypatch.setattr(sweep, "analyze_sequence", analyze)
     assert _exit_code(sweep, ["--walks", "2", "--distance", "3"]) == code
     lines = capsys.readouterr().out.splitlines()
     assert len(calls) == 2
+    assert lines[0].split()[-3:] == ["s", "iters", "stop"]
     assert lines[1] == "  0.80     90.0  error NoStepsDetected: no foot contact found"
     assert ("worst relative error per parameter:" in lines) == (code == 0)
+    ok_rows = [line for line in lines[1:3] if " error " not in line]
+    assert len(ok_rows) == len(fits) == 2 - len(failing)
+    for row, fit in zip(ok_rows, fits):
+        assert row.split()[-2:] == [str(fit.iterations), fit.stop_reason]
+        assert fit.stop_reason in STOP_REASONS
