@@ -5,7 +5,9 @@ The pipeline runs in four stages, each usable on its own:
 1. `skeleton` / `pose_io`: the array-native pose sequence (3D metres and,
    optionally, 2D pixels) and total parsers for its interchange format.
 2. `optimizer`: fits a kinematic skeleton to the 3D joints of every frame
-   at once, balancing 3D agreement against temporal smoothness.
+   at once, balancing 3D agreement against temporal smoothness.  The
+   fitted walk, `OptimizedSequence`, is a `SkeletonSequence` too, so one
+   pose type runs from parse to report.
 3. `events` / `report`: step detection on the inter-ankle distance signal and
    aggregation into speed, cadence, step length and step time.
    `analyze_sequence` runs stages 2 and 3 in one call.
@@ -54,8 +56,7 @@ from .skeleton import (
     JointId,
     Point2D,
     Point3D,
-    SkeletonFrame2D,
-    SkeletonFrame3D,
+    SkeletonFrame,
     SkeletonSequence,
     canonical_joint,
     default_ratio_table,
@@ -134,8 +135,7 @@ __all__ = [
     "PoseParams",
     "RunConfig",
     "SignalTooShort",
-    "SkeletonFrame2D",
-    "SkeletonFrame3D",
+    "SkeletonFrame",
     "SkeletonSequence",
     "StepDetection",
     "StepEvent",

@@ -22,10 +22,13 @@ Four subcommands cover the study workflow:
 
 Exit codes: 0 on success, 1 when a command ran but produced no usable
 result (every walk failed, no parameter had enough pairs), 2 for usage or
-configuration errors, among them two analyze inputs with one walk id (the
-same file name in two directories, or one file given twice).  All outputs
-are deterministic: the same inputs, config, and seeds produce
-byte-identical files.  No command modifies its inputs.
+configuration errors, among them an analyze input that is a directory and
+two analyze inputs with one walk id (the same file name in two
+directories, or one file given twice), both refused before any fit.  A
+fitted walk is validated like a parsed one, so a fit that places a joint
+at z <= 0 gives its walk a NonPositiveDepth error row.  All outputs are
+deterministic: the same inputs, config, and seeds produce byte-identical
+files.  No command modifies its inputs.
 
 Only analyze loads scipy: the optimizer's banded Cholesky solve loads
 scipy's compiled LAPACK extension (scipy/linalg/_flapack) alone, without
@@ -64,19 +67,6 @@ _TRUTH_METHOD = "truth"
 
 _PARAM_UNITS = {p.name: p.unit for p in PARAMETERS}
 _PARAM_LABELS = {p.name: p.label for p in PARAMETERS}
-
-
-def __getattr__(name: str):
-    """ProcessPoolExecutor and BrokenProcessPool, imported on first access:
-    only analyze --jobs N > 1 uses them, and loading multiprocessing for
-    them would cost every other command 13-20 ms of start-up (2 vCPUs,
-    Python 3.11)."""
-    if name in ("ProcessPoolExecutor", "BrokenProcessPool"):
-        from concurrent.futures import process
-
-        value = globals()[name] = getattr(process, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _slug(text: str) -> str:
@@ -197,14 +187,20 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     # Rows are matched by walk id, so two inputs with one id would merge.
     first: dict[str, Path] = {}
     for path in paths:
+        # A directory is a usage error, not a walk that failed to read.
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory, not a pose stream")
         walk_id = _walk_id_for(path)
         if walk_id in first:
             raise ConfigError(f"walk id {walk_id!r} names two inputs: "
                               f"{first[walk_id]} and {path}")
         first[walk_id] = path
     if args.jobs > 1 and len(paths) > 1:
-        # Through the module, whose __getattr__ loads the pool types.
-        module = sys.modules[__name__]
+        # Imported here: loading multiprocessing for the pool would cost
+        # every other command 13-20 ms of start-up (2 vCPUs, Python 3.11).
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # The solver's LAPACK extension is loaded before the fork, so the
         # workers share its pages instead of each loading it for its first
         # fit.
@@ -214,13 +210,13 @@ def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         # more than there are walks.  A worker that dies breaks the pool:
         # the walks that finished keep their rows, the others get an error
         # row.
-        with module.ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             futures = [pool.submit(_analyze_one, str(p), cfg) for p in paths]
             rows = []
             for path, future in zip(paths, futures):
                 try:
                     rows.append(future.result())
-                except module.BrokenProcessPool as exc:
+                except BrokenProcessPool as exc:
                     rows.append(_error_row(path, exc))
     else:
         rows = [_analyze_one(str(p), cfg) for p in paths]

@@ -23,6 +23,10 @@ inter-ankle separation projected onto that direction.  The walking direction
 is the principal axis of the pelvis trajectory in 3D, signed by net
 displacement, which keeps every output invariant under rigid motions of the
 scene and under time reversal.
+
+The detector reads one input type, the 3D block of a SkeletonSequence:
+the fitted walk (an OptimizedSequence, a subclass) in the pipeline, or a
+parsed or synthesized one.
 """
 
 import bisect
@@ -38,7 +42,7 @@ from .errors import (
     NoStepsDetected,
     SignalTooShort,
 )
-from .skeleton import JointId
+from .skeleton import JointId, SkeletonSequence
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class StepDetection:
     root_along: np.ndarray = field(repr=False)  # pelvis projected onto direction
 
 
-def _joint_track(source, joint: JointId) -> np.ndarray:
+def _joint_track(source: SkeletonSequence, joint: JointId) -> np.ndarray:
     """One joint's (F, 3) positions; MissingJoint if a frame lacks it."""
     seen = source.mask_3d[:, joint.value]
     if not seen.all():
@@ -126,9 +130,9 @@ def _joint_track(source, joint: JointId) -> np.ndarray:
     return np.ascontiguousarray(source.points_3d[:, joint.value])
 
 
-def build_signal(source) -> StepSignal:
-    """Distance between the two ankles over time in the 3D joints of a
-    SkeletonSequence or of an OptimizedSequence."""
+def build_signal(source: SkeletonSequence) -> StepSignal:
+    """Distance between the two ankles over time in a sequence's 3D joints,
+    a parsed walk's or a fitted one's (an OptimizedSequence)."""
     if source.points_3d is None:
         raise MissingModality("step detection needs the 3D stream")
     if len(source) < 3:
@@ -313,11 +317,11 @@ def _walking_direction(root: np.ndarray, min_travel: float) -> np.ndarray:
 
 
 def detect_steps(
-    source,
+    source: SkeletonSequence,
     config: DetectorConfig = DetectorConfig(),
 ) -> StepDetection:
-    """Find foot contacts in the 3D joints of a SkeletonSequence or of an
-    OptimizedSequence.
+    """Find foot contacts in a sequence's 3D joints, a parsed walk's or a
+    fitted one's (an OptimizedSequence).
 
     Raises NoStepsDetected when fewer than two honest maxima survive, and
     AmbiguousWalkingDirection when the pelvis does not travel far enough to

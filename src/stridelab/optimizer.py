@@ -10,6 +10,9 @@ joints and E_smooth sums squared second temporal differences of all model
 joint positions.  The solver is scale-free (relative stopping tests,
 Marquardt damping), so a weight on E_ik would only rescale E: w_smooth is
 the one weight.  A stream's 2D joints, when it has them, are not read.
+optimize returns the fitted walk as an OptimizedSequence: a
+SkeletonSequence of the input's frames, validated as a parsed one is,
+with every joint of every frame placed and the fit's diagnostics added.
 
 The solver is damped Gauss-Newton over the whole sequence at once.  Only
 frames at most two apart couple (through the second-difference smoothness
@@ -76,14 +79,7 @@ import numpy as np
 from . import kinematics as kin
 from .errors import DegenerateInput, FrameCountMismatch, MissingModality
 from .kinematics import CANONICAL_TREE, KinematicTree, PoseParams
-from .skeleton import (
-    AnatomyProfile,
-    CameraModel,
-    Point3D,
-    SkeletonFrame3D,
-    SkeletonSequence,
-    frame_records,
-)
+from .skeleton import AnatomyProfile, CameraModel, SkeletonSequence
 
 # Marquardt damping: start, factor up on a rejected step, down on an accepted one, cap.
 _INIT_DAMPING = 1e-3
@@ -198,29 +194,29 @@ class EnergyConfig:
                              f"got {self.tolerance}")
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizedSequence:
-    """Optimizer output: the fitted joint positions plus diagnostics.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class OptimizedSequence(SkeletonSequence):
+    """The fitted walk: a SkeletonSequence with the fit's diagnostics.
 
-    points_3d (F, J, 3) holds every joint of every frame; frame f is video
-    frame indices[f] at times[f] seconds, as in the fitted sequence.
+    It has the input's fps, times, indices, subject_height_m and source,
+    a 3D block holding every joint of every frame (mask_3d all true) and
+    no 2D block, and it is validated like a parsed sequence: a fit that
+    places a joint at z <= 0 raises NonPositiveDepth.  camera_distance_m
+    is the root's distance from the camera per frame, energy_history the
+    energy before the first step and after each accepted one (its last
+    entry the final energy, split by term in energy_breakdown), and
     stop_reason says why the fit stopped (see STOP_REASONS)."""
 
-    points_3d: np.ndarray
-    times: np.ndarray
-    indices: np.ndarray
-    fps: float
     camera_distance_m: tuple[float, ...]
-    final_energy: float
     energy_breakdown: Mapping[str, float]
     energy_history: tuple[float, ...]
     iterations: int
     stop_reason: str
     params: PoseParams = field(repr=False)
-    source: str = ""
 
-    def __len__(self) -> int:
-        return self.times.shape[0]
+    # The fitted joints as per-frame records, under the name
+    # perfbench/bench.py reads.
+    frames = SkeletonSequence.frames_3d
 
     @property
     def converged(self) -> bool:
@@ -228,17 +224,6 @@ class OptimizedSequence:
         decrease or a flat step, not at the iteration cap or with the
         damping exhausted."""
         return self.stop_reason in CONVERGED_REASONS
-
-    @property
-    def mask_3d(self) -> np.ndarray:
-        """(F, J) presence mask: the fit places every joint."""
-        return np.ones(self.points_3d.shape[:2], dtype=bool)
-
-    @property
-    def frames(self) -> tuple[SkeletonFrame3D, ...]:
-        """The fitted positions as per-frame records, built on each access."""
-        return frame_records(SkeletonFrame3D, Point3D, self.indices, self.times,
-                             self.points_3d, self.mask_3d)
 
 
 def _targets_3d(seq: SkeletonSequence):
@@ -662,7 +647,6 @@ class EnergyProblem:
         params = PoseParams(translations=t, rotations=rot)
         info = {
             "joints": X,
-            "energy": energy,
             "terms": terms,
             "history": tuple(history),
             "iterations": iterations,
@@ -783,29 +767,34 @@ def optimize(
 ) -> OptimizedSequence:
     """Fit the skeleton to a sequence's 3D joints; its 2D joints are not read.
 
-    camera is accepted and ignored: the fit projects nothing, and
-    perfbench/bench.py's analyze_walk still passes it.  Never raises on
-    failure to converge: the best parameters found are returned with
-    converged=False when the iteration cap is hit or the damping is
-    exhausted first; stop_reason says which.
+    Returns the fitted walk as an OptimizedSequence, a SkeletonSequence of
+    the input's frames; a fit that places a joint at z <= 0 raises
+    NonPositiveDepth, as parsing such a joint does.  camera is accepted
+    and ignored: the fit projects nothing, and perfbench/bench.py's
+    analyze_walk still passes it.  Never raises on failure to converge:
+    the best parameters found are returned with converged=False when the
+    iteration cap is hit or the damping is exhausted first; stop_reason
+    says which.
     """
     prob = _problem_for(seq, anatomy, cfg)
     if init is None:
         init = _initial_params_from(prob.y3, prob.m3, anatomy)
     _check_params(init, prob.F)
     params, info = prob.solve(init, cfg)
+    X = info["joints"]
     distances = tuple(float(d) for d in np.linalg.norm(params.translations, axis=1))
     return OptimizedSequence(
-        points_3d=info["joints"],
+        fps=seq.fps,
         times=seq.times,
         indices=seq.indices,
-        fps=seq.fps,
+        points_3d=X,
+        mask_3d=np.ones(X.shape[:2], dtype=bool),
+        subject_height_m=seq.subject_height_m,
+        source=seq.source,
         camera_distance_m=distances,
-        final_energy=info["energy"],
         energy_breakdown=dict(info["terms"]),
         energy_history=info["history"],
         iterations=info["iterations"],
         stop_reason=info["stop_reason"],
         params=params,
-        source=seq.source,
     )

@@ -161,30 +161,22 @@ class Point3D(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SkeletonFrame2D:
-    """One frame's present 2D joints, as built by SkeletonSequence.frames_2d:
-    a plain record, not validated (the sequence's arrays are)."""
+class SkeletonFrame:
+    """One frame's present joints of one block, as built by
+    SkeletonSequence.frames_3d (Point3D values) and frames_2d (Point2D
+    values): a plain record, not validated (the sequence's arrays are)."""
 
     index: int
     time_s: float
-    joints: Mapping[JointId, Point2D]
+    joints: Mapping[JointId, Point2D | Point3D]
 
 
-@dataclass(frozen=True)
-class SkeletonFrame3D:
-    """One frame's present 3D joints, as built by SkeletonSequence.frames_3d
-    and OptimizedSequence.frames: a plain record, not validated."""
-
-    index: int
-    time_s: float
-    joints: Mapping[JointId, Point3D]
-
-
-def frame_records(cls, point, indices, times, values, present):
-    """Per-frame `cls` records of the present joints of (F, J, k) values."""
+def frame_records(point, indices, times, values, present):
+    """Per-frame SkeletonFrame records of the present joints of (F, J, k)
+    values, each joint a `point`."""
     return tuple(
-        cls(index=i, time_s=t,
-            joints={_JOINTS[j]: point(*p) for j, p in enumerate(row) if seen[j]})
+        SkeletonFrame(index=i, time_s=t,
+                      joints={_JOINTS[j]: point(*p) for j, p in enumerate(row) if seen[j]})
         for i, t, row, seen in zip(indices.tolist(), times.tolist(),
                                    values.tolist(), present.tolist())
     )
@@ -222,7 +214,8 @@ class SkeletonSequence:
     read-only copies; cells of absent joints read 0, confidences included.
     With _owned=True it keeps arrays already of the stored dtype instead of
     copying them: only for arrays built for the sequence that no one else
-    holds (pose_io's frame reader passes them).
+    holds (pose_io's frame reader passes them).  The fit's output,
+    optimizer.OptimizedSequence, is a subclass, validated alike.
     """
 
     fps: float
@@ -313,23 +306,23 @@ class SkeletonSequence:
         return float(self.times[-1] - self.times[0]) if len(self) > 1 else 0.0
 
     @property
-    def frames_3d(self) -> Optional[tuple[SkeletonFrame3D, ...]]:
-        """The 3D block as per-frame records, built on each access; None
-        without a 3D block."""
+    def frames_3d(self) -> Optional[tuple[SkeletonFrame, ...]]:
+        """The 3D block as per-frame records of Point3D joints, built on
+        each access; None without a 3D block.  A copy for readers that want
+        records: the arrays are the representation."""
         if self.points_3d is None:
             return None
-        return frame_records(SkeletonFrame3D, Point3D, self.indices, self.times,
+        return frame_records(Point3D, self.indices, self.times,
                              self.points_3d, self.mask_3d)
 
     @property
-    def frames_2d(self) -> Optional[tuple[SkeletonFrame2D, ...]]:
-        """The 2D block as per-frame records, built on each access; None
-        without a 2D block."""
+    def frames_2d(self) -> Optional[tuple[SkeletonFrame, ...]]:
+        """The 2D block as per-frame records of Point2D joints (with their
+        confidences), built on each access; None without a 2D block."""
         if self.pixels_2d is None:
             return None
         values = np.concatenate([self.pixels_2d, self.confidence_2d[..., None]], axis=2)
-        return frame_records(SkeletonFrame2D, Point2D, self.indices, self.times,
-                             values, self.mask_2d)
+        return frame_records(Point2D, self.indices, self.times, values, self.mask_2d)
 
 
 @dataclass(frozen=True)

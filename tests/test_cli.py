@@ -1,5 +1,6 @@
 """End-to-end command line tests on small synthetic walks."""
 
+import concurrent.futures
 import functools
 import hashlib
 import json
@@ -25,6 +26,7 @@ from stridelab.kinematics import CANONICAL_TREE
 from stridelab.optimizer import CONVERGED_REASONS
 from stridelab.pipeline import analyze_sequence
 from stridelab.skeleton import JointId, SkeletonSequence
+from stridelab.walker import WalkerSpec, generate
 
 WALKS_INI = """\
 [walk-a]
@@ -201,7 +203,7 @@ def test_analyze_starts_no_idle_workers(pipeline, tmp_path, monkeypatch, jobs, n
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     poses = sorted(str(p) for p in sim.glob("*.poses.json"))[:n_walks]
     assert main(["--jobs", str(jobs), "analyze", *poses, "--out-dir", str(tmp_path)]) == 0
     assert started == [workers]
@@ -265,6 +267,7 @@ def test_every_worker_crashed_exits_1(pipeline, tmp_path, monkeypatch):
 # analyze, whether that extension was loaded when each process pool was
 # constructed.
 _IMPORT_PROBE = """
+import concurrent.futures
 import sys
 import stridelab, stridelab.cli
 from stridelab import cli
@@ -272,12 +275,12 @@ from stridelab import cli
 LAPACK = "scipy.linalg._flapack"
 loaded_at_pool = []
 
-class Probe(cli.ProcessPoolExecutor):
+class Probe(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         loaded_at_pool.append(LAPACK in sys.modules)
         super().__init__(*args, **kwargs)
 
-cli.ProcessPoolExecutor = Probe
+concurrent.futures.ProcessPoolExecutor = Probe
 imported = "scipy.linalg" in sys.modules
 code = cli.main(sys.argv[1:])
 print(code, imported, "scipy.linalg" in sys.modules, LAPACK in sys.modules, loaded_at_pool)
@@ -539,6 +542,17 @@ def _document(n_frames=10, joints_2d=True, joints_3d=True, height=1.72):
     return pose_io.write_stream(seq)
 
 
+def _near_plane_document():
+    """A clean walk moved along z until its nearest joint is 0.1 mm in
+    front of the image plane, 3D joints only.  Its fit places the right
+    wrist of frame 0 at z = -0.26 mm."""
+    seq, _ = generate(WalkerSpec(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=2.2))
+    points = seq.points_3d.copy()
+    points[..., 2] += 1e-4 - points[..., 2].min()
+    return pose_io.write_stream(replace(seq, points_3d=points, pixels_2d=None,
+                                        confidence_2d=None, mask_2d=None))
+
+
 @pytest.mark.parametrize(
     "document, error",
     [(b"{not json", "MalformedDocument"),
@@ -546,9 +560,10 @@ def _document(n_frames=10, joints_2d=True, joints_3d=True, height=1.72):
      (_document(joints_3d=False), "MissingModality"),
      (_document(joints_2d=False, joints_3d=False), "MissingModality"),
      (_document(height=3.0), "OutOfRangeHeight"),
-     (_document(height=None), "MissingHeaderField")],
+     (_document(height=None), "MissingHeaderField"),
+     (_near_plane_document(), "NonPositiveDepth")],
     ids=["malformed", "no-3d-joints", "2d-only", "no-joint-maps", "height-out-of-range",
-         "no-height"],
+         "no-height", "fit-behind-the-image-plane"],
 )
 def test_analyze_reports_failures_per_walk(tmp_path, capsys, document, error):
     bad = tmp_path / "broken.poses.json"
@@ -616,6 +631,34 @@ def test_analyze_refuses_two_inputs_with_one_walk_id(pipeline, tmp_path, capsys,
         f"error: walk id 'walk-a' names two inputs: {first} and {second}\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+def _no_fit(path_str, cfg):
+    raise AssertionError(f"{path_str} was analyzed")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_analyze_refuses_a_directory_input(pipeline, tmp_path, monkeypatch, capsys, jobs):
+    """A directory given to analyze, also beside a good file, exits 2 with
+    one error line naming it, before any fit and before any output is
+    written.  A missing file keeps its error row."""
+    _, sim, _ = pipeline
+    good, missing = sim / "walk-a.poses.json", tmp_path / "missing.poses.json"
+    out = tmp_path / "out"
+    assert main(["analyze", str(good), str(missing), "--out-dir", str(out)]) == 0
+    rows = json.loads((out / "results.report.json").read_text())["walks"]
+    assert [r["status"] for r in rows] == ["ok", "error"]
+    assert rows[1]["error"]["type"] == "FileNotFoundError"
+    capsys.readouterr()
+
+    monkeypatch.setattr(cli, "_analyze_one", _no_fit)
+    refused = tmp_path / "refused"
+    args = ["--jobs", str(jobs), "analyze", str(good), str(sim), "--out-dir", str(refused)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {sim} is a directory, not a pose stream\n"
+    assert captured.out == ""
+    assert not refused.exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -24,10 +24,12 @@ from stridelab import (
     EnergyConfig,
     JointId,
     MissingModality,
+    NonPositiveDepth,
     SkeletonSequence,
     WalkerSpec,
     analyze_sequence,
     derive_anatomy,
+    detect_steps,
     energy,
     energy_breakdown,
     energy_gradient,
@@ -226,7 +228,7 @@ def test_refit_from_a_converged_fit_stops_at_once(noisy_walk, fitted_noisy):
     assert refit.stop_reason in ("decrease", "flat")
     assert refit.converged is True
     assert refit.iterations <= 1
-    assert refit.final_energy <= fitted_noisy.final_energy * (1 + 1e-12)
+    assert refit.energy_history[-1] <= fitted_noisy.energy_history[-1] * (1 + 1e-12)
 
 
 def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
@@ -244,8 +246,7 @@ def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
     assert fit.stop_reason == "damping_exhausted"
     assert fit.converged is False
     assert fit.iterations == 0
-    assert fit.energy_history == (fit.final_energy,)
-    assert fit.final_energy == energy(init, seq, truth.anatomy)
+    assert fit.energy_history == (energy(init, seq, truth.anatomy),)
 
 
 def _exact_3d_only(n_frames, seed):
@@ -260,7 +261,7 @@ def test_zero_energy_stops_as_flat():
     step changes nothing and stops as flat, not as damping exhausted."""
     seq, params = _exact_3d_only(1, seed=23)
     fit = optimize(seq, ANATOMY, init=params)
-    assert fit.final_energy == 0.0
+    assert fit.energy_history[-1] == 0.0
     assert fit.stop_reason == "flat"
     assert fit.converged is True
     assert fit.iterations == 1
@@ -278,13 +279,32 @@ def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
 
 
 def test_frames_view_lists_every_fitted_joint(fitted_clean, clean_walk):
-    """OptimizedSequence.frames: one record per fitted frame, every joint."""
+    """The fitted walk is a SkeletonSequence with the input's header and
+    frames, every joint present and no 2D block; OptimizedSequence.frames
+    is its frames_3d view, one record per fitted frame with every joint;
+    and step detection reads it as it reads a plain sequence of its
+    arrays."""
     seq, _ = clean_walk
-    frames = fitted_clean.frames
+    fitted = fitted_clean
+    assert isinstance(fitted, SkeletonSequence)
+    assert (fitted.fps, fitted.subject_height_m, fitted.source) == (
+        seq.fps, seq.subject_height_m, seq.source)
+    assert np.array_equal(fitted.times, seq.times)
+    assert np.array_equal(fitted.indices, seq.indices)
+    assert fitted.mask_3d.all() and fitted.pixels_2d is None
+    frames = fitted.frames
+    assert frames == fitted.frames_3d
     assert [fr.index for fr in frames] == seq.indices.tolist()
     assert [fr.time_s for fr in frames] == seq.times.tolist()
     X = np.array([[fr.joints[j] for j in JointId] for fr in frames])
-    assert np.array_equal(X, fitted_clean.points_3d)
+    assert np.array_equal(X, fitted.points_3d)
+    plain = SkeletonSequence(fps=fitted.fps, times=fitted.times, indices=fitted.indices,
+                             points_3d=fitted.points_3d, mask_3d=fitted.mask_3d)
+    got, want = detect_steps(fitted), detect_steps(plain)
+    assert (got.events, got.walking_direction, got.travel_m, got.clusters) == (
+        want.events, want.walking_direction, want.travel_m, want.clusters)
+    assert np.array_equal(got.signal.values, want.signal.values)
+    assert np.array_equal(got.root_along, want.root_along)
 
 
 def test_optimize_is_deterministic():
@@ -293,7 +313,7 @@ def test_optimize_is_deterministic():
     seq = _sequence_from_params(params, jitter3d=0.01, rng=rng)
     first = optimize(seq, ANATOMY)
     second = optimize(seq, ANATOMY)
-    assert first.final_energy == second.final_energy
+    assert first.energy_history == second.energy_history
     assert first.iterations == second.iterations
     assert np.array_equal(first.points_3d, second.points_3d)
 
@@ -379,6 +399,20 @@ def test_two_d_only_stream_is_missing_modality(noisy_walk):
             optimize(no_3d, truth.anatomy)
         with pytest.raises(MissingModality, match="depth"):
             initial_params(no_3d, truth.anatomy)
+
+
+def test_a_fit_behind_the_image_plane_is_refused(clean_walk):
+    """The fitted walk is validated like a parsed one.  The clean walk moved
+    along z until its nearest joint is 0.1 mm in front of the image plane
+    is a valid sequence, but its fit places the right wrist of frame 0 at
+    z = -0.26 mm, so optimize raises NonPositiveDepth naming that joint."""
+    seq, truth = clean_walk
+    points = seq.points_3d.copy()
+    points[..., 2] += 1e-4 - points[..., 2].min()
+    near = replace(seq, points_3d=points)
+    with pytest.raises(NonPositiveDepth,
+                       match=r"^3D joint Right Wrist in frame 0: depth -0\.00026"):
+        optimize(near, truth.anatomy)
 
 
 def test_wrong_param_shape_rejected(clean_walk):
@@ -921,7 +955,7 @@ def test_contracting_reuse_step_stops_the_fit(noisy_walk, monkeypatch):
     log, attempts = _logged_steps(monkeypatch)
     fit = optimize(seq, truth.anatomy)
     fresh, energy = attempts()[-1]
-    assert not fresh and energy == fit.final_energy
+    assert not fresh and energy == fit.energy_history[-1]
     drop, floor, last = _drops(fit.energy_history)[-1]
     assert drop <= floor and drop <= optimizer_module._CONTRACTION * last
     assert fit.stop_reason == "decrease"

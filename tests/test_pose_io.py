@@ -249,12 +249,17 @@ def test_write_is_byte_stable():
     assert first.endswith(b"\n")
 
 
-def test_walker_stream_round_trip(clean_walk):
-    seq, _ = clean_walk
-    data = pose_io.write_stream(seq)
-    back = pose_io.parse_stream(data)
-    assert len(back) == len(seq)
-    assert pose_io.write_stream(back) == data
+def test_walker_stream_round_trip(clean_walk, fitted_clean):
+    """A synthesized walk and its fit, a SkeletonSequence too, each write a
+    stream that parses back to their 3D block rounded to the format's 10
+    digits, and that writes back byte for byte."""
+    for seq in (clean_walk[0], fitted_clean):
+        data = pose_io.write_stream(seq)
+        back = pose_io.parse_stream(data)
+        assert len(back) == len(seq)
+        assert np.array_equal(back.mask_3d, seq.mask_3d)
+        assert np.array_equal(back.points_3d, _round10(seq.points_3d))
+        assert pose_io.write_stream(back) == data
 
 
 coords = st.floats(-100, 100, allow_nan=False)
