@@ -15,7 +15,7 @@ work starts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -65,13 +65,6 @@ def _as_float(path: str, raw: str) -> float:
         raise _fail(path, f"expected a number, got {raw!r}") from None
     if value != value or value in (float("inf"), float("-inf")):
         raise _fail(path, f"must be finite, got {raw!r}")
-    return value
-
-
-def _as_non_negative(path: str, raw: str) -> float:
-    value = _as_float(path, raw)
-    if value < 0:
-        raise _fail(path, f"must be non-negative, got {value}")
     return value
 
 
@@ -167,24 +160,18 @@ def _build_camera(section: Mapping[str, str]) -> CameraModel:
         raise ConfigError(f"config section [camera]: {exc}") from None
 
 
-def _build_energy(section: Mapping[str, str]) -> EnergyConfig:
-    """The [energy] section; EnergyConfig checks the ranges, and its
-    ValueError, which starts with the field name, names the key here."""
-    def num(key: str) -> float:
-        return _as_float(f"energy.{key}", section[key])
-
-    max_iterations = _as_int("energy.max_iterations", section["max_iterations"])
-    tolerance = num("tolerance")
+def _build_fields(name: str, cls, section: Mapping[str, str]):
+    """The [name] section as the dataclass cls whose fields are its keys,
+    each parsed as its field's type: an integer for an int field, a finite
+    number otherwise.  cls checks the ranges, and its ValueError, which
+    starts with the field name, names the key here."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = {key: (_as_int if kinds[key] is int else _as_float)(f"{name}.{key}", raw)
+              for key, raw in section.items()}
     try:
-        return EnergyConfig(w_smooth=num("w_smooth"),
-                            max_iterations=max_iterations, tolerance=tolerance)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"config key energy.{exc}") from None
-
-
-def _build_detector(section: Mapping[str, str]) -> DetectorConfig:
-    return DetectorConfig(**{key: _as_non_negative(f"detector.{key}", raw)
-                             for key, raw in section.items()})
+        raise ConfigError(f"config key {name}.{exc}") from None
 
 
 def load_config(path: Optional[Path] = None,
@@ -215,8 +202,8 @@ def load_config(path: Optional[Path] = None,
     return RunConfig(
         ratios=_build_ratios(table["anatomy.ratios"]),
         camera=_build_camera(table["camera"]),
-        energy=_build_energy(table["energy"]),
-        detector=_build_detector(table["detector"]),
+        energy=_build_fields("energy", EnergyConfig, table["energy"]),
+        detector=_build_fields("detector", DetectorConfig, table["detector"]),
         resamples=resamples,
         seed=seed,
         bootstrap_level=level,

@@ -55,8 +55,9 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         for name in ("min_prominence_m", "min_separation_s",
                      "value_tolerance_m", "min_travel_m"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name}: must be non-negative, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

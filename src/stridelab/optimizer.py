@@ -71,8 +71,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Mapping, NamedTuple, Optional
+from importlib.machinery import PathFinder
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,31 +122,27 @@ def _lapack():
     more modules, about 25 MB and 0.23 s; the scipy package and this
     extension load 16, about 3 MB and 14 ms.  That cut analyze's peak RSS
     on 12 walks from 71 to 48 MB on one worker and from 58 to 42 MB on two
-    (2 vCPUs, scipy 1.17).  The module is registered under its own name, so
-    a later import of scipy.linalg reuses it, and one that came first is
-    reused here.  Raises ImportError naming the directories searched when
-    scipy ships no such extension."""
+    (2 vCPUs, scipy 1.17).  The import system's PathFinder finds it in
+    scipy's linalg directories without importing scipy.linalg; the module
+    is registered under its own name, so a later import of scipy.linalg
+    reuses it, and one that came first is reused here.  Raises ImportError
+    naming the directories searched when scipy ships no such extension."""
     module = sys.modules.get(_LAPACK_MODULE)
     if module is not None:
         return module
     import scipy
 
     dirs = [os.path.join(d, "linalg") for d in scipy.__path__]
-    for d in dirs:
-        for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(d, "_flapack" + suffix)
-            if os.path.isfile(path):
-                loader = ExtensionFileLoader(_LAPACK_MODULE, path)
-                spec = importlib.util.spec_from_file_location(
-                    _LAPACK_MODULE, path, loader=loader)
-                module = importlib.util.module_from_spec(spec)
-                loader.exec_module(module)
-                sys.modules[_LAPACK_MODULE] = module
-                return module
-    raise ImportError(
-        f"scipy's LAPACK extension _flapack not found in {', '.join(dirs)}",
-        name=_LAPACK_MODULE,
-    )
+    spec = PathFinder.find_spec(_LAPACK_MODULE, dirs)
+    if spec is None:
+        raise ImportError(
+            f"scipy's LAPACK extension _flapack not found in {', '.join(dirs)}",
+            name=_LAPACK_MODULE,
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_LAPACK_MODULE] = module
+    return module
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -201,14 +197,12 @@ class OptimizedSequence(SkeletonSequence):
     It has the input's fps, times, indices, subject_height_m and source,
     a 3D block holding every joint of every frame (mask_3d all true) and
     no 2D block, and it is validated like a parsed sequence: a fit that
-    places a joint at z <= 0 raises NonPositiveDepth.  camera_distance_m
-    is the root's distance from the camera per frame, energy_history the
-    energy before the first step and after each accepted one (its last
-    entry the final energy, split by term in energy_breakdown), and
-    stop_reason says why the fit stopped (see STOP_REASONS)."""
+    places a joint at z <= 0 raises NonPositiveDepth.  It adds only the
+    fit's own fields: energy_history (the energy before the first step and
+    after each accepted one), iterations, stop_reason (see STOP_REASONS)
+    and params.  The final energy by term is energy_breakdown(params, ...),
+    the root's camera distance np.linalg.norm(points_3d[:, 0], axis=1)."""
 
-    camera_distance_m: tuple[float, ...]
-    energy_breakdown: Mapping[str, float]
     energy_history: tuple[float, ...]
     iterations: int
     stop_reason: str
@@ -244,13 +238,12 @@ def _targets_3d(seq: SkeletonSequence):
 
 class _Trial(NamedTuple):
     """A pose a step leads to: root translations, local rotations, joint
-    positions, global rotations, the energy terms and their sum."""
+    positions, global rotations and the energy."""
 
     t: np.ndarray
     rot: np.ndarray
     X: np.ndarray
     G: np.ndarray
-    terms: dict[str, float]
     energy: float
 
 
@@ -312,10 +305,6 @@ class EnergyProblem:
             "ik": float(np.sum(self.m3[..., None] * r3 ** 2)),
             "smooth": self.w_smooth * e_smooth,
         }
-
-    def energy_from_params(self, params: PoseParams) -> tuple[float, dict[str, float]]:
-        terms = self.energy_terms(kin.forward_kinematics(self.tree, self.lengths, params))
-        return sum(terms.values()), terms
 
     def _weighted_residuals(self, X: np.ndarray) -> np.ndarray:
         """r~ (F, J, 3) at joint positions X: half the energy's gradient with
@@ -510,8 +499,7 @@ class EnergyProblem:
         t_new = t + step[:, layout.translation]
         rot_new = kin.so3_exp((axes @ step[:, layout.columns, None])[..., 0]) @ rot
         X, G = kin._fk_from_matrices(self.tree, self.lengths, t_new, rot_new)
-        terms = self.energy_terms(X)
-        return _Trial(t_new, rot_new, X, G, terms, sum(terms.values()))
+        return _Trial(t_new, rot_new, X, G, sum(self.energy_terms(X).values()))
 
     def solve(self, init: PoseParams, cfg: EnergyConfig):
         """Damped Gauss-Newton from init.  Returns (params, info dict);
@@ -521,10 +509,10 @@ class EnergyProblem:
         step builds for all rotated joints at once (kin.swing_axes); a step
         s maps back to each rotation as exp(axes s) R.
 
-        A fresh step assembles the band at the current pose and factors it
-        damped, in place.  A retry (a failed factorization, a non-finite or
-        a rejected step) assembles the band again at the same pose before
-        it adds the larger damping.
+        Every attempt of a fresh step assembles the band at the current
+        pose and factors it damped, in place: a retry (after a failed
+        factorization, a non-finite or a rejected step) damps the same band
+        by the larger damping.
 
         Once the pose has settled, the factor is reused (the chord, or
         Shamanskii, method; Kelley, Iterative Methods for Linear and
@@ -561,8 +549,7 @@ class EnergyProblem:
         t, rot = init.translations, init.rotations
 
         X, G = kin._fk_from_matrices(tree, self.lengths, t, rot)
-        terms = self.energy_terms(X)
-        energy = sum(terms.values())
+        energy = sum(self.energy_terms(X).values())
         history = [energy]
         lam = _INIT_DAMPING
         iterations = 0
@@ -590,24 +577,18 @@ class EnergyProblem:
             fresh = new is None
             if fresh:
                 axes = kin.swing_axes(tree, rot)
-                ab = self._normal_blocks(X, G, axes, out=ab)
-                d0 = ab[0]
-                # Multiplicative (Marquardt) damping keeps steps invariant
-                # under a rescaling of the energy; the relative floor guards
-                # parameters with no residual influence.
-                damp_base = np.maximum(d0, 1e-12 * d0.max())
                 g = self._jtr(X, G, resid, axes).reshape(-1)
 
                 # Kept when every damping up to the cap fails to give a step.
                 stop_reason = "damping_exhausted"
-                factored = False
                 while lam <= _MAX_DAMPING:
-                    if factored:
-                        # The last attempt left its (possibly partial) factor
-                        # in ab: assemble the band again at the same pose,
-                        # which gives the same band.
-                        self._normal_blocks(X, G, axes, out=ab)
-                    factored = True
+                    # The band at this pose (an earlier attempt left its
+                    # factor in ab), damped multiplicatively (Marquardt) so
+                    # that steps are invariant under a rescaling of the
+                    # energy; the relative floor guards parameters with no
+                    # residual influence.
+                    ab = self._normal_blocks(X, G, axes, out=ab)
+                    damp_base = np.maximum(ab[0], 1e-12 * ab[0].max())
                     try:
                         new = self._trial(t, rot, axes,
                                           self._damped_solve(ab, lam * damp_base, -g))
@@ -629,7 +610,7 @@ class EnergyProblem:
                     break
 
             drop = energy - new.energy
-            t, rot, X, G, terms, energy = new
+            t, rot, X, G, energy = new
             history.append(energy)
             lam = max(lam / _DAMPING_DECREASE, 1e-12)
             iterations += 1
@@ -647,7 +628,6 @@ class EnergyProblem:
         params = PoseParams(translations=t, rotations=rot)
         info = {
             "joints": X,
-            "terms": terms,
             "history": tuple(history),
             "iterations": iterations,
             "stop_reason": stop_reason,
@@ -656,18 +636,17 @@ class EnergyProblem:
 
 
 def _problem_for(seq: SkeletonSequence, anatomy: AnatomyProfile,
-                 cfg: EnergyConfig) -> EnergyProblem:
-    """The energy of seq, on its 3D joints alone (see _targets_3d)."""
+                 cfg: EnergyConfig, params: Optional[PoseParams] = None) -> EnergyProblem:
+    """The energy of seq, on its 3D joints alone (see _targets_3d), for
+    every public entry point.  With params given, raises
+    FrameCountMismatch unless they cover seq's frames."""
     y3, m3 = _targets_3d(seq)
+    if params is not None and params.n_frames != y3.shape[0]:
+        raise FrameCountMismatch(
+            f"params cover {params.n_frames} frames, sequence has {y3.shape[0]}"
+        )
     return EnergyProblem(CANONICAL_TREE, kin.lengths_vector(anatomy), y3, m3,
                          w_smooth=cfg.w_smooth)
-
-
-def _check_params(params: PoseParams, n_frames: int) -> None:
-    if params.n_frames != n_frames:
-        raise FrameCountMismatch(
-            f"params cover {params.n_frames} frames, sequence has {n_frames}"
-        )
 
 
 def energy(
@@ -677,10 +656,7 @@ def energy(
     cfg: EnergyConfig = EnergyConfig(),
 ) -> float:
     """Total energy of a candidate pose parameterization."""
-    prob = _problem_for(seq, anatomy, cfg)
-    _check_params(params, prob.F)
-    total, _ = prob.energy_from_params(params)
-    return total
+    return sum(energy_breakdown(params, seq, anatomy, cfg).values())
 
 
 def energy_breakdown(
@@ -690,10 +666,8 @@ def energy_breakdown(
     cfg: EnergyConfig = EnergyConfig(),
 ) -> dict[str, float]:
     """Weighted per-term energies: keys ik and smooth."""
-    prob = _problem_for(seq, anatomy, cfg)
-    _check_params(params, prob.F)
-    _, terms = prob.energy_from_params(params)
-    return terms
+    prob = _problem_for(seq, anatomy, cfg, params)
+    return prob.energy_terms(kin.forward_kinematics(prob.tree, prob.lengths, params))
 
 
 def energy_gradient(
@@ -706,9 +680,7 @@ def energy_gradient(
     per frame the root translation's three components, then three per
     rotated joint for the increment d (in its parent's frame) that turns its
     rotation R to exp(hat(d)) R.  See EnergyProblem.gradient."""
-    prob = _problem_for(seq, anatomy, cfg)
-    _check_params(params, prob.F)
-    return prob.gradient(params)
+    return _problem_for(seq, anatomy, cfg, params).gradient(params)
 
 
 def initial_params(seq: SkeletonSequence, anatomy: AnatomyProfile) -> PoseParams:
@@ -716,20 +688,9 @@ def initial_params(seq: SkeletonSequence, anatomy: AnatomyProfile) -> PoseParams
     alignment of detected bone directions; a joint missing from a frame is
     interpolated.  Refuses the sequences optimize refuses (_targets_3d)."""
     y3, m3 = _targets_3d(seq)
-    return _initial_params_from(y3, m3, anatomy)
-
-
-def _initial_params_from(
-    y3: np.ndarray,
-    m3: np.ndarray,
-    anatomy: AnatomyProfile,
-) -> PoseParams:
-    """initial_params on 3D targets y3 (F, J, 3) with mask m3 (F, J), which
-    must mark at least one joint in every frame."""
     F, J, _ = y3.shape
     pos = y3.copy()
-    obs = m3.astype(bool)
-
+    obs = m3.copy()
     frame_idx = np.arange(F, dtype=np.float64)
     root_obs = obs[:, 0]
     if not root_obs.any():
@@ -771,18 +732,16 @@ def optimize(
     the input's frames; a fit that places a joint at z <= 0 raises
     NonPositiveDepth, as parsing such a joint does.  camera is accepted
     and ignored: the fit projects nothing, and perfbench/bench.py's
-    analyze_walk still passes it.  Never raises on failure to converge:
-    the best parameters found are returned with converged=False when the
-    iteration cap is hit or the damping is exhausted first; stop_reason
-    says which.
+    analyze_walk still passes it.  The fit starts from init, which must
+    cover seq's frames (FrameCountMismatch), or else from initial_params.
+    Never raises on failure to converge: the best parameters found are
+    returned with converged=False when the iteration cap is hit or the
+    damping is exhausted first; stop_reason says which.
     """
-    prob = _problem_for(seq, anatomy, cfg)
     if init is None:
-        init = _initial_params_from(prob.y3, prob.m3, anatomy)
-    _check_params(init, prob.F)
-    params, info = prob.solve(init, cfg)
+        init = initial_params(seq, anatomy)
+    params, info = _problem_for(seq, anatomy, cfg, init).solve(init, cfg)
     X = info["joints"]
-    distances = tuple(float(d) for d in np.linalg.norm(params.translations, axis=1))
     return OptimizedSequence(
         fps=seq.fps,
         times=seq.times,
@@ -791,8 +750,6 @@ def optimize(
         mask_3d=np.ones(X.shape[:2], dtype=bool),
         subject_height_m=seq.subject_height_m,
         source=seq.source,
-        camera_distance_m=distances,
-        energy_breakdown=dict(info["terms"]),
         energy_history=info["history"],
         iterations=info["iterations"],
         stop_reason=info["stop_reason"],

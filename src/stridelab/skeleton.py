@@ -14,9 +14,10 @@ Coordinate conventions
 
 The walker builds its scenes y-up (the head at larger y than the ankles),
 so in these coordinates a synthetic subject walks upside down and projects
-upside down in the image.  Nothing in the fit (data and model share one
-projection) or in the step detector (invariant under rigid motions of the
-scene) refers to gravity, so no result depends on it.
+upside down in the image.  Nothing in the fit (it matches 3D joints to a
+model posed in the same camera frame, and projects nothing) or in the step
+detector (invariant under rigid motions of the scene) refers to gravity,
+so no result depends on it.
 """
 
 import configparser

@@ -153,14 +153,18 @@ def test_tolerance_must_be_a_relative_decrease(tmp_path, raw):
         load_config(p)
 
 
-@pytest.mark.parametrize("key", ["w_smooth"])
-def test_negative_energy_weight_names_the_key(tmp_path, key):
-    """EnergyConfig checks the weights; the error still names the key."""
+@pytest.mark.parametrize("section, key", [
+    pytest.param("energy", "w_smooth", id="w_smooth"),
+    pytest.param("detector", "min_travel_m", id="min_travel_m"),
+])
+def test_negative_energy_weight_names_the_key(tmp_path, section, key):
+    """EnergyConfig and DetectorConfig check the ranges; the error still
+    names the key."""
     p = tmp_path / "run.ini"
-    p.write_text(f"[energy]\n{key} = -0.5\n")
+    p.write_text(f"[{section}]\n{key} = -0.5\n")
     with pytest.raises(ConfigError) as info:
         load_config(p)
-    assert str(info.value) == f"config key energy.{key}: must be non-negative, got -0.5"
+    assert str(info.value) == f"config key {section}.{key}: must be non-negative, got -0.5"
 
 
 @pytest.mark.parametrize("raw", ["1e-10", "1e-9", "0.5"])

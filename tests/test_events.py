@@ -453,7 +453,7 @@ def test_detector_config_validation():
 def test_detector_config_rejects_negative_and_nan(name, value):
     """NaN compares false with everything, so a bare `value < 0` would let
     it through; every field rejects it."""
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name}: must be non-negative"):
         DetectorConfig(**{name: value})
 
 

@@ -20,8 +20,8 @@ from stridelab import optimizer as optimizer_module
 from stridelab import (
     CameraModel,
     DegenerateInput,
-    StrideLabError,
     EnergyConfig,
+    FrameCountMismatch,
     JointId,
     MissingModality,
     NonPositiveDepth,
@@ -181,11 +181,17 @@ def test_gradient_matches_finite_differences(seed, n_frames):
     assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-4
 
 
-def test_optimize_monotone_and_converged(fitted_clean):
+def test_optimize_monotone_and_converged(fitted_clean, clean_walk):
+    """The energy never rises, and its last value is, bit for bit, the
+    energy of the returned parameters summed over energy_breakdown's
+    terms."""
+    seq, truth = clean_walk
     hist = fitted_clean.energy_history
     assert len(hist) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert fitted_clean.converged
+    terms = energy_breakdown(fitted_clean.params, seq, truth.anatomy)
+    assert sum(terms.values()) == hist[-1]
 
 
 def test_stopping_rule_is_scale_free(noisy_walk):
@@ -268,8 +274,13 @@ def test_zero_energy_stops_as_flat():
 
 
 def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
+    """Every bone keeps its length, and the root joint sits at the root
+    translation, so its distance from the camera is the translation's
+    norm."""
     _, truth = clean_walk
     X = fitted_clean.points_3d
+    assert np.array_equal(np.linalg.norm(X[:, JointId.PELVIS.value], axis=1),
+                          np.linalg.norm(fitted_clean.params.translations, axis=1))
     for child, parent in enumerate(CANONICAL_TREE.parents):
         if parent < 0:
             continue
@@ -336,13 +347,6 @@ def test_initial_params_reconstruct_clean_walk(clean_walk):
         CANONICAL_TREE, lengths_vector(truth.anatomy), init
     )
     assert np.max(np.abs(X - seq.points_3d)) < 1e-6
-
-
-def test_camera_distance_tracks_root(fitted_clean):
-    d = np.array(fitted_clean.camera_distance_m)
-    assert d.shape == (len(fitted_clean),)
-    roots = fitted_clean.points_3d[:, JointId.PELVIS.value]
-    assert np.allclose(d, np.linalg.norm(roots, axis=1), atol=1e-9)
 
 
 def _worst_rel_error(rep, truth):
@@ -416,13 +420,20 @@ def test_a_fit_behind_the_image_plane_is_refused(clean_walk):
 
 
 def test_wrong_param_shape_rejected(clean_walk):
+    """Every entry point that takes parameters refuses ones that cover
+    another number of frames than the sequence, with one message."""
     seq, truth = clean_walk
+    anatomy = truth.anatomy
     bad = PoseParams(
         translations=np.zeros((3, 3)) + [0, 0, 4],
         rotations=np.broadcast_to(np.eye(3), (3, CANONICAL_TREE.n_rotations, 3, 3)),
     )
-    with pytest.raises(StrideLabError):
-        energy(bad, seq, truth.anatomy)
+    message = rf"^params cover 3 frames, sequence has {len(seq)}$"
+    for entry in (energy, energy_breakdown, energy_gradient):
+        with pytest.raises(FrameCountMismatch, match=message):
+            entry(bad, seq, anatomy)
+    with pytest.raises(FrameCountMismatch, match=message):
+        optimize(seq, anatomy, init=bad)
 
 
 _FRAME_ARRAYS = ("times", "indices", "points_3d", "mask_3d",
@@ -858,18 +869,31 @@ def test_fit_runs_whether_scipy_linalg_is_imported_before_or_after():
 
 
 def _logged_steps(monkeypatch, negate_reuse=False):
-    """Patch the banded factorization (dpbtrf), the banded solve (dpbtrs) and the energy to log
-    each call in order.  Returns the log, whose entries are "factor",
-    "solve" and ("energy", value), and a function that reads it
-    into one (fresh, energy) pair per step attempt: fresh when the solve
-    followed a factorization directly, energy that of the trial pose.
-    With negate_reuse, a solve that reuses an earlier factor returns the
-    negated step, which points uphill."""
+    """Patch the band assembly (EnergyProblem._normal_blocks), the damped
+    solve (EnergyProblem._damped_solve), the banded factorization (dpbtrf),
+    the banded solve (dpbtrs) and the energy to log each call in order.
+    Returns the log, whose entries are "assemble", "damped", "factor",
+    "solve" and ("energy", value), and a function that reads it into one
+    (fresh, energy) pair per step attempt: fresh when the solve followed a
+    factorization directly, energy that of the trial pose.  With
+    negate_reuse, a solve that reuses an earlier factor returns the negated
+    step, which points uphill."""
     log = []
     lapack = optimizer_module._lapack()
     real_factor = lapack.dpbtrf
     real_solve = lapack.dpbtrs
-    real_energy = optimizer_module.EnergyProblem.energy_terms
+    problem = optimizer_module.EnergyProblem
+    real_energy = problem.energy_terms
+    real_assemble = problem._normal_blocks
+    real_damped = problem._damped_solve
+
+    def assemble(self, *args, **kwargs):
+        log.append("assemble")
+        return real_assemble(self, *args, **kwargs)
+
+    def damped(*args):
+        log.append("damped")
+        return real_damped(*args)
 
     def factor(ab, **kwargs):
         log.append("factor")
@@ -888,7 +912,9 @@ def _logged_steps(monkeypatch, negate_reuse=False):
 
     monkeypatch.setattr(lapack, "dpbtrf", factor)
     monkeypatch.setattr(lapack, "dpbtrs", solve)
-    monkeypatch.setattr(optimizer_module.EnergyProblem, "energy_terms", energy_terms)
+    monkeypatch.setattr(problem, "energy_terms", energy_terms)
+    monkeypatch.setattr(problem, "_normal_blocks", assemble)
+    monkeypatch.setattr(problem, "_damped_solve", staticmethod(damped))
 
     def attempts():
         out = []
@@ -984,6 +1010,22 @@ def test_small_reuse_drop_that_does_not_contract_is_confirmed_fresh(monkeypatch)
         assert steps[accepted[k][0] + 1][0]
         assert k + 1 < len(accepted)
     assert steps[-1][0] and drops[-1][0] <= drops[-1][1]
+    assert fit.stop_reason == "decrease"
+
+
+def test_every_attempt_assembles_its_band(monkeypatch):
+    """Each damped attempt of a fresh step assembles the band it factors,
+    the retries after a rejected step included.  This noisy walk (sigma3d
+    3 cm, walk 1 of the 3 cm accuracy sweep at seed 501) takes more
+    factorizations than accepted steps (30 for 19), so rejected attempts
+    were retried."""
+    spec = WalkerSpec(speed_m_s=0.8 + 1.2 / 11, cadence_steps_min=90 + 60 / 11,
+                      distance_m=6.0, sigma3d_m=0.03, seed=501)
+    seq, truth = generate(spec)
+    log, _ = _logged_steps(monkeypatch)
+    fit = optimize(seq, truth.anatomy)
+    assert log.count("assemble") == log.count("damped")
+    assert log.count("damped") > fit.iterations
     assert fit.stop_reason == "decrease"
 
 
