@@ -39,6 +39,9 @@ _CAMERA_UNSET = ("focal_px", "cx", "cy")
 # need not even convert to a float, and the default focal length, the image
 # diagonal, could overflow.
 _MAX_IMAGE_PX = 100_000
+# The most bootstrap resamples: the bootstrap holds resamples x walks int64
+# indices at once, so a larger count would fail on memory mid-run.
+_MAX_RESAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,8 @@ def load_config(path: Optional[Path] = None,
     resamples = _as_int("stats.resamples", stats["resamples"])
     if resamples < 1000:
         raise _fail("stats.resamples", f"must be at least 1000, got {resamples}")
+    if resamples > _MAX_RESAMPLES:
+        raise _fail("stats.resamples", f"must be at most {_MAX_RESAMPLES}, got {resamples}")
     seed = _as_int("stats.seed", stats["seed"])
     if seed < 0:
         raise _fail("stats.seed", f"must be non-negative, got {seed}")

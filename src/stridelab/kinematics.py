@@ -70,7 +70,6 @@ class KinematicTree:
     edge parent(i) -> i in the parent's local frame at identity rotation.
     """
 
-    names: tuple[str, ...]
     parents: tuple[int, ...]
     rest_dirs: np.ndarray
 
@@ -288,7 +287,6 @@ def _canonical_rest_dirs() -> np.ndarray:
 
 
 CANONICAL_TREE = KinematicTree(
-    names=tuple(j.label for j in JointId),
     parents=tuple(
         -1 if skeleton.PARENT[j] is None else skeleton.PARENT[j].value  # type: ignore[union-attr]
         for j in JointId
@@ -372,18 +370,11 @@ def _fk_from_matrices(
     return X, G
 
 
-def forward_kinematics(
-    tree: KinematicTree,
-    lengths: np.ndarray,
-    params: PoseParams,
-    with_globals: bool = False,
-):
-    """Joint positions (F, J, 3) for every frame; optionally the accumulated
-    global rotations (F, J, 3, 3) as well."""
-    X, G = _fk_from_matrices(tree, lengths, params.translations, params.rotations)
-    if with_globals:
-        return X, G
-    return X
+def forward_kinematics(tree: KinematicTree, lengths: np.ndarray,
+                       params: PoseParams) -> np.ndarray:
+    """Joint positions (F, J, 3) for every frame.  _fk_from_matrices also
+    gives the global rotations, which the solver needs."""
+    return _fk_from_matrices(tree, lengths, params.translations, params.rotations)[0]
 
 
 def position_jacobian(
@@ -523,32 +514,22 @@ def _align_many(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def fit_params_to_positions(
-    tree: KinematicTree,
-    positions: np.ndarray,
-    present: np.ndarray | None = None,
-) -> PoseParams:
-    """Closed-form pose from joint positions, all frames at once.
+def fit_params_to_positions(tree: KinematicTree, positions: np.ndarray) -> PoseParams:
+    """Closed-form pose from joint positions (F, J, 3), all frames at once.
 
     Each rotated joint aligns its rest-pose child directions to the observed
     child directions (minimal rotation for one child, least-squares rotation
-    for several).  When the observed positions are exactly realizable on the
-    tree the result reproduces them exactly; otherwise it is a good starting
-    point for refinement.  Joints marked absent contribute no alignment pairs,
-    nor does a child closer than 1e-12 to its joint; a frame left with one
-    usable pair takes the minimal rotation, and a frame with none keeps the
-    identity local rotation.
-
-    The root translation is taken from the observed root position, which must
-    be present in every frame.
+    for several).  When the positions are exactly realizable on the tree the
+    result reproduces them to within float error (the walker's noiseless
+    joints to 1e-9 m); otherwise it is a good starting point for
+    refinement.  Every joint must be placed in every frame: initial_params
+    interpolates the ones a stream lacks first.  A child closer than 1e-12
+    to its joint gives no alignment pair; a frame left with one usable pair
+    takes the minimal rotation, and a frame with none keeps the identity
+    local rotation.  The root translation is the root position.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    F, J, _ = positions.shape
-    if present is None:
-        present = np.ones((F, J), dtype=bool)
-    if not present[:, 0].all():
-        raise ValueError("root position must be present in every frame")
-
+    F = positions.shape[0]
     eye = np.broadcast_to(np.eye(3), (F, 3, 3))
     local = np.empty((F, tree.n_rotations, 3, 3), dtype=np.float64)
     G: dict[int, np.ndarray] = {}
@@ -558,7 +539,7 @@ def fit_params_to_positions(
         kids = list(tree.children[j])
         v = positions[:, kids] - positions[:, j, None]        # (F, K, 3)
         nv = np.linalg.norm(v, axis=2)
-        usable = present[:, kids] & present[:, j, None] & (nv >= 1e-12)
+        usable = nv >= 1e-12
         # Observed unit directions in the parent's frame; unusable rows are 0.
         vs = np.where(usable[..., None], v, 0.0) / np.where(usable, nv, 1.0)[..., None]
         vs = vs @ Gp

@@ -199,18 +199,24 @@ class OptimizedSequence(SkeletonSequence):
     no 2D block, and it is validated like a parsed sequence: a fit that
     places a joint at z <= 0 raises NonPositiveDepth.  It adds only the
     fit's own fields: energy_history (the energy before the first step and
-    after each accepted one), iterations, stop_reason (see STOP_REASONS)
-    and params.  The final energy by term is energy_breakdown(params, ...),
-    the root's camera distance np.linalg.norm(points_3d[:, 0], axis=1)."""
+    after each accepted one), stop_reason (see STOP_REASONS) and params.
+    The accepted steps number iterations, len(energy_history) - 1; the
+    final energy by term is energy_breakdown(params, ...), the root's
+    camera distance np.linalg.norm(points_3d[:, 0], axis=1)."""
 
     energy_history: tuple[float, ...]
-    iterations: int
     stop_reason: str
     params: PoseParams = field(repr=False)
 
     # The fitted joints as per-frame records, under the name
     # perfbench/bench.py reads.
     frames = SkeletonSequence.frames_3d
+
+    @property
+    def iterations(self) -> int:
+        """The accepted steps, fresh and reuse: a rejected step, also the
+        one a "flat" stop ends on, is not counted."""
+        return len(self.energy_history) - 1
 
     @property
     def converged(self) -> bool:
@@ -340,7 +346,8 @@ class EnergyProblem:
         exp(hat(d)) R.  E is a weighted sum of squared residuals, so the
         gradient is 2 J^T W r = 2 J^T r~, J the joint positions' Jacobian in
         these steps (kin.position_jacobian_vjp)."""
-        X, G = kin.forward_kinematics(self.tree, self.lengths, params, with_globals=True)
+        X, G = kin._fk_from_matrices(self.tree, self.lengths,
+                                     params.translations, params.rotations)
         resid = self._weighted_residuals(X)
         return 2 * kin.position_jacobian_vjp(self.tree, X, G, resid).reshape(-1)
 
@@ -525,8 +532,10 @@ class EnergyProblem:
         assembly and no factorization.  It is kept only if it strictly
         lowers the energy, and then lowers the damping like any accepted
         step; otherwise it is retaken as a fresh step at the same pose.
-        The first step never hands over, having no earlier drop, and
-        info["iterations"] counts accepted steps of both kinds.
+        The first step never hands over, having no earlier drop.
+        info["history"] holds the energy before the first step and after
+        each accepted step of either kind, so it counts the accepted steps;
+        the rejected step a "flat" stop ends on adds no entry.
 
         The stopping tests are relative to the energy E, as in the
         Levenberg-Marquardt stopping tests of Madsen, Nielsen & Tingleff
@@ -552,7 +561,6 @@ class EnergyProblem:
         energy = sum(self.energy_terms(X).values())
         history = [energy]
         lam = _INIT_DAMPING
-        iterations = 0
         # One band, rewritten at every fresh step and factored in place by
         # each damped solve: freeing and reallocating it costs fresh zeroed
         # pages.
@@ -601,7 +609,6 @@ class EnergyProblem:
                             # Flat to within tolerance (also at an energy of
                             # exactly 0): already at a minimum.
                             stop_reason = "flat"
-                            iterations += 1
                             new = None
                             break
                         new = None
@@ -613,7 +620,6 @@ class EnergyProblem:
             t, rot, X, G, energy = new
             history.append(energy)
             lam = max(lam / _DAMPING_DECREASE, 1e-12)
-            iterations += 1
             contracting = drop <= _CONTRACTION * last_drop
             if drop <= floor and (fresh or contracting):
                 stop_reason = "decrease"
@@ -629,7 +635,6 @@ class EnergyProblem:
         info = {
             "joints": X,
             "history": tuple(history),
-            "iterations": iterations,
             "stop_reason": stop_reason,
         }
         return params, info
@@ -751,7 +756,6 @@ def optimize(
         subject_height_m=seq.subject_height_m,
         source=seq.source,
         energy_history=info["history"],
-        iterations=info["iterations"],
         stop_reason=info["stop_reason"],
         params=params,
     )

@@ -14,8 +14,11 @@ step length exactly during each double-support plateau.
 
 All joint positions are generated through the same kinematic tree the
 optimizer fits (legs via closed-form two-bone inverse kinematics, trunk rigid,
-arms and head on phase-locked sinusoids), so the ground-truth pose parameters
-reproduce the noiseless frames through forward kinematics exactly.
+arms and head on phase-locked sinusoids), so the noiseless frames lie on its
+bone-length manifold: kinematics.fit_params_to_positions recovers a pose
+that forward kinematics maps back onto them to within 1e-9 m.  The ground
+truth holds the gait parameters, the step schedule and the anatomy, not a
+pose.
 
 Each joint's track is built over all frames at once, as array expressions of
 the frame times, and every frame rounds as one computed on its own would.
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .errors import InconsistentSpec
-from .kinematics import CANONICAL_TREE, PoseParams
+from .kinematics import CANONICAL_TREE
 from .skeleton import (
     N_JOINTS,
     PARENT,
@@ -179,8 +182,6 @@ class GroundTruth:
     heading: tuple[float, float, float]
     schedule: tuple[StepTruth, ...]
     anatomy: AnatomyProfile = field(repr=False)
-    params: PoseParams = field(repr=False)
-    spec: WalkerSpec = field(repr=False)
 
 
 def _cycloid(u: np.ndarray) -> np.ndarray:
@@ -219,12 +220,12 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     Returns (sequence, truth): a SkeletonSequence with both blocks, every
     joint present (2D joints are exact pinhole projections of the 3D joints
     before any noise, with confidence 1), and the GroundTruth it was built
-    from.  Identical inputs produce identical output.
+    from, which holds no pose (see the module docstring).  Identical inputs
+    produce identical output.
     """
     if camera is None:
         camera = CameraModel.default()
     anatomy = derive_anatomy(spec.subject_height_m, ratios)
-    tree = CANONICAL_TREE
     lengths = kin.lengths_vector(anatomy)
 
     sl = float(spec.step_length_m)       # type: ignore[arg-type]
@@ -283,7 +284,7 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
     arm_amp = 0.25
     nod_amp = 0.03
 
-    bone = {j: tree.rest_dirs[j.value] * lengths[j.value] for j in JointId}
+    bone = {j: CANONICAL_TREE.rest_dirs[j.value] * lengths[j.value] for j in JointId}
     pos = np.empty((n_frames, N_JOINTS, 3))
     track = pos.swapaxes(0, 1)  # track[j.value]: joint j in every frame
 
@@ -329,15 +330,8 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
         track[heel_j.value] = ankle - yhat * y_ankle
         track[toe_j.value] = ankle + heading * lengths[toe_j.value]
 
-    params = kin.fit_params_to_positions(tree, pos)
-    model = kin.forward_kinematics(tree, lengths, params)
-    err = float(np.max(np.abs(model - pos)))
-    if err > 1e-9:
-        raise RuntimeError(f"walker pose fit drifted by {err} m")
-
-    # Emit the constructed positions, not the reconstruction: planted-foot
-    # frames then repeat bit-identical samples, so the distance signal's
-    # double-support plateaus are exact ties rather than ulp-level wiggle.
+    # Planted-foot frames repeat bit-identical samples, so the distance
+    # signal's double-support plateaus are exact ties, not ulp-level wiggle.
     present = np.ones((n_frames, N_JOINTS), dtype=bool)
     seq = SkeletonSequence(
         fps=spec.fps,
@@ -378,8 +372,6 @@ def generate(spec: WalkerSpec, camera: Optional[CameraModel] = None,
         heading=tuple(float(h) for h in heading),  # type: ignore[assignment]
         schedule=schedule,
         anatomy=anatomy,
-        params=params,
-        spec=spec,
     )
     return seq, truth
 

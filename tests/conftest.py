@@ -66,8 +66,8 @@ def _swing_tree():
         [0.0, 0.0, -1.0],
         [0.8, 0.6, 0.0],
     ])
+    # Joints root, a, b, c, d, e, f.
     return KinematicTree(
-        names=("root", "a", "b", "c", "d", "e", "f"),
         parents=(-1, 0, 1, 2, 2, 0, 5),
         rest_dirs=dirs,
     )

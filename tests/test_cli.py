@@ -919,6 +919,23 @@ def test_removed_energy_key_exits_2(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_too_many_resamples_exits_2(pipeline, tmp_path, capsys):
+    """A resample count past the bound fails at load time: agree exits 2
+    with one error line naming stats.resamples and no traceback, before it
+    allocates the bootstrap's indices."""
+    _, _, out = pipeline
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[stats]\nresamples = 1000000000000\n")
+    code = main(["--config", str(cfg), "agree", str(out / "results.matched.csv"),
+                 "--reference", "truth", "--out-dir", str(tmp_path / "agree")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: config key stats.resamples: must be at most 1000000, got 1000000000000"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "agree").exists()
+
+
 _AXES = [tuple(float(v) for v in row) for row in np.vstack([np.eye(3), -np.eye(3)])]
 # A limb laid exactly along an axis, or along a random direction.
 _limb_dir = st.one_of(

@@ -130,6 +130,11 @@ def test_bad_values_name_the_key(tmp_path):
     p.write_text("[stats]\nresamples = 50\n")
     with pytest.raises(ConfigError, match=r"config key stats.resamples"):
         load_config(p)
+    # The bootstrap holds resamples x walks int64 indices at once.
+    assert load_config(overrides={"stats.resamples": "1000000"}).resamples == 1_000_000
+    p.write_text("[stats]\nresamples = 1000000000000\n")
+    with pytest.raises(ConfigError, match=r"config key stats.resamples: must be at most"):
+        load_config(p)
     p.write_text("[stats]\nbootstrap_level = 1.5\n")
     with pytest.raises(ConfigError, match=r"config key stats.bootstrap_level"):
         load_config(p)

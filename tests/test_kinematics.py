@@ -1,8 +1,9 @@
 """Rotation algebra and the kinematic chain.
 
 The key contract is that fitting parameters to positions inverts forward
-kinematics exactly (up to float error), because the synthetic walker leans
-on that inversion for its ground-truth params.  Poses hold rotation
+kinematics exactly (up to float error): it is the optimizer's starting
+pose, and the walker's noiseless joints lie on the tree it inverts
+(test_walker).  Poses hold rotation
 matrices; the finite differences below turn them by small left-multiplied
 increments exp(h e) R, the steps of the fit.
 """
@@ -17,6 +18,7 @@ from stridelab import CANONICAL_TREE, JointId, derive_anatomy
 from stridelab.kinematics import (
     KinematicTree,
     PoseParams,
+    _fk_from_matrices,
     fit_params_to_positions,
     forward_kinematics,
     hat,
@@ -74,6 +76,12 @@ def _random_params(rng, n_frames):
         translations=rng.normal(0.0, 1.0, (n_frames, 3)) + [0, 0, 5],
         rotations=so3_exp(rng.normal(0.0, 0.4, (n_frames, nr, 3))),
     )
+
+
+def _fk(tree, lengths, params):
+    """Joint positions and global rotations of params, as the solver forms
+    them."""
+    return _fk_from_matrices(tree, lengths, params.translations, params.rotations)
 
 
 def test_fk_preserves_bone_lengths():
@@ -181,7 +189,7 @@ def test_params_rotation_check_at_its_edges(case, accepted):
             PoseParams(translations=np.zeros((2, 3)), rotations=rotations)
 
 
-def _reference_fit(tree, positions, present):
+def _reference_fit(tree, positions):
     """Per-frame pose fit: one joint and one frame at a time, the plain
     statement of what fit_params_to_positions computes for all frames."""
     F = positions.shape[0]
@@ -192,13 +200,12 @@ def _reference_fit(tree, positions, present):
             p = tree.parents[j]
             Gp = np.eye(3) if p < 0 else G[p]
             us, vs = [], []
-            if present[f, j]:
-                for c in tree.children[j]:
-                    v = positions[f, c] - positions[f, j]
-                    nv = np.linalg.norm(v)
-                    if present[f, c] and nv >= 1e-12:
-                        us.append(tree.rest_dirs[c])
-                        vs.append(Gp.T @ (v / nv))
+            for c in tree.children[j]:
+                v = positions[f, c] - positions[f, j]
+                nv = np.linalg.norm(v)
+                if nv >= 1e-12:
+                    us.append(tree.rest_dirs[c])
+                    vs.append(Gp.T @ (v / nv))
             if not us:
                 R = np.eye(3)
             elif len(us) == 1:
@@ -223,44 +230,48 @@ def _reference_fit(tree, positions, present):
     return rotations
 
 
-def test_masked_fit_matches_per_frame_reference():
+def test_fit_with_unusable_pairs_matches_per_frame_reference():
+    """A child placed on its joint gives no alignment pair.  Collapsing
+    random joints onto their parents leaves joints with one usable child
+    or none, which the fit must handle as the per-frame reference does."""
     tree = CANONICAL_TREE
     lengths = lengths_vector(derive_anatomy(1.72))
     rng = np.random.default_rng(5)
     F = 40
     X = forward_kinematics(tree, lengths, _random_params(rng, F))
     X += rng.normal(0.0, 0.02, X.shape)
-    present = rng.random(X.shape[:2]) > 0.3
-    present[:, JointId.PELVIS.value] = True
-    pelvis, spine, mid = (JointId.PELVIS.value, JointId.SPINE.value,
-                          JointId.MID_SPINE.value)
+    collapsed = rng.random(X.shape[:2]) < 0.3
+    collapsed[:, JointId.PELVIS.value] = False
+    pelvis, spine, mid, neck = (JointId.PELVIS.value, JointId.SPINE.value,
+                                JointId.MID_SPINE.value, JointId.NECK.value)
     # Frame 0: the pelvis sees only the spine, straight up (identity), and the
     # spine's single child points straight down (antiparallel).
-    present[0] = True
-    present[0, [JointId.LEFT_HIP.value, JointId.RIGHT_HIP.value]] = False
+    collapsed[0] = False
+    collapsed[0, [JointId.LEFT_HIP.value, JointId.RIGHT_HIP.value]] = True
     X[0, spine] = X[0, pelvis] + [0.0, lengths[spine], 0.0]
     X[0, mid] = X[0, spine] - [0.0, lengths[mid], 0.0]
-    # Frame 1: a zero-length bone; frame 2: an absent parent joint.
-    present[1] = True
-    X[1, JointId.LEFT_ELBOW.value] = X[1, JointId.LEFT_SHOULDER.value]
-    present[2] = True
-    present[2, JointId.NECK.value] = False
+    # Frame 1: one zero-length bone; frame 2: every child of the neck on it.
+    collapsed[1] = False
+    collapsed[1, JointId.LEFT_ELBOW.value] = True
+    collapsed[2] = False
+    collapsed[2, list(tree.children[neck])] = True
+    for j in range(1, tree.n_joints):    # parents first
+        X[collapsed[:, j], j] = X[collapsed[:, j], tree.parents[j]]
 
-    # The random mask must leave some multi-child frames with one usable child.
-    for j in (pelvis, JointId.NECK.value, JointId.LEFT_ANKLE.value):
-        kids = list(tree.children[j])
-        n_usable = (present[:, kids] & present[:, j, None]).sum(axis=1)
+    # The collapsed joints must leave some multi-child frames with one usable
+    # child.
+    for j in (pelvis, neck, JointId.LEFT_ANKLE.value):
+        n_usable = (~collapsed[:, list(tree.children[j])]).sum(axis=1)
         assert np.any((n_usable == 1)[3:])
 
-    want = _reference_fit(tree, X, present)
-    fitted = fit_params_to_positions(tree, X, present)
+    want = _reference_fit(tree, X)
+    fitted = fit_params_to_positions(tree, X)
     assert np.max(np.abs(fitted.rotations - want)) < 1e-12
     assert np.array_equal(fitted.translations, X[:, pelvis])
-    # The antiparallel spine is a half turn (trace 1 + 2 cos pi); the absent
-    # neck keeps identity.
+    # The antiparallel spine is a half turn (trace 1 + 2 cos pi); the neck
+    # with no usable child keeps identity.
     assert np.isclose(np.trace(fitted.rotations[0, tree.rot_slot[spine]]), -1.0)
-    assert np.array_equal(fitted.rotations[2, tree.rot_slot[JointId.NECK.value]],
-                          np.eye(3))
+    assert np.array_equal(fitted.rotations[2, tree.rot_slot[neck]], np.eye(3))
 
 
 def _branching_tree():
@@ -275,8 +286,8 @@ def _branching_tree():
         [0.0, -0.8, 0.6],
         [1.0, 0.0, 0.0],
     ])
+    # Joints root, a, b, c, d, e, leaf.
     return KinematicTree(
-        names=("root", "a", "b", "c", "d", "e", "leaf"),
         parents=(-1, 0, 1, 2, 2, 3, 0),
         rest_dirs=dirs,
     )
@@ -340,7 +351,7 @@ def test_position_jacobian_matches_finite_differences(which, layout):
         return rng.normal(0.0, 1.0, shape)
 
     params = _swing_pose(tree, rng, F)
-    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    X, G = _fk(tree, lengths, params)
     axes = some_axes(F)
     got = position_jacobian(tree, X, G, axes)
     want = _fd_step_jacobian(tree, lengths, params, axes)
@@ -348,7 +359,7 @@ def test_position_jacobian_matches_finite_differences(which, layout):
     assert np.abs(got - want).max() < 1e-7 * np.abs(want).max()
 
     other = _swing_pose(tree, rng, F + 2)
-    X2, G2 = forward_kinematics(tree, lengths, other, with_globals=True)
+    X2, G2 = _fk(tree, lengths, other)
     buffer = position_jacobian(tree, X2, G2, some_axes(F + 2))
     reused = position_jacobian(tree, X, G, axes, out=buffer[:F])
     assert np.shares_memory(reused, buffer)
@@ -375,7 +386,7 @@ def test_vjp_is_the_transposed_jacobian(step_tree):
     tree, lengths = step_tree
     rng = np.random.default_rng(29)
     params = _swing_pose(tree, rng)
-    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    X, G = _fk(tree, lengths, params)
     r = rng.normal(0.0, 1.0, X.shape)
     identity = np.broadcast_to(np.eye(3), params.rotations.shape)
     want = np.einsum("fjcp,fjc->fp", _fd_position_jacobian(tree, lengths, params, identity), r)
@@ -440,7 +451,7 @@ def test_swing_jacobian_matches_finite_differences(step_tree):
     tree, lengths = step_tree
     rng = np.random.default_rng(23)
     params = _swing_pose(tree, rng)
-    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    X, G = _fk(tree, lengths, params)
     axes = swing_axes(tree, params.rotations)
     got = position_jacobian(tree, X, G, axes)
     want = _fd_step_jacobian(tree, lengths, params, axes)
@@ -459,7 +470,7 @@ def test_swing_layout_keeps_the_jacobian_range(step_tree):
     rng = np.random.default_rng(5)
     for _ in range(4):
         params = _swing_pose(tree, rng, n_frames=2)
-        X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+        X, G = _fk(tree, lengths, params)
         axes = swing_axes(tree, params.rotations)
         full = _increments_jacobian(tree, X, G)
         reduced = position_jacobian(tree, X, G, axes)

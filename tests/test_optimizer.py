@@ -42,6 +42,7 @@ from stridelab import (
 from stridelab.kinematics import (
     CANONICAL_TREE,
     PoseParams,
+    _fk_from_matrices,
     forward_kinematics,
     lengths_vector,
     position_jacobian,
@@ -63,6 +64,12 @@ def _params(rng, n_frames, spread=0.3):
         translations=rng.normal(0.0, 0.2, (n_frames, 3)) + [0, 0, 4.0],
         rotations=so3_exp(rng.normal(0.0, spread, (n_frames, nr, 3))),
     )
+
+
+def _fk(tree, lengths, params):
+    """Joint positions and global rotations of params, as the solver forms
+    them."""
+    return _fk_from_matrices(tree, lengths, params.translations, params.rotations)
 
 
 def _sequence_from_params(params, fps=30.0, jitter3d=0.0, rng=None):
@@ -211,7 +218,7 @@ def test_stopping_rule_is_scale_free(noisy_walk):
             prob.tree, s * prob.lengths, s * prob.y3, prob.m3, w_smooth=cfg.w_smooth)
         _, info = scaled.solve(PoseParams(s * init.translations, init.rotations), cfg)
         infos.append(info)
-    assert len({info["iterations"] for info in infos}) == 1
+    assert len({len(info["history"]) for info in infos}) == 1
     assert len({info["stop_reason"] for info in infos}) == 1
     assert infos[0]["stop_reason"] in optimizer_module.CONVERGED_REASONS
 
@@ -237,16 +244,16 @@ def test_refit_from_a_converged_fit_stops_at_once(noisy_walk, fitted_noisy):
     assert refit.energy_history[-1] <= fitted_noisy.energy_history[-1] * (1 + 1e-12)
 
 
+def _never_positive_definite(ab, **kwargs):
+    return ab, 1  # LAPACK's info: the first leading minor is not positive definite
+
+
 def test_failed_factorizations_exhaust_the_damping(noisy_walk, monkeypatch):
     """When no damping gives a positive definite matrix, the fit stops with
     the damping exhausted and returns its initialization unchanged."""
     seq, truth = noisy_walk
     seq = _head(seq, 12)
-
-    def never_positive_definite(ab, **kwargs):
-        return ab, 1  # LAPACK's info: the first leading minor is not positive definite
-
-    monkeypatch.setattr(optimizer_module._lapack(), "dpbtrf", never_positive_definite)
+    monkeypatch.setattr(optimizer_module._lapack(), "dpbtrf", _never_positive_definite)
     init = initial_params(seq, truth.anatomy)
     fit = optimize(seq, truth.anatomy, init=init)
     assert fit.stop_reason == "damping_exhausted"
@@ -264,13 +271,36 @@ def _exact_3d_only(n_frames, seed):
 
 def test_zero_energy_stops_as_flat():
     """At an energy of exactly 0 the relative tests have no room: the zero
-    step changes nothing and stops as flat, not as damping exhausted."""
+    step changes nothing and stops as flat, not as damping exhausted.  That
+    step is rejected, so no step is counted."""
     seq, params = _exact_3d_only(1, seed=23)
     fit = optimize(seq, ANATOMY, init=params)
-    assert fit.energy_history[-1] == 0.0
+    assert fit.energy_history == (0.0,)
     assert fit.stop_reason == "flat"
     assert fit.converged is True
-    assert fit.iterations == 1
+    assert fit.iterations == 0
+
+
+@pytest.mark.parametrize("stop_reason", optimizer_module.STOP_REASONS)
+def test_iterations_count_the_accepted_steps(noisy_walk, monkeypatch, stop_reason):
+    """iterations is the number of accepted steps, one less than the energy
+    history's length, whatever stopped the fit: the rejected step a flat
+    stop ends on is not counted."""
+    seq, truth = noisy_walk
+    anatomy, cfg, init = truth.anatomy, EnergyConfig(), None
+    if stop_reason == "flat":
+        seq, init = _exact_3d_only(1, seed=23)
+        anatomy = ANATOMY
+    elif stop_reason == "damping_exhausted":
+        seq = _head(seq, 12)
+        monkeypatch.setattr(optimizer_module._lapack(), "dpbtrf", _never_positive_definite)
+    elif stop_reason == "iteration_cap":
+        cfg = EnergyConfig(max_iterations=3)
+    fit = optimize(seq, anatomy, cfg=cfg, init=init)
+    assert fit.stop_reason == stop_reason
+    assert fit.iterations == len(fit.energy_history) - 1
+    want = {"decrease": 7, "flat": 0, "damping_exhausted": 0, "iteration_cap": 3}
+    assert fit.iterations == want[stop_reason]
 
 
 def test_optimize_preserves_bone_lengths(fitted_clean, clean_walk):
@@ -502,9 +532,7 @@ def test_banded_normal_matrix_and_solve_match_dense(noisy_walk, n_frames):
     cfg = EnergyConfig()
     prob = _problem_for(seq, truth.anatomy, cfg)
     init = initial_params(seq, truth.anatomy)
-    X, G = forward_kinematics(
-        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
-    )
+    X, G = _fk(CANONICAL_TREE, lengths_vector(truth.anatomy), init)
     axes = swing_axes(CANONICAL_TREE, init.rotations)
     H, g = _dense_normal_equations(prob, X, G, axes)
     ab = prob._normal_blocks(X, G, axes)
@@ -548,7 +576,7 @@ def _random_problem(tree, lengths, rng, F):
         rng.random((F, tree.n_joints)) < 0.8, w_smooth=0.1,
     )
     params = pose()
-    X, G = forward_kinematics(tree, lengths, params, with_globals=True)
+    X, G = _fk(tree, lengths, params)
     return prob, X, G, swing_axes(tree, params.rotations)
 
 
@@ -635,7 +663,7 @@ def test_gradient_across_chunk_boundaries(monkeypatch, seed, chunk):
     seq = _sequence_from_params(_params(rng, 5))
     probe = _params(rng, 5)
     prob = _problem_for(seq, ANATOMY, EnergyConfig())
-    X, G = forward_kinematics(CANONICAL_TREE, LENGTHS, probe, with_globals=True)
+    X, G = _fk(CANONICAL_TREE, LENGTHS, probe)
     axes = swing_axes(CANONICAL_TREE, probe.rotations)
     got = prob._jtr(X, G, prob._weighted_residuals(X), axes)
     gradient = prob.gradient(probe).reshape(5, -1)
@@ -656,8 +684,8 @@ def test_band_rewritten_in_place_matches_a_fresh_one(noisy_walk, n_frames):
     lengths = lengths_vector(truth.anatomy)
     init = initial_params(seq, truth.anatomy)
     other = PoseParams(init.translations + 0.05, init.rotations.swapaxes(-1, -2))
-    X, G = forward_kinematics(CANONICAL_TREE, lengths, init, with_globals=True)
-    X2, G2 = forward_kinematics(CANONICAL_TREE, lengths, other, with_globals=True)
+    X, G = _fk(CANONICAL_TREE, lengths, init)
+    X2, G2 = _fk(CANONICAL_TREE, lengths, other)
     axes = swing_axes(CANONICAL_TREE, init.rotations)
     stale = prob._normal_blocks(X2, G2, swing_axes(CANONICAL_TREE, other.rotations))
     reused = prob._normal_blocks(X, G, axes, out=stale)
@@ -707,9 +735,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         part = _head(seq, n_frames)
         prob = _problem_for(part, truth.anatomy, EnergyConfig())
         init = initial_params(part, truth.anatomy)
-        X, G = forward_kinematics(
-            CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
-        )
+        X, G = _fk(CANONICAL_TREE, lengths_vector(truth.anatomy), init)
         axes = swing_axes(CANONICAL_TREE, init.rotations)
         band = (layout.bandwidth + 1) * n_frames * layout.params_per_frame * item
         peak, _ = _traced_peak(lambda: prob._normal_blocks(X, G, axes))
@@ -719,7 +745,7 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         peak, (_, info) = _traced_peak(
             lambda: prob.solve(init, EnergyConfig(max_iterations=2))
         )
-        assert info["iterations"] == 2
+        assert len(info["history"]) == 3
         bands.append(band)
         solve.append(peak - band)
     assert abs(assembly[1] - assembly[0]) < 1e6
@@ -752,9 +778,7 @@ def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):
     # assembled again, not the failed attempt's matrix damped once more.
     prob = _problem_for(seq, truth.anatomy, EnergyConfig())
     init = initial_params(seq, truth.anatomy)
-    X, G = forward_kinematics(
-        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
-    )
+    X, G = _fk(CANONICAL_TREE, lengths_vector(truth.anatomy), init)
     axes = swing_axes(CANONICAL_TREE, init.rotations)
     d0 = prob._normal_blocks(X, G, axes)[0]
     damp_base = np.maximum(d0, 1e-12 * d0.max())
@@ -777,9 +801,7 @@ def test_banded_factor_and_solve_are_scipys(noisy_walk):
     seq, truth = noisy_walk
     prob = _problem_for(seq, truth.anatomy, EnergyConfig())
     init = initial_params(seq, truth.anatomy)
-    X, G = forward_kinematics(
-        CANONICAL_TREE, lengths_vector(truth.anatomy), init, with_globals=True
-    )
+    X, G = _fk(CANONICAL_TREE, lengths_vector(truth.anatomy), init)
     axes = swing_axes(CANONICAL_TREE, init.rotations)
     ab = prob._normal_blocks(X, G, axes)
     damping = optimizer_module._INIT_DAMPING * np.maximum(ab[0], 1e-12 * ab[0].max())

@@ -18,6 +18,7 @@ from stridelab import (
 )
 from stridelab.kinematics import (
     CANONICAL_TREE,
+    fit_params_to_positions,
     forward_kinematics,
     lengths_vector,
     so3_exp,
@@ -112,12 +113,31 @@ def test_schedule_is_evenly_spaced(clean_walk):
     assert np.allclose(np.diff(x), truth.step_length_m, atol=1e-12)
 
 
-def test_truth_params_reproduce_positions(clean_walk):
-    """The emitted ground-truth params must land on the emitted joints."""
-    seq, truth = clean_walk
-    X = forward_kinematics(
-        CANONICAL_TREE, lengths_vector(truth.anatomy), truth.params
-    )
+_BASE = dict(speed_m_s=1.2, cadence_steps_min=110.0, distance_m=3.0)
+
+
+@pytest.mark.parametrize("changes", [
+    dict(speed_m_s=0.8, cadence_steps_min=90.0),
+    dict(speed_m_s=0.8, cadence_steps_min=150.0),
+    dict(speed_m_s=2.0, cadence_steps_min=150.0),
+    dict(heading_deg=0.0),
+    dict(heading_deg=90.0),
+    dict(heading_deg=180.0),
+    dict(double_support=0.0),
+    dict(double_support=0.4),
+    dict(fps=25.0),
+    dict(fps=60.0),
+], ids=lambda changes: ",".join(f"{k}={v:g}" for k, v in changes.items()))
+def test_noiseless_joints_lie_on_the_fitted_tree(changes):
+    """The walker builds its joints through the tree the optimizer fits, so
+    the closed-form pose fit of a noiseless walk re-poses its joints to
+    within 1e-9 m: at three corners of the 0.8-2.0 m/s by 90-150
+    steps/min grid (the fourth, 2.0 m/s at 90 steps/min, asks for a
+    1.33 m step the walker refuses), at headings 0, 90 and 180 degrees,
+    at both ends of the double-support range and at 25 and 60 fps."""
+    seq, truth = generate(WalkerSpec(**{**_BASE, **changes}))
+    params = fit_params_to_positions(CANONICAL_TREE, seq.points_3d)
+    X = forward_kinematics(CANONICAL_TREE, lengths_vector(truth.anatomy), params)
     assert np.max(np.abs(X - seq.points_3d)) <= 1e-9
 
 
