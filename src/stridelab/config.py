@@ -39,8 +39,9 @@ _CAMERA_UNSET = ("focal_px", "cx", "cy")
 # need not even convert to a float, and the default focal length, the image
 # diagonal, could overflow.
 _MAX_IMAGE_PX = 100_000
-# The most bootstrap resamples: the bootstrap holds resamples x walks int64
-# indices at once, so a larger count would fail on memory mid-run.
+# The most bootstrap resamples.  The bootstrap draws its indices in blocks
+# and keeps one mean per resample, so the cap bounds its run time and the
+# 8 MB of resample means per parameter, whatever the number of walks.
 _MAX_RESAMPLES = 1_000_000
 
 

@@ -107,6 +107,14 @@ class KinematicTree:
         return tuple(slot)
 
     @cached_property
+    def parent_slots(self) -> np.ndarray:
+        """Per rotation slot, the rotation slot of its joint's parent, -1 at
+        the root: where _fk_from_matrices keeps that parent's global
+        rotation."""
+        return np.array([self.rot_slot[self.parents[j]] if j else -1
+                         for j in self.rotated_joints], dtype=np.intp)
+
+    @cached_property
     def descendants(self) -> tuple[tuple[int, ...], ...]:
         """Strict descendants of each joint (children, grandchildren, ...)."""
         desc: list[list[int]] = [[] for _ in self.parents]
@@ -353,20 +361,25 @@ def _fk_from_matrices(
     translations: np.ndarray,
     rot_local: np.ndarray,
 ):
-    """Joint positions (F, J, 3) and global rotations (F, J, 3, 3) from root
-    translations and local rotations already given as matrices."""
+    """Joint positions (F, J, 3) and global rotations (F, NR, 3, 3) from root
+    translations and local rotations already given as matrices.  G[:, s] is
+    the global rotation of rotation slot s's joint, the product of the local
+    rotations from the root down to it; a leaf's would only repeat its
+    parent's, so it has none, and a caller reads a joint's parent's at
+    tree.parent_slots."""
     F = translations.shape[0]
     J = tree.n_joints
+    slot = tree.rot_slot
     X = np.empty((F, J, 3), dtype=np.float64)
-    G = np.empty((F, J, 3, 3), dtype=np.float64)
+    G = np.empty((F, tree.n_rotations, 3, 3), dtype=np.float64)
     X[:, 0] = translations
-    G[:, 0] = rot_local[:, tree.rot_slot[0]]
+    G[:, slot[0]] = rot_local[:, slot[0]]
     for j in range(1, J):
         p = tree.parents[j]
-        offset = tree.rest_dirs[j] * lengths[j]
-        X[:, j] = X[:, p] + G[:, p] @ offset
-        slot = tree.rot_slot[j]
-        G[:, j] = G[:, p] @ rot_local[:, slot] if slot >= 0 else G[:, p]
+        Gp = G[:, slot[p]]
+        X[:, j] = X[:, p] + Gp @ (tree.rest_dirs[j] * lengths[j])
+        if slot[j] >= 0:
+            G[:, slot[j]] = Gp @ rot_local[:, slot[j]]
     return X, G
 
 
@@ -394,9 +407,12 @@ def position_jacobian(
 
     Descendant d of b moves with b's axes as hat(X_b - X_d) M_b, M_b the
     global rotation of b's parent (the identity at the root) times the
-    axes.  All of these blocks, one per tree.rotation_pairs entry, are
-    formed in one batch, and the layout's kept cells are scattered at once;
-    every other cell is a translation identity or a structural zero.
+    axes; G (F, NR, 3, 3) holds the global rotations by rotation slot, as
+    _fk_from_matrices returns them, and b's parent's is at
+    tree.parent_slots.  All of these blocks, one per tree.rotation_pairs
+    entry, are formed in one batch, and the layout's kept cells are
+    scattered at once; every other cell is a translation identity or a
+    structural zero.
 
     out, when given, must be a C-contiguous result of an earlier call for
     the same tree, or a leading frame slice of one.  Its identities and
@@ -409,8 +425,7 @@ def position_jacobian(
         out = np.zeros((F, J, 3, layout.params_per_frame), dtype=np.float64)
         out[..., layout.translation] = np.eye(3)
     joints, desc, slots = tree.rotation_pairs
-    rotated = np.asarray(tree.rotated_joints)
-    parents = np.asarray(tree.parents)[rotated]
+    parents = tree.parent_slots
     M = G[:, np.maximum(parents, 0)]               # (F, NR, 3, 3)
     M[:, parents < 0] = np.eye(3)
     blocks = hat(X[:, joints] - X[:, desc]) @ (M @ axes)[:, slots]  # (F, pairs, 3, 3)
@@ -444,22 +459,26 @@ def position_jacobian_vjp(
 
     The root translation moves every joint alike, so its three entries are
     the sum of r over the joints.  Rotated joint b moves descendant d by
-    hat(X_b - X_d) M_b, M_b the global rotation of b's parent, so its three
-    entries are M_b^T m_b with the moment m_b = sum over b's strict
-    descendants d of (X_d - X_b) x r_d, that is
+    hat(X_b - X_d) M_b, M_b the global rotation of b's parent (G by
+    rotation slot, as _fk_from_matrices returns it, read at
+    tree.parent_slots), so its three entries are M_b^T m_b with the moment
+    m_b = sum over b's strict descendants d of (X_d - X_b) x r_d, that is
     sum X_d x r_d - X_b x sum r_d: two subtree sums, which one product with
     tree.subtree_matrix per frame forms.  Positions are taken relative to
     the root, which leaves every X_d - X_b alone and keeps the sums from
     cancelling at a large camera distance."""
     F = X.shape[0]
     rotated = np.asarray(tree.rotated_joints)
-    parents = np.asarray(tree.parents)[rotated]
+    parents = tree.parent_slots
     rel = X - X[:, :1]
     both = np.empty(r.shape[:2] + (6,))  # r and rel x r, summed at once
     both[..., :3] = r
     _cross(rel, r, out=both[..., 3:])
     sums = tree.subtree_matrix @ both                             # (F, NR, 6)
-    moment = sums[..., 3:] - _cross(rel[:, rotated], sums[..., :3])
+    # Only the rotated joints' positions are read from here on: the
+    # per-joint arrays go before the per-slot ones are formed.
+    rel, both = rel[:, rotated], None
+    moment = sums[..., 3:] - _cross(rel, sums[..., :3])
     # M_b^T m_b: into the parent's frame (the root's is the global one).
     moved = parents >= 0
     moment[:, moved] = np.einsum("fnij,fni->fnj", G[:, parents[moved]], moment[:, moved])

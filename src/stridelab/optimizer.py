@@ -32,11 +32,16 @@ straight into LAPACK lower band storage held column-major and solves by a
 banded Cholesky factorization of that storage, in place (LAPACK's dpbtrf
 and dpbtrs, called on scipy's compiled extension, which _lapack loads
 without the scipy.linalg package).  The matrix is assembled in fixed-size
-frame chunks, so no Jacobian or block array spans the walk: a solve holds
-one band, reused across iterations, plus per-frame residuals, weights and
-poses and one chunk's buffers.  Chunks belong to the assembly alone: the
-right-hand side J^T r~ needs no Jacobian and is formed over the whole walk
-in one pass (EnergyProblem._jtr).  A step is
+frame chunks, so no Jacobian or block array spans the walk.  A solve
+holds one band, reused across iterations, and beside it per-frame arrays
+only: the targets and their mask, the pose (root translations, local
+rotations, joint positions and the global rotations of the rotated joints
+alone, kin._fk_from_matrices), its step axes and right-hand side, and
+while a step is tried the trial pose and one residual buffer
+(energy_terms); the assembly adds one chunk's buffers.  Chunks belong to
+the assembly alone: the right-hand side J^T r~ needs no Jacobian and is
+formed over the whole walk in one pass (EnergyProblem._jtr), after which
+r~ is dropped.  A step is
 accepted only when it strictly decreases the energy, otherwise the
 damping is increased, the band assembled again at the same pose (the
 failed attempt overwrote it with its factor) and the step recomputed.
@@ -58,11 +63,12 @@ left-multiplies them by the exponential of a small increment about the
 step axes, so no rotation is ever expressed by a parameter vector with a
 singularity to avoid.
 
-The residuals are evaluated in one place, EnergyProblem._residuals: the
-energy sums their weighted squares, and _weighted_residuals turns them
-into r~ = dE/dX / 2, whose product J^T r~ with the position Jacobian is
-both the gradient (times 2) and the right-hand side of every step, so the
-three describe the same function.
+The residuals are X - y3 and the second differences that
+EnergyProblem._second_differences forms: the energy sums their weighted
+squares, and _weighted_residuals turns them into r~ = dE/dX / 2, whose
+product J^T r~ with the position Jacobian is both the gradient (times 2)
+and the right-hand side of every step, so the three describe the same
+function.
 """
 
 import functools
@@ -244,7 +250,8 @@ def _targets_3d(seq: SkeletonSequence):
 
 class _Trial(NamedTuple):
     """A pose a step leads to: root translations, local rotations, joint
-    positions, global rotations and the energy."""
+    positions, global rotations by rotation slot (kin._fk_from_matrices)
+    and the energy."""
 
     t: np.ndarray
     rot: np.ndarray
@@ -294,21 +301,32 @@ class EnergyProblem:
 
     # -- residuals and energy ---------------------------------------------
 
-    def _residuals(self, X: np.ndarray):
-        """Unweighted residuals at joint positions X: (r3, dd).
-
-        r3 = X - y3 (F, J, 3); dd the second differences of X over frames
-        (F - 2, J, 3), None when F < 3.  Masks and weights are applied by
+    def _second_differences(self, X: np.ndarray, out=None) -> np.ndarray:
+        """The smoothness term's unweighted residuals at joint positions X
+        (F >= 3): the second differences over frames,
+        X[f + 2] - 2 X[f + 1] + X[f], (F - 2, J, 3), written into out when
+        given.  The ik term's are X - y3; masks and weights are applied by
         the callers."""
-        dd = X[2:] - 2.0 * X[1:-1] + X[:-2] if self.F >= 3 else None
-        return X - self.y3, dd
+        dd = np.multiply(X[1:-1], 2.0, out=out)
+        np.subtract(X[2:], dd, out=dd)
+        return np.add(dd, X[:-2], out=dd)
 
     def energy_terms(self, X: np.ndarray) -> dict[str, float]:
-        """Weighted term values for joint positions X."""
-        r3, dd = self._residuals(X)
-        e_smooth = 0.0 if dd is None else float(np.sum(dd * dd))
+        """Weighted term values for joint positions X.
+
+        Both terms' residuals are squared and weighted in place in one
+        (F, J, 3) buffer, the second differences first, then X - y3: one
+        walk-sized array, and sums over arrays of the shapes the residuals
+        have, so the same values as summing separate arrays."""
+        buf = np.empty(X.shape)
+        e_smooth = 0.0
+        if self.F >= 3:
+            dd = self._second_differences(X, out=buf[:-2])
+            e_smooth = float(np.sum(np.square(dd, out=dd)))
+        r3 = np.subtract(X, self.y3, out=buf)
+        np.square(r3, out=r3)
         return {
-            "ik": float(np.sum(self.m3[..., None] * r3 ** 2)),
+            "ik": float(np.sum(np.multiply(r3, self.m3[..., None], out=r3))),
             "smooth": self.w_smooth * e_smooth,
         }
 
@@ -317,10 +335,10 @@ class EnergyProblem:
         respect to the joint positions, dE/dX / 2.  The ik term gives
         m3 (X - y3) and the smoothness term w_smooth D^T dd, so J^T r~ is
         J^T W r for any position Jacobian J."""
-        r3, dd = self._residuals(X)
-        resid = self.m3[..., None] * r3
-        if dd is not None:
-            wdd = self.w_smooth * dd
+        resid = self.m3[..., None] * (X - self.y3)
+        if self.F >= 3:
+            wdd = self._second_differences(X)
+            wdd *= self.w_smooth
             resid[2:] += wdd
             resid[1:-1] -= 2.0 * wdd
             resid[:-2] += wdd
@@ -493,7 +511,9 @@ class EnergyProblem:
 
     def _trial(self, t, rot, axes, delta) -> Optional[_Trial]:
         """The pose after step delta (F * P,) on step axes axes from (t,
-        rot), or None when delta is not finite."""
+        rot), or None when delta is not finite: its translations, local
+        rotations, joint positions, global rotations (F, NR, 3, 3), one per
+        rotation slot as kin._fk_from_matrices gives them, and energy."""
         if not np.all(np.isfinite(delta)):
             return None
         layout = self.tree.step_layout
@@ -574,18 +594,19 @@ class EnergyProblem:
             # Relative to the energy, like the damping, so a rescaled
             # energy or a longer walk stops alike.
             floor = cfg.tolerance * energy
-            resid = self._weighted_residuals(X)
             new = None
+            # r~ lives only until J^T r~ is formed: no walk-sized residual
+            # is held through the damped attempts and their trial poses.
             if reuse_axes is not None:
                 axes, reuse_axes = reuse_axes, None
-                g = self._jtr(X, G, resid, axes).reshape(-1)
+                g = self._jtr(X, G, self._weighted_residuals(X), axes).reshape(-1)
                 new = self._trial(t, rot, axes, self._factor_solve(ab, -g))
                 if new is not None and not new.energy < energy:
                     new = None
             fresh = new is None
             if fresh:
                 axes = kin.swing_axes(tree, rot)
-                g = self._jtr(X, G, resid, axes).reshape(-1)
+                g = self._jtr(X, G, self._weighted_residuals(X), axes).reshape(-1)
 
                 # Kept when every damping up to the cap fails to give a step.
                 stop_reason = "damping_exhausted"

@@ -28,6 +28,9 @@ import numpy as np
 from .errors import DegenerateVariance, DuplicateMeasurement, LengthMismatch, TooFewPairs
 
 ICC_FORMS = ((2, 1), (2, "k"), (3, 1))
+# Resamples drawn at once by bootstrap_mean_diff_ci: its index block holds
+# this many rows of one index per value, whatever the resample count.
+_BOOTSTRAP_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +239,13 @@ def bootstrap_mean_diff_ci(
     level: float = 0.95,
     seed: int = 0,
 ) -> BootstrapCI:
-    """Percentile bootstrap CI for the mean of `d`, deterministic per seed."""
+    """Percentile bootstrap CI for the mean of `d`, deterministic per seed.
+
+    The resample indices are drawn _BOOTSTRAP_BLOCK resamples at a time and
+    only each resample's mean is kept, so memory grows with the resample
+    count by one float per resample, not by one index per value.  numpy's
+    bounded integer draws are one stream however the rows are split, so the
+    CI equals that of drawing all the indices at once."""
     dv = np.asarray(d, dtype=float)
     if dv.ndim != 1 or dv.size < 2:
         raise TooFewPairs(f"need at least 2 values, got {dv.size}")
@@ -245,8 +254,11 @@ def bootstrap_mean_diff_ci(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, dv.size, size=(resamples, dv.size))
-    means = dv[idx].mean(axis=1)
+    means = np.empty(resamples)
+    for start in range(0, resamples, _BOOTSTRAP_BLOCK):
+        block = means[start:start + _BOOTSTRAP_BLOCK]
+        idx = rng.integers(0, dv.size, size=(block.size, dv.size))
+        np.mean(dv[idx], axis=1, out=block)
     alpha = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(means, [alpha, 100.0 - alpha])
     return BootstrapCI(

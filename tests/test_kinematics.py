@@ -84,6 +84,52 @@ def _fk(tree, lengths, params):
     return _fk_from_matrices(tree, lengths, params.translations, params.rotations)
 
 
+def _chain(tree, j):
+    """Joint j and its ancestors, root first."""
+    chain = []
+    while j >= 0:
+        chain.insert(0, j)
+        j = tree.parents[j]
+    return chain
+
+
+@pytest.mark.parametrize("which", ["canonical", "branching"])
+def test_fk_keeps_one_global_rotation_per_rotation_slot(which):
+    """_fk_from_matrices returns global rotations by rotation slot,
+    (F, NR, 3, 3), none for a leaf: slot s holds the product of the local
+    rotations from the root down to its joint, and tree.parent_slots names
+    the slot of its joint's parent.  The positions are those of a per-frame
+    walk down each joint's chain, each bone turned by the product of the
+    local rotations above it."""
+    if which == "canonical":
+        tree = CANONICAL_TREE
+        lengths = lengths_vector(derive_anatomy(1.72))
+    else:
+        tree = _branching_tree()
+        lengths = np.array([0.0, 0.5, 0.3, 0.25, 0.4, 0.2, 0.35])
+    F = 4
+    params = _swing_pose(tree, np.random.default_rng(41), F)
+    X, G = _fk(tree, lengths, params)
+    assert X.shape == (F, tree.n_joints, 3)
+    assert G.shape == (F, tree.n_rotations, 3, 3)
+    for s, j in enumerate(tree.rotated_joints):
+        p = tree.parents[j]
+        assert tree.parent_slots[s] == (tree.rot_slot[p] if p >= 0 else -1)
+    for f in range(F):
+        for j in range(tree.n_joints):
+            chain = _chain(tree, j)
+            glob = np.eye(3)
+            pos = params.translations[f].copy()
+            for parent, child in zip(chain, chain[1:]):
+                glob = glob @ params.rotations[f, tree.rot_slot[parent]]
+                pos = pos + glob @ (tree.rest_dirs[child] * lengths[child])
+            assert np.abs(X[f, j] - pos).max() < 1e-12
+            s = tree.rot_slot[j]
+            if s >= 0:
+                want = glob @ params.rotations[f, s]
+                assert np.abs(G[f, s] - want).max() < 1e-14
+
+
 def test_fk_preserves_bone_lengths():
     anatomy = derive_anatomy(1.72)
     lengths = lengths_vector(anatomy)

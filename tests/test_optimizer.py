@@ -725,7 +725,8 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
     per-frame residual and weight arrays, and a solve iteration factors the
     band in place.  Walk-sized Jacobians or block arrays, or a second
     band-sized array such as a separate Cholesky factor, would grow these
-    excesses by megabytes between 64 and 148 frames."""
+    excesses by megabytes between 64 and 148 frames.  The solve's own
+    per-frame arrays are bounded by bytes per frame: see the last assert."""
     seq, truth = noisy_walk
     assert len(seq) >= 148
     item = np.dtype(np.float64).itemsize
@@ -749,9 +750,16 @@ def test_assembly_memory_does_not_grow_with_frames(noisy_walk):
         bands.append(band)
         solve.append(peak - band)
     assert abs(assembly[1] - assembly[0]) < 1e6
-    # The solve also keeps a few per-frame pose arrays (X, G, rotations, step
-    # axes and their trial copies), well under half a band per frame.
-    assert solve[1] - solve[0] < 0.5 * (bands[1] - bands[0])
+    # The solve peaks in the second assembly, holding beside the band the
+    # accepted pose's joint positions (3J values a frame), global rotations
+    # of the rotated joints (9 NR), local rotations and step axes (9 NR
+    # each), right-hand side and damping base (P each) and the assembly's
+    # weights (J): 4 256 bytes a frame on the skeleton, 4 308 measured.
+    # One more (F, J, 3) array, 504 bytes a frame, held across it, such as
+    # r~ or leaf rows of the global rotations (5 314 bytes with both),
+    # fails this.
+    per_frame = (solve[1] - solve[0]) / (148 - 64)
+    assert per_frame < 4800
 
 
 def test_cholesky_failure_raises_damping(noisy_walk, monkeypatch):

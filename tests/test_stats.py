@@ -1,6 +1,7 @@
 """Agreement statistics against slow, loop-level oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stridelab import (
     icc,
     percentage_error,
 )
+from stridelab.stats import _BOOTSTRAP_BLOCK
 
 # Frozen from d = a - b = (0.1, -0.1, 0.3, -0.3):
 # sd   = sqrt((0.01 + 0.01 + 0.09 + 0.09) / 3) = sqrt(0.2 / 3)
@@ -193,6 +195,47 @@ def test_bootstrap_width_tracks_standard_error():
     nominal = 2 * 1.96 * d.std(ddof=1) / math.sqrt(d.size)
     assert ci.ci_upper - ci.ci_lower == pytest.approx(nominal, rel=0.15)
     assert ci.ci_lower <= d.mean() <= ci.ci_upper
+
+
+def _one_shot_ci(d, resamples, level, seed):
+    """The bootstrap CI with every resample's indices drawn in one array:
+    the plain statement of what bootstrap_mean_diff_ci computes."""
+    dv = np.asarray(d, dtype=float)
+    rng = np.random.default_rng(seed)
+    means = dv[rng.integers(0, dv.size, size=(resamples, dv.size))].mean(axis=1)
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(means, [alpha, 100.0 - alpha])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("resamples", [
+    1000, _BOOTSTRAP_BLOCK, 2 * _BOOTSTRAP_BLOCK, 2 * _BOOTSTRAP_BLOCK + 1, 12_345,
+])
+@pytest.mark.parametrize("n", [2, 5, 12, 120])
+def test_blocked_bootstrap_equals_one_shot_draw(n, resamples):
+    """Drawing the resamples in blocks continues one random stream, so the
+    CI is bit-identical to one draw of every index, for resample counts that
+    are and are not a multiple of the block."""
+    rng = np.random.default_rng(n * 7919 + resamples)
+    d = rng.normal(0.05, 0.4, n)
+    ci = bootstrap_mean_diff_ci(d, resamples=resamples, level=0.9, seed=n)
+    assert (ci.ci_lower, ci.ci_upper) == _one_shot_ci(d, resamples, 0.9, n)
+
+
+def test_bootstrap_memory_does_not_hold_every_index():
+    """At 200 000 resamples of 12 values the one-shot draw held 19.2 MB of
+    indices and as much again of resampled values (41 MB traced).  The
+    blocked draw keeps the resample means (1.6 MB), percentile's copy of
+    them and one block's indices and values (0.8 MB): 5.5 MB traced."""
+    d = np.linspace(-0.5, 0.5, 12)
+    bootstrap_mean_diff_ci(d, resamples=1000)
+    tracemalloc.start()
+    try:
+        bootstrap_mean_diff_ci(d, resamples=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_bootstrap_input_checks():
